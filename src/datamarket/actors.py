@@ -184,8 +184,9 @@ class Seller:
                 continue
             self._seen_orders.add(order_id)
             self._consider(order_id)
-        for offer in self._offers.values():
-            self._progress_offer(offer, tick)
+        for digest, offer in list(self._offers.items()):
+            if not self._progress_offer(offer, tick):
+                del self._offers[digest]
 
     def _consider(self, order_id: str) -> None:
         contract = self.ledger.contract(order_id)
@@ -236,30 +237,32 @@ class Seller:
     def _post(self, message_bytes: bytes, endpoint: str) -> None:
         self.network.send(self.address, endpoint, message_bytes)
 
-    def _progress_offer(self, offer: _SellerOffer, tick: int) -> None:
+    def _progress_offer(self, offer: _SellerOffer, tick: int) -> bool:
+        """Advance one offer; False once it can never act again: it is
+        settled, or its order closed without selecting it."""
         contract = self.ledger.contracts.get(offer.order_id)
         if contract is None:
-            return
+            return True
         state = contract.responses.get(offer.response.digest())
         if state is None:
+            if contract.status is not Status.OPEN:
+                return False
             # Not selected (yet); bounded re-send of the offer while the
             # order stays open, in case the network dropped it.
-            if (
-                contract.status is Status.OPEN
-                and offer.resends_left > 0
-                and tick >= offer.next_send_tick
-            ):
+            if offer.resends_left > 0 and tick >= offer.next_send_tick:
                 offer.resends_left -= 1
                 offer.next_send_tick = tick + self.retry_interval
                 self._post(offer.response.encode(), offer.upload_url)
-            return
+            return True
+        if state.phase is Phase.SETTLED:
+            return False
         if state.phase is not Phase.SELECTED:
-            return
+            return True
         # Selected and unsettled: deliver (and re-deliver on a timer until
         # the ledger shows settlement). Payloads are only ever uploaded for
         # selected offers, and only inside an encryption envelope.
         if offer.delivered_tick is not None and tick < offer.next_send_tick:
-            return
+            return True
         offer.delivered_tick = tick
         offer.next_send_tick = tick + self.retry_interval
         data = self._delivery_data(offer)
@@ -267,6 +270,7 @@ class Seller:
         ciphertext = crypto.encrypt_for(offer.buyer_pk, plaintext, self._rng.randbytes(32))
         delivery = PayloadDelivery(offer.response.digest(), ciphertext)
         self._post(delivery.encode(), offer.upload_url)
+        return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
         if self.mutation is Mutation.SUBSTITUTE_DATA:

@@ -14,6 +14,7 @@ key raises DecryptionError.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
@@ -47,6 +48,9 @@ _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
 _RAW_PRIV = serialization.PrivateFormat.Raw
 _NOENC = serialization.NoEncryption()
+# Parsed private keys are kept by content, so each identity's keys are
+# parsed once. Enough entries for every identity of one large market.
+_KEY_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,12 @@ def verify_commitment(salt: bytes, data: bytes, commitment: Commitment) -> bool:
 def sign(secret_key: bytes, message: bytes) -> bytes:
     if len(secret_key) != SECRET_KEY_LEN:
         raise CryptoError(f"secret key must be {SECRET_KEY_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(secret_key[:32]).sign(message)
+    return _signing_key(secret_key[:32]).sign(message)
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -181,11 +190,17 @@ def decrypt(secret_key: bytes, envelope: bytes) -> bytes:
     if len(envelope) < 32 + 16:
         raise DecryptionError("envelope too short")
     eph_pub, ct = envelope[:32], envelope[32:]
-    enc_sk = X25519PrivateKey.from_private_bytes(secret_key[32:])
-    my_pub = enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)
+    enc_sk, my_pub = _decryption_key(secret_key[32:])
     try:
         shared = enc_sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key = _envelope_key(shared, eph_pub, my_pub)
         return ChaCha20Poly1305(key).decrypt(b"\x00" * 12, ct, None)
     except (_InvalidTag, ValueError) as exc:
         raise DecryptionError("envelope failed to authenticate") from exc
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _decryption_key(private: bytes) -> tuple[X25519PrivateKey, bytes]:
+    """The parsed X25519 key and its raw public bytes."""
+    enc_sk = X25519PrivateKey.from_private_bytes(private)
+    return enc_sk, enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)

@@ -4,6 +4,8 @@ constructors/validators each participant uses.
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
 signature field). `decode()` is the inverse of `encode()` for every type.
+Signed types are frozen, so each instance computes its encodings, digest
+and signature check once and keeps them (see `_memoized`).
 
 The seller's offer deliberately has no plaintext-data field and no salt
 field: only the salted commitment is signed and published, and the salt is
@@ -13,6 +15,7 @@ revealed off-chain at delivery time inside the encrypted payload.
 from __future__ import annotations
 
 import enum
+import functools
 import secrets
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Mapping, Sequence, Union
@@ -52,6 +55,24 @@ class Verdict(enum.Enum):
     @property
     def letter(self) -> str:
         return {0: "a", 1: "b", 2: "c"}[self.value]
+
+
+def _memoized(method):
+    """Compute a no-argument method once per instance and keep the result in
+    the instance `__dict__`. Only for frozen dataclasses: their fields never
+    change, so the kept value cannot go stale, and a changed copy (made with
+    `dataclasses.replace` or by decoding) is a new instance with no memo."""
+    key = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self):
+        memo = self.__dict__
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = method(self)
+        return value
+
+    return wrapper
 
 
 def _encode_value(value: PredicateValue) -> bytes:
@@ -201,6 +222,7 @@ class DataOrder:
     terms: bytes
     buyer_signature: bytes = b""
 
+    @_memoized
     def signing_bytes(self) -> bytes:
         out = bytearray([TAG_DATA_ORDER])
         write_field(out, self.audience.encode())
@@ -211,14 +233,17 @@ class DataOrder:
         write_field(out, self.terms)
         return bytes(out)
 
+    @_memoized
     def encode(self) -> bytes:
         out = bytearray(self.signing_bytes())
         write_field(out, self.buyer_signature)
         return bytes(out)
 
+    @_memoized
     def digest(self) -> bytes:
         return crypto.sha256(self.encode())
 
+    @_memoized
     def verify_signature(self) -> bool:
         return crypto.verify(self.buyer_pk, self.signing_bytes(), self.buyer_signature)
 
@@ -250,6 +275,7 @@ class NotaryTerms:
     order_digest: bytes
     notary_signature: bytes = b""
 
+    @_memoized
     def signing_bytes(self) -> bytes:
         out = bytearray([TAG_NOTARY_TERMS])
         write_field(out, self.notary_pk)
@@ -259,11 +285,13 @@ class NotaryTerms:
         write_field(out, self.order_digest)
         return bytes(out)
 
+    @_memoized
     def encode(self) -> bytes:
         out = bytearray(self.signing_bytes())
         write_field(out, self.notary_signature)
         return bytes(out)
 
+    @_memoized
     def verify_signature(self) -> bool:
         return (
             crypto.derive_address(self.notary_pk) == self.notary_address
@@ -297,6 +325,7 @@ class DataResponse:
     terms: bytes
     seller_signature: bytes = b""
 
+    @_memoized
     def signing_bytes(self) -> bytes:
         out = bytearray([TAG_DATA_RESPONSE])
         write_field(out, self.seller_pk)
@@ -308,14 +337,17 @@ class DataResponse:
         write_field(out, self.terms)
         return bytes(out)
 
+    @_memoized
     def encode(self) -> bytes:
         out = bytearray(self.signing_bytes())
         write_field(out, self.seller_signature)
         return bytes(out)
 
+    @_memoized
     def digest(self) -> bytes:
         return crypto.sha256(self.encode())
 
+    @_memoized
     def verify_signature(self) -> bool:
         return (
             crypto.derive_address(self.seller_pk) == self.payment_address
@@ -346,6 +378,7 @@ class NotaryCertificate:
     verdict: Verdict
     notary_signature: bytes = b""
 
+    @_memoized
     def signing_bytes(self) -> bytes:
         out = bytearray([TAG_CERTIFICATE])
         write_field(out, self.notary_pk)
@@ -354,11 +387,13 @@ class NotaryCertificate:
         write_field(out, bytes([self.verdict.value]))
         return bytes(out)
 
+    @_memoized
     def encode(self) -> bytes:
         out = bytearray(self.signing_bytes())
         write_field(out, self.notary_signature)
         return bytes(out)
 
+    @_memoized
     def verify_signature(self) -> bool:
         return crypto.verify(self.notary_pk, self.signing_bytes(), self.notary_signature)
 

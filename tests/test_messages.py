@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 
 import pytest
 
@@ -265,3 +265,69 @@ def test_payload_plaintext_roundtrip():
     salt, data = b"\x01" * 32, b"the data"
     plain = messages.encode_payload_plaintext(salt, data)
     assert messages.parse_payload_plaintext(plain) == (salt, data)
+
+
+# -- memoized encodings and signature checks -----------------------------
+
+
+def signed_messages():
+    market = make_market()
+    response, _, _ = make_response(market)
+    cert = messages.issue_certificate(
+        market.notary_keys, response.order_ref, response, Verdict.NOTARIZED_VALID
+    )
+    return [market.order, market.terms[0], response, cert]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_replaced_copy_gets_fresh_digest_and_fails_verification(index):
+    msg = signed_messages()[index]
+    assert msg.verify_signature()
+    before = crypto.sha256(msg.encode())
+    sig_field = next(f.name for f in dataclass_fields(msg) if f.name.endswith("signature"))
+    changed_field = dataclass_fields(msg)[-2].name
+    changed_value = getattr(msg, changed_field)
+    if isinstance(changed_value, Verdict):
+        changed_value = Verdict.NOTARIZED_INVALID
+    else:
+        changed_value = bytes(len(changed_value))
+    signature = getattr(msg, sig_field)
+    for copy in (
+        replace(msg, **{changed_field: changed_value}),
+        replace(msg, **{sig_field: signature[:-1] + bytes([signature[-1] ^ 1])}),
+    ):
+        assert crypto.sha256(copy.encode()) != before
+        if hasattr(copy, "digest"):
+            assert copy.digest() == crypto.sha256(copy.encode()) != msg.digest()
+        assert not copy.verify_signature()
+    # The original keeps its own memoized values.
+    assert crypto.sha256(msg.encode()) == before and msg.verify_signature()
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_decoded_copy_equals_original_and_shares_digest(index):
+    msg = signed_messages()[index]
+    msg.verify_signature()
+    decoded = messages.decode(msg.encode())
+    assert decoded == msg
+    assert decoded.encode() == msg.encode()
+    assert decoded.signing_bytes() == msg.signing_bytes()
+    if hasattr(msg, "digest"):
+        assert decoded.digest() == msg.digest()
+
+
+def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
+    market = make_market()
+    response, _, _ = make_response(market)
+    calls = []
+    real_verify = crypto.verify
+
+    def counting_verify(public_key, message, signature):
+        calls.append(message)
+        return real_verify(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting_verify)
+    buyer_view = messages.validate_response(response, market.order, market.terms, market.price)
+    assert buyer_view.ok
+    market.ledger.select_sellers(market.order_id, [response])
+    assert calls == [response.signing_bytes()]

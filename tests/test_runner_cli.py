@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from datamarket import cli, ledger as ledger_mod
+from datamarket import cli, ledger as ledger_mod, runner
 from datamarket.messages import DataResponse, PayloadDelivery, decode
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario, random_scenario, scenario_from_dict
@@ -279,3 +279,49 @@ def test_load_scenario_files_validate():
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scenario = load_scenario(path)
         assert scenario.buyers and scenario.orders
+
+
+# -- leak scans -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("one_pass", [True, False], ids=["one-pass", "per-secret"])
+def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass):
+    # Both ways of scanning must word the same failures.
+    monkeypatch.setattr(runner, "_ONE_PASS_MIN_BYTES", 0 if one_pass else 1 << 62)
+    doc = base_doc(secrets=["confidential-x"])
+    # s1's data is a prefix of s2's; s3 never matches the audience but its
+    # data is still a secret.
+    doc["sellers"][1]["data"] = {"records": "row-s1-aaaa-plus"}
+    doc["sellers"].append(
+        {"name": "s3", "seed": 12, "attributes": {"country": "UY"}, "data": {"records": "zz-s3-cccc"}}
+    )
+    result = run_doc(doc)
+    assert result.report.ok
+    market, network = result.ledger, result.network
+    sender = network.transcript[0].sender
+    for endpoint, message in [
+        ("ub:b", b"\x00row-s1-aaaa\x00"),
+        ("notary:n", b"..row-s1-aaaa-plus.."),
+        ("buyer:b", b"zz-s3-cccc and row-s1-aaaa"),
+        ("ub:b", b"row-s1-aaa zz-s3-ccc confidential-x"),
+    ]:
+        network.send(sender, endpoint, message)
+    real_journal_bytes = ledger_mod.journal_bytes
+    monkeypatch.setattr(
+        ledger_mod,
+        "journal_bytes",
+        lambda m: real_journal_bytes(m) + b"confidential-x|row-s1-aaaa-plus",
+    )
+    failures = runner.run_invariants(
+        result.scenario, market, network, result.report.quiescent, result.report.unsettled
+    )
+    assert failures == [
+        "journal leaks profile value b'confidential-x'",
+        "journal leaks plaintext data b'row-s1-aaaa'",
+        "journal leaks plaintext data b'row-s1-aaaa-plus'",
+        "plaintext data left an actor unencrypted (to ub:b)",
+        "plaintext data left an actor unencrypted (to notary:n)",
+        "plaintext data left an actor unencrypted (to notary:n)",
+        "plaintext data left an actor unencrypted (to buyer:b)",
+        "plaintext data left an actor unencrypted (to buyer:b)",
+    ]
