@@ -7,6 +7,14 @@ the seller (verdicts a/b) or back to the buyer (verdict c), with the
 notary's fee drawn from audit escrow for audited verdicts. Every mutation
 is journaled, and replaying the journal reproduces the exact state digest.
 
+Each event kind has one check, which reads the ledger and raises before
+anything changes, and one apply (`_RULES`). Live operations and `replay`
+both run them through `Ledger._commit`, so replay accepts exactly the
+events the live ledger would accept in the same state. Only the checks that
+need no ledger state stay live-only: signatures, whose re-verification
+would cost several times the rest of a replay, and a response's terms,
+since the full order is not in the journal.
+
 The journal deliberately stores a blinded order record (digest, buyer
 address, amounts, notary terms) instead of the full order: audience
 attribute values never reach the journal bytes.
@@ -14,7 +22,9 @@ attribute values never reach the journal bytes.
 
 from __future__ import annotations
 
+import collections
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -25,6 +35,7 @@ from .errors import (
     AlreadySettled,
     AuditEscrowDepleted,
     DuplicateResponse,
+    EncodingError,
     GenesisClosed,
     InsufficientFunds,
     InvalidSignature,
@@ -48,6 +59,9 @@ class EventKind(enum.IntEnum):
 
 TRAILER_KIND = 255
 
+# An event frame: 8-byte sequence, kind byte, 4-byte payload length, payload.
+_FRAME_HEAD = struct.Struct(">QBI")
+
 
 @dataclass(frozen=True)
 class LedgerEvent:
@@ -56,20 +70,16 @@ class LedgerEvent:
     payload: bytes
 
     def encode(self) -> bytes:
-        out = bytearray(encode_uint(self.sequence))
-        out.append(self.kind)
-        write_field(out, self.payload)
-        return bytes(out)
+        return _FRAME_HEAD.pack(self.sequence, self.kind, len(self.payload)) + self.payload
 
     @classmethod
     def decode(cls, data: bytes) -> "LedgerEvent":
-        r = Reader(data)
-        seq_bytes = bytes(r.read_byte() for _ in range(8))
-        seq = int.from_bytes(seq_bytes, "big")
-        kind = EventKind(r.read_byte())
-        payload = r.read_field()
-        r.expect_end()
-        return cls(seq, kind, payload)
+        if len(data) < _FRAME_HEAD.size:
+            raise EncodingError("truncated event frame")
+        seq, kind, length = _FRAME_HEAD.unpack_from(data)
+        if _FRAME_HEAD.size + length != len(data):
+            raise EncodingError("event payload length does not match its frame")
+        return cls(seq, EventKind(kind), data[_FRAME_HEAD.size :])
 
 
 class Phase(enum.IntEnum):
@@ -152,212 +162,215 @@ class Ledger:
         return sum(self.accounts.values()) + self.escrow_total() == self.total_supply
 
     # -- operations ------------------------------------------------------
+    # Each makes only the checks that need no ledger state, then commits
+    # its events; every rule that reads the ledger lives in a `_check_*`.
 
     def mint(self, address: Address, amount: int) -> None:
-        if not self._genesis_open:
-            raise GenesisClosed("mint is only allowed before the first order")
-        if amount <= 0:
-            raise LedgerError("mint amount must be positive")
-        self._apply_mint(address, amount)
-        self._append(EventKind.MINT, _encode_mint(address, amount))
+        self._commit(EventKind.MINT, (address, amount))
 
     def register_order(
-        self,
-        order: DataOrder,
-        notary_list: Sequence[NotaryTerms],
-        price: int,
+        self, order: DataOrder, notary_list: Sequence[NotaryTerms], price: int
     ) -> str:
-        if price <= 0:
-            raise LedgerError("price must be positive")
-        if not notary_list:
-            raise LedgerError("notary list must be non-empty")
         if not order.verify_signature():
             raise InvalidSignature("order buyer signature does not verify")
+        if not all(nt.verify_signature() for nt in notary_list):
+            raise InvalidSignature("notary countersignature does not verify")
         digest = order.digest()
-        order_id = digest.hex()
-        if order_id in self.contracts:
-            raise LedgerError(f"order {order_id} already registered")
-        for nt in notary_list:
-            if nt.order_digest != digest:
-                raise InvalidSignature("notary terms bind a different order")
-            if not nt.verify_signature():
-                raise InvalidSignature("notary countersignature does not verify")
         buyer = crypto.derive_address(order.buyer_pk)
-        if self.balance(buyer) < order.min_audit_budget:
-            raise InsufficientFunds("buyer cannot cover the minimum audit budget")
-
-        self._genesis_open = False
-        terms = {nt.notary_address: nt for nt in notary_list}
-        if len(terms) != len(notary_list):
-            raise LedgerError("duplicate notary in list")
-        contract = OrderContract(
-            order_digest=digest,
-            buyer_address=buyer,
-            min_audit_budget=order.min_audit_budget,
-            price=price,
-            notary_terms=terms,
-            order=order,
-        )
-        self.accounts[buyer] = self.balance(buyer) - order.min_audit_budget
-        contract.audit_escrow = order.min_audit_budget
-        self.contracts[order_id] = contract
-        self._append(EventKind.ORDER_CREATED, _encode_order_created(contract))
+        args = (digest, buyer, order.min_audit_budget, price, notary_list)
+        self._commit(EventKind.ORDER_CREATED, args)
+        order_id = digest.hex()
+        self.contracts[order_id].order = order
         return order_id
 
     def select_sellers(
-        self,
-        order_id: str,
-        responses: Sequence[DataResponse],
-        audit_topup: int = 0,
+        self, order_id: str, responses: Sequence[DataResponse], audit_topup: int = 0
     ) -> None:
         contract = self.contract(order_id)
-        if contract.status is not Status.OPEN:
-            raise OrderClosed(f"order {order_id} is closed")
         if audit_topup < 0:
             raise LedgerError("audit top-up must be >= 0")
         if not responses and audit_topup == 0:
             raise LedgerError("empty selection with no top-up")
         if contract.order is None:
             raise LedgerError("contract has no full order; ledger is a replay snapshot")
-
-        seen = set(contract.responses)
-        notary_list = list(contract.notary_terms.values())
         for response in responses:
-            digest = response.digest()
-            if digest in seen:
-                raise DuplicateResponse(f"response {digest.hex()} already selected")
-            seen.add(digest)
-            result = messages.validate_response(
-                response, contract.order, notary_list, contract.price
-            )
-            if not result.ok:
-                raise LedgerError(
-                    f"invalid response {digest.hex()}: {', '.join(result.failures)}"
-                )
-        total = contract.price * len(responses) + audit_topup
-        if self.balance(contract.buyer_address) < total:
-            raise InsufficientFunds("buyer cannot cover selection payment and top-up")
-
-        # All checks passed; the whole selection applies atomically.
+            terms_match = response.terms == contract.order.terms
+            _require(response, ("signature", response.verify_signature()), ("terms", terms_match))
         if audit_topup > 0:
-            self.accounts[contract.buyer_address] -= audit_topup
-            contract.audit_escrow += audit_topup
-            self._append(
-                EventKind.AUDIT_TOPUP, _encode_topup(contract.order_digest, audit_topup)
-            )
+            self._commit(EventKind.AUDIT_TOPUP, (contract.order_digest, audit_topup))
         if responses:
-            self.accounts[contract.buyer_address] -= contract.price * len(responses)
-            contract.payment_escrow += contract.price * len(responses)
-            for response in responses:
-                contract.responses[response.digest()] = ResponseState(response)
-            self._append(
-                EventKind.SELLERS_SELECTED,
-                _encode_selection(contract.order_digest, responses),
-            )
+            try:
+                self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses))
+            except LedgerError:
+                if audit_topup > 0:
+                    # The whole selection applies or none of it: undo the top-up.
+                    self.journal.pop()
+                    self._credit(contract.buyer_address, audit_topup)
+                    contract.audit_escrow -= audit_topup
+                raise
 
     def close_response(
-        self,
-        order_id: str,
-        response_digest: bytes,
-        certificate: NotaryCertificate,
+        self, order_id: str, response_digest: bytes, certificate: NotaryCertificate
     ) -> Settlement:
         contract = self.contract(order_id)
-        if contract.status is not Status.OPEN:
-            raise OrderClosed(f"order {order_id} is closed")
-        state = contract.responses.get(response_digest)
-        if state is None:
-            raise UnknownResponse(f"response {response_digest.hex()} is not selected")
-        if state.phase is Phase.SETTLED:
-            raise AlreadySettled(f"response {response_digest.hex()} is already settled")
-        if certificate.order_ref != contract.order_digest:
-            raise LedgerError("certificate binds a different order")
         if certificate.response_digest != response_digest:
             raise LedgerError("certificate binds a different response")
-        if crypto.derive_address(certificate.notary_pk) != state.response.chosen_notary:
-            raise InvalidSignature("certificate is not from the response's chosen notary")
         if not certificate.verify_signature():
             raise InvalidSignature("certificate signature does not verify")
-        fee = contract.notary_terms[state.response.chosen_notary].fee
-        if certificate.verdict is not Verdict.NOT_NOTARIZED and fee > contract.audit_escrow:
+        return self._commit(EventKind.RESPONSE_CLOSED, (contract.order_digest, certificate))
+
+    def close_order(self, order_id: str) -> None:
+        self._commit(EventKind.ORDER_CLOSED, (self.contract(order_id).order_digest,))
+
+    def _commit(self, kind: EventKind, args: tuple, event: Optional[LedgerEvent] = None):
+        """Check, apply and journal one event: built from `args` on a live
+        ledger, or `event` read from a journal, whose payload decoded to `args`."""
+        rule = _RULES[kind]
+        rule.check(self, *args)
+        if event is None:
+            event = LedgerEvent(len(self.journal), kind, rule.encode(*args))
+        result = rule.apply(self, *args)
+        self.journal.append(event)
+        if not self.conservation_holds():
+            raise LedgerError("internal error: token conservation violated")
+        return result
+
+    # -- event checks and applies (shared with replay) -------------------
+
+    def _check_mint(self, address: Address, amount: int) -> None:
+        if not self._genesis_open:
+            raise GenesisClosed("mint is only allowed before the first order")
+        if amount <= 0:
+            raise LedgerError("mint amount must be positive")
+
+    def _apply_mint(self, address: Address, amount: int) -> None:
+        self._credit(address, amount)
+        self.total_supply += amount
+
+    def _check_order_created(self, digest, buyer, min_audit_budget, price, notary_list):
+        if price <= 0:
+            raise LedgerError("price must be positive")
+        if not notary_list:
+            raise LedgerError("notary list must be non-empty")
+        if digest.hex() in self.contracts:
+            raise LedgerError(f"order {digest.hex()} already registered")
+        if any(nt.order_digest != digest for nt in notary_list):
+            raise InvalidSignature("notary terms bind a different order")
+        if len({nt.notary_address for nt in notary_list}) != len(notary_list):
+            raise LedgerError("duplicate notary in list")
+        self._check_funds(buyer, min_audit_budget, "the minimum audit budget")
+
+    def _apply_order_created(self, digest, buyer, min_audit_budget, price, notary_list):
+        self._genesis_open = False
+        self._credit(buyer, -min_audit_budget)
+        terms = {nt.notary_address: nt for nt in notary_list}
+        self.contracts[digest.hex()] = OrderContract(
+            digest, buyer, min_audit_budget, price, terms, audit_escrow=min_audit_budget
+        )
+
+    def _check_topup(self, order_digest: bytes, amount: int) -> None:
+        contract = self._open_contract(order_digest)
+        if amount <= 0:
+            raise LedgerError("audit top-up must be positive")
+        self._check_funds(contract.buyer_address, amount, "selection payment and top-up")
+
+    def _apply_topup(self, order_digest: bytes, amount: int) -> None:
+        contract = self.contracts[order_digest.hex()]
+        self.accounts[contract.buyer_address] -= amount
+        contract.audit_escrow += amount
+
+    def _check_selection(self, order_digest: bytes, responses) -> None:
+        contract = self._open_contract(order_digest)
+        if not responses:
+            raise LedgerError("selection names no response")
+        batch = set()
+        for response in responses:
+            digest = response.digest()
+            if digest in contract.responses or digest in batch:
+                raise DuplicateResponse(f"response {digest.hex()} already selected")
+            batch.add(digest)
+            _require(
+                response,
+                ("order-mismatch", response.order_ref == order_digest),
+                ("price", response.price == contract.price),
+                ("notary-not-listed", response.chosen_notary in contract.notary_terms),
+            )
+        total = contract.price * len(responses)
+        self._check_funds(contract.buyer_address, total, "selection payment and top-up")
+
+    def _apply_selection(self, order_digest: bytes, responses) -> None:
+        contract = self.contracts[order_digest.hex()]
+        total = contract.price * len(responses)
+        self.accounts[contract.buyer_address] -= total
+        contract.payment_escrow += total
+        for response in responses:
+            contract.responses[response.digest()] = ResponseState(response)
+
+    def _check_close(self, order_digest: bytes, cert: NotaryCertificate) -> None:
+        contract = self._open_contract(order_digest)
+        state = contract.responses.get(cert.response_digest)
+        if state is None:
+            raise UnknownResponse(f"response {cert.response_digest.hex()} is not selected")
+        if state.phase is Phase.SETTLED:
+            raise AlreadySettled(f"response {cert.response_digest.hex()} is already settled")
+        if cert.order_ref != order_digest:
+            raise LedgerError("certificate binds a different order")
+        notary = state.response.chosen_notary
+        if crypto.derive_address(cert.notary_pk) != notary:
+            raise InvalidSignature("certificate is not from the response's chosen notary")
+        fee = _notary_fee(contract, state.response, cert.verdict)
+        if fee > contract.audit_escrow:
             raise AuditEscrowDepleted(
                 f"notary fee {fee} exceeds audit escrow {contract.audit_escrow}"
             )
-        settlement = self._apply_close(contract, state, certificate)
-        self._append(
-            EventKind.RESPONSE_CLOSED,
-            _encode_close(contract.order_digest, certificate),
-        )
-        return settlement
 
-    def close_order(self, order_id: str) -> None:
-        contract = self.contract(order_id)
-        if contract.status is not Status.OPEN:
-            raise OrderClosed(f"order {order_id} is already closed")
-        unsettled = [
-            d.hex() for d, s in contract.responses.items() if s.phase is not Phase.SETTLED
-        ]
-        if unsettled:
-            raise LedgerError(f"unsettled responses remain: {unsettled}")
-        self._apply_order_close(contract)
-        self._append(EventKind.ORDER_CLOSED, _encode_order_closed(contract.order_digest))
-
-    # -- state application (shared with replay) --------------------------
-
-    def _apply_mint(self, address: Address, amount: int) -> None:
-        self.accounts[address] = self.balance(address) + amount
-        self.total_supply += amount
-
-    def _apply_close(
-        self, contract: OrderContract, state: ResponseState, cert: NotaryCertificate
-    ) -> Settlement:
+    def _apply_close(self, order_digest: bytes, cert: NotaryCertificate) -> Settlement:
+        contract = self.contracts[order_digest.hex()]
+        state = contract.responses[cert.response_digest]
         price = contract.price
         notary = state.response.chosen_notary
-        fee = contract.notary_terms[notary].fee
-        seller_amount = buyer_refund = notary_fee = 0
-        if cert.verdict is Verdict.NOT_NOTARIZED:
-            seller_amount = price
-            outcome = Outcome.SELLER_PAID
-        elif cert.verdict is Verdict.NOTARIZED_VALID:
-            seller_amount = price
-            notary_fee = fee
-            outcome = Outcome.SELLER_PAID
+        notary_fee = _notary_fee(contract, state.response, cert.verdict)
+        if cert.verdict is Verdict.NOTARIZED_INVALID:
+            outcome, seller_amount, buyer_refund = Outcome.BUYER_REFUNDED, 0, price
         else:
-            buyer_refund = price
-            notary_fee = fee
-            outcome = Outcome.BUYER_REFUNDED
-
+            outcome, seller_amount, buyer_refund = Outcome.SELLER_PAID, price, 0
         contract.payment_escrow -= price
         if seller_amount:
-            addr = state.response.payment_address
-            self.accounts[addr] = self.balance(addr) + seller_amount
+            self._credit(state.response.payment_address, seller_amount)
         if buyer_refund:
-            addr = contract.buyer_address
-            self.accounts[addr] = self.balance(addr) + buyer_refund
+            self._credit(contract.buyer_address, buyer_refund)
         if notary_fee:
             contract.audit_escrow -= notary_fee
-            self.accounts[notary] = self.balance(notary) + notary_fee
+            self._credit(notary, notary_fee)
         state.phase = Phase.SETTLED
         state.outcome = outcome
-        return Settlement(
-            outcome=outcome,
-            verdict=cert.verdict,
-            seller_amount=seller_amount,
-            buyer_refund=buyer_refund,
-            notary_fee=notary_fee,
-            notary=notary,
-        )
+        return Settlement(outcome, cert.verdict, seller_amount, buyer_refund, notary_fee, notary)
 
-    def _apply_order_close(self, contract: OrderContract) -> None:
-        residual = contract.audit_escrow
+    def _check_order_closed(self, order_digest: bytes) -> None:
+        contract = self._open_contract(order_digest, "is already closed")
+        unsettled = [d.hex() for d, s in contract.responses.items() if s.phase is not Phase.SETTLED]
+        if unsettled:
+            raise LedgerError(f"unsettled responses remain: {unsettled}")
+
+    def _apply_order_closed(self, order_digest: bytes) -> None:
+        contract = self.contracts[order_digest.hex()]
+        self._credit(contract.buyer_address, contract.audit_escrow)
         contract.audit_escrow = 0
-        buyer = contract.buyer_address
-        self.accounts[buyer] = self.balance(buyer) + residual
         contract.status = Status.CLOSED
 
-    def _append(self, kind: EventKind, payload: bytes) -> None:
-        self.journal.append(LedgerEvent(len(self.journal), kind, payload))
-        if not self.conservation_holds():
-            raise LedgerError("internal error: token conservation violated")
+    def _open_contract(self, order_digest: bytes, closed: str = "is closed") -> OrderContract:
+        order_id = order_digest.hex()
+        contract = self.contract(order_id)
+        if contract.status is not Status.OPEN:
+            raise OrderClosed(f"order {order_id} {closed}")
+        return contract
+
+    def _check_funds(self, address: Address, amount: int, purpose: str) -> None:
+        if self.balance(address) < amount:
+            raise InsufficientFunds(f"buyer cannot cover {purpose}")
+
+    def _credit(self, address: Address, amount: int) -> None:
+        self.accounts[address] = self.balance(address) + amount
 
     # -- state digest ----------------------------------------------------
 
@@ -368,6 +381,20 @@ class Ledger:
         for order_id in sorted(self.contracts):
             write_field(out, _contract_state_bytes(self.contracts[order_id]))
         return crypto.sha256(bytes(out))
+
+
+def _notary_fee(contract: OrderContract, response: DataResponse, verdict: Verdict) -> int:
+    """Audited verdicts (b and c) pay the chosen notary's fee from audit escrow."""
+    if verdict is Verdict.NOT_NOTARIZED:
+        return 0
+    return contract.notary_terms[response.chosen_notary].fee
+
+
+def _require(response: DataResponse, *checks) -> None:
+    """Reject `response`, naming every (name, passed) check it failed."""
+    failed = [name for name, passed in checks if not passed]
+    if failed:
+        raise LedgerError(f"invalid response {response.digest().hex()}: {', '.join(failed)}")
 
 
 def _contract_state_bytes(c: OrderContract) -> bytes:
@@ -395,179 +422,143 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
 
 
 # -- event payload encodings ---------------------------------------------
+# Each decoder reads back, from a Reader that the caller then checks is
+# exhausted, the arguments its encoder was given.
+
+
+def _pack(*fields) -> bytes:
+    """Integers as 8-byte fields, everything else as a length-prefixed field."""
+    out = bytearray()
+    for value in fields:
+        if isinstance(value, int):
+            write_uint_field(out, value)
+        else:
+            write_field(out, value)
+    return bytes(out)
+
+
+def _decode_message(data: bytes, cls):
+    msg = messages.decode(data)
+    if not isinstance(msg, cls):
+        raise EncodingError(f"expected {cls.__name__}, found {type(msg).__name__}")
+    return msg
 
 
 def _encode_mint(address: Address, amount: int) -> bytes:
-    out = bytearray()
-    write_field(out, address.bytes)
-    write_uint_field(out, amount)
-    return bytes(out)
+    return _pack(address.bytes, amount)
 
 
-def _encode_order_created(c: OrderContract) -> bytes:
-    out = bytearray()
-    write_field(out, c.order_digest)
-    write_field(out, c.buyer_address.bytes)
-    write_uint_field(out, c.min_audit_budget)
-    write_uint_field(out, c.price)
-    write_uint_field(out, len(c.notary_terms))
-    for addr in sorted(c.notary_terms):
-        write_field(out, c.notary_terms[addr].encode())
-    return bytes(out)
+def _decode_mint(r: Reader) -> tuple:
+    return Address(r.read_field()), r.read_uint_field()
+
+
+def _encode_order_created(digest, buyer, min_audit_budget, price, notary_list) -> bytes:
+    terms = sorted(notary_list, key=lambda nt: nt.notary_address)
+    return _pack(
+        digest, buyer.bytes, min_audit_budget, price, len(terms), *(nt.encode() for nt in terms)
+    )
+
+
+def _decode_order_created(r: Reader) -> tuple:
+    digest, buyer = r.read_field(), Address(r.read_field())
+    min_audit_budget, price, count = r.read_uint_field(), r.read_uint_field(), r.read_uint_field()
+    notary_list = [_decode_message(r.read_field(), NotaryTerms) for _ in range(count)]
+    return digest, buyer, min_audit_budget, price, notary_list
 
 
 def _encode_topup(order_digest: bytes, amount: int) -> bytes:
-    out = bytearray()
-    write_field(out, order_digest)
-    write_uint_field(out, amount)
-    return bytes(out)
+    return _pack(order_digest, amount)
+
+
+def _decode_topup(r: Reader) -> tuple:
+    return r.read_field(), r.read_uint_field()
 
 
 def _encode_selection(order_digest: bytes, responses: Sequence[DataResponse]) -> bytes:
-    out = bytearray()
-    write_field(out, order_digest)
-    write_uint_field(out, len(responses))
-    for response in responses:
-        write_field(out, response.encode())
-    return bytes(out)
+    return _pack(order_digest, len(responses), *(response.encode() for response in responses))
+
+
+def _decode_selection(r: Reader) -> tuple:
+    order_digest, count = r.read_field(), r.read_uint_field()
+    return order_digest, [_decode_message(r.read_field(), DataResponse) for _ in range(count)]
 
 
 def _encode_close(order_digest: bytes, certificate: NotaryCertificate) -> bytes:
-    out = bytearray()
-    write_field(out, order_digest)
-    write_field(out, certificate.encode())
-    return bytes(out)
+    return _pack(order_digest, certificate.encode())
+
+
+def _decode_close(r: Reader) -> tuple:
+    return r.read_field(), _decode_message(r.read_field(), NotaryCertificate)
 
 
 def _encode_order_closed(order_digest: bytes) -> bytes:
-    out = bytearray()
-    write_field(out, order_digest)
-    return bytes(out)
+    return _pack(order_digest)
+
+
+def _decode_order_closed(r: Reader) -> tuple:
+    return (r.read_field(),)
+
+
+_Rule = collections.namedtuple("_Rule", "check apply encode decode")
+_RULES = {
+    EventKind.MINT: _Rule(Ledger._check_mint, Ledger._apply_mint, _encode_mint, _decode_mint),
+    EventKind.ORDER_CREATED: _Rule(
+        Ledger._check_order_created,
+        Ledger._apply_order_created,
+        _encode_order_created,
+        _decode_order_created,
+    ),
+    EventKind.AUDIT_TOPUP: _Rule(
+        Ledger._check_topup, Ledger._apply_topup, _encode_topup, _decode_topup
+    ),
+    EventKind.SELLERS_SELECTED: _Rule(
+        Ledger._check_selection, Ledger._apply_selection, _encode_selection, _decode_selection
+    ),
+    EventKind.RESPONSE_CLOSED: _Rule(
+        Ledger._check_close, Ledger._apply_close, _encode_close, _decode_close
+    ),
+    EventKind.ORDER_CLOSED: _Rule(
+        Ledger._check_order_closed,
+        Ledger._apply_order_closed,
+        _encode_order_closed,
+        _decode_order_closed,
+    ),
+}
 
 
 # -- replay ---------------------------------------------------------------
 
 
 def replay(events: Iterable[LedgerEvent]) -> Ledger:
-    """Rebuild a ledger from its journal; aborts with the offending
-    sequence number on any gap or inconsistent event."""
+    """Rebuild a ledger from its journal, committing each event through the
+    live ledger's checks (signatures aside); aborts with the offending
+    sequence number on any gap or rejected event."""
     ledger = Ledger()
-    expected = 0
-    for event in events:
+    for expected, event in enumerate(events):
         if event.sequence != expected:
             raise ReplayError(expected, f"sequence gap (found {event.sequence})")
         try:
-            _replay_event(ledger, event)
-        except ReplayError:
-            raise
+            r = Reader(event.payload)
+            args = _RULES[event.kind].decode(r)
+            r.expect_end()
+            ledger._commit(event.kind, args, event)
         except Exception as exc:
             raise ReplayError(event.sequence, str(exc)) from exc
-        if not ledger.conservation_holds():
-            raise ReplayError(event.sequence, "token conservation violated")
-        expected += 1
     return ledger
-
-
-def _replay_event(ledger: Ledger, event: LedgerEvent) -> None:
-    r = Reader(event.payload)
-    if event.kind is EventKind.MINT:
-        address = Address(r.read_field())
-        amount = r.read_uint_field()
-        ledger._apply_mint(address, amount)
-    elif event.kind is EventKind.ORDER_CREATED:
-        digest = r.read_field()
-        buyer = Address(r.read_field())
-        m_a = r.read_uint_field()
-        price = r.read_uint_field()
-        count = r.read_uint_field()
-        terms = {}
-        for _ in range(count):
-            nt = messages.decode(r.read_field())
-            if not isinstance(nt, NotaryTerms):
-                raise ReplayError(event.sequence, "order event holds a non-notary message")
-            terms[nt.notary_address] = nt
-        if ledger.balance(buyer) < m_a:
-            raise ReplayError(event.sequence, "buyer balance below audit budget")
-        contract = OrderContract(
-            order_digest=digest,
-            buyer_address=buyer,
-            min_audit_budget=m_a,
-            price=price,
-            notary_terms=terms,
-            audit_escrow=m_a,
-        )
-        ledger.accounts[buyer] = ledger.balance(buyer) - m_a
-        ledger.contracts[digest.hex()] = contract
-        ledger._genesis_open = False
-    elif event.kind is EventKind.AUDIT_TOPUP:
-        contract = ledger.contract(r.read_field().hex())
-        amount = r.read_uint_field()
-        if ledger.balance(contract.buyer_address) < amount:
-            raise ReplayError(event.sequence, "buyer balance below top-up")
-        ledger.accounts[contract.buyer_address] -= amount
-        contract.audit_escrow += amount
-    elif event.kind is EventKind.SELLERS_SELECTED:
-        contract = ledger.contract(r.read_field().hex())
-        count = r.read_uint_field()
-        responses = []
-        for _ in range(count):
-            msg = messages.decode(r.read_field())
-            if not isinstance(msg, DataResponse):
-                raise ReplayError(event.sequence, "selection event holds a non-response")
-            responses.append(msg)
-        total = contract.price * count
-        if ledger.balance(contract.buyer_address) < total:
-            raise ReplayError(event.sequence, "buyer balance below selection payment")
-        for response in responses:
-            digest = response.digest()
-            if digest in contract.responses:
-                raise ReplayError(event.sequence, "duplicate response in selection")
-            contract.responses[digest] = ResponseState(response)
-        ledger.accounts[contract.buyer_address] -= total
-        contract.payment_escrow += total
-    elif event.kind is EventKind.RESPONSE_CLOSED:
-        contract = ledger.contract(r.read_field().hex())
-        cert = messages.decode(r.read_field())
-        if not isinstance(cert, NotaryCertificate):
-            raise ReplayError(event.sequence, "close event holds a non-certificate")
-        state = contract.responses.get(cert.response_digest)
-        if state is None or state.phase is Phase.SETTLED:
-            raise ReplayError(event.sequence, "close of unknown or settled response")
-        if crypto.derive_address(cert.notary_pk) != state.response.chosen_notary:
-            raise ReplayError(event.sequence, "certificate notary mismatch")
-        ledger._apply_close(contract, state, cert)
-    elif event.kind is EventKind.ORDER_CLOSED:
-        contract = ledger.contract(r.read_field().hex())
-        if contract.status is not Status.OPEN:
-            raise ReplayError(event.sequence, "order already closed")
-        if any(s.phase is not Phase.SETTLED for s in contract.responses.values()):
-            raise ReplayError(event.sequence, "order closed with unsettled responses")
-        ledger._apply_order_close(contract)
-    else:  # pragma: no cover - EventKind is exhaustive
-        raise ReplayError(event.sequence, f"unknown event kind {event.kind}")
-    r.expect_end()
 
 
 # -- journal file I/O -----------------------------------------------------
 
 
-def events_hash(events: Sequence[LedgerEvent]) -> bytes:
-    h = bytearray()
-    for event in events:
-        write_field(h, event.encode())
-    return crypto.sha256(bytes(h))
-
-
 def journal_bytes(ledger: Ledger) -> bytes:
     """Serialize the journal with a trailer frame holding the state digest
-    and a hash over the event bytes; together they make any single-byte
-    tamper detectable (state-neutral bytes such as signatures included)."""
+    and a hash over the event frames before it; together they make any
+    single-byte tamper detectable (state-neutral bytes such as signatures
+    included)."""
     out = bytearray()
     for event in ledger.journal:
         write_field(out, event.encode())
-    write_field(
-        out, bytes([TRAILER_KIND]) + ledger.state_digest() + events_hash(ledger.journal)
-    )
+    write_field(out, bytes([TRAILER_KIND]) + ledger.state_digest() + crypto.sha256(out))
     return bytes(out)
 
 
@@ -577,25 +568,26 @@ def write_journal(path, ledger: Ledger) -> None:
 
 
 def parse_journal(data: bytes):
-    """Split journal bytes into (events, trailer_digest)."""
+    """Split journal bytes into (events, trailer, frames_hash): the trailer
+    is None when absent, and `frames_hash` is taken over the event frames as
+    read, which is exact because every frame re-encodes to itself."""
     r = Reader(data)
     events: List[LedgerEvent] = []
-    trailer = None
     while r.remaining():
+        start = len(data) - r.remaining()
         frame = r.read_field()
         if frame[:1] == bytes([TRAILER_KIND]):
-            trailer = frame[1:]
             if r.remaining():
                 raise ReplayError(len(events), "frames after the digest trailer")
-            break
+            return events, frame[1:], crypto.sha256(data[:start])
         events.append(LedgerEvent.decode(frame))
-    return events, trailer
+    return events, None, crypto.sha256(data)
 
 
 def verify_journal(data: bytes) -> Ledger:
     """Replay journal bytes and check the trailer digest; raises ReplayError."""
     try:
-        events, trailer = parse_journal(data)
+        events, trailer, frames_hash = parse_journal(data)
     except ReplayError:
         raise
     except Exception as exc:
@@ -607,6 +599,6 @@ def verify_journal(data: bytes) -> Ledger:
         raise ReplayError(len(events), "malformed digest trailer")
     if ledger.state_digest() != trailer[:32]:
         raise ReplayError(len(events), "state digest mismatch")
-    if events_hash(events) != trailer[32:]:
+    if frames_hash != trailer[32:]:
         raise ReplayError(len(events), "event bytes do not match the journal hash")
     return ledger

@@ -8,13 +8,14 @@ from datamarket.errors import (
     AlreadySettled,
     AuditEscrowDepleted,
     DuplicateResponse,
+    EncodingError,
     GenesisClosed,
     InsufficientFunds,
     InvalidSignature,
     LedgerError,
     ReplayError,
 )
-from datamarket.ledger import Ledger, LedgerEvent, Outcome, Phase, Status
+from datamarket.ledger import EventKind, Ledger, LedgerEvent, Outcome, Phase, Status
 from datamarket.messages import Verdict
 
 from market_helpers import TERMS, make_market, make_order, make_response
@@ -84,6 +85,18 @@ def test_register_rejects_empty_notary_list():
         lg.register_order(make_order(buyer_keys), [], 5)
 
 
+def test_rejected_registration_leaves_genesis_open():
+    lg = Ledger()
+    buyer_keys = keys_from_seed(1)
+    lg.mint(crypto.derive_address(buyer_keys.public_key), 100)
+    order = make_order(buyer_keys)
+    terms = messages.countersign_order(keys_from_seed(2), order, 2, TERMS)
+    with pytest.raises(LedgerError, match="duplicate notary"):
+        lg.register_order(order, [terms, terms], 5)
+    lg.mint(addr(9), 10)
+    assert [e.kind for e in lg.journal] == [EventKind.MINT, EventKind.MINT]
+
+
 def test_register_insufficient_balance():
     lg = Ledger()
     buyer_keys = keys_from_seed(1)
@@ -139,6 +152,31 @@ def test_selection_insufficient_funds_aborts():
     with pytest.raises(InsufficientFunds):
         market.ledger.select_sellers(market.order_id, [response])
     assert market.ledger.balance(market.buyer) == 2
+
+
+def overpriced_response(market):
+    response, _ = messages.build_data_response(
+        keys_from_seed(10), market.order, 6, b"data", market.notary, market.terms, posted_price=6
+    )
+    return response
+
+
+@pytest.mark.parametrize(
+    "balance, make, error",
+    [
+        (100, overpriced_response, LedgerError),
+        (12, lambda market: make_response(market)[0], InsufficientFunds),
+    ],
+    ids=["invalid-response", "top-up-affordable-selection-not"],
+)
+def test_rejected_selection_with_topup_changes_nothing(balance, make, error):
+    market = make_market(balance=balance, m_a=0, price=5)
+    response = make(market)
+    journal_before, digest_before = list(market.ledger.journal), market.ledger.state_digest()
+    with pytest.raises(error):
+        market.ledger.select_sellers(market.order_id, [response], audit_topup=8)
+    assert market.ledger.journal == journal_before
+    assert market.ledger.state_digest() == digest_before
 
 
 # -- close_response ------------------------------------------------------
@@ -328,6 +366,26 @@ def test_replay_detects_permutation():
     except ReplayError:
         return
     assert replayed.state_digest() != live.state_digest()
+
+
+FRAMES = st.builds(
+    lambda seq, kind, payload: LedgerEvent(seq, kind, payload).encode(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(list(EventKind)),
+    st.binary(max_size=64),
+)
+
+
+@given(st.one_of(FRAMES, st.binary(max_size=80)))
+@settings(max_examples=300, deadline=None)
+def test_event_frame_decode_is_exact(frame):
+    # verify_journal hashes the event frames as read, which is exact only
+    # if every frame that decodes re-encodes to the same bytes.
+    try:
+        event = LedgerEvent.decode(frame)
+    except (EncodingError, ValueError):
+        return
+    assert event.encode() == frame
 
 
 def test_journal_file_roundtrip(tmp_path):

@@ -1,0 +1,288 @@
+"""Replay is exactly as strict as the live ledger.
+
+Every rule that reads ledger state runs in one check per event kind, on the
+live ledger and on replay alike. These tests craft journals that break one
+rule each under a trailer that matches them, and drive random call streams
+through both paths. Signature checks stay live-only, so every input here is
+correctly signed.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datamarket import cli, crypto, ledger as ledger_mod, messages
+from datamarket.actors import keys_from_seed
+from datamarket.encoding import write_field
+from datamarket.errors import EncodingError, LedgerError, ReplayError
+from datamarket.ledger import EventKind, Ledger, LedgerEvent
+from datamarket.messages import Verdict
+
+from market_helpers import TERMS, make_market, make_order, make_response
+
+
+def forge(ledger, kind, *args):
+    """Journal bytes of `ledger` plus one event built from `args`, applied
+    without its check as a writer that skips the rules would, under a
+    recomputed trailer. Returns (journal bytes, the event's sequence)."""
+    rule = ledger_mod._RULES[kind]
+    sequence = len(ledger.journal)
+    ledger.journal.append(LedgerEvent(sequence, kind, rule.encode(*args)))
+    rule.apply(ledger, *args)
+    frames = bytearray()
+    for event in ledger.journal:
+        write_field(frames, event.encode())
+    try:
+        state = ledger.state_digest()
+    except EncodingError:  # a negative escrow has no encoding
+        state = bytes(32)
+    trailer = bytes([ledger_mod.TRAILER_KIND]) + state + crypto.sha256(frames)
+    write_field(frames, trailer)
+    return bytes(frames), sequence
+
+
+def selected(**market_args):
+    market = make_market(**market_args)
+    response, _, _ = make_response(market)
+    market.ledger.select_sellers(market.order_id, [response])
+    return market, response
+
+
+def certify(market, response, verdict=Verdict.NOTARIZED_VALID, order_ref=None):
+    order_ref = market.order.digest() if order_ref is None else order_ref
+    return messages.issue_certificate(market.notary_keys, order_ref, response, verdict)
+
+
+def mint_after_first_order():
+    market = make_market()
+    address = crypto.derive_address(keys_from_seed(9).public_key)
+    return forge(market.ledger, EventKind.MINT, address, 10)
+
+
+def selection_on_closed_order():
+    market, response = selected()
+    market.ledger.close_response(market.order_id, response.digest(), certify(market, response))
+    market.ledger.close_order(market.order_id)
+    late, _, _ = make_response(market, seller_seed=11)
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late])
+
+
+def certificate_for_another_order():
+    market, response = selected()
+    other = make_order(keys_from_seed(3)).digest()
+    cert = certify(market, response, order_ref=other)
+    return forge(market.ledger, EventKind.RESPONSE_CLOSED, market.order.digest(), cert)
+
+
+def price_differs_from_posted():
+    market = make_market(price=5)
+    response, _ = messages.build_data_response(
+        keys_from_seed(10), market.order, 6, b"data", market.notary, market.terms, posted_price=6
+    )
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response])
+
+
+def zero_topup():
+    market = make_market()
+    return forge(market.ledger, EventKind.AUDIT_TOPUP, market.order.digest(), 0)
+
+
+def empty_selection():
+    market = make_market()
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [])
+
+
+def fee_exceeds_audit_escrow():
+    market, response = selected(m_a=1, fee=3)
+    cert = certify(market, response)
+    return forge(market.ledger, EventKind.RESPONSE_CLOSED, market.order.digest(), cert)
+
+
+CRAFTED = [
+    mint_after_first_order,
+    selection_on_closed_order,
+    certificate_for_another_order,
+    price_differs_from_posted,
+    zero_topup,
+    empty_selection,
+    fee_exceeds_audit_escrow,
+]
+
+
+@pytest.mark.parametrize("craft", CRAFTED, ids=lambda f: f.__name__)
+def test_crafted_journal_rejected_at_its_event(craft, tmp_path, capsys):
+    data, sequence = craft()
+    with pytest.raises(ReplayError) as exc:
+        ledger_mod.verify_journal(data)
+    assert exc.value.sequence == sequence
+    path = tmp_path / "crafted.journal"
+    path.write_bytes(data)
+    assert cli.main(["verify", str(path)]) == 1
+    assert f"journal verification failed at sequence {sequence}:" in capsys.readouterr().out
+
+
+# -- live and replay agree on random call streams --------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def world():
+    """Two orders from two buyers, two notaries with fees 2 and 4, three
+    responses per order and every certificate a call can ask for, all
+    correctly signed."""
+    buyers = [keys_from_seed(1), keys_from_seed(4)]
+    notaries = [keys_from_seed(2), keys_from_seed(3)]
+    orders = [
+        make_order(buyers[0], m_a=2, upload_url="ub:b0"),
+        make_order(buyers[1], m_a=3, upload_url="ub:b1"),
+    ]
+    terms = [
+        [messages.countersign_order(n, order, fee, TERMS) for n, fee in zip(notaries, (2, 4))]
+        for order in orders
+    ]
+    # Notary lists a registration may offer: both notaries, one, a duplicate,
+    # and terms countersigned for the other order.
+    notary_lists = [[t, t[:1], [t[0], t[0]], terms[1 - i][:1]] for i, t in enumerate(terms)]
+    responses = [
+        [
+            messages.build_data_response(
+                keys_from_seed(10 + s), order, 5, b"data-%d-%d" % (i, s),
+                terms[i][s % 2].notary_address, terms[i], posted_price=5,
+                salt=crypto.sha256(b"salt-%d-%d" % (i, s)),
+            )[0]
+            for s in range(3)
+        ]
+        for i, order in enumerate(orders)
+    ]
+    certs = {}
+    for i, order in enumerate(orders):
+        for s, response in enumerate(responses[i]):
+            chosen, other = notaries[s % 2], notaries[1 - s % 2]
+            for verdict in Verdict:
+                for variant, keys, ref in (
+                    ("good", chosen, order.digest()),
+                    ("other-notary", other, order.digest()),
+                    ("other-order", chosen, orders[1 - i].digest()),
+                ):
+                    certs[response.digest(), verdict, variant] = messages.issue_certificate(
+                        keys, ref, response, verdict
+                    )
+    buyer_addresses = [crypto.derive_address(k.public_key) for k in buyers]
+    return buyer_addresses, orders, notary_lists, responses, certs
+
+
+# Repeated values and strategies weight the draw towards calls that can
+# succeed, so that streams reach selections, settlements and order closes.
+ORDER = st.sampled_from([0] * 5 + [1])
+MINT = st.tuples(st.just("mint"), ORDER, st.sampled_from([0, 5, 100, 100, 100]))
+REGISTER = st.tuples(
+    st.just("register"),
+    ORDER,
+    st.sampled_from([0] * 5 + [1, 2, 3]),  # index into the order's notary lists
+    st.sampled_from([5] * 6 + [0, 6]),  # price; the responses ask for 5
+)
+# A response index of 3 picks a response to the other order.
+PICKS = st.lists(st.sampled_from([0, 1, 2] * 3 + [3]), min_size=1, max_size=3)
+SELECT = st.tuples(
+    st.just("select"),
+    ORDER,
+    st.one_of(PICKS, PICKS, PICKS, st.just([])),
+    st.sampled_from([0, 0, 0, 3, 6]),  # top-up
+)
+# The response index of a close picks among the responses selected so far.
+CLOSE = st.tuples(
+    st.just("close"),
+    ORDER,
+    st.integers(0, 2),
+    st.sampled_from(list(Verdict)),
+    st.sampled_from(["good"] * 6 + ["other-notary", "other-order"]),
+)
+CLOSE_ORDER = st.tuples(st.just("close_order"), ORDER)
+
+
+def with_closes(select):
+    """`select`, then up to three closes on the same order."""
+    closes = st.lists(CLOSE.map(lambda close: (close[0], select[1], *close[2:])), max_size=3)
+    return closes.map(lambda closes: [select, *closes])
+
+
+# Streams open with mints and a registration, which may fail like any call;
+# a selection is often followed by closes on the same order.
+STREAMS = st.builds(
+    lambda *parts: sum(parts, []),
+    st.lists(MINT, min_size=1, max_size=3),
+    st.lists(REGISTER, min_size=1, max_size=2),
+    st.lists(
+        st.one_of(
+            st.one_of(MINT, REGISTER, CLOSE, CLOSE, CLOSE_ORDER).map(lambda call: [call]),
+            SELECT.flatmap(with_closes),
+            SELECT.flatmap(with_closes),
+        ),
+        max_size=10,
+    ).map(lambda steps: sum(steps, [])),
+)
+
+
+def plan(live, call):
+    """Return the (kind, args) of the events `call` asks the journal to
+    take, and a function that makes the call on a live ledger. A close picks
+    its response among those `live` has selected for the order, if any."""
+    buyers, orders, notary_lists, responses, certs = world()
+    name, *rest = call
+    if name == "mint":
+        args = (buyers[rest[0]], rest[1])
+        return [(EventKind.MINT, args)], lambda lg: lg.mint(*args)
+    order = orders[rest[0]]
+    digest = order.digest()
+    if name == "register":
+        notary_list, price = notary_lists[rest[0]][rest[1]], rest[2]
+        buyer = crypto.derive_address(order.buyer_pk)
+        args = (digest, buyer, order.min_audit_budget, price, notary_list)
+        return [(EventKind.ORDER_CREATED, args)], lambda lg: lg.register_order(
+            order, notary_list, price
+        )
+    if name == "select":
+        mine, other = responses[rest[0]], responses[1 - rest[0]]
+        chosen, topup = [mine[s] if s < 3 else other[0] for s in rest[1]], rest[2]
+        events = [(EventKind.AUDIT_TOPUP, (digest, topup))] if topup else []
+        if chosen or not topup:  # an empty selection with no top-up is rejected
+            events.append((EventKind.SELLERS_SELECTED, (digest, chosen)))
+        return events, lambda lg: lg.select_sellers(digest.hex(), chosen, topup)
+    if name == "close":
+        contract = live.contracts.get(digest.hex())
+        picked = list(contract.responses) if contract else []
+        target = picked[rest[1] % len(picked)] if picked else responses[rest[0]][rest[1]].digest()
+        cert = certs[target, rest[2], rest[3]]
+        return [(EventKind.RESPONSE_CLOSED, (digest, cert))], lambda lg: lg.close_response(
+            digest.hex(), cert.response_digest, cert
+        )
+    return [(EventKind.ORDER_CLOSED, (digest,))], lambda lg: lg.close_order(digest.hex())
+
+
+@given(STREAMS)
+@settings(max_examples=500, deadline=None)
+def test_replay_accepts_exactly_what_the_live_ledger_accepts(calls):
+    live = Ledger()
+    for call in calls:
+        events, make_call = plan(live, call)
+        before, digest_before = list(live.journal), live.state_digest()
+        try:
+            make_call(live)
+            accepted = True
+        except LedgerError:
+            accepted = False
+        candidate = before + [
+            LedgerEvent(len(before) + i, kind, ledger_mod._RULES[kind].encode(*args))
+            for i, (kind, args) in enumerate(events)
+        ]
+        try:
+            replayed = ledger_mod.replay(candidate)
+        except ReplayError:
+            replayed = None
+        assert accepted == (replayed is not None), call
+        if accepted:
+            assert live.journal == candidate
+            assert replayed.state_digest() == live.state_digest()
+        else:
+            assert (live.journal, live.state_digest()) == (before, digest_before)

@@ -228,6 +228,22 @@ def test_cli_run_bank_scenario(tmp_path, capsys):
     assert cli.main(["verify", str(journal)]) == 0
 
 
+def test_cli_verify_reports_event_count(tmp_path, capsys):
+    result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
+    journal = tmp_path / "bank.journal"
+    ledger_mod.write_journal(journal, result.ledger)
+    assert cli.main(["verify", str(journal)]) == 0
+    events = len(result.ledger.journal)
+    assert events > 0
+    assert f"events: {events}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["bank.yaml", "telco.yaml"])
+def test_verified_journal_reserializes_to_the_same_bytes(name):
+    data = ledger_mod.journal_bytes(run_scenario(load_scenario(SCENARIOS / name)).ledger)
+    assert ledger_mod.journal_bytes(ledger_mod.verify_journal(data)) == data
+
+
 def test_cli_verify_rejects_tampered_journal(tmp_path, capsys):
     journal = tmp_path / "telco.journal"
     assert cli.main(["run", str(SCENARIOS / "telco.yaml"), "--journal-out", str(journal)]) == 0
