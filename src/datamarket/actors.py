@@ -231,8 +231,7 @@ class Seller:
             chosen_notary=chosen_notary,
             terms=order.terms,
         )
-        sig = crypto.sign(self.keys.secret_key, response.signing_bytes())
-        return DataResponse(**{**messages._asdict_shallow(response), "seller_signature": sig})
+        return messages.signed(self.keys, response)
 
     def _post(self, message_bytes: bytes, endpoint: str) -> None:
         self.network.send(self.address, endpoint, message_bytes)
@@ -334,10 +333,8 @@ class Notary:
 
     def _handle_notarization_request(self, request: NotarizationRequest) -> None:
         try:
-            response = messages.decode(request.response_bytes)
+            response = DataResponse.decode(request.response_bytes)
         except EncodingError:
-            return
-        if not isinstance(response, DataResponse):
             return
         contract = self.ledger.contracts.get(request.order_ref.hex())
         if contract is None:
@@ -447,6 +444,7 @@ class Buyer:
         self._rng = random.Random(seed)
         self._pending: List[_PendingOrder] = []
         self._delivery_cursor = 0
+        self._notary_names: Dict[Address, str] = {}
 
     # -- protocol steps --------------------------------------------------
 
@@ -530,14 +528,9 @@ class Buyer:
     def _select(self, pending: _PendingOrder) -> None:
         contract = self.ledger.contract(pending.order_id)
         valid = []
-        seen = set()
         for response in self.inbox.responses:
             if response.order_ref != contract.order_digest:
                 continue
-            digest = response.digest()
-            if digest in seen:
-                continue
-            seen.add(digest)
             result = messages.validate_response(
                 response, pending.order, pending.terms, contract.price
             )
@@ -604,8 +597,6 @@ class Buyer:
 
     def _notary_name(self, terms: NotaryTerms) -> str:
         return self._notary_names.get(terms.notary_address, "")
-
-    _notary_names: Dict[Address, str] = {}
 
     def set_directory(self, notary_names: Dict[Address, str]) -> None:
         """Address -> notary endpoint name, provided by the runner."""

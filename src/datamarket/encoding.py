@@ -1,15 +1,22 @@
-"""Canonical binary encoding primitives.
+"""Canonical binary encoding: the field codecs every format is built from.
 
 Wire format used everywhere bytes are hashed or signed: a one-byte message
 type tag followed by each field in declared order as a 4-byte big-endian
 length prefix plus the field bytes. Integers are 8-byte big-endian inside
-their field; sets are sorted lexicographically before encoding.
+their field; sets are written in ascending order.
+
+Each codec writes one kind of value and reads it back. Every read raises
+only `EncodingError` and accepts only the bytes its write produces, so
+whatever decodes re-encodes to its input.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
+from typing import Callable
 
+from .crypto import ADDRESS_LEN, DIGEST_LEN, Address, Commitment
 from .errors import EncodingError
 
 _LEN = struct.Struct(">I")
@@ -40,34 +47,154 @@ def write_uint_field(out: bytearray, value: int) -> None:
 class Reader:
     """Sequential reader over a canonical byte stream."""
 
+    __slots__ = ("_data", "_pos", "_end")
+
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
+        self._end = len(data)
 
     def read_byte(self) -> int:
-        if self._pos >= len(self._data):
+        if self._pos >= self._end:
             raise EncodingError("truncated stream: expected tag byte")
         b = self._data[self._pos]
         self._pos += 1
         return b
 
     def read_field(self) -> bytes:
-        if self._pos + 4 > len(self._data):
+        start = self._pos + 4
+        if start > self._end:
             raise EncodingError("truncated stream: expected length prefix")
-        (n,) = _LEN.unpack_from(self._data, self._pos)
-        self._pos += 4
-        if self._pos + n > len(self._data):
+        end = start + _LEN.unpack_from(self._data, self._pos)[0]
+        if end > self._end:
             raise EncodingError("truncated stream: field shorter than prefix")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def read_uint_field(self) -> int:
-        return decode_uint(self.read_field())
+        self._pos = end
+        return self._data[start:end]
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def expect_end(self) -> None:
-        if self._pos != len(self._data):
+        if self._pos != self._end:
             raise EncodingError(f"{self.remaining()} trailing bytes after message")
+
+
+class Codec:
+    """One value as one field: `to_bytes` gives the field's bytes for a
+    value and `from_bytes` the value back from them."""
+
+    def __init__(self, to_bytes: Callable, from_bytes: Callable):
+        self.to_bytes, self.from_bytes = to_bytes, from_bytes
+
+    def write(self, out: bytearray, value) -> None:
+        write_field(out, self.to_bytes(value))
+
+    def read(self, r: Reader):
+        return self.from_bytes(r.read_field())
+
+
+def _decode_utf8(data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"invalid UTF-8: {exc.reason}") from None
+
+
+def _decode_flag(data: bytes) -> bool:
+    value = decode_uint(data)
+    if value > 1:
+        raise EncodingError(f"flag must be 0 or 1, got {value}")
+    return value == 1
+
+
+def _decode_enum(cls, data: bytes):
+    if len(data) != 1:
+        raise EncodingError(f"{cls.__name__} must be 1 byte, got {len(data)}")
+    try:
+        return cls(data[0])
+    except ValueError:
+        raise EncodingError(f"unknown {cls.__name__} {data[0]}") from None
+
+
+def _decode_fixed(cls, size: int, data: bytes):
+    if len(data) != size:
+        raise EncodingError(f"{cls.__name__} must be {size} bytes, got {len(data)}")
+    return cls(data)
+
+
+def enum_byte(cls) -> Codec:
+    """A member of the enum `cls` as its one-byte value."""
+    return Codec(lambda member: bytes([member.value]), functools.partial(_decode_enum, cls))
+
+
+def nested(cls) -> Codec:
+    """A message written by its `encode` and read back by `cls.decode`."""
+    return Codec(cls.encode, cls.decode)
+
+
+class ListOf:
+    """A u64 count field, then one `item` per value."""
+
+    def __init__(self, item: Codec):
+        self.item = item
+
+    def write(self, out: bytearray, values) -> None:
+        write_uint_field(out, len(values))
+        for value in values:
+            self.item.write(out, value)
+
+    def read(self, r: Reader) -> list:
+        read = self.item.read
+        return [read(r) for _ in range(U64.read(r))]
+
+
+class SetOf(ListOf):
+    """A list written in ascending `key` order; a read rejects items that
+    are out of order or repeated."""
+
+    def __init__(self, item: Codec, key: Callable):
+        super().__init__(item)
+        self.key = key
+
+    def write(self, out: bytearray, values) -> None:
+        super().write(out, sorted(values, key=self.key))
+
+    def read(self, r: Reader) -> list:
+        items = super().read(r)
+        require_ascending([self.key(item) for item in items])
+        return items
+
+
+def require_ascending(keys: list) -> None:
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise EncodingError("set items are not in strictly ascending order")
+
+
+class Fields:
+    """A fixed sequence of codecs, one per value, written back to back."""
+
+    def __init__(self, *codecs: Codec):
+        self.codecs = codecs
+        self._reads = tuple(codec.read for codec in codecs)
+
+    def encode(self, *values) -> bytes:
+        out = bytearray()
+        for codec, value in zip(self.codecs, values):
+            codec.write(out, value)
+        return bytes(out)
+
+    def decode(self, r: Reader) -> list:
+        return [read(r) for read in self._reads]
+
+
+def _same(data: bytes) -> bytes:
+    return data
+
+
+RAW = Codec(_same, _same)
+RAW.read = Reader.read_field  # the same result, one call fewer per field
+U64 = Codec(encode_uint, decode_uint)
+UTF8 = Codec(str.encode, _decode_utf8)
+FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
+ADDRESS = Codec(lambda a: a.bytes, functools.partial(_decode_fixed, Address, ADDRESS_LEN))
+COMMITMENT = Codec(lambda c: c.digest, functools.partial(_decode_fixed, Commitment, DIGEST_LEN))

@@ -28,9 +28,21 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from . import crypto, messages
+from . import crypto
 from .crypto import Address
-from .encoding import Reader, encode_uint, write_field, write_uint_field
+from .encoding import (
+    ADDRESS,
+    RAW,
+    U64,
+    Fields,
+    ListOf,
+    Reader,
+    SetOf,
+    encode_uint,
+    nested,
+    write_field,
+    write_uint_field,
+)
 from .errors import (
     AlreadySettled,
     AuditEscrowDepleted,
@@ -79,7 +91,11 @@ class LedgerEvent:
         seq, kind, length = _FRAME_HEAD.unpack_from(data)
         if _FRAME_HEAD.size + length != len(data):
             raise EncodingError("event payload length does not match its frame")
-        return cls(seq, EventKind(kind), data[_FRAME_HEAD.size :])
+        try:
+            kind = EventKind(kind)
+        except ValueError:
+            raise EncodingError(f"unknown event kind {kind}") from None
+        return cls(seq, kind, data[_FRAME_HEAD.size :])
 
 
 class Phase(enum.IntEnum):
@@ -421,108 +437,40 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
     return bytes(out)
 
 
-# -- event payload encodings ---------------------------------------------
-# Each decoder reads back, from a Reader that the caller then checks is
-# exhausted, the arguments its encoder was given.
-
-
-def _pack(*fields) -> bytes:
-    """Integers as 8-byte fields, everything else as a length-prefixed field."""
-    out = bytearray()
-    for value in fields:
-        if isinstance(value, int):
-            write_uint_field(out, value)
-        else:
-            write_field(out, value)
-    return bytes(out)
-
-
-def _decode_message(data: bytes, cls):
-    msg = messages.decode(data)
-    if not isinstance(msg, cls):
-        raise EncodingError(f"expected {cls.__name__}, found {type(msg).__name__}")
-    return msg
-
-
-def _encode_mint(address: Address, amount: int) -> bytes:
-    return _pack(address.bytes, amount)
-
-
-def _decode_mint(r: Reader) -> tuple:
-    return Address(r.read_field()), r.read_uint_field()
-
-
-def _encode_order_created(digest, buyer, min_audit_budget, price, notary_list) -> bytes:
-    terms = sorted(notary_list, key=lambda nt: nt.notary_address)
-    return _pack(
-        digest, buyer.bytes, min_audit_budget, price, len(terms), *(nt.encode() for nt in terms)
-    )
-
-
-def _decode_order_created(r: Reader) -> tuple:
-    digest, buyer = r.read_field(), Address(r.read_field())
-    min_audit_budget, price, count = r.read_uint_field(), r.read_uint_field(), r.read_uint_field()
-    notary_list = [_decode_message(r.read_field(), NotaryTerms) for _ in range(count)]
-    return digest, buyer, min_audit_budget, price, notary_list
-
-
-def _encode_topup(order_digest: bytes, amount: int) -> bytes:
-    return _pack(order_digest, amount)
-
-
-def _decode_topup(r: Reader) -> tuple:
-    return r.read_field(), r.read_uint_field()
-
-
-def _encode_selection(order_digest: bytes, responses: Sequence[DataResponse]) -> bytes:
-    return _pack(order_digest, len(responses), *(response.encode() for response in responses))
-
-
-def _decode_selection(r: Reader) -> tuple:
-    order_digest, count = r.read_field(), r.read_uint_field()
-    return order_digest, [_decode_message(r.read_field(), DataResponse) for _ in range(count)]
-
-
-def _encode_close(order_digest: bytes, certificate: NotaryCertificate) -> bytes:
-    return _pack(order_digest, certificate.encode())
-
-
-def _decode_close(r: Reader) -> tuple:
-    return r.read_field(), _decode_message(r.read_field(), NotaryCertificate)
-
-
-def _encode_order_closed(order_digest: bytes) -> bytes:
-    return _pack(order_digest)
-
-
-def _decode_order_closed(r: Reader) -> tuple:
-    return (r.read_field(),)
+# -- event rules -----------------------------------------------------------
 
 
 _Rule = collections.namedtuple("_Rule", "check apply encode decode")
+
+
+def _rule(check, apply, *payload) -> _Rule:
+    """An event kind's check and apply, and its payload layout: one codec
+    per argument they take. `decode` reads the arguments back from a Reader
+    that the caller then checks is exhausted."""
+    layout = Fields(*payload)
+    return _Rule(check, apply, layout.encode, layout.decode)
+
+
+_NOTARY_TERMS = SetOf(nested(NotaryTerms), key=lambda nt: nt.notary_address.bytes)
 _RULES = {
-    EventKind.MINT: _Rule(Ledger._check_mint, Ledger._apply_mint, _encode_mint, _decode_mint),
-    EventKind.ORDER_CREATED: _Rule(
+    EventKind.MINT: _rule(Ledger._check_mint, Ledger._apply_mint, ADDRESS, U64),
+    EventKind.ORDER_CREATED: _rule(
         Ledger._check_order_created,
         Ledger._apply_order_created,
-        _encode_order_created,
-        _decode_order_created,
+        RAW,
+        ADDRESS,
+        U64,
+        U64,
+        _NOTARY_TERMS,
     ),
-    EventKind.AUDIT_TOPUP: _Rule(
-        Ledger._check_topup, Ledger._apply_topup, _encode_topup, _decode_topup
+    EventKind.AUDIT_TOPUP: _rule(Ledger._check_topup, Ledger._apply_topup, RAW, U64),
+    EventKind.SELLERS_SELECTED: _rule(
+        Ledger._check_selection, Ledger._apply_selection, RAW, ListOf(nested(DataResponse))
     ),
-    EventKind.SELLERS_SELECTED: _Rule(
-        Ledger._check_selection, Ledger._apply_selection, _encode_selection, _decode_selection
+    EventKind.RESPONSE_CLOSED: _rule(
+        Ledger._check_close, Ledger._apply_close, RAW, nested(NotaryCertificate)
     ),
-    EventKind.RESPONSE_CLOSED: _Rule(
-        Ledger._check_close, Ledger._apply_close, _encode_close, _decode_close
-    ),
-    EventKind.ORDER_CLOSED: _Rule(
-        Ledger._check_order_closed,
-        Ledger._apply_order_closed,
-        _encode_order_closed,
-        _decode_order_closed,
-    ),
+    EventKind.ORDER_CLOSED: _rule(Ledger._check_order_closed, Ledger._apply_order_closed, RAW),
 }
 
 
@@ -570,28 +518,27 @@ def write_journal(path, ledger: Ledger) -> None:
 def parse_journal(data: bytes):
     """Split journal bytes into (events, trailer, frames_hash): the trailer
     is None when absent, and `frames_hash` is taken over the event frames as
-    read, which is exact because every frame re-encodes to itself."""
+    read, which is exact because every frame re-encodes to itself. A frame
+    that does not decode fails at its own sequence."""
     r = Reader(data)
     events: List[LedgerEvent] = []
     while r.remaining():
         start = len(data) - r.remaining()
-        frame = r.read_field()
-        if frame[:1] == bytes([TRAILER_KIND]):
-            if r.remaining():
-                raise ReplayError(len(events), "frames after the digest trailer")
-            return events, frame[1:], crypto.sha256(data[:start])
-        events.append(LedgerEvent.decode(frame))
+        try:
+            frame = r.read_field()
+            if frame[:1] == bytes([TRAILER_KIND]):
+                if r.remaining():
+                    raise ReplayError(len(events), "frames after the digest trailer")
+                return events, frame[1:], crypto.sha256(data[:start])
+            events.append(LedgerEvent.decode(frame))
+        except EncodingError as exc:
+            raise ReplayError(len(events), f"journal framing error: {exc}") from exc
     return events, None, crypto.sha256(data)
 
 
 def verify_journal(data: bytes) -> Ledger:
     """Replay journal bytes and check the trailer digest; raises ReplayError."""
-    try:
-        events, trailer, frames_hash = parse_journal(data)
-    except ReplayError:
-        raise
-    except Exception as exc:
-        raise ReplayError(0, f"journal framing error: {exc}") from exc
+    events, trailer, frames_hash = parse_journal(data)
     ledger = replay(events)
     if trailer is None:
         raise ReplayError(len(events), "journal has no digest trailer (truncated)")

@@ -1,11 +1,16 @@
 """Protocol message types, their canonical byte encoding, and the
 constructors/validators each participant uses.
 
+Each type's layout is its dataclass field list: `_layout` derives `encode`
+and `decode` from the fields in order, each written by the codec of
+`encoding` that its annotation names, after the type's tag byte. Decoding
+is total and canonical: it raises only `EncodingError`, and whatever
+decodes re-encodes to its input.
+
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
-signature field). `decode()` is the inverse of `encode()` for every type.
-Signed types are frozen, so each instance computes its encodings, digest
-and signature check once and keeps them (see `_memoized`).
+signature field). They are frozen, so each instance computes its encodings,
+digest and signature check once and keeps them (see `_memoized`).
 
 The seller's offer deliberately has no plaintext-data field and no salt
 field: only the salted commitment is signed and published, and the salt is
@@ -17,12 +22,30 @@ from __future__ import annotations
 import enum
 import functools
 import secrets
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, fields as dataclass_fields, replace
+from typing import Annotated, Dict, Mapping, Optional, Sequence, Union, get_origin, get_type_hints
 
 from . import crypto
 from .crypto import Address, Commitment
-from .encoding import Reader, write_field, write_uint_field
+from .encoding import (
+    ADDRESS,
+    COMMITMENT,
+    FLAG,
+    RAW,
+    U64,
+    UTF8,
+    Codec,
+    Fields,
+    ListOf,
+    Reader,
+    SetOf,
+    decode_uint,
+    encode_uint,
+    enum_byte,
+    nested,
+    require_ascending,
+    write_field,
+)
 from .errors import EncodingError, MessageError
 
 TAG_AUDIENCE = 1
@@ -59,9 +82,10 @@ class Verdict(enum.Enum):
 
 def _memoized(method):
     """Compute a no-argument method once per instance and keep the result in
-    the instance `__dict__`. Only for frozen dataclasses: their fields never
-    change, so the kept value cannot go stale, and a changed copy (made with
-    `dataclasses.replace` or by decoding) is a new instance with no memo."""
+    the instance `__dict__` under `_memo_<name>`. Only for frozen
+    dataclasses: their fields never change, so the kept value cannot go
+    stale, and a changed copy (made with `dataclasses.replace`) is a new
+    instance with no memo."""
     key = "_memo_" + method.__name__
 
     @functools.wraps(method)
@@ -75,67 +99,165 @@ def _memoized(method):
     return wrapper
 
 
-def _encode_value(value: PredicateValue) -> bytes:
+class Message:
+    """Base of every message type; `_layout` sets a type's layout."""
+
+    _TAG: Optional[int] = None
+    _CODECS: tuple = ()  # (field name, codec) in field order
+    _READERS: tuple = ()  # each codec's bound `read`, in field order
+
+    def _write(self, codecs) -> bytes:
+        out = bytearray() if self._TAG is None else bytearray([self._TAG])
+        for name, codec in codecs:
+            codec.write(out, getattr(self, name))
+        return bytes(out)
+
+    def encode(self) -> bytes:
+        return self._write(self._CODECS)
+
+    @classmethod
+    def decode(cls, data: bytes):
+        """The `cls` that `data` encodes; raises EncodingError unless `data`
+        is exactly what some `cls` encodes to."""
+        r = Reader(data)
+        if cls._TAG is not None and r.read_byte() != cls._TAG:
+            raise EncodingError(f"expected a {cls.__name__}")
+        values = [read(r) for read in cls._READERS]
+        r.expect_end()
+        return cls._build(data, values)
+
+    @classmethod
+    def _build(cls, data: bytes, values: list):
+        try:
+            return cls(*values)
+        except MessageError as exc:
+            raise EncodingError(f"invalid {cls.__name__}: {exc}") from None
+
+
+class _Signed(Message):
+    """Base of the signed types. The last field is the signature, by the
+    key in the field `_SIGNER`, over the encoding of the fields before it;
+    a `_SIGNER_ADDRESS` field must hold that key's address."""
+
+    _SIGNER = ""
+    _SIGNER_ADDRESS: Optional[str] = None
+
+    @property
+    def signature(self) -> bytes:
+        return getattr(self, self._CODECS[-1][0])
+
+    @_memoized
+    def signing_bytes(self) -> bytes:
+        return self._write(self._CODECS[:-1])
+
+    @_memoized
+    def encode(self) -> bytes:
+        out = bytearray(self.signing_bytes())
+        write_field(out, self.signature)
+        return bytes(out)
+
+    @_memoized
+    def digest(self) -> bytes:
+        return crypto.sha256(self.encode())
+
+    @_memoized
+    def verify_signature(self) -> bool:
+        key = getattr(self, self._SIGNER)
+        if self._SIGNER_ADDRESS is not None and (
+            len(key) != crypto.PUBLIC_KEY_LEN
+            or crypto.derive_address(key) != getattr(self, self._SIGNER_ADDRESS)
+        ):
+            return False
+        return crypto.verify(key, self.signing_bytes(), self.signature)
+
+    @classmethod
+    def _build(cls, data: bytes, values: list):
+        # No signed type has a __post_init__ that could reject `values`.
+        msg = cls(*values)
+        # Decoding is canonical, so `data` is the message's own encoding.
+        signature_field = 4 + len(values[-1])
+        msg.__dict__.update(_memo_encode=data, _memo_signing_bytes=data[:-signature_field])
+        return msg
+
+
+_BY_TAG: Dict[int, type] = {}
+_SCALARS = {bytes: RAW, int: U64, str: UTF8, bool: FLAG, Address: ADDRESS, Commitment: COMMITMENT}
+
+
+def _codec(hint) -> Codec:
+    """The codec a field annotation names: the one given in `Annotated`,
+    a byte per enum member, a nested message, or a scalar's."""
+    if get_origin(hint) is Annotated:
+        return hint.__metadata__[0]
+    if issubclass(hint, enum.Enum):
+        return enum_byte(hint)
+    if issubclass(hint, Message):
+        return nested(hint)
+    return _SCALARS[hint]
+
+
+def _layout(tag: Optional[int] = None):
+    """Make the decorated class a frozen dataclass whose fields, in order
+    after the `tag` byte, are its layout, and let `decode` find it by tag."""
+
+    def wrap(cls):
+        cls = dataclass(frozen=True)(cls)
+        hints = get_type_hints(cls, include_extras=True)
+        cls._TAG = tag
+        cls._CODECS = tuple((f.name, _codec(hints[f.name])) for f in dataclass_fields(cls))
+        cls._READERS = tuple(codec.read for _, codec in cls._CODECS)
+        if tag is not None:
+            _BY_TAG[tag] = cls
+        return cls
+
+    return wrap
+
+
+def _predicate_value_bytes(value: PredicateValue) -> bytes:
+    """An int as b"i" and 8 bytes, a string as b"s" and its UTF-8, a set as
+    b"S" and one field per item as a string, in ascending order."""
     if isinstance(value, bool):
         raise MessageError("boolean predicate values are not supported")
     if isinstance(value, int):
-        out = bytearray(b"i")
-        out += value.to_bytes(8, "big")
-        return bytes(out)
+        return b"i" + encode_uint(value)
     if isinstance(value, str):
         return b"s" + value.encode()
     if isinstance(value, frozenset):
         out = bytearray(b"S")
-        for item in sorted(value):
-            write_field(out, str(item).encode())
+        for item in sorted(str(item) for item in value):
+            UTF8.write(out, item)
         return bytes(out)
     raise MessageError(f"unsupported predicate value type: {type(value).__name__}")
 
 
-def _decode_value(data: bytes) -> PredicateValue:
-    if not data:
-        raise EncodingError("empty predicate value")
+def _predicate_value(data: bytes) -> PredicateValue:
     kind, body = data[:1], data[1:]
     if kind == b"i":
-        return int.from_bytes(body, "big")
+        return decode_uint(body)
     if kind == b"s":
-        return body.decode()
+        return UTF8.from_bytes(body)
     if kind == b"S":
-        r = Reader(body)
-        items = []
+        r, items = Reader(body), []
         while r.remaining():
-            items.append(r.read_field().decode())
+            items.append(UTF8.read(r))
+        require_ascending(items)
         return frozenset(items)
     raise EncodingError(f"unknown predicate value kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Predicate:
+@_layout()
+class Predicate(Message):
     attribute: str
     op: Comparator
-    value: PredicateValue
+    value: Annotated[PredicateValue, Codec(_predicate_value_bytes, _predicate_value)]
 
     def __post_init__(self):
         if not self.attribute:
             raise MessageError("predicate attribute name must be non-empty")
         if self.op is Comparator.IN and not isinstance(self.value, frozenset):
+            if isinstance(self.value, (int, str)):
+                raise MessageError("IN takes a set of values")
             object.__setattr__(self, "value", frozenset(self.value))
-
-    def encode(self) -> bytes:
-        out = bytearray()
-        write_field(out, self.attribute.encode())
-        write_field(out, bytes([self.op.value]))
-        write_field(out, _encode_value(self.value))
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Predicate":
-        r = Reader(data)
-        attr = r.read_field().decode()
-        op = Comparator(r.read_field()[0])
-        value = _decode_value(r.read_field())
-        r.expect_end()
-        return cls(attr, op, value)
 
     def matches(self, attributes: Mapping[str, object]) -> bool:
         if self.attribute not in attributes:
@@ -154,11 +276,11 @@ class Predicate:
         return actual_n >= bound if self.op is Comparator.GE else actual_n <= bound
 
 
-@dataclass(frozen=True)
-class Audience:
+@_layout(TAG_AUDIENCE)
+class Audience(Message):
     """Conjunctive attribute filter over seller profiles; empty matches all."""
 
-    predicates: frozenset
+    predicates: Annotated[frozenset, SetOf(nested(Predicate), key=Predicate.encode)]
 
     def __post_init__(self):
         object.__setattr__(self, "predicates", frozenset(self.predicates))
@@ -166,53 +288,26 @@ class Audience:
     def matches(self, attributes: Mapping[str, object]) -> bool:
         return all(p.matches(attributes) for p in self.predicates)
 
-    def encode(self) -> bytes:
-        out = bytearray([TAG_AUDIENCE])
-        encoded = sorted(p.encode() for p in self.predicates)
-        write_uint_field(out, len(encoded))
-        for e in encoded:
-            write_field(out, e)
-        return bytes(out)
 
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "Audience":
-        count = r.read_uint_field()
-        preds = [Predicate.decode(r.read_field()) for _ in range(count)]
-        return cls(frozenset(preds))
-
-
-@dataclass(frozen=True)
-class DataRequest:
+@_layout(TAG_DATA_REQUEST)
+class DataRequest(Message):
     """Names the kind of data wanted and its required fields."""
 
     schema_id: str
-    fields: tuple = ()
+    fields: Annotated[tuple, ListOf(UTF8)] = ()
 
     def __post_init__(self):
         if not self.schema_id:
             raise MessageError("schema_id must be non-empty")
         object.__setattr__(self, "fields", tuple(self.fields))
 
-    def encode(self) -> bytes:
-        out = bytearray([TAG_DATA_REQUEST])
-        write_field(out, self.schema_id.encode())
-        write_uint_field(out, len(self.fields))
-        for name in self.fields:
-            write_field(out, name.encode())
-        return bytes(out)
 
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "DataRequest":
-        schema_id = r.read_field().decode()
-        count = r.read_uint_field()
-        names = tuple(r.read_field().decode() for _ in range(count))
-        return cls(schema_id, names)
-
-
-@dataclass(frozen=True)
-class DataOrder:
+@_layout(TAG_DATA_ORDER)
+class DataOrder(_Signed):
     """Buyer's signed query: audience filter, data request, buyer key,
     upload endpoint, minimum audit budget, and terms link."""
+
+    _SIGNER = "buyer_pk"
 
     audience: Audience
     request: DataRequest
@@ -222,51 +317,12 @@ class DataOrder:
     terms: bytes
     buyer_signature: bytes = b""
 
-    @_memoized
-    def signing_bytes(self) -> bytes:
-        out = bytearray([TAG_DATA_ORDER])
-        write_field(out, self.audience.encode())
-        write_field(out, self.request.encode())
-        write_field(out, self.buyer_pk)
-        write_field(out, self.upload_url.encode())
-        write_uint_field(out, self.min_audit_budget)
-        write_field(out, self.terms)
-        return bytes(out)
 
-    @_memoized
-    def encode(self) -> bytes:
-        out = bytearray(self.signing_bytes())
-        write_field(out, self.buyer_signature)
-        return bytes(out)
-
-    @_memoized
-    def digest(self) -> bytes:
-        return crypto.sha256(self.encode())
-
-    @_memoized
-    def verify_signature(self) -> bool:
-        return crypto.verify(self.buyer_pk, self.signing_bytes(), self.buyer_signature)
-
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "DataOrder":
-        audience = decode(r.read_field())
-        request = decode(r.read_field())
-        if not isinstance(audience, Audience) or not isinstance(request, DataRequest):
-            raise EncodingError("order sub-messages have wrong tags")
-        return cls(
-            audience=audience,
-            request=request,
-            buyer_pk=r.read_field(),
-            upload_url=r.read_field().decode(),
-            min_audit_budget=r.read_uint_field(),
-            terms=r.read_field(),
-            buyer_signature=r.read_field(),
-        )
-
-
-@dataclass(frozen=True)
-class NotaryTerms:
+@_layout(TAG_NOTARY_TERMS)
+class NotaryTerms(_Signed):
     """A notary's countersigned fee and terms of service for one order."""
+
+    _SIGNER, _SIGNER_ADDRESS = "notary_pk", "notary_address"
 
     notary_pk: bytes
     notary_address: Address
@@ -275,46 +331,14 @@ class NotaryTerms:
     order_digest: bytes
     notary_signature: bytes = b""
 
-    @_memoized
-    def signing_bytes(self) -> bytes:
-        out = bytearray([TAG_NOTARY_TERMS])
-        write_field(out, self.notary_pk)
-        write_field(out, self.notary_address.bytes)
-        write_uint_field(out, self.fee)
-        write_field(out, self.service_terms)
-        write_field(out, self.order_digest)
-        return bytes(out)
 
-    @_memoized
-    def encode(self) -> bytes:
-        out = bytearray(self.signing_bytes())
-        write_field(out, self.notary_signature)
-        return bytes(out)
-
-    @_memoized
-    def verify_signature(self) -> bool:
-        return (
-            crypto.derive_address(self.notary_pk) == self.notary_address
-            and crypto.verify(self.notary_pk, self.signing_bytes(), self.notary_signature)
-        )
-
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "NotaryTerms":
-        return cls(
-            notary_pk=r.read_field(),
-            notary_address=Address(r.read_field()),
-            fee=r.read_uint_field(),
-            service_terms=r.read_field(),
-            order_digest=r.read_field(),
-            notary_signature=r.read_field(),
-        )
-
-
-@dataclass(frozen=True)
-class DataResponse:
+@_layout(TAG_DATA_RESPONSE)
+class DataResponse(_Signed):
     """Seller's signed offer: payment address, order reference, price,
     salted commitment, and chosen notary. Carries no plaintext data and no
     salt; both stay with the seller until delivery."""
+
+    _SIGNER, _SIGNER_ADDRESS = "seller_pk", "payment_address"
 
     seller_pk: bytes
     payment_address: Address
@@ -325,52 +349,12 @@ class DataResponse:
     terms: bytes
     seller_signature: bytes = b""
 
-    @_memoized
-    def signing_bytes(self) -> bytes:
-        out = bytearray([TAG_DATA_RESPONSE])
-        write_field(out, self.seller_pk)
-        write_field(out, self.payment_address.bytes)
-        write_field(out, self.order_ref)
-        write_uint_field(out, self.price)
-        write_field(out, self.commitment.digest)
-        write_field(out, self.chosen_notary.bytes)
-        write_field(out, self.terms)
-        return bytes(out)
 
-    @_memoized
-    def encode(self) -> bytes:
-        out = bytearray(self.signing_bytes())
-        write_field(out, self.seller_signature)
-        return bytes(out)
-
-    @_memoized
-    def digest(self) -> bytes:
-        return crypto.sha256(self.encode())
-
-    @_memoized
-    def verify_signature(self) -> bool:
-        return (
-            crypto.derive_address(self.seller_pk) == self.payment_address
-            and crypto.verify(self.seller_pk, self.signing_bytes(), self.seller_signature)
-        )
-
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "DataResponse":
-        return cls(
-            seller_pk=r.read_field(),
-            payment_address=Address(r.read_field()),
-            order_ref=r.read_field(),
-            price=r.read_uint_field(),
-            commitment=Commitment(r.read_field()),
-            chosen_notary=Address(r.read_field()),
-            terms=r.read_field(),
-            seller_signature=r.read_field(),
-        )
-
-
-@dataclass(frozen=True)
-class NotaryCertificate:
+@_layout(TAG_CERTIFICATE)
+class NotaryCertificate(_Signed):
     """Notary-signed verdict binding one (order, response) pair."""
+
+    _SIGNER = "notary_pk"
 
     notary_pk: bytes
     order_ref: bytes
@@ -378,57 +362,18 @@ class NotaryCertificate:
     verdict: Verdict
     notary_signature: bytes = b""
 
-    @_memoized
-    def signing_bytes(self) -> bytes:
-        out = bytearray([TAG_CERTIFICATE])
-        write_field(out, self.notary_pk)
-        write_field(out, self.order_ref)
-        write_field(out, self.response_digest)
-        write_field(out, bytes([self.verdict.value]))
-        return bytes(out)
 
-    @_memoized
-    def encode(self) -> bytes:
-        out = bytearray(self.signing_bytes())
-        write_field(out, self.notary_signature)
-        return bytes(out)
-
-    @_memoized
-    def verify_signature(self) -> bool:
-        return crypto.verify(self.notary_pk, self.signing_bytes(), self.notary_signature)
-
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "NotaryCertificate":
-        return cls(
-            notary_pk=r.read_field(),
-            order_ref=r.read_field(),
-            response_digest=r.read_field(),
-            verdict=Verdict(r.read_field()[0]),
-            notary_signature=r.read_field(),
-        )
-
-
-@dataclass(frozen=True)
-class PayloadDelivery:
+@_layout(TAG_PAYLOAD_DELIVERY)
+class PayloadDelivery(Message):
     """Seller's post-selection upload: the (salt, data) pair encrypted under
     the buyer's public key, tied to the response it fulfils."""
 
     response_digest: bytes
     ciphertext: bytes
 
-    def encode(self) -> bytes:
-        out = bytearray([TAG_PAYLOAD_DELIVERY])
-        write_field(out, self.response_digest)
-        write_field(out, self.ciphertext)
-        return bytes(out)
 
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "PayloadDelivery":
-        return cls(response_digest=r.read_field(), ciphertext=r.read_field())
-
-
-@dataclass(frozen=True)
-class NotarizationRequest:
+@_layout(TAG_NOTARIZATION_REQUEST)
+class NotarizationRequest(Message):
     """Buyer's request for a settlement certificate. The audit material
     (salt and data, as delivered) is encrypted under the notary's key; an
     empty ciphertext marks a delivery the buyer could not decrypt."""
@@ -438,60 +383,28 @@ class NotarizationRequest:
     forced: bool
     audit_ciphertext: bytes
 
-    def encode(self) -> bytes:
-        out = bytearray([TAG_NOTARIZATION_REQUEST])
-        write_field(out, self.order_ref)
-        write_field(out, self.response_bytes)
-        write_uint_field(out, 1 if self.forced else 0)
-        write_field(out, self.audit_ciphertext)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, r: Reader) -> "NotarizationRequest":
-        return cls(
-            order_ref=r.read_field(),
-            response_bytes=r.read_field(),
-            forced=bool(r.read_uint_field()),
-            audit_ciphertext=r.read_field(),
-        )
-
-
-_DECODERS = {
-    TAG_AUDIENCE: Audience,
-    TAG_DATA_REQUEST: DataRequest,
-    TAG_DATA_ORDER: DataOrder,
-    TAG_NOTARY_TERMS: NotaryTerms,
-    TAG_DATA_RESPONSE: DataResponse,
-    TAG_CERTIFICATE: NotaryCertificate,
-    TAG_PAYLOAD_DELIVERY: PayloadDelivery,
-    TAG_NOTARIZATION_REQUEST: NotarizationRequest,
-}
-
-Message = Union[
-    Audience,
-    DataRequest,
-    DataOrder,
-    NotaryTerms,
-    DataResponse,
-    NotaryCertificate,
-    PayloadDelivery,
-    NotarizationRequest,
-]
-
 
 def canonical_encode(message: Message) -> bytes:
     return message.encode()
 
 
 def decode(data: bytes) -> Message:
-    r = Reader(data)
-    tag = r.read_byte()
-    cls = _DECODERS.get(tag)
+    """The message `data` encodes, of the type its tag byte names."""
+    if not data:
+        raise EncodingError("truncated stream: expected tag byte")
+    cls = _BY_TAG.get(data[0])
     if cls is None:
-        raise EncodingError(f"unknown message tag {tag}")
-    msg = cls._decode_body(r)
-    r.expect_end()
-    return msg
+        raise EncodingError(f"unknown message tag {data[0]}")
+    return cls.decode(data)
+
+
+def signed(keys: crypto.KeyPair, message: _Signed) -> _Signed:
+    """A copy of `message` carrying `keys`' signature over its signing bytes."""
+    signing_bytes = message.signing_bytes()
+    sig = crypto.sign(keys.secret_key, signing_bytes)
+    copy = replace(message, **{message._CODECS[-1][0]: sig})
+    copy.__dict__["_memo_signing_bytes"] = signing_bytes
+    return copy
 
 
 def terms_link(text: Union[str, bytes]) -> bytes:
@@ -501,17 +414,16 @@ def terms_link(text: Union[str, bytes]) -> bytes:
     return crypto.sha256(text)
 
 
+_PAYLOAD_PLAINTEXT = Fields(RAW, RAW)
+
+
 def encode_payload_plaintext(salt: bytes, data: bytes) -> bytes:
-    out = bytearray()
-    write_field(out, salt)
-    write_field(out, data)
-    return bytes(out)
+    return _PAYLOAD_PLAINTEXT.encode(salt, data)
 
 
 def parse_payload_plaintext(plaintext: bytes):
     r = Reader(plaintext)
-    salt = r.read_field()
-    data = r.read_field()
+    salt, data = _PAYLOAD_PLAINTEXT.decode(r)
     r.expect_end()
     return salt, data
 
@@ -534,8 +446,7 @@ def build_data_order(
         min_audit_budget=min_audit_budget,
         terms=terms,
     )
-    sig = crypto.sign(buyer_keys.secret_key, order.signing_bytes())
-    return DataOrder(**{**_asdict_shallow(order), "buyer_signature": sig})
+    return signed(buyer_keys, order)
 
 
 def countersign_order(
@@ -555,8 +466,7 @@ def countersign_order(
         service_terms=service_terms,
         order_digest=order.digest(),
     )
-    sig = crypto.sign(notary_keys.secret_key, terms.signing_bytes())
-    return NotaryTerms(**{**_asdict_shallow(terms), "notary_signature": sig})
+    return signed(notary_keys, terms)
 
 
 def build_data_response(
@@ -586,8 +496,7 @@ def build_data_response(
         chosen_notary=chosen_notary,
         terms=order.terms,
     )
-    sig = crypto.sign(seller_keys.secret_key, response.signing_bytes())
-    return DataResponse(**{**_asdict_shallow(response), "seller_signature": sig}), salt
+    return signed(seller_keys, response), salt
 
 
 @dataclass(frozen=True)
@@ -630,9 +539,4 @@ def issue_certificate(
         response_digest=response.digest(),
         verdict=verdict,
     )
-    sig = crypto.sign(notary_keys.secret_key, cert.signing_bytes())
-    return NotaryCertificate(**{**_asdict_shallow(cert), "notary_signature": sig})
-
-
-def _asdict_shallow(msg) -> dict:
-    return {f.name: getattr(msg, f.name) for f in dataclass_fields(msg)}
+    return signed(notary_keys, cert)

@@ -1,0 +1,259 @@
+"""Every decoder is total and canonical.
+
+Total: on any input, `messages.decode`, `LedgerEvent.decode` and each event
+kind's payload decoder return a value or raise `EncodingError`, nothing
+else. Canonical: whatever decodes re-encodes to its input. The re-encoding
+is taken from a fresh copy (`dataclasses.replace`), because a decoded
+signed message keeps its input as its encoding.
+
+The inputs are mutations of the messages a `bank.yaml` run sends and of the
+frames its journal holds, plus a table of hand-made malformed inputs.
+"""
+
+import dataclasses
+import functools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datamarket import ledger as ledger_mod, messages, transport
+from datamarket.encoding import Reader, encode_uint, write_field
+from datamarket.errors import EncodingError
+from datamarket.ledger import EventKind, LedgerEvent
+from datamarket.runner import run_scenario
+from datamarket.scenario import load_scenario
+from datamarket.transport import BuyerEndpoint, Envelope
+
+BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
+
+
+@functools.lru_cache(maxsize=None)
+def bank():
+    """The distinct messages a `bank.yaml` run sends, and its journal."""
+    result = run_scenario(load_scenario(BANK))
+    return sorted({envelope.message for envelope in result.network.transcript}), tuple(
+        result.ledger.journal
+    )
+
+
+def fresh(value):
+    """`value` rebuilt field by field, so that no memoized encoding is kept."""
+    if dataclasses.is_dataclass(value):
+        changes = {f.name: fresh(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return dataclasses.replace(value, **changes)
+    if isinstance(value, (tuple, list)):
+        return type(value)(fresh(item) for item in value)
+    return value
+
+
+def check_message(data):
+    try:
+        message = messages.decode(data)
+    except EncodingError:
+        return False
+    assert fresh(message).encode() == data
+    return True
+
+
+def check_payload(kind, payload):
+    rule = ledger_mod._RULES[kind]
+    r = Reader(payload)
+    try:
+        args = rule.decode(r)
+        r.expect_end()
+    except EncodingError:
+        return False
+    assert rule.encode(*fresh(args)) == payload
+    return True
+
+
+def check_frame(frame):
+    try:
+        event = LedgerEvent.decode(frame)
+    except EncodingError:
+        return False
+    assert dataclasses.replace(event).encode() == frame
+    return check_payload(event.kind, event.payload)
+
+
+def mutate(data, edits):
+    data = bytearray(data)
+    for op, at, byte in edits:
+        i = at % (len(data) + 1)
+        if op == "insert":
+            data[i:i] = bytes([byte])
+        elif op == "truncate":
+            del data[i:]
+        elif i < len(data):
+            if op == "flip":
+                data[i] ^= 1 << (byte % 8)
+            elif op == "set":
+                data[i] = byte
+            else:
+                del data[i]
+    return bytes(data)
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "flip", "set", "set", "insert", "delete", "truncate"]),
+        st.integers(0, 2**16),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def test_unmutated_inputs_decode():
+    sent, journal = bank()
+    assert all(check_message(data) for data in sent)
+    assert all(check_frame(event.encode()) for event in journal)
+
+
+@given(st.integers(0, 2**16), EDITS)
+@settings(max_examples=1500, deadline=None)
+def test_mutated_transcript_messages(index, edits):
+    sent, _ = bank()
+    check_message(mutate(sent[index % len(sent)], edits))
+
+
+@given(st.integers(0, 2**16), EDITS, st.booleans())
+@settings(max_examples=1500, deadline=None)
+def test_mutated_journal_frames(index, edits, payload_only):
+    """Half the mutations keep the frame intact around a mutated payload,
+    so that they reach the payload decoders."""
+    _, journal = bank()
+    event = journal[index % len(journal)]
+    if payload_only:
+        check_frame(LedgerEvent(event.sequence, event.kind, mutate(event.payload, edits)).encode())
+    else:
+        check_frame(mutate(event.encode(), edits))
+
+
+# -- hand-made malformed inputs --------------------------------------------
+
+
+def fields(*values, tag=None):
+    out = bytearray() if tag is None else bytearray([tag])
+    for value in values:
+        write_field(out, encode_uint(value) if isinstance(value, int) else value)
+    return bytes(out)
+
+
+GE, IN = bytes([messages.Comparator.GE.value]), bytes([messages.Comparator.IN.value])
+
+
+def predicate(op=GE, value=b"i" + bytes(8), attribute=b"age"):
+    return fields(attribute, op, value)
+
+
+def audience(*predicates):
+    return fields(len(predicates), *predicates, tag=messages.TAG_AUDIENCE)
+
+
+def string_set(*items):
+    return b"S" + fields(*items)
+
+
+def certificate(verdict):
+    return fields(bytes(64), bytes(32), bytes(32), verdict, bytes(64), tag=messages.TAG_CERTIFICATE)
+
+
+def notarization_request(forced):
+    return fields(bytes(32), b"response", forced, b"", tag=messages.TAG_NOTARIZATION_REQUEST)
+
+
+def response(commitment=bytes(32), seller_pk=bytes(64), order_ref=bytes(32)):
+    return fields(
+        seller_pk, bytes(20), order_ref, 5, commitment, bytes(20), bytes(32), bytes(64),
+        tag=messages.TAG_DATA_RESPONSE,
+    )
+
+
+def order(upload_url):
+    request = fields(b"records", 0, tag=messages.TAG_DATA_REQUEST)
+    return fields(
+        audience(), request, bytes(64), upload_url, 10, bytes(32), bytes(64),
+        tag=messages.TAG_DATA_ORDER,
+    )
+
+
+LOW, HIGH = sorted([predicate(value=b"i" + bytes(7) + b"\x01"), predicate(attribute=b"zone")])
+
+MALFORMED = {
+    "predicate int body of 7 bytes": audience(predicate(value=b"i" + bytes(7))),
+    "predicate int body of 9 bytes": audience(predicate(value=b"i" + bytes(9))),
+    "comparator byte with a trailing byte": audience(predicate(op=GE + b"\x00")),
+    "empty comparator field": audience(predicate(op=b"")),
+    "unknown comparator": audience(predicate(op=b"\x09")),
+    "verdict byte with a trailing byte": certificate(b"\x01\x00"),
+    "empty verdict field": certificate(b""),
+    "unknown verdict": certificate(b"\x07"),
+    "forced flag of 2": notarization_request(2),
+    "audience predicates out of order": audience(HIGH, LOW),
+    "duplicate audience predicates": audience(LOW, LOW),
+    "set items out of order": audience(predicate(IN, string_set(b"UY", b"AR"))),
+    "duplicate set items": audience(predicate(IN, string_set(b"AR", b"AR"))),
+    "IN with a string value": audience(predicate(IN, b"sAR")),
+    "IN with an int value": audience(predicate(IN, b"i" + bytes(8))),
+    "31-byte commitment": response(bytes(31)),
+    "invalid UTF-8": order(b"ub:\xff\xfe"),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_message_raises_encoding_error(data):
+    with pytest.raises(EncodingError):
+        messages.decode(data)
+
+
+def test_hand_made_inputs_are_well_formed_otherwise():
+    for data in (audience(LOW, HIGH), certificate(b"\x01"), notarization_request(1)):
+        assert check_message(data)
+    assert check_message(audience(predicate(IN, string_set(b"AR", b"UY"))))
+    assert check_message(response()) and check_message(order(b"ub:b"))
+
+
+def test_unknown_event_kind_raises_encoding_error():
+    frame = bytearray(LedgerEvent(0, EventKind.ORDER_CLOSED, fields(bytes(32))).encode())
+    frame[8] = 9
+    with pytest.raises(EncodingError):
+        LedgerEvent.decode(bytes(frame))
+
+
+# -- a malformed envelope mid-run -------------------------------------------
+
+
+def test_malformed_envelopes_do_not_crash_a_run(monkeypatch):
+    """Deliver a response with a 31-byte commitment, an order with an
+    invalid UTF-8 upload URL, and a response to the running order whose key
+    is 10 bytes long, to the buyer's upload endpoint and to the notary
+    mid-run: each recipient drops or rejects them, and the run ends as it
+    would without them."""
+    scenario = load_scenario(BANK)
+    undisturbed = run_scenario(scenario)
+    (order_digest,) = [c.order_digest for c in undisturbed.ledger.contracts.values()]
+    bad = [response(bytes(31)), order(b"ub:\xff\xfe")]
+    short_key = response(seller_pk=bytes(10), order_ref=order_digest)
+    targets = [f"ub:{scenario.buyers[0].name}", f"notary:{scenario.notaries[0].name}"]
+    tick = transport.Network.tick
+
+    def tick_with_garbage(network):
+        delivered = tick(network)
+        if network.tick_now == 5:
+            for endpoint in targets:
+                for message in bad + [short_key]:
+                    envelope = Envelope(None, endpoint, message, 5, delivery_tick=5)
+                    delivered.setdefault(endpoint, []).append(envelope)
+        return delivered
+
+    monkeypatch.setattr(transport.Network, "tick", tick_with_garbage)
+    result = run_scenario(scenario)
+    assert result.report.ok
+    assert result.report.render() == undisturbed.report.render()
+    for message in bad:
+        posted = BuyerEndpoint().post(message)
+        assert not posted.ok and posted.reason.startswith("parse: ")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,9 +71,7 @@ def test_register_rejects_broken_countersignature():
     lg.mint(crypto.derive_address(buyer_keys.public_key), 100)
     order = make_order(buyer_keys)
     good = messages.countersign_order(keys_from_seed(2), order, 2, TERMS)
-    broken = messages.NotaryTerms(
-        **{**messages._asdict_shallow(good), "notary_signature": b"\x00" * 64}
-    )
+    broken = replace(good, notary_signature=b"\x00" * 64)
     with pytest.raises(InvalidSignature):
         lg.register_order(order, [broken], 5)
     assert lg.balance(crypto.derive_address(buyer_keys.public_key)) == 100
@@ -129,9 +129,7 @@ def test_selection_topup():
 def test_selection_atomicity_on_invalid_response():
     market = make_market(balance=100, m_a=10, price=5)
     good = [make_response(market, seller_seed=s)[0] for s in (10, 11)]
-    bad = messages.DataResponse(
-        **{**messages._asdict_shallow(good[0]), "seller_signature": b"\x00" * 64}
-    )
+    bad = replace(good[0], seller_signature=b"\x00" * 64)
     digest_before = market.ledger.state_digest()
     with pytest.raises(LedgerError):
         market.ledger.select_sellers(market.order_id, good + [bad])
@@ -319,11 +317,8 @@ def test_invalid_certificates_never_move_funds():
     impostor_cert = messages.issue_certificate(
         keys_from_seed(77), market.order.digest(), response, Verdict.NOTARIZED_VALID
     )
-    garbage_cert = messages.NotaryCertificate(
-        **{
-            **messages._asdict_shallow(certify(market, response, Verdict.NOTARIZED_VALID)),
-            "notary_signature": b"\xab" * 64,
-        }
+    garbage_cert = replace(
+        certify(market, response, Verdict.NOTARIZED_VALID), notary_signature=b"\xab" * 64
     )
     for cert in (impostor_cert, garbage_cert):
         with pytest.raises(InvalidSignature):
@@ -383,7 +378,7 @@ def test_event_frame_decode_is_exact(frame):
     # if every frame that decodes re-encodes to the same bytes.
     try:
         event = LedgerEvent.decode(frame)
-    except (EncodingError, ValueError):
+    except EncodingError:
         return
     assert event.encode() == frame
 

@@ -115,12 +115,7 @@ def test_countersign_valid_order():
 def test_countersign_refuses_bad_order():
     keys = keys_from_seed(3)
     order = make_order(keys)
-    forged = messages.DataOrder(
-        **{
-            **messages._asdict_shallow(order),
-            "buyer_signature": b"\x00" * 64,
-        }
-    )
+    forged = replace(order, buyer_signature=b"\x00" * 64)
     with pytest.raises(MessageError):
         messages.countersign_order(keys_from_seed(4), forged, 2, TERMS)
 
@@ -191,9 +186,7 @@ def test_validate_response_accepts_honest():
 def test_validate_response_rejects_forged_signature():
     market = make_market()
     response, _, _ = make_response(market)
-    forged = DataResponse(
-        **{**messages._asdict_shallow(response), "seller_signature": b"\x11" * 64}
-    )
+    forged = replace(response, seller_signature=b"\x11" * 64)
     result = messages.validate_response(forged, market.order, market.terms, market.price)
     assert not result.ok and "signature" in result.failures
 

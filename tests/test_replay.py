@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from datamarket import cli, crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
-from datamarket.encoding import write_field
+from datamarket.encoding import encode_uint, write_field
 from datamarket.errors import EncodingError, LedgerError, ReplayError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
 from datamarket.messages import Verdict
@@ -23,13 +23,15 @@ from datamarket.messages import Verdict
 from market_helpers import TERMS, make_market, make_order, make_response
 
 
-def forge(ledger, kind, *args):
+def forge(ledger, kind, *args, payload=None):
     """Journal bytes of `ledger` plus one event built from `args`, applied
     without its check as a writer that skips the rules would, under a
-    recomputed trailer. Returns (journal bytes, the event's sequence)."""
+    recomputed trailer. `payload`, if given, replaces the encoding of
+    `args`. Returns (journal bytes, the event's sequence)."""
     rule = ledger_mod._RULES[kind]
     sequence = len(ledger.journal)
-    ledger.journal.append(LedgerEvent(sequence, kind, rule.encode(*args)))
+    payload = rule.encode(*args) if payload is None else payload
+    ledger.journal.append(LedgerEvent(sequence, kind, payload))
     rule.apply(ledger, *args)
     frames = bytearray()
     for event in ledger.journal:
@@ -100,6 +102,36 @@ def fee_exceeds_audit_escrow():
     return forge(market.ledger, EventKind.RESPONSE_CLOSED, market.order.digest(), cert)
 
 
+def notary_terms_out_of_order():
+    ledger = Ledger()
+    buyer_keys = keys_from_seed(1)
+    buyer = crypto.derive_address(buyer_keys.public_key)
+    ledger.mint(buyer, 100)
+    order = make_order(buyer_keys)
+    terms = [messages.countersign_order(keys_from_seed(s), order, 2, TERMS) for s in (2, 3)]
+    terms.sort(key=lambda nt: nt.notary_address, reverse=True)
+    price, digest = 5, order.digest()
+    payload = bytearray()
+    for value in (digest, buyer.bytes, encode_uint(order.min_audit_budget), encode_uint(price)):
+        write_field(payload, value)
+    write_field(payload, encode_uint(len(terms)))
+    for nt in terms:
+        write_field(payload, nt.encode())
+    args = (digest, buyer, order.min_audit_budget, price, terms)
+    return forge(ledger, EventKind.ORDER_CREATED, *args, payload=bytes(payload))
+
+
+def unknown_event_kind():
+    """Kind byte 9 in the frame of event 3 (the trailer is left as it was:
+    the frame must fail before any digest is compared)."""
+    market, response = selected()
+    market.ledger.close_response(market.order_id, response.digest(), certify(market, response))
+    data = bytearray(ledger_mod.journal_bytes(market.ledger))
+    frame_start = sum(4 + len(event.encode()) for event in market.ledger.journal[:3])
+    data[frame_start + 4 + 8] = 9  # after the length prefix and the 8-byte sequence
+    return bytes(data), 3
+
+
 CRAFTED = [
     mint_after_first_order,
     selection_on_closed_order,
@@ -108,6 +140,8 @@ CRAFTED = [
     zero_topup,
     empty_selection,
     fee_exceeds_audit_escrow,
+    notary_terms_out_of_order,
+    unknown_event_kind,
 ]
 
 
