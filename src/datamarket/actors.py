@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, messages
 from .crypto import Address, KeyPair
@@ -23,9 +23,11 @@ from .errors import (
     DecryptionError,
     EncodingError,
     InvalidSignature,
+    LedgerError,
     MarketError,
+    TransportError,
 )
-from .ledger import Ledger, Phase, Settlement, Status
+from .ledger import Ledger, OrderContract, Phase, Status
 from .messages import (
     Audience,
     DataOrder,
@@ -38,6 +40,9 @@ from .messages import (
     Verdict,
 )
 from .transport import BuyerEndpoint, Envelope, Network
+
+if TYPE_CHECKING:
+    from .scenario import OrderSpec
 
 
 class Mutation(enum.Enum):
@@ -60,6 +65,18 @@ SELLER_MUTATIONS = {
 }
 BUYER_MUTATIONS = {Mutation.CERTIFICATE_REPLAY, Mutation.FORGED_CERTIFICATE}
 
+# Ticks between re-sends of an unanswered offer or delivery (seller) and of
+# an unanswered notarization request (buyer).
+SELLER_RETRY_INTERVAL = 3
+BUYER_RETRY_INTERVAL = 4
+
+
+def check_mutation(mutation: Mutation, role: str) -> None:
+    """Raise unless a `role` ("seller" or "buyer") can take `mutation`."""
+    allowed = SELLER_MUTATIONS if role == "seller" else BUYER_MUTATIONS
+    if mutation is not Mutation.NONE and mutation not in allowed:
+        raise MarketError(f"{mutation} is not a {role} mutation")
+
 
 def keys_from_seed(seed: int) -> KeyPair:
     return crypto.generate_keypair(seed.to_bytes(32, "big"))
@@ -71,17 +88,20 @@ class SelectionPolicy:
     k: int = 0
     max_tokens: int = 0
 
+    def __post_init__(self):
+        if self.rule not in ("ALL_VALID", "FIRST_K", "BUDGET_CAP"):
+            raise MarketError(f"unknown selection rule {self.rule!r}")
+
     def select(self, responses: Sequence[DataResponse], price: int) -> List[DataResponse]:
         responses = list(responses)
         if self.rule == "ALL_VALID":
             return responses
         if self.rule == "FIRST_K":
             return responses[: self.k]
-        if self.rule == "BUDGET_CAP":
-            if price <= 0:
-                return []
-            return responses[: self.max_tokens // price]
-        raise MarketError(f"unknown selection rule {self.rule!r}")
+        # BUDGET_CAP
+        if price <= 0:
+            return []
+        return responses[: self.max_tokens // price]
 
 
 @dataclass
@@ -94,6 +114,8 @@ class NotarizationPolicy:
     def __post_init__(self):
         if self.mode not in ("ALWAYS", "NEVER", "SAMPLE"):
             raise MarketError(f"unknown notarization mode {self.mode!r}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise MarketError("notarization rate must be in [0, 1]")
         self._rng = random.Random(self.seed)
 
     def decide(self) -> bool:
@@ -138,12 +160,10 @@ def seller_evaluate_order(
 
 @dataclass
 class _SellerOffer:
-    order_id: str
+    contract: OrderContract
     response: DataResponse
     salt: bytes
     data: bytes
-    upload_url: str
-    buyer_pk: bytes
     delivered_tick: Optional[int] = None
     resends_left: int = 2
     next_send_tick: int = 0
@@ -160,10 +180,8 @@ class Seller:
         network: Network,
         mutation: Mutation = Mutation.NONE,
         min_price: int = 0,
-        retry_interval: int = 3,
     ):
-        if mutation not in SELLER_MUTATIONS and mutation is not Mutation.NONE:
-            raise MarketError(f"{mutation} is not a seller mutation")
+        check_mutation(mutation, "seller")
         self.name = name
         self.keys = keys_from_seed(seed)
         self.address = crypto.derive_address(self.keys.public_key)
@@ -173,7 +191,6 @@ class Seller:
         self.network = network
         self.mutation = mutation
         self.min_price = min_price
-        self.retry_interval = retry_interval
         self._rng = random.Random(seed)
         self._seen_orders: set = set()
         self._offers: Dict[bytes, _SellerOffer] = {}
@@ -204,14 +221,7 @@ class Seller:
         data = self.dataset[order.request.schema_id]
         salt = self._rng.randbytes(crypto.SALT_LEN)
         response = self._build_response(order, contract, decision.chosen_notary, data, salt)
-        self._offers[response.digest()] = _SellerOffer(
-            order_id=order_id,
-            response=response,
-            salt=salt,
-            data=data,
-            upload_url=order.upload_url,
-            buyer_pk=order.buyer_pk,
-        )
+        self._offers[response.digest()] = _SellerOffer(contract, response, salt, data)
         self._post(response.encode(), order.upload_url)
 
     def _build_response(self, order, contract, chosen_notary, data, salt) -> DataResponse:
@@ -239,9 +249,7 @@ class Seller:
     def _progress_offer(self, offer: _SellerOffer, tick: int) -> bool:
         """Advance one offer; False once it can never act again: it is
         settled, or its order closed without selecting it."""
-        contract = self.ledger.contracts.get(offer.order_id)
-        if contract is None:
-            return True
+        contract = offer.contract
         state = contract.responses.get(offer.response.digest())
         if state is None:
             if contract.status is not Status.OPEN:
@@ -250,25 +258,24 @@ class Seller:
             # order stays open, in case the network dropped it.
             if offer.resends_left > 0 and tick >= offer.next_send_tick:
                 offer.resends_left -= 1
-                offer.next_send_tick = tick + self.retry_interval
-                self._post(offer.response.encode(), offer.upload_url)
+                offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
+                self._post(offer.response.encode(), contract.order.upload_url)
             return True
         if state.phase is Phase.SETTLED:
             return False
-        if state.phase is not Phase.SELECTED:
-            return True
         # Selected and unsettled: deliver (and re-deliver on a timer until
         # the ledger shows settlement). Payloads are only ever uploaded for
         # selected offers, and only inside an encryption envelope.
         if offer.delivered_tick is not None and tick < offer.next_send_tick:
             return True
         offer.delivered_tick = tick
-        offer.next_send_tick = tick + self.retry_interval
+        offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
         data = self._delivery_data(offer)
         plaintext = messages.encode_payload_plaintext(offer.salt, data)
-        ciphertext = crypto.encrypt_for(offer.buyer_pk, plaintext, self._rng.randbytes(32))
+        order = contract.order
+        ciphertext = crypto.encrypt_for(order.buyer_pk, plaintext, self._rng.randbytes(32))
         delivery = PayloadDelivery(offer.response.digest(), ciphertext)
-        self._post(delivery.encode(), offer.upload_url)
+        self._post(delivery.encode(), order.upload_url)
         return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
@@ -319,17 +326,20 @@ class Notary:
         elif isinstance(msg, NotarizationRequest):
             self._handle_notarization_request(msg)
 
-    def step(self, tick: int) -> None:
-        pass
-
     def _handle_countersign_request(self, order: DataOrder) -> None:
-        if self.declines:
+        """Countersign and answer a well-formed order; one whose upload URL
+        names no buyer, or no registered one, is dropped."""
+        endpoint = _control_endpoint(order.upload_url)
+        if self.declines or endpoint is None:
             return
         try:
             terms = messages.countersign_order(self.keys, order, self.fee, self.service_terms)
         except MarketError:
             return
-        self.network.send(self.address, _control_endpoint(order.upload_url), terms.encode())
+        try:
+            self.network.send(self.address, endpoint, terms.encode())
+        except TransportError:
+            pass
 
     def _handle_notarization_request(self, request: NotarizationRequest) -> None:
         try:
@@ -373,45 +383,26 @@ class Notary:
         return Verdict.NOTARIZED_VALID
 
 
-def _control_endpoint(upload_url: str) -> str:
-    # ub:<name> -> buyer:<name>
-    return "buyer:" + upload_url.split(":", 1)[1]
-
-
-@dataclass(frozen=True)
-class OrderParams:
-    audience: Audience
-    request: DataRequest
-    price: int
-    audit_budget: int
-    notary_endpoints: Tuple[str, ...]
-    terms: bytes
-    response_window: int = 6
-    countersign_window: int = 4
+def _control_endpoint(upload_url: str) -> Optional[str]:
+    # ub:<name> -> buyer:<name>; None for a URL with no name.
+    _, colon, name = upload_url.partition(":")
+    return "buyer:" + name if colon else None
 
 
 @dataclass
 class _PendingOrder:
-    params: OrderParams
+    """The buyer's own progress through one order. What the ledger records
+    (selections, settlements) is read from the order's contract."""
+
+    spec: "OrderSpec"
     order: DataOrder
     phase: str  # GATHERING | COLLECTING | AWAITING | DONE | ABORTED
     gather_deadline: int
     terms: List[NotaryTerms] = field(default_factory=list)
-    order_id: Optional[str] = None
     select_deadline: int = 0
-    selected: Dict[bytes, DataResponse] = field(default_factory=dict)
-    settled: set = field(default_factory=set)
     # response digest -> (notary endpoint, request bytes, last send tick);
     # re-sent on a timer while the response stays unsettled.
     audit_requests: Dict[bytes, List] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SettlementRecord:
-    order_id: str
-    response_digest: bytes
-    seller: Address
-    settlement: Settlement
 
 
 class Buyer:
@@ -425,8 +416,7 @@ class Buyer:
         force_audit: bool = False,
         mutation: Mutation = Mutation.NONE,
     ):
-        if mutation not in BUYER_MUTATIONS and mutation is not Mutation.NONE:
-            raise MarketError(f"{mutation} is not a buyer mutation")
+        check_mutation(mutation, "buyer")
         self.name = name
         self.keys = keys_from_seed(seed)
         self.address = crypto.derive_address(self.keys.public_key)
@@ -438,35 +428,33 @@ class Buyer:
         self.control_endpoint = f"buyer:{name}"
         self.upload_url = f"ub:{name}"
         self.inbox = BuyerEndpoint()
-        self.settlements: List[SettlementRecord] = []
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[str] = []
         self._rng = random.Random(seed)
-        self._pending: List[_PendingOrder] = []
+        # Order id (the order digest in hex) -> the buyer's progress on it.
+        self._pending: Dict[str, _PendingOrder] = {}
         self._delivery_cursor = 0
         self._notary_names: Dict[Address, str] = {}
 
     # -- protocol steps --------------------------------------------------
 
-    def start_order(self, params: OrderParams, tick: int) -> DataOrder:
+    def start_order(self, spec: "OrderSpec", tick: int) -> DataOrder:
         order = messages.build_data_order(
             self.keys,
-            params.audience,
-            params.request,
+            Audience(frozenset(spec.audience)),
+            DataRequest(spec.schema_id, spec.fields),
             self.upload_url,
-            params.audit_budget,
-            params.terms,
+            spec.audit_budget,
+            messages.terms_link(spec.terms),
         )
-        self._pending.append(
-            _PendingOrder(
-                params=params,
-                order=order,
-                phase="GATHERING",
-                gather_deadline=tick + params.countersign_window,
-            )
+        self._pending[order.digest().hex()] = _PendingOrder(
+            spec=spec,
+            order=order,
+            phase="GATHERING",
+            gather_deadline=tick + spec.countersign_window,
         )
-        for endpoint in params.notary_endpoints:
-            self.network.send(self.address, endpoint, order.encode())
+        for name in spec.notaries:
+            self.network.send(self.address, f"notary:{name}", order.encode())
         return order
 
     def handle(self, envelope: Envelope) -> None:
@@ -478,39 +466,38 @@ class Buyer:
         except EncodingError:
             return
         if isinstance(msg, NotaryTerms):
-            for pending in self._pending:
-                if pending.phase == "GATHERING" and msg.order_digest == pending.order.digest():
-                    if msg.verify_signature():
-                        pending.terms.append(msg)
+            pending = self._pending.get(msg.order_digest.hex())
+            if pending is not None and pending.phase == "GATHERING":
+                if msg.verify_signature():
+                    pending.terms.append(msg)
         elif isinstance(msg, NotaryCertificate):
             self._settle(msg)
 
-    retry_interval = 4
-
     def step(self, tick: int) -> None:
-        for pending in self._pending:
+        for order_id, pending in self._pending.items():
             if pending.phase == "GATHERING" and tick >= pending.gather_deadline:
                 self._register(pending, tick)
             elif pending.phase == "COLLECTING" and tick >= pending.select_deadline:
-                self._select(pending)
+                self._select(order_id, pending)
             elif pending.phase == "AWAITING":
-                self._retry_audit_requests(pending, tick)
+                self._retry_audit_requests(order_id, pending, tick)
         self._process_deliveries()
 
-    def _retry_audit_requests(self, pending: "_PendingOrder", tick: int) -> None:
+    def _retry_audit_requests(self, order_id: str, pending: _PendingOrder, tick: int) -> None:
         # A dropped request or certificate would stall settlement forever;
         # re-ask the notary until the ledger shows the response settled.
+        responses = self.ledger.contract(order_id).responses
         for digest, entry in pending.audit_requests.items():
-            if digest in pending.settled:
+            if responses[digest].phase is Phase.SETTLED:
                 continue
             endpoint, payload, last_sent = entry
-            if tick - last_sent >= self.retry_interval:
+            if tick - last_sent >= BUYER_RETRY_INTERVAL:
                 entry[2] = tick
                 self.network.send(self.address, endpoint, payload)
 
     @property
     def done(self) -> bool:
-        return all(p.phase in ("DONE", "ABORTED") for p in self._pending)
+        return all(p.phase in ("DONE", "ABORTED") for p in self._pending.values())
 
     # -- internals -------------------------------------------------------
 
@@ -519,16 +506,14 @@ class Buyer:
             pending.phase = "ABORTED"
             self.aborted_orders.append(pending.order.digest().hex())
             return
-        pending.order_id = self.ledger.register_order(
-            pending.order, pending.terms, pending.params.price
-        )
+        self.ledger.register_order(pending.order, pending.terms, pending.spec.price)
         pending.phase = "COLLECTING"
-        pending.select_deadline = tick + pending.params.response_window
+        pending.select_deadline = tick + pending.spec.response_window
 
-    def _select(self, pending: _PendingOrder) -> None:
-        contract = self.ledger.contract(pending.order_id)
+    def _select(self, order_id: str, pending: _PendingOrder) -> None:
+        contract = self.ledger.contract(order_id)
         valid = []
-        for response in self.inbox.responses:
+        for response in self.inbox.responses.values():
             if response.order_ref != contract.order_digest:
                 continue
             result = messages.validate_response(
@@ -548,11 +533,10 @@ class Buyer:
             worst_fees = sum(contract.notary_terms[r.chosen_notary].fee for r in chosen)
             topup = max(0, worst_fees - contract.audit_escrow)
         if not chosen:
-            self.ledger.close_order(pending.order_id)
+            self.ledger.close_order(order_id)
             pending.phase = "DONE"
             return
-        self.ledger.select_sellers(pending.order_id, chosen, audit_topup=topup)
-        pending.selected = {r.digest(): r for r in chosen}
+        self.ledger.select_sellers(order_id, chosen, audit_topup=topup)
         pending.phase = "AWAITING"
 
     def _process_deliveries(self) -> None:
@@ -562,11 +546,17 @@ class Buyer:
             self._request_notarization(delivery)
 
     def _request_notarization(self, delivery: PayloadDelivery) -> None:
-        pending = self._find_by_response(delivery.response_digest)
-        if pending is None or delivery.response_digest in pending.audit_requests:
+        digest = delivery.response_digest
+        # The inbox accepts a delivery only for a response it holds.
+        order_id = self.inbox.responses[digest].order_ref.hex()
+        pending = self._pending.get(order_id)
+        if pending is None or pending.phase != "AWAITING" or digest in pending.audit_requests:
             return
-        response = pending.selected[delivery.response_digest]
-        contract = self.ledger.contract(pending.order_id)
+        contract = self.ledger.contract(order_id)
+        state = contract.responses.get(digest)
+        if state is None:
+            return
+        response = state.response
         notary_terms = contract.notary_terms[response.chosen_notary]
         forced = self.force_audit
         audit_ciphertext = b""
@@ -588,11 +578,7 @@ class Buyer:
             audit_ciphertext=audit_ciphertext,
         )
         endpoint = f"notary:{self._notary_name(notary_terms)}"
-        pending.audit_requests[delivery.response_digest] = [
-            endpoint,
-            request.encode(),
-            self.network.tick_now,
-        ]
+        pending.audit_requests[digest] = [endpoint, request.encode(), self.network.tick_now]
         self.network.send(self.address, endpoint, request.encode())
 
     def _notary_name(self, terms: NotaryTerms) -> str:
@@ -602,51 +588,40 @@ class Buyer:
         """Address -> notary endpoint name, provided by the runner."""
         self._notary_names = dict(notary_names)
 
-    def _find_by_response(self, digest: bytes) -> Optional[_PendingOrder]:
-        for pending in self._pending:
-            if pending.phase == "AWAITING" and digest in pending.selected:
-                return pending
-        return None
-
     def _settle(self, cert: NotaryCertificate) -> None:
-        pending = self._find_by_response(cert.response_digest)
-        if pending is None or cert.response_digest in pending.settled:
+        """Submit a certificate for one of this buyer's unsettled responses.
+        One the ledger refuses is recorded and dropped."""
+        order_id = cert.order_ref.hex()
+        pending = self._pending.get(order_id)
+        if pending is None or pending.phase != "AWAITING":
             return
-        response = pending.selected[cert.response_digest]
+        contract = self.ledger.contract(order_id)
+        state = contract.responses.get(cert.response_digest)
+        if state is None or state.phase is Phase.SETTLED:
+            return
         if self.mutation is Mutation.FORGED_CERTIFICATE:
             forged = messages.issue_certificate(
-                self.keys, cert.order_ref, response, cert.verdict
+                self.keys, cert.order_ref, state.response, cert.verdict
             )
             try:
-                self.ledger.close_response(pending.order_id, cert.response_digest, forged)
+                self.ledger.close_response(order_id, cert.response_digest, forged)
             except InvalidSignature as exc:
                 self.rejected_submissions.append(f"forged-certificate: {exc}")
         try:
-            settlement = self.ledger.close_response(
-                pending.order_id, cert.response_digest, cert
-            )
-        except AuditEscrowDepleted:
-            fee = self.ledger.contract(pending.order_id).notary_terms[
-                response.chosen_notary
-            ].fee
-            self.ledger.select_sellers(pending.order_id, [], audit_topup=fee)
-            settlement = self.ledger.close_response(
-                pending.order_id, cert.response_digest, cert
-            )
+            try:
+                self.ledger.close_response(order_id, cert.response_digest, cert)
+            except AuditEscrowDepleted:
+                fee = contract.notary_terms[state.response.chosen_notary].fee
+                self.ledger.select_sellers(order_id, [], audit_topup=fee)
+                self.ledger.close_response(order_id, cert.response_digest, cert)
+        except LedgerError as exc:
+            self.rejected_submissions.append(f"certificate: {exc}")
+            return
         if self.mutation is Mutation.CERTIFICATE_REPLAY:
             try:
-                self.ledger.close_response(pending.order_id, cert.response_digest, cert)
+                self.ledger.close_response(order_id, cert.response_digest, cert)
             except AlreadySettled as exc:
                 self.rejected_submissions.append(f"certificate-replay: {exc}")
-        pending.settled.add(cert.response_digest)
-        self.settlements.append(
-            SettlementRecord(
-                order_id=pending.order_id,
-                response_digest=cert.response_digest,
-                seller=response.payment_address,
-                settlement=settlement,
-            )
-        )
-        if pending.settled == set(pending.selected):
-            self.ledger.close_order(pending.order_id)
+        if all(s.phase is Phase.SETTLED for s in contract.responses.values()):
+            self.ledger.close_order(order_id)
             pending.phase = "DONE"

@@ -99,7 +99,7 @@ class LedgerEvent:
 
 
 class Phase(enum.IntEnum):
-    SUBMITTED = 0
+    # The values are written into the state digest.
     SELECTED = 1
     SETTLED = 2
 
@@ -114,11 +114,25 @@ class Status(enum.IntEnum):
     CLOSED = 1
 
 
+@dataclass(frozen=True)
+class Settlement:
+    outcome: Outcome
+    verdict: Verdict
+    seller_amount: int
+    buyer_refund: int
+    notary_fee: int
+    notary: Address
+
+
 @dataclass
 class ResponseState:
     response: DataResponse
-    phase: Phase = Phase.SELECTED
-    outcome: Optional[Outcome] = None
+    # What the response's close paid out; None while it is only selected.
+    settlement: Optional[Settlement] = None
+
+    @property
+    def phase(self) -> Phase:
+        return Phase.SELECTED if self.settlement is None else Phase.SETTLED
 
 
 @dataclass
@@ -135,16 +149,6 @@ class OrderContract:
     # Full order is available on live ledgers only; a replayed contract
     # carries just the blinded record.
     order: Optional[DataOrder] = None
-
-
-@dataclass(frozen=True)
-class Settlement:
-    outcome: Outcome
-    verdict: Verdict
-    seller_amount: int
-    buyer_refund: int
-    notary_fee: int
-    notary: Address
 
 
 class Ledger:
@@ -358,9 +362,10 @@ class Ledger:
         if notary_fee:
             contract.audit_escrow -= notary_fee
             self._credit(notary, notary_fee)
-        state.phase = Phase.SETTLED
-        state.outcome = outcome
-        return Settlement(outcome, cert.verdict, seller_amount, buyer_refund, notary_fee, notary)
+        state.settlement = Settlement(
+            outcome, cert.verdict, seller_amount, buyer_refund, notary_fee, notary
+        )
+        return state.settlement
 
     def _check_order_closed(self, order_digest: bytes) -> None:
         contract = self._open_contract(order_digest, "is already closed")
@@ -426,7 +431,7 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
         write_field(out, addr.bytes + encode_uint(c.notary_terms[addr].fee))
     for digest in sorted(c.responses):
         s = c.responses[digest]
-        outcome = 0xFF if s.outcome is None else s.outcome
+        outcome = 0xFF if s.settlement is None else s.settlement.outcome
         write_field(
             out,
             digest

@@ -10,19 +10,19 @@ declares one) the expected-settlement oracle table.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from . import ledger as ledger_mod
 from . import messages
-from .actors import Buyer, Notary, OrderParams, Seller, keys_from_seed
+from .actors import Buyer, Notary, Seller, keys_from_seed
 from .crypto import derive_address
-from .ledger import Ledger, Phase, ReplayError
-from .messages import Audience, DataRequest
+from .ledger import Ledger, ReplayError
 from .scenario import Scenario
-from .transport import Network, NetworkConfig
+from .transport import Network
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,8 @@ def run_scenario(
     tick_limit: int = 200,
 ) -> RunResult:
     scenario.validate()
-    net_spec = scenario.network
-    network = Network(
-        NetworkConfig(
-            latency_min=net_spec.latency_min,
-            latency_max=net_spec.latency_max,
-            drop_rate=net_spec.drop_rate,
-            seed=net_spec.seed if seed is None else seed,
-        )
-    )
+    config = scenario.network
+    network = Network(config if seed is None else dataclasses.replace(config, seed=seed))
     market = Ledger()
 
     seller_keys = {s.name: keys_from_seed(s.seed) for s in scenario.sellers}
@@ -154,7 +147,6 @@ def run_scenario(
         )
         network.register(notary.endpoint)
         notaries.append(notary)
-    notary_by_name = {n.name: n for n in notaries}
     notary_directory = {n.address: n.name for n in notaries}
 
     buyers = []
@@ -193,22 +185,7 @@ def run_scenario(
         if spec.balance > 0:
             market.mint(buyer_by_name[spec.name].address, spec.balance)
 
-    schedule: List[Tuple[int, Buyer, OrderParams]] = []
-    for order in scenario.orders:
-        params = OrderParams(
-            audience=Audience(frozenset(order.audience)),
-            request=DataRequest(order.schema_id, order.fields),
-            price=order.price,
-            audit_budget=order.audit_budget,
-            notary_endpoints=tuple(
-                notary_by_name[name].endpoint for name in order.notaries
-            ),
-            terms=messages.terms_link(order.terms),
-            response_window=order.response_window,
-            countersign_window=order.countersign_window,
-        )
-        schedule.append((order.start_tick, buyer_by_name[order.buyer], params))
-    last_start = max((t for t, _, _ in schedule), default=0)
+    last_start = max((order.start_tick for order in scenario.orders), default=0)
 
     endpoint_owner = {}
     for buyer in buyers:
@@ -220,9 +197,9 @@ def run_scenario(
     quiescent = False
     while network.tick_now < tick_limit:
         t = network.tick_now
-        for start, buyer, params in schedule:
-            if start == t:
-                buyer.start_order(params, t)
+        for order in scenario.orders:
+            if order.start_tick == t:
+                buyer_by_name[order.buyer].start_order(order, t)
         delivered = network.tick()
         for endpoint in sorted(delivered):
             owner = endpoint_owner[endpoint]
@@ -233,8 +210,6 @@ def run_scenario(
             buyer.step(now)
         for seller in sellers:
             seller.step(now)
-        for notary in notaries:
-            notary.step(now)
         if network.idle and t >= last_start and all(b.done for b in buyers):
             quiescent = True
             break
@@ -260,16 +235,21 @@ def build_report(
     for notary in notaries:
         names[notary.address] = notary.name
 
-    rows = []
-    for buyer in buyers:
-        for record in buyer.settlements:
-            s = record.settlement
+    # Settlements come from the ledger, in (order id, response digest) order.
+    rows, unsettled = [], []
+    for order_id, contract in sorted(market.contracts.items()):
+        for digest, state in sorted(contract.responses.items()):
+            s = state.settlement
+            if s is None:
+                unsettled.append(f"{order_id}:{digest.hex()}")
+                continue
+            seller = state.response.payment_address
             rows.append(
                 SettlementRow(
-                    order_id=record.order_id,
-                    response_digest=record.response_digest.hex(),
-                    seller_name=names.get(record.seller, record.seller.hex),
-                    seller_address=record.seller.hex,
+                    order_id=order_id,
+                    response_digest=digest.hex(),
+                    seller_name=names.get(seller, seller.hex),
+                    seller_address=seller.hex,
                     verdict=s.verdict.letter,
                     outcome=s.outcome.name,
                     seller_amount=s.seller_amount,
@@ -277,19 +257,11 @@ def build_report(
                     notary_fee=s.notary_fee,
                 )
             )
-    rows.sort(key=lambda r: (r.order_id, r.response_digest))
 
     balances = {}
     for address in sorted(market.accounts):
         label = names.get(address, address.hex)
         balances[label] = market.accounts[address]
-
-    unsettled = [
-        f"{oid}:{digest.hex()}"
-        for oid, contract in sorted(market.contracts.items())
-        for digest, state in sorted(contract.responses.items())
-        if state.phase is not Phase.SETTLED
-    ]
 
     report = RunReport(
         scenario_name=scenario.name,
@@ -326,11 +298,6 @@ def run_invariants(
     else:
         if replayed.state_digest() != market.state_digest():
             failures.append("replayed state digest differs from live state digest")
-
-    for oid, contract in market.contracts.items():
-        for digest, state in contract.responses.items():
-            if state.phase is Phase.SETTLED and state.outcome is None:
-                failures.append(f"settled response {digest.hex()} has no outcome")
 
     # Each scan may first look for every secret at once (`_prefilter`); only
     # a hit runs the per-secret loop that words the failures.

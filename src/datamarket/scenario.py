@@ -41,9 +41,10 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from .actors import Mutation, NotarizationPolicy, SelectionPolicy
-from .errors import ScenarioError
+from .actors import Mutation, NotarizationPolicy, SelectionPolicy, check_mutation
+from .errors import MarketError, ScenarioError, TransportError
 from .messages import Comparator, Predicate
+from .transport import NetworkConfig
 
 _COMPARATORS = {
     "eq": Comparator.EQ,
@@ -54,12 +55,8 @@ _COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    seed: int = 0
-    latency_min: int = 1
-    latency_max: int = 1
-    drop_rate: float = 0.0
+# A scenario's network is the simulated network's own configuration.
+NetworkSpec = NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,21 @@ class Scenario:
             raise ScenarioError("duplicate seller names")
         if len(notary_names) != len(self.notaries):
             raise ScenarioError("duplicate notary names")
+        for buyer in self.buyers:
+            if buyer.balance < 0:
+                raise ScenarioError(f"buyer {buyer.name} has a negative balance")
+        for notary in self.notaries:
+            if notary.fee < 0:
+                raise ScenarioError(f"notary {notary.name} has a negative fee")
+        try:
+            for buyer in self.buyers:
+                check_mutation(buyer.mutation, "buyer")
+            for seller in self.sellers:
+                check_mutation(seller.mutation, "seller")
+            for notary in self.notaries:
+                notary.policy()
+        except MarketError as exc:
+            raise ScenarioError(str(exc)) from None
         known_schemas = set(self.absent_schemas)
         for seller in self.sellers:
             known_schemas.update(seller.dataset)
@@ -182,6 +194,8 @@ class Scenario:
                     raise ScenarioError(f"order references unknown notary {notary}")
             if not order.notaries:
                 raise ScenarioError("order has an empty notary list")
+            if order.price <= 0 or order.audit_budget < 0:
+                raise ScenarioError("order price must be positive and its audit budget >= 0")
             if order.schema_id not in known_schemas:
                 raise ScenarioError(
                     f"schema {order.schema_id!r} is neither held by any seller, "
@@ -207,6 +221,39 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(kind, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be a number, not {value!r}") from None
+
+
+def _mapping(value, what: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping, not {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _entries(value, what: str) -> List[dict]:
+    """A list of mappings; absent means empty."""
+    return [_mapping(entry, what) for entry in _list(value, what)]
+
+
+def _names(value, what: str) -> Tuple[str, ...]:
+    """A list of strings; absent means empty."""
+    return tuple(str(v) for v in _list(value, what))
+
+
 def _mutation(raw, where: str) -> Mutation:
     try:
         return Mutation(raw or "none")
@@ -214,14 +261,13 @@ def _mutation(raw, where: str) -> Mutation:
         raise ScenarioError(f"unknown mutation {raw!r} in {where}") from None
 
 
-def _selection(raw) -> SelectionPolicy:
-    if not raw:
-        return SelectionPolicy()
-    return SelectionPolicy(
-        rule=raw.get("rule", "ALL_VALID"),
-        k=int(raw.get("k", 0)),
-        max_tokens=int(raw.get("max_tokens", 0)),
-    )
+def _selection(raw: dict) -> SelectionPolicy:
+    k = _number(int, raw.get("k", 0), "selection k")
+    max_tokens = _number(int, raw.get("max_tokens", 0), "selection max_tokens")
+    try:
+        return SelectionPolicy(raw.get("rule", "ALL_VALID"), k, max_tokens)
+    except MarketError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _predicate(raw) -> Predicate:
@@ -231,7 +277,7 @@ def _predicate(raw) -> Predicate:
         raise ScenarioError(f"unknown comparator {raw.get('op')!r}")
     value = _need(raw, "value", "audience predicate")
     if op is Comparator.IN:
-        value = frozenset(str(v) for v in value)
+        value = frozenset(_names(value, "audience 'in' value"))
     elif isinstance(value, bool):
         raise ScenarioError("boolean predicate values are not supported")
     elif not isinstance(value, int):
@@ -239,8 +285,8 @@ def _predicate(raw) -> Predicate:
     return Predicate(attr, op, value)
 
 
-def _dataset(raw: dict) -> Dict[str, bytes]:
-    return {str(schema): str(value).encode() for schema, value in (raw or {}).items()}
+def _dataset(raw) -> Dict[str, bytes]:
+    return {str(schema): str(value).encode() for schema, value in _mapping(raw, "data").items()}
 
 
 def load_scenario(path) -> Scenario:
@@ -257,66 +303,73 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    net_raw = doc.get("network") or {}
+    net_raw = _mapping(doc.get("network"), "network")
     latency = net_raw.get("latency", [1, 1])
-    network = NetworkSpec(
-        seed=int(net_raw.get("seed", 0)),
-        latency_min=int(latency[0]),
-        latency_max=int(latency[1]),
-        drop_rate=float(net_raw.get("drop_rate", 0.0)),
-    )
+    if not isinstance(latency, list) or len(latency) != 2:
+        raise ScenarioError(f"network latency must be [min, max], not {latency!r}")
+    try:
+        network = NetworkSpec(
+            seed=_number(int, net_raw.get("seed", 0), "network seed"),
+            latency_min=_number(int, latency[0], "network latency"),
+            latency_max=_number(int, latency[1], "network latency"),
+            drop_rate=_number(float, net_raw.get("drop_rate", 0.0), "network drop_rate"),
+        )
+    except TransportError as exc:
+        raise ScenarioError(f"network: {exc}") from None
     buyers = [
         BuyerSpec(
             name=str(_need(raw, "name", "buyer")),
-            seed=int(_need(raw, "seed", "buyer")),
-            balance=int(raw.get("balance", 0)),
-            selection=_selection(raw.get("selection")),
+            seed=_number(int, _need(raw, "seed", "buyer"), "buyer seed"),
+            balance=_number(int, raw.get("balance", 0), "buyer balance"),
+            selection=_selection(_mapping(raw.get("selection"), "buyer selection")),
             force_audit=bool(raw.get("force_audit", False)),
             mutation=_mutation(raw.get("mutation"), "buyer"),
         )
-        for raw in doc.get("buyers") or []
+        for raw in _entries(doc.get("buyers"), "buyers")
     ]
     sellers = [
         SellerSpec(
             name=str(_need(raw, "name", "seller")),
-            seed=int(_need(raw, "seed", "seller")),
-            attributes=dict(raw.get("attributes") or {}),
+            seed=_number(int, _need(raw, "seed", "seller"), "seller seed"),
+            attributes=_mapping(raw.get("attributes"), "seller attributes"),
             dataset=_dataset(raw.get("data")),
             mutation=_mutation(raw.get("mutation"), "seller"),
-            min_price=int(raw.get("min_price", 0)),
+            min_price=_number(int, raw.get("min_price", 0), "seller min_price"),
         )
-        for raw in doc.get("sellers") or []
+        for raw in _entries(doc.get("sellers"), "sellers")
     ]
-    notaries = [
-        NotarySpec(
-            name=str(_need(raw, "name", "notary")),
-            seed=int(_need(raw, "seed", "notary")),
-            fee=int(raw.get("fee", 0)),
-            mode=str((raw.get("policy") or {}).get("mode", "ALWAYS")),
-            rate=float((raw.get("policy") or {}).get("rate", 0.0)),
-            declines=bool(raw.get("declines", False)),
-            ground_truth={
-                str(seller): _dataset(per_schema)
-                for seller, per_schema in (raw.get("ground_truth") or {}).items()
-            },
+    notaries = []
+    for raw in _entries(doc.get("notaries"), "notaries"):
+        policy = _mapping(raw.get("policy"), "notary policy")
+        ground_truth = _mapping(raw.get("ground_truth"), "notary ground_truth")
+        notaries.append(
+            NotarySpec(
+                name=str(_need(raw, "name", "notary")),
+                seed=_number(int, _need(raw, "seed", "notary"), "notary seed"),
+                fee=_number(int, raw.get("fee", 0), "notary fee"),
+                mode=str(policy.get("mode", "ALWAYS")),
+                rate=_number(float, policy.get("rate", 0.0), "notary rate"),
+                declines=bool(raw.get("declines", False)),
+                ground_truth={str(k): _dataset(v) for k, v in ground_truth.items()},
+            )
         )
-        for raw in doc.get("notaries") or []
-    ]
     orders = [
         OrderSpec(
             buyer=str(_need(raw, "buyer", "order")),
-            audience=tuple(_predicate(p) for p in raw.get("audience") or []),
+            audience=tuple(_predicate(p) for p in _entries(raw.get("audience"), "audience")),
             schema_id=str(_need(raw, "schema", "order")),
-            fields=tuple(str(f) for f in raw.get("fields") or []),
-            price=int(_need(raw, "price", "order")),
-            audit_budget=int(raw.get("audit_budget", 0)),
-            notaries=tuple(str(n) for n in _need(raw, "notaries", "order")),
+            fields=_names(raw.get("fields"), "order fields"),
+            price=_number(int, _need(raw, "price", "order"), "order price"),
+            audit_budget=_number(int, raw.get("audit_budget", 0), "order audit_budget"),
+            notaries=_names(_need(raw, "notaries", "order"), "order notaries"),
             terms=str(raw.get("terms", "standard terms")),
-            response_window=int(raw.get("response_window", 6)),
-            countersign_window=int(raw.get("countersign_window", 4)),
-            start_tick=int(raw.get("start_tick", 0)),
+            response_window=_number(int, raw.get("response_window", 6), "response_window"),
+            countersign_window=_number(
+                int, raw.get("countersign_window", 4), "countersign_window"
+            ),
+            start_tick=_number(int, raw.get("start_tick", 0), "order start_tick"),
         )
-        for raw in doc.get("orders") or []
+        for raw in _entries(doc.get("orders"), "orders")
     ]
     expected_raw = doc.get("expected_settlements")
     expected = None
@@ -327,7 +380,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 verdict=str(_need(raw, "verdict", "expected settlement")),
                 outcome=str(_need(raw, "outcome", "expected settlement")),
             )
-            for raw in expected_raw
+            for raw in _entries(expected_raw, "expected_settlements")
         ]
     scenario = Scenario(
         name=str(doc.get("name", "scenario")),
@@ -337,8 +390,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         notaries=notaries,
         orders=orders,
         expected=expected,
-        secrets=[str(s) for s in doc.get("secrets") or []],
-        absent_schemas=[str(s) for s in doc.get("absent_schemas") or []],
+        secrets=list(_names(doc.get("secrets"), "secrets")),
+        absent_schemas=list(_names(doc.get("absent_schemas"), "absent_schemas")),
     )
     scenario.validate()
     return scenario

@@ -106,9 +106,9 @@ class BuyerEndpoint:
     """The buyer's public upload inbox: accepts seller offers and encrypted
     payload deliveries, deduplicating by digest."""
 
-    responses: List[DataResponse] = field(default_factory=list)
+    # Response digest -> response, in arrival order.
+    responses: Dict[bytes, DataResponse] = field(default_factory=dict)
     deliveries: List[PayloadDelivery] = field(default_factory=list)
-    _response_digests: set = field(default_factory=set)
     _delivery_digests: set = field(default_factory=set)
 
     def post(self, message_bytes: bytes) -> PostResult:
@@ -117,13 +117,10 @@ class BuyerEndpoint:
         except EncodingError as exc:
             return PostResult(False, f"parse: {exc}")
         if isinstance(msg, DataResponse):
-            digest = msg.digest()
-            if digest not in self._response_digests:
-                self._response_digests.add(digest)
-                self.responses.append(msg)
+            self.responses.setdefault(msg.digest(), msg)
             return PostResult(True)
         if isinstance(msg, PayloadDelivery):
-            if msg.response_digest not in self._response_digests:
+            if msg.response_digest not in self.responses:
                 return PostResult(False, "unknown-response")
             if msg.response_digest not in self._delivery_digests:
                 self._delivery_digests.add(msg.response_digest)

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from datamarket import crypto, messages
+from datamarket import crypto, messages, transport
 from datamarket.actors import (
     Mutation,
     NotarizationPolicy,
@@ -11,10 +13,14 @@ from datamarket.actors import (
     seller_evaluate_order,
 )
 from datamarket.errors import MarketError
-from datamarket.messages import NotarizationRequest, Verdict
-from datamarket.transport import Network, NetworkConfig
+from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
+from datamarket.runner import run_scenario
+from datamarket.scenario import load_scenario
+from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import make_market, make_response
+from market_helpers import make_market, make_order, make_response
+
+BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 
 DATA = b"seller-data-0123"
 SCHEMA = "records"
@@ -192,3 +198,56 @@ def test_mutation_role_checks():
             "s", 1, {}, {}, market.ledger, Network(NetworkConfig()),
             mutation=Mutation.CERTIFICATE_REPLAY,
         )
+
+
+# -- inputs an actor must drop ---------------------------------------------
+
+
+def test_notary_drops_orders_it_cannot_answer():
+    """Two correctly signed orders the notary cannot answer: an upload URL
+    with no colon, and one naming a buyer the network does not know. The
+    order to a registered buyer is the control."""
+    notary = make_notary(make_market())
+    notary.network.register("buyer:known")
+    keys = keys_from_seed(77)
+
+    def send_order(upload_url):
+        order = make_order(keys, upload_url=upload_url)
+        notary.handle(Envelope(None, notary.endpoint, order.encode(), 0))
+
+    send_order("no-colon")
+    send_order("ub:nobody")
+    assert notary.network.transcript == []
+    send_order("ub:known")
+    assert [e.endpoint for e in notary.network.transcript] == ["buyer:known"]
+
+
+def test_bad_certificate_does_not_end_the_run(monkeypatch):
+    """A zero-signature certificate for a selected, still unsettled response
+    of `bank.yaml`, delivered to the buyer at tick 12: the buyer records the
+    ledger's refusal, drops it, and the run ends as it would without it."""
+    scenario = load_scenario(BANK)
+    undisturbed = run_scenario(scenario)
+    (contract,) = undisturbed.ledger.contracts.values()
+    bad = NotaryCertificate(
+        notary_pk=keys_from_seed(scenario.notaries[0].seed).public_key,
+        order_ref=contract.order_digest,
+        response_digest=min(contract.responses),
+        verdict=Verdict.NOTARIZED_VALID,
+        notary_signature=bytes(64),
+    ).encode()
+    endpoint = f"buyer:{scenario.buyers[0].name}"
+    tick = transport.Network.tick
+
+    def tick_with_bad_certificate(network):
+        delivered = tick(network)
+        if network.tick_now == 12:
+            delivered.setdefault(endpoint, []).append(Envelope(None, endpoint, bad, 12, 12))
+        return delivered
+
+    monkeypatch.setattr(transport.Network, "tick", tick_with_bad_certificate)
+    result = run_scenario(scenario)
+    assert result.buyers[0].rejected_submissions == [
+        "certificate: certificate signature does not verify"
+    ]
+    assert result.report.render() == undisturbed.report.render()

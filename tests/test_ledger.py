@@ -305,7 +305,7 @@ def test_conservation_property(verdict, n_sellers, fee, price):
     for state in market.ledger.contract(market.order_id).responses.values():
         assert state.phase is Phase.SETTLED
         paid = market.ledger.balance(state.response.payment_address) > 0
-        refunded = state.outcome is Outcome.BUYER_REFUNDED
+        refunded = state.settlement.outcome is Outcome.BUYER_REFUNDED
         assert paid != refunded  # exactly one of the two
 
 

@@ -2,6 +2,7 @@ import copy
 from pathlib import Path
 
 import pytest
+import yaml
 
 from datamarket import cli, ledger as ledger_mod, runner
 from datamarket.messages import DataResponse, PayloadDelivery, decode
@@ -271,6 +272,38 @@ def test_cli_bad_scenario_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("orders:\n  - buyer: ghost\n    schema: s\n    price: 1\n    notaries: [n]\n")
     assert cli.main(["run", str(bad)]) == 2
+
+
+# One edit each to `bank.yaml`: (path to the edited value, new value).
+BAD_BANK_EDITS = {
+    "latency with one bound": (("network", "latency"), [1]),
+    "network seed not a number": (("network", "seed"), "abc"),
+    "drop rate above 1": (("network", "drop_rate"), 2),
+    "negative balance": (("buyers", 0, "balance"), -5),
+    "unknown selection rule": (("buyers", 0, "selection"), {"rule": "NOPE"}),
+    "unknown notarization mode": (("notaries", 0, "policy"), {"mode": "NOPE"}),
+    "zero price": (("orders", 0, "price"), 0),
+    "negative audit budget": (("orders", 0, "audit_budget"), -3),
+    "buyers not a list": (("buyers",), 5),
+    "seller mutation on a buyer": (("buyers", 0, "mutation"), "bit_flip"),
+    "negative notary fee": (("notaries", 0, "fee"), -1),
+    "sampling rate above 1": (("notaries", 0, "policy"), {"mode": "SAMPLE", "rate": 2}),
+}
+
+
+@pytest.mark.parametrize("path, value", BAD_BANK_EDITS.values(), ids=BAD_BANK_EDITS.keys())
+def test_cli_bad_scenario_value_is_input_error(tmp_path, capsys, path, value):
+    doc = yaml.safe_load((SCENARIOS / "bank.yaml").read_text())
+    *parents, key = path
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_cli_missing_journal_is_input_error(capsys):
