@@ -79,7 +79,7 @@ def check_mutation(mutation: Mutation, role: str) -> None:
 
 
 def keys_from_seed(seed: int) -> KeyPair:
-    return crypto.generate_keypair(seed.to_bytes(32, "big"))
+    return crypto.generate_keypair(seed.to_bytes(crypto.SEED_LEN, "big"))
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ class SelectionPolicy:
     def __post_init__(self):
         if self.rule not in ("ALL_VALID", "FIRST_K", "BUDGET_CAP"):
             raise MarketError(f"unknown selection rule {self.rule!r}")
+        if self.k < 0 or self.max_tokens < 0:
+            raise MarketError("selection k and max_tokens must be >= 0")
 
     def select(self, responses: Sequence[DataResponse], price: int) -> List[DataResponse]:
         responses = list(responses)
@@ -106,13 +108,14 @@ class SelectionPolicy:
 
 @dataclass
 class NotarizationPolicy:
-    mode: str = "ALWAYS"  # ALWAYS | NEVER | SAMPLE
+    MODES = ("ALWAYS", "NEVER", "SAMPLE")
+    mode: str = "ALWAYS"  # one of MODES
     rate: float = 0.0
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("ALWAYS", "NEVER", "SAMPLE"):
+        if self.mode not in self.MODES:
             raise MarketError(f"unknown notarization mode {self.mode!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise MarketError("notarization rate must be in [0, 1]")
@@ -502,13 +505,18 @@ class Buyer:
     # -- internals -------------------------------------------------------
 
     def _register(self, pending: _PendingOrder, tick: int) -> None:
-        if not pending.terms:
-            pending.phase = "ABORTED"
-            self.aborted_orders.append(pending.order.digest().hex())
-            return
-        self.ledger.register_order(pending.order, pending.terms, pending.spec.price)
-        pending.phase = "COLLECTING"
-        pending.select_deadline = tick + pending.spec.response_window
+        """An order with no notary terms, or one the ledger refuses, is aborted."""
+        if pending.terms:
+            try:
+                self.ledger.register_order(pending.order, pending.terms, pending.spec.price)
+            except LedgerError as exc:
+                self.rejected_submissions.append(f"register: {exc}")
+            else:
+                pending.phase = "COLLECTING"
+                pending.select_deadline = tick + pending.spec.response_window
+                return
+        pending.phase = "ABORTED"
+        self.aborted_orders.append(pending.order.digest().hex())
 
     def _select(self, order_id: str, pending: _PendingOrder) -> None:
         contract = self.ledger.contract(order_id)

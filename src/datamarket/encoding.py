@@ -21,10 +21,11 @@ from .errors import EncodingError
 
 _LEN = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+UINT_MAX = 2**64 - 1  # the largest integer a field can hold
 
 
 def encode_uint(value: int) -> bytes:
-    if value < 0 or value > 0xFFFFFFFFFFFFFFFF:
+    if value < 0 or value > UINT_MAX:
         raise EncodingError(f"integer out of range: {value}")
     return _U64.pack(value)
 

@@ -271,7 +271,7 @@ class Predicate(Message):
             return str(actual) in self.value
         try:
             actual_n, bound = int(actual), int(self.value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         return actual_n >= bound if self.op is Comparator.GE else actual_n <= bound
 

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import ledger as ledger_mod
 from . import messages
-from .actors import Buyer, Notary, Seller, keys_from_seed
+from .actors import Buyer, NotarizationPolicy, Notary, Seller, keys_from_seed
 from .crypto import derive_address
 from .ledger import Ledger, ReplayError
 from .scenario import Scenario
@@ -137,7 +137,7 @@ def run_scenario(
             name=spec.name,
             seed=spec.seed,
             fee=spec.fee,
-            policy=spec.policy(),
+            policy=NotarizationPolicy(mode=spec.mode, rate=spec.rate, seed=spec.seed),
             ledger=market,
             network=network,
             ground_truth=truth,

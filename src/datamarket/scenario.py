@@ -24,6 +24,11 @@ File grammar (YAML, all keys lowercase):
       - {seller: alice, verdict: b, outcome: SELLER_PAID}
     secrets: []        # extra strings that must never reach the journal
 
+Each spec field declares its kind: a function that takes the field's file
+form, or the value a spec built in code holds, and returns the field's value
+or raises `ScenarioError`. The loader reads every field through its kind, and
+`Scenario.validate` checks every spec against the same kinds.
+
 Notary ground truth defaults to each seller's own dataset; an explicit
 `ground_truth` entry overrides it (modelling a seller whose offered data
 disagrees with the notary's records). Selection rules: ALL_VALID,
@@ -35,97 +40,260 @@ price_mismatch (sellers); none, certificate_replay, forged_certificate
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import yaml
 
-from .actors import Mutation, NotarizationPolicy, SelectionPolicy, check_mutation
-from .errors import MarketError, ScenarioError, TransportError
-from .messages import Comparator, Predicate
+from . import actors
+from .actors import Mutation, NotarizationPolicy, SelectionPolicy
+from .crypto import SEED_LEN
+from .encoding import UINT_MAX
+from .errors import MarketError, ScenarioError
+from .ledger import Outcome
+from .messages import Comparator, Predicate, Verdict
 from .transport import NetworkConfig
-
-_COMPARATORS = {
-    "eq": Comparator.EQ,
-    "ne": Comparator.NE,
-    "ge": Comparator.GE,
-    "le": Comparator.LE,
-    "in": Comparator.IN,
-}
-
 
 # A scenario's network is the simulated network's own configuration.
 NetworkSpec = NetworkConfig
 
 
-@dataclass(frozen=True)
+# -- field kinds ----------------------------------------------------------
+
+
+def _kind_of(test: Callable, expected: str) -> Callable:
+    """A kind that takes the values `test` accepts, as they are. Every run
+    validates its scenario, so error text is built only on failure."""
+
+    def kind(value):
+        if test(value):
+            return value
+        raise ScenarioError(f"must be {expected}, not {value!r}")
+
+    return kind
+
+
+# An integer kind takes an int, not a bool, a float or a numeric string.
+# Amounts fit the u64 the journal writes; seeds, the SEED_LEN bytes keys
+# are derived from.
+AMOUNT = _kind_of(lambda v: type(v) is int and 0 <= v <= UINT_MAX, "an integer in [0, 2**64)")
+PRICE = _kind_of(lambda v: type(v) is int and 1 <= v <= UINT_MAX, "an integer in [1, 2**64)")
+SEED = _kind_of(lambda v: type(v) is int and 0 <= v < 256**SEED_LEN, "an integer in [0, 2**256)")
+INTEGER = _kind_of(lambda v: type(v) is int, "an integer")
+RATE = _kind_of(lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number from 0 to 1")
+FLAG = _kind_of(lambda v: type(v) is bool, "true or false")
+TEXT = _kind_of(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+PAIR = _kind_of(lambda v: isinstance(v, list) and len(v) == 2, "a [min, max] pair")
+
+
+def _choice(options: dict) -> Callable:
+    """One of a closed set: a file form (a key of `options`) or the value it maps to."""
+    values = set(options.values())
+
+    def kind(value):
+        # A list or a mapping from the file has no hash, so no member.
+        member = options.get(value, value) if type(value).__hash__ else None
+        if member in values:
+            return member
+        raise ScenarioError(f"must be one of {', '.join(sorted(options))}, not {value!r}")
+
+    return kind
+
+
+MODE = _choice({mode: mode for mode in NotarizationPolicy.MODES})
+VERDICT = _choice({v.letter: v.letter for v in Verdict})
+OUTCOME = _choice({o.name: o.name for o in Outcome})
+COMPARATOR = _choice({c.name.lower(): c for c in Comparator})
+SELLER_MUTATION = _choice({m.value: m for m in {Mutation.NONE, *actors.SELLER_MUTATIONS}})
+BUYER_MUTATION = _choice({m.value: m for m in {Mutation.NONE, *actors.BUYER_MUTATIONS}})
+
+
+_mapping = _kind_of(lambda v: isinstance(v, dict), "a mapping")
+_list = _kind_of(lambda v: isinstance(v, (list, tuple)), "a list")
+
+
+def _tuple_of(item: Callable) -> Callable:
+    return lambda value: tuple(item(entry) for entry in _list(value))
+
+
+def _dict_of(item: Callable) -> Callable:
+    """A mapping from names to values of kind `item`."""
+    return lambda value: {TEXT(key): item(entry) for key, entry in _mapping(value).items()}
+
+
+TEXTS = _tuple_of(TEXT)
+
+
+# Schema -> data: non-empty bytes in code, a non-empty string in a file.
+DATASET = _dict_of(lambda v: v if isinstance(v, bytes) and v else TEXT(v).encode())
+GROUND_TRUTH = _dict_of(DATASET)  # seller -> schema -> data
+
+
+def _predicate(value) -> Predicate:
+    """A predicate; its value is a string, an amount, or for `in` a set of
+    strings."""
+    if not isinstance(value, Predicate):
+        raw = _mapping(value)
+        op, operand = _read("op", COMPARATOR, raw.get("op")), raw.get("value")
+        if op is Comparator.IN:
+            operand = frozenset(_read("value", TEXTS, operand))
+        value = Predicate(_read("attribute", TEXT, raw.get("attribute")), op, operand)
+    if not isinstance(value.value, (str, frozenset)):
+        _read("value", AMOUNT, value.value)
+    return value
+
+
+AUDIENCE = _tuple_of(_predicate)
+
+
+def SELECTION(value) -> SelectionPolicy:
+    raw = vars(value) if isinstance(value, SelectionPolicy) else _mapping(value)
+    return SelectionPolicy(
+        rule=raw.get("rule", "ALL_VALID"),
+        k=_read("k", AMOUNT, raw.get("k", 0)),
+        max_tokens=_read("max_tokens", AMOUNT, raw.get("max_tokens", 0)),
+    )
+
+
+def NETWORK(value) -> NetworkSpec:
+    """The one section not read key by key: `latency` is a pair."""
+    if isinstance(value, NetworkSpec):
+        return value
+    raw = _mapping(value)
+    latency = _read("latency", PAIR, raw.get("latency", [1, 1]))
+    return NetworkSpec(
+        seed=_read("seed", INTEGER, raw.get("seed", 0)),
+        latency_min=_read("latency", INTEGER, latency[0]),
+        latency_max=_read("latency", INTEGER, latency[1]),
+        drop_rate=_read("drop_rate", RATE, raw.get("drop_rate", 0.0)),
+    )
+
+
+def _read(where: str, kind: Callable, *args):
+    """`kind(*args)`, with `where` in front of the text of its error. A kind
+    raises `ScenarioError`, or the error of a class it builds."""
+    try:
+        return kind(*args)
+    except MarketError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+# -- specs ----------------------------------------------------------------
+_spec = dataclasses.dataclass(frozen=True, kw_only=True)
+
+
+def _kind(kind: Callable, default=dataclasses.MISSING, *, key=None, factory=dataclasses.MISSING):
+    """A field of `kind`, read from the file key `key`, a dotted path into
+    nested mappings; from the key named as the field when not given."""
+    metadata = {"kind": kind, "key": key and tuple(key.split("."))}
+    return dataclasses.field(default=default, default_factory=factory, metadata=metadata)
+
+
+@functools.cache
+def _kinds(cls) -> tuple:
+    """Each field's name and kind, for the walk over specs built in code."""
+    return tuple((f.name, f.metadata["kind"]) for f in dataclasses.fields(cls))
+
+
+def _build(cls, value):
+    """The one reader of declared classes. A file mapping gives a `cls`,
+    each field read through its kind; a `cls` built in code has each field
+    checked against its kind, and is returned as it is."""
+    if isinstance(value, cls):
+        try:
+            for name, kind in _kinds(cls):
+                kind(getattr(value, name))
+        except MarketError as exc:
+            raise ScenarioError(f"{name}: {exc}") from None
+        return value
+    raw, values = _mapping(value), {}
+    for f in dataclasses.fields(cls):
+        *parents, key = f.metadata["key"] or (f.name,)
+        source = raw
+        for part in parents:
+            source = _read(part, _mapping, source.get(part, {}))
+        if key in source:
+            values[f.name] = _read(".".join([*parents, key]), f.metadata["kind"], source[key])
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            raise ScenarioError(f"missing {key!r}")
+    return cls(**values)
+
+
+def _specs(cls) -> Callable:
+    """A list of `cls` specs."""
+    return lambda value: [_read(f"item {i}", _build, cls, v) for i, v in enumerate(_list(value))]
+
+
+@_spec
 class BuyerSpec:
-    name: str
-    seed: int
-    balance: int
-    selection: SelectionPolicy = SelectionPolicy()
-    force_audit: bool = False
-    mutation: Mutation = Mutation.NONE
+    name: str = _kind(TEXT)
+    seed: int = _kind(SEED)
+    balance: int = _kind(AMOUNT, 0)
+    selection: SelectionPolicy = _kind(SELECTION, SelectionPolicy())
+    force_audit: bool = _kind(FLAG, False)
+    mutation: Mutation = _kind(BUYER_MUTATION, Mutation.NONE)
 
 
-@dataclass(frozen=True)
+@_spec
 class SellerSpec:
-    name: str
-    seed: int
-    attributes: Dict[str, object] = field(default_factory=dict)
-    dataset: Dict[str, bytes] = field(default_factory=dict)
-    mutation: Mutation = Mutation.NONE
-    min_price: int = 0
+    name: str = _kind(TEXT)
+    seed: int = _kind(SEED)
+    attributes: Dict[str, object] = _kind(_mapping, factory=dict)
+    dataset: Dict[str, bytes] = _kind(DATASET, key="data", factory=dict)
+    mutation: Mutation = _kind(SELLER_MUTATION, Mutation.NONE)
+    min_price: int = _kind(AMOUNT, 0)
 
 
-@dataclass(frozen=True)
+@_spec
 class NotarySpec:
-    name: str
-    seed: int
-    fee: int
-    mode: str = "ALWAYS"
-    rate: float = 0.0
-    declines: bool = False
-    ground_truth: Dict[str, Dict[str, bytes]] = field(default_factory=dict)
-
-    def policy(self) -> NotarizationPolicy:
-        return NotarizationPolicy(mode=self.mode, rate=self.rate, seed=self.seed)
+    name: str = _kind(TEXT)
+    seed: int = _kind(SEED)
+    fee: int = _kind(AMOUNT, 0)
+    mode: str = _kind(MODE, "ALWAYS", key="policy.mode")
+    rate: float = _kind(RATE, 0.0, key="policy.rate")
+    declines: bool = _kind(FLAG, False)
+    ground_truth: Dict[str, Dict[str, bytes]] = _kind(GROUND_TRUTH, factory=dict)
 
 
-@dataclass(frozen=True)
+@_spec
 class OrderSpec:
-    buyer: str
-    audience: Tuple[Predicate, ...]
-    schema_id: str
-    fields: Tuple[str, ...]
-    price: int
-    audit_budget: int
-    notaries: Tuple[str, ...]
-    terms: str = "standard terms"
-    response_window: int = 6
-    countersign_window: int = 4
-    start_tick: int = 0
+    buyer: str = _kind(TEXT)
+    audience: Tuple[Predicate, ...] = _kind(AUDIENCE, ())
+    schema_id: str = _kind(TEXT, key="schema")
+    fields: Tuple[str, ...] = _kind(TEXTS, ())
+    price: int = _kind(PRICE)
+    audit_budget: int = _kind(AMOUNT, 0)
+    notaries: Tuple[str, ...] = _kind(TEXTS)
+    terms: str = _kind(TEXT, "standard terms")
+    response_window: int = _kind(AMOUNT, 6)
+    countersign_window: int = _kind(AMOUNT, 4)
+    start_tick: int = _kind(AMOUNT, 0)
 
 
-@dataclass(frozen=True)
+@_spec
 class ExpectedSettlement:
-    seller: str
-    verdict: str  # a | b | c
-    outcome: str  # SELLER_PAID | BUYER_REFUNDED
+    seller: str = _kind(TEXT)
+    verdict: str = _kind(VERDICT)
+    outcome: str = _kind(OUTCOME)
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
-    name: str
-    network: NetworkSpec = NetworkSpec()
-    buyers: List[BuyerSpec] = field(default_factory=list)
-    sellers: List[SellerSpec] = field(default_factory=list)
-    notaries: List[NotarySpec] = field(default_factory=list)
-    orders: List[OrderSpec] = field(default_factory=list)
-    expected: Optional[List[ExpectedSettlement]] = None
-    secrets: List[str] = field(default_factory=list)
-    absent_schemas: List[str] = field(default_factory=list)
+    name: str = _kind(TEXT, "scenario")
+    network: NetworkSpec = _kind(NETWORK, NetworkSpec())
+    buyers: List[BuyerSpec] = _kind(_specs(BuyerSpec), factory=list)
+    sellers: List[SellerSpec] = _kind(_specs(SellerSpec), factory=list)
+    notaries: List[NotarySpec] = _kind(_specs(NotarySpec), factory=list)
+    orders: List[OrderSpec] = _kind(_specs(OrderSpec), factory=list)
+    expected: Optional[List[ExpectedSettlement]] = _kind(  # None: no oracle table
+        lambda v: None if v is None else _specs(ExpectedSettlement)(v),
+        None,
+        key="expected_settlements",
+    )
+    secrets: Tuple[str, ...] = _kind(TEXTS, ())
+    absent_schemas: Tuple[str, ...] = _kind(TEXTS, ())
 
     def profile_secrets(self) -> List[bytes]:
         """Attribute values and seller identities that must never reach the
@@ -151,142 +319,48 @@ class Scenario:
         return out
 
     def validate(self) -> None:
-        buyer_names = {b.name for b in self.buyers}
-        seller_names = {s.name for s in self.sellers}
-        notary_names = {n.name for n in self.notaries}
-        if len(buyer_names) != len(self.buyers):
-            raise ScenarioError("duplicate buyer names")
-        if len(seller_names) != len(self.sellers):
-            raise ScenarioError("duplicate seller names")
-        if len(notary_names) != len(self.notaries):
-            raise ScenarioError("duplicate notary names")
-        for buyer in self.buyers:
-            if buyer.balance < 0:
-                raise ScenarioError(f"buyer {buyer.name} has a negative balance")
-        for notary in self.notaries:
-            if notary.fee < 0:
-                raise ScenarioError(f"notary {notary.name} has a negative fee")
-        try:
-            for buyer in self.buyers:
-                check_mutation(buyer.mutation, "buyer")
-            for seller in self.sellers:
-                check_mutation(seller.mutation, "seller")
-            for notary in self.notaries:
-                notary.policy()
-        except MarketError as exc:
-            raise ScenarioError(str(exc)) from None
+        """Check every field against its kind, then the cross-references."""
+        _build(Scenario, self)
+        names = {}
+        for where in ("buyers", "sellers", "notaries"):
+            specs = getattr(self, where)
+            names[where] = {spec.name for spec in specs}
+            if len(names[where]) != len(specs):
+                raise ScenarioError(f"duplicate names in {where}")
+        if sum(buyer.balance for buyer in self.buyers) > UINT_MAX:
+            raise ScenarioError("buyer balances total more than 2**64 - 1")  # total supply
         known_schemas = set(self.absent_schemas)
         for seller in self.sellers:
             known_schemas.update(seller.dataset)
         for notary in self.notaries:
             for seller_name, per_schema in notary.ground_truth.items():
-                if seller_name not in seller_names:
+                if seller_name not in names["sellers"]:
                     raise ScenarioError(
                         f"notary {notary.name} has ground truth for unknown seller "
                         f"{seller_name}"
                     )
                 known_schemas.update(per_schema)
         for order in self.orders:
-            if order.buyer not in buyer_names:
+            if order.buyer not in names["buyers"]:
                 raise ScenarioError(f"order references unknown buyer {order.buyer}")
             for notary in order.notaries:
-                if notary not in notary_names:
+                if notary not in names["notaries"]:
                     raise ScenarioError(f"order references unknown notary {notary}")
             if not order.notaries:
                 raise ScenarioError("order has an empty notary list")
-            if order.price <= 0 or order.audit_budget < 0:
-                raise ScenarioError("order price must be positive and its audit budget >= 0")
             if order.schema_id not in known_schemas:
                 raise ScenarioError(
                     f"schema {order.schema_id!r} is neither held by any seller, "
                     "present in ground truth, nor declared absent"
                 )
         for expected in self.expected or []:
-            if expected.seller not in seller_names:
+            if expected.seller not in names["sellers"]:
                 raise ScenarioError(
                     f"expected settlement references unknown seller {expected.seller}"
                 )
-            if expected.verdict not in ("a", "b", "c"):
-                raise ScenarioError(f"unknown verdict {expected.verdict!r}")
-            if expected.outcome not in ("SELLER_PAID", "BUYER_REFUNDED"):
-                raise ScenarioError(f"unknown outcome {expected.outcome!r}")
 
 
 # -- YAML loading ---------------------------------------------------------
-
-
-def _need(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing {key!r} in {where}")
-    return mapping[key]
-
-
-def _number(kind, value, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be a number, not {value!r}") from None
-
-
-def _mapping(value, what: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a mapping, not {value!r}")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ScenarioError(f"{what} must be a list, not {value!r}")
-    return value
-
-
-def _entries(value, what: str) -> List[dict]:
-    """A list of mappings; absent means empty."""
-    return [_mapping(entry, what) for entry in _list(value, what)]
-
-
-def _names(value, what: str) -> Tuple[str, ...]:
-    """A list of strings; absent means empty."""
-    return tuple(str(v) for v in _list(value, what))
-
-
-def _mutation(raw, where: str) -> Mutation:
-    try:
-        return Mutation(raw or "none")
-    except ValueError:
-        raise ScenarioError(f"unknown mutation {raw!r} in {where}") from None
-
-
-def _selection(raw: dict) -> SelectionPolicy:
-    k = _number(int, raw.get("k", 0), "selection k")
-    max_tokens = _number(int, raw.get("max_tokens", 0), "selection max_tokens")
-    try:
-        return SelectionPolicy(raw.get("rule", "ALL_VALID"), k, max_tokens)
-    except MarketError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
-def _predicate(raw) -> Predicate:
-    attr = _need(raw, "attribute", "audience predicate")
-    op = _COMPARATORS.get(str(_need(raw, "op", "audience predicate")).lower())
-    if op is None:
-        raise ScenarioError(f"unknown comparator {raw.get('op')!r}")
-    value = _need(raw, "value", "audience predicate")
-    if op is Comparator.IN:
-        value = frozenset(_names(value, "audience 'in' value"))
-    elif isinstance(value, bool):
-        raise ScenarioError("boolean predicate values are not supported")
-    elif not isinstance(value, int):
-        value = str(value)
-    return Predicate(attr, op, value)
-
-
-def _dataset(raw) -> Dict[str, bytes]:
-    return {str(schema): str(value).encode() for schema, value in _mapping(raw, "data").items()}
 
 
 def load_scenario(path) -> Scenario:
@@ -303,96 +377,7 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    net_raw = _mapping(doc.get("network"), "network")
-    latency = net_raw.get("latency", [1, 1])
-    if not isinstance(latency, list) or len(latency) != 2:
-        raise ScenarioError(f"network latency must be [min, max], not {latency!r}")
-    try:
-        network = NetworkSpec(
-            seed=_number(int, net_raw.get("seed", 0), "network seed"),
-            latency_min=_number(int, latency[0], "network latency"),
-            latency_max=_number(int, latency[1], "network latency"),
-            drop_rate=_number(float, net_raw.get("drop_rate", 0.0), "network drop_rate"),
-        )
-    except TransportError as exc:
-        raise ScenarioError(f"network: {exc}") from None
-    buyers = [
-        BuyerSpec(
-            name=str(_need(raw, "name", "buyer")),
-            seed=_number(int, _need(raw, "seed", "buyer"), "buyer seed"),
-            balance=_number(int, raw.get("balance", 0), "buyer balance"),
-            selection=_selection(_mapping(raw.get("selection"), "buyer selection")),
-            force_audit=bool(raw.get("force_audit", False)),
-            mutation=_mutation(raw.get("mutation"), "buyer"),
-        )
-        for raw in _entries(doc.get("buyers"), "buyers")
-    ]
-    sellers = [
-        SellerSpec(
-            name=str(_need(raw, "name", "seller")),
-            seed=_number(int, _need(raw, "seed", "seller"), "seller seed"),
-            attributes=_mapping(raw.get("attributes"), "seller attributes"),
-            dataset=_dataset(raw.get("data")),
-            mutation=_mutation(raw.get("mutation"), "seller"),
-            min_price=_number(int, raw.get("min_price", 0), "seller min_price"),
-        )
-        for raw in _entries(doc.get("sellers"), "sellers")
-    ]
-    notaries = []
-    for raw in _entries(doc.get("notaries"), "notaries"):
-        policy = _mapping(raw.get("policy"), "notary policy")
-        ground_truth = _mapping(raw.get("ground_truth"), "notary ground_truth")
-        notaries.append(
-            NotarySpec(
-                name=str(_need(raw, "name", "notary")),
-                seed=_number(int, _need(raw, "seed", "notary"), "notary seed"),
-                fee=_number(int, raw.get("fee", 0), "notary fee"),
-                mode=str(policy.get("mode", "ALWAYS")),
-                rate=_number(float, policy.get("rate", 0.0), "notary rate"),
-                declines=bool(raw.get("declines", False)),
-                ground_truth={str(k): _dataset(v) for k, v in ground_truth.items()},
-            )
-        )
-    orders = [
-        OrderSpec(
-            buyer=str(_need(raw, "buyer", "order")),
-            audience=tuple(_predicate(p) for p in _entries(raw.get("audience"), "audience")),
-            schema_id=str(_need(raw, "schema", "order")),
-            fields=_names(raw.get("fields"), "order fields"),
-            price=_number(int, _need(raw, "price", "order"), "order price"),
-            audit_budget=_number(int, raw.get("audit_budget", 0), "order audit_budget"),
-            notaries=_names(_need(raw, "notaries", "order"), "order notaries"),
-            terms=str(raw.get("terms", "standard terms")),
-            response_window=_number(int, raw.get("response_window", 6), "response_window"),
-            countersign_window=_number(
-                int, raw.get("countersign_window", 4), "countersign_window"
-            ),
-            start_tick=_number(int, raw.get("start_tick", 0), "order start_tick"),
-        )
-        for raw in _entries(doc.get("orders"), "orders")
-    ]
-    expected_raw = doc.get("expected_settlements")
-    expected = None
-    if expected_raw is not None:
-        expected = [
-            ExpectedSettlement(
-                seller=str(_need(raw, "seller", "expected settlement")),
-                verdict=str(_need(raw, "verdict", "expected settlement")),
-                outcome=str(_need(raw, "outcome", "expected settlement")),
-            )
-            for raw in _entries(expected_raw, "expected_settlements")
-        ]
-    scenario = Scenario(
-        name=str(doc.get("name", "scenario")),
-        network=network,
-        buyers=buyers,
-        sellers=sellers,
-        notaries=notaries,
-        orders=orders,
-        expected=expected,
-        secrets=list(_names(doc.get("secrets"), "secrets")),
-        absent_schemas=list(_names(doc.get("absent_schemas"), "absent_schemas")),
-    )
+    scenario = _build(Scenario, doc)
     scenario.validate()
     return scenario
 
@@ -485,7 +470,7 @@ def random_scenario(seed: int) -> Scenario:
         response_window=4,
         countersign_window=3,
     )
-    scenario = Scenario(
+    return Scenario(
         name=f"random-{seed}",
         network=NetworkSpec(
             seed=rng.randint(0, 2**31),
@@ -498,5 +483,3 @@ def random_scenario(seed: int) -> Scenario:
         notaries=notaries,
         orders=[order],
     )
-    scenario.validate()
-    return scenario

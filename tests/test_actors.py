@@ -183,6 +183,9 @@ def test_selection_policies():
     assert SelectionPolicy(rule="BUDGET_CAP", max_tokens=12).select(responses, 5) == responses[:2]
     with pytest.raises(MarketError):
         SelectionPolicy(rule="NOPE").select(responses, 5)
+    for bad in (dict(rule="FIRST_K", k=-2), dict(rule="BUDGET_CAP", max_tokens=-1)):
+        with pytest.raises(MarketError):
+            SelectionPolicy(**bad)
 
 
 def test_sample_policy_reproducible():

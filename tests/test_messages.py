@@ -231,6 +231,7 @@ def test_audience_matching():
     assert not audience.matches({"country": "BR", "age": 30})
     assert not audience.matches({"country": "AR", "age": 17})
     assert not audience.matches({"age": 30})
+    assert not audience.matches({"country": "AR", "age": float("inf")})
 
 
 def test_empty_audience_matches_everyone():

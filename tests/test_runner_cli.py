@@ -1,8 +1,13 @@
+import contextlib
 import copy
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datamarket import cli, ledger as ledger_mod, runner
 from datamarket.messages import DataResponse, PayloadDelivery, decode
@@ -288,6 +293,43 @@ BAD_BANK_EDITS = {
     "seller mutation on a buyer": (("buyers", 0, "mutation"), "bit_flip"),
     "negative notary fee": (("notaries", 0, "fee"), -1),
     "sampling rate above 1": (("notaries", 0, "policy"), {"mode": "SAMPLE", "rate": 2}),
+    "balance above u64": (("buyers", 0, "balance"), 2**70),
+    "price above u64": (("orders", 0, "price"), 2**70),
+    "audit budget above u64": (("orders", 0, "audit_budget"), 2**70),
+    "notary fee above u64": (("notaries", 0, "fee"), 2**70),
+    "negative buyer seed": (("buyers", 0, "seed"), -1),
+    "seller seed above 32 bytes": (("sellers", 0, "seed"), 2**300),
+    "negative notary seed": (("notaries", 0, "seed"), -5),
+    "negative FIRST_K k": (("buyers", 0, "selection"), {"rule": "FIRST_K", "k": -2}),
+    "negative max_tokens": (("buyers", 0, "selection"), {"rule": "BUDGET_CAP", "max_tokens": -2}),
+    "negative start tick": (("orders", 0, "start_tick"), -1),
+    "negative response window": (("orders", 0, "response_window"), -3),
+    "negative countersign window": (("orders", 0, "countersign_window"), -3),
+    "negative min price": (("sellers", 0, "min_price"), -1),
+    "force_audit a string": (("buyers", 0, "force_audit"), "no"),
+    "declines a string": (("notaries", 0, "declines"), "false"),
+    "float balance": (("buyers", 0, "balance"), 1.7),
+    "boolean balance": (("buyers", 0, "balance"), True),
+    "negative ge value": (
+        ("orders", 0, "audience"),
+        [{"attribute": "age", "op": "ge", "value": -1}],
+    ),
+    "ge value above u64": (
+        ("orders", 0, "audience"),
+        [{"attribute": "age", "op": "ge", "value": 2**70}],
+    ),
+    "empty predicate attribute": (
+        ("orders", 0, "audience"),
+        [{"attribute": "", "op": "eq", "value": "Argentina"}],
+    ),
+    "empty data value": (("sellers", 0, "data"), {"card_transactions": ""}),
+    "balances above u64 in total": (
+        ("buyers",),
+        [
+            {"name": "modelcorp", "seed": 101, "balance": 2**64 - 1},
+            {"name": "other", "seed": 102, "balance": 1},
+        ],
+    ),
 }
 
 
@@ -304,6 +346,67 @@ def test_cli_bad_scenario_value_is_input_error(tmp_path, capsys, path, value):
     assert cli.main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def edited_bank(edits) -> dict:
+    """`bank.yaml` with each (path, value) edit applied."""
+    doc = yaml.safe_load((SCENARIOS / "bank.yaml").read_text())
+    for path, value in edits:
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+    return doc
+
+
+def run_cli(doc) -> tuple:
+    """`datamarket run` on `doc` written to a file: exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path)])
+    return code, err.getvalue()
+
+
+def test_refused_registration_aborts_the_order():
+    """A balance too small for the order's escrow: the ledger refuses the
+    registration, the buyer records why and aborts the order, and the run
+    ends on the oracle table."""
+    doc = edited_bank([(("buyers", 0, "balance"), 1)])
+    assert run_cli(doc) == (1, "")
+    buyer = run_doc(doc).buyers[0]
+    assert len(buyer.rejected_submissions) == 1
+    assert buyer.rejected_submissions[0].startswith("register: ")
+    assert len(buyer.aborted_orders) == 1
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+BANK_LEAVES = list(_leaf_paths(edited_bank([])))
+ODD_VALUES = [2**70, 2**300, -1, 0, 1.5, True, None, "", "x", [], {}, float("nan"), float("inf")]
+EDITS = st.tuples(st.sampled_from(BANK_LEAVES), st.sampled_from(ODD_VALUES))
+
+
+@given(st.lists(EDITS, min_size=1, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_cli_run_survives_edited_bank_values(edits):
+    """Any one or two `bank.yaml` values replaced by odd ones: `datamarket
+    run` exits 0, 1 or 2 and never ends in a traceback."""
+    code, err = run_cli(edited_bank(edits))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_cli_missing_journal_is_input_error(capsys):
