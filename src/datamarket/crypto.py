@@ -3,9 +3,10 @@ hybrid encryption envelope for payload delivery.
 
 Each identity carries two keys derived from one 32-byte seed: an Ed25519
 signing key and an X25519 encryption key. Public key bytes are the
-concatenation signing-pub (32) || encryption-pub (32); secret key bytes are
-signing-seed (32) || encryption-priv (32). Addresses are the first 20 bytes
-of SHA-256 over the public key bytes.
+concatenation signing-pub (32) || encryption-pub (32). The secret key is a
+`SecretKey` that holds the seed and both private keys, parsed once when the
+pair is derived; it compares by seed and prints none of them. Addresses are
+the first 20 bytes of SHA-256 over the public key bytes.
 
 Envelopes are ECIES-style: an ephemeral X25519 key agreement, HKDF-SHA256
 key derivation, and ChaCha20-Poly1305 for the payload. Tampering or a wrong
@@ -14,10 +15,9 @@ key raises DecryptionError.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature as _InvalidSignature
 from cryptography.exceptions import InvalidTag as _InvalidTag
@@ -39,24 +39,26 @@ SEED_LEN = 32
 SALT_LEN = 32
 ADDRESS_LEN = 20
 PUBLIC_KEY_LEN = 64
-SECRET_KEY_LEN = 64
 DIGEST_LEN = 32
 
 _ENC_SEED_INFO = b"datamarket-enc-key-v1"
 _ENVELOPE_INFO = b"datamarket-envelope-v1"
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
-_RAW_PRIV = serialization.PrivateFormat.Raw
-_NOENC = serialization.NoEncryption()
-# Parsed private keys are kept by content, so each identity's keys are
-# parsed once. Enough entries for every identity of one large market.
-_KEY_CACHE_SIZE = 512
+
+
+@dataclass(frozen=True)
+class SecretKey:
+    seed: bytes = field(repr=False)
+    signing: Ed25519PrivateKey = field(compare=False, repr=False)
+    decryption: X25519PrivateKey = field(compare=False, repr=False)
+    encryption_public: bytes = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
-    secret_key: bytes
+    secret_key: SecretKey
 
 
 @dataclass(frozen=True, order=True)
@@ -100,12 +102,9 @@ def generate_keypair(seed: bytes) -> KeyPair:
     sign_sk = Ed25519PrivateKey.from_private_bytes(seed)
     enc_seed = sha256(seed + _ENC_SEED_INFO)
     enc_sk = X25519PrivateKey.from_private_bytes(enc_seed)
-    public = (
-        sign_sk.public_key().public_bytes(_RAW, _RAW_PUB)
-        + enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)
-    )
-    secret = seed + enc_seed
-    return KeyPair(public_key=public, secret_key=secret)
+    enc_pub = enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)
+    public = sign_sk.public_key().public_bytes(_RAW, _RAW_PUB) + enc_pub
+    return KeyPair(public, SecretKey(seed, sign_sk, enc_sk, enc_pub))
 
 
 def derive_address(public_key: bytes) -> Address:
@@ -132,15 +131,8 @@ def verify_commitment(salt: bytes, data: bytes, commitment: Commitment) -> bool:
     return sha256(salt + data) == commitment.digest
 
 
-def sign(secret_key: bytes, message: bytes) -> bytes:
-    if len(secret_key) != SECRET_KEY_LEN:
-        raise CryptoError(f"secret key must be {SECRET_KEY_LEN} bytes")
-    return _signing_key(secret_key[:32]).sign(message)
-
-
-@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _signing_key(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
+def sign(secret_key: SecretKey, message: bytes) -> bytes:
+    return secret_key.signing.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -184,23 +176,14 @@ def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes | None = Non
     return eph_pub + ct
 
 
-def decrypt(secret_key: bytes, envelope: bytes) -> bytes:
-    if len(secret_key) != SECRET_KEY_LEN:
-        raise CryptoError(f"secret key must be {SECRET_KEY_LEN} bytes")
+def decrypt(secret_key: SecretKey, envelope: bytes) -> bytes:
     if len(envelope) < 32 + 16:
         raise DecryptionError("envelope too short")
     eph_pub, ct = envelope[:32], envelope[32:]
-    enc_sk, my_pub = _decryption_key(secret_key[32:])
     try:
-        shared = enc_sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _envelope_key(shared, eph_pub, my_pub)
+        shared = secret_key.decryption.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        key = _envelope_key(shared, eph_pub, secret_key.encryption_public)
         return ChaCha20Poly1305(key).decrypt(b"\x00" * 12, ct, None)
     except (_InvalidTag, ValueError) as exc:
         raise DecryptionError("envelope failed to authenticate") from exc
 
-
-@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _decryption_key(private: bytes) -> tuple[X25519PrivateKey, bytes]:
-    """The parsed X25519 key and its raw public bytes."""
-    enc_sk = X25519PrivateKey.from_private_bytes(private)
-    return enc_sk, enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)

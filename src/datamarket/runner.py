@@ -18,8 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import ledger as ledger_mod
 from . import messages
-from .actors import Buyer, NotarizationPolicy, Notary, Seller, keys_from_seed
-from .crypto import derive_address
+from .actors import Buyer, NotarizationPolicy, Notary, Seller
 from .ledger import Ledger, ReplayError
 from .scenario import Scenario
 from .transport import Network
@@ -119,10 +118,20 @@ def run_scenario(
     network = Network(config if seed is None else dataclasses.replace(config, seed=seed))
     market = Ledger()
 
-    seller_keys = {s.name: keys_from_seed(s.seed) for s in scenario.sellers}
-    enrollment = {
-        derive_address(keys.public_key): name for name, keys in seller_keys.items()
-    }
+    sellers = [
+        Seller(
+            name=spec.name,
+            seed=spec.seed,
+            attributes=spec.attributes,
+            dataset=spec.dataset,
+            ledger=market,
+            network=network,
+            mutation=spec.mutation,
+            min_price=spec.min_price,
+        )
+        for spec in scenario.sellers
+    ]
+    enrollment = {seller.address: seller.name for seller in sellers}
 
     notaries = []
     for spec in scenario.notaries:
@@ -165,21 +174,6 @@ def run_scenario(
         network.register(buyer.upload_url)
         buyers.append(buyer)
     buyer_by_name = {b.name: b for b in buyers}
-
-    sellers = []
-    for spec in scenario.sellers:
-        sellers.append(
-            Seller(
-                name=spec.name,
-                seed=spec.seed,
-                attributes=spec.attributes,
-                dataset=spec.dataset,
-                ledger=market,
-                network=network,
-                mutation=spec.mutation,
-                min_price=spec.min_price,
-            )
-        )
 
     for spec in scenario.buyers:
         if spec.balance > 0:
@@ -329,6 +323,8 @@ def run_invariants(
         failures.append(
             f"liveness: tick limit reached with unsettled selected responses: {unsettled}"
         )
+    elif not quiescent:
+        failures.append("liveness: tick limit reached before quiescence")
     return failures
 
 

@@ -327,6 +327,12 @@ class Scenario:
             names[where] = {spec.name for spec in specs}
             if len(names[where]) != len(specs):
                 raise ScenarioError(f"duplicate names in {where}")
+        # One seed is one key pair, so one account: two identities would merge.
+        seeds = set()
+        for spec in self.buyers + self.sellers + self.notaries:
+            if spec.seed in seeds:
+                raise ScenarioError(f"{spec.name} has the seed of another identity")
+            seeds.add(spec.seed)
         if sum(buyer.balance for buyer in self.buyers) > UINT_MAX:
             raise ScenarioError("buyer balances total more than 2**64 - 1")  # total supply
         known_schemas = set(self.absent_schemas)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from datamarket import crypto
 from datamarket.errors import CryptoError, DecryptionError
+from datamarket.runner import run_scenario
+from datamarket.scenario import load_scenario
 
 from sha256_ref import sha256_ref
 
@@ -14,6 +17,11 @@ SEED = bytes(range(32))
 
 def test_keypair_deterministic():
     assert crypto.generate_keypair(SEED) == crypto.generate_keypair(SEED)
+
+
+def test_key_pair_repr_shows_no_secret():
+    text = repr(crypto.generate_keypair(SEED))
+    assert repr(SEED)[2:-1] not in text and SEED.hex() not in text
 
 
 def test_distinct_seeds_distinct_keys():
@@ -143,6 +151,45 @@ def test_encrypt_deterministic_with_entropy():
     assert crypto.encrypt_for(kp.public_key, b"x", entropy) == crypto.encrypt_for(
         kp.public_key, b"x", entropy
     )
+
+
+def count_parses(monkeypatch, name):
+    """The private keys of class `crypto.<name>` parsed from now on."""
+    real = getattr(crypto, name)
+    parsed = []
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(data):
+            parsed.append(data)
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(crypto, name, Counting)
+    return parsed
+
+
+def test_a_run_parses_each_identity_key_once(monkeypatch):
+    """bank.yaml: one buyer, three sellers and one notary. Beyond their keys,
+    only each envelope's ephemeral key is parsed."""
+    ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
+    x25519 = count_parses(monkeypatch, "X25519PrivateKey")
+    envelopes, encrypt_for = [], crypto.encrypt_for
+    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: envelopes.append(a) or encrypt_for(*a))
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
+    assert run_scenario(scenario).report.ok
+    identities = len(scenario.buyers) + len(scenario.sellers) + len(scenario.notaries)
+    assert identities == 5 and envelopes
+    assert len(ed25519) == identities
+    assert len(x25519) == identities + len(envelopes)
+
+
+def test_signing_with_many_keys_parses_each_once(monkeypatch):
+    ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
+    pairs = [crypto.generate_keypair(i.to_bytes(32, "big")) for i in range(600)]
+    for _ in range(2):
+        for kp in pairs:
+            crypto.sign(kp.secret_key, b"m")
+    assert len(ed25519) == 600
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=0, max_size=256))

@@ -323,6 +323,9 @@ BAD_BANK_EDITS = {
         [{"attribute": "", "op": "eq", "value": "Argentina"}],
     ),
     "empty data value": (("sellers", 0, "data"), {"card_transactions": ""}),
+    "seller seed of another seller": (("sellers", 1, "seed"), 201),
+    "seller seed of the buyer": (("sellers", 0, "seed"), 101),
+    "seller seed of the notary": (("sellers", 0, "seed"), 301),
     "balances above u64 in total": (
         ("buyers",),
         [
@@ -381,6 +384,16 @@ def test_refused_registration_aborts_the_order():
     assert len(buyer.rejected_submissions) == 1
     assert buyer.rejected_submissions[0].startswith("register: ")
     assert len(buyer.aborted_orders) == 1
+
+
+def test_order_that_never_starts_fails_liveness():
+    """An order that starts past the tick limit is never sent: the run ends
+    at the limit without quiescence, with nothing unsettled, and fails."""
+    doc = edited_bank([(("orders", 0, "start_tick"), 500), (("expected_settlements",), None)])
+    assert run_cli(doc) == (1, "")
+    report = run_doc(doc).report
+    assert not report.quiescent and not report.unsettled
+    assert report.invariant_failures == ["liveness: tick limit reached before quiescence"]
 
 
 def _leaf_paths(node, path=()):
