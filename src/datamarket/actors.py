@@ -19,7 +19,6 @@ from . import crypto, messages
 from .crypto import Address, KeyPair
 from .errors import (
     AlreadySettled,
-    AuditEscrowDepleted,
     DecryptionError,
     EncodingError,
     InvalidSignature,
@@ -143,10 +142,9 @@ def seller_evaluate_order(
     notary_list: Sequence[NotaryTerms],
     price: int,
     min_price: int = 0,
-    accept_terms: bool = True,
 ) -> EvaluationDecision:
-    """The seller's five screening checks: audience match, data availability,
-    an acceptable notary (the cheapest is taken), price, and terms."""
+    """The seller's four screening checks: audience match, data availability,
+    an acceptable notary (the cheapest is taken), and price."""
     if not order.audience.matches(attributes):
         return EvaluationDecision(False, reason="audience")
     if order.request.schema_id not in dataset:
@@ -155,8 +153,6 @@ def seller_evaluate_order(
         return EvaluationDecision(False, reason="no-notary")
     if price < min_price:
         return EvaluationDecision(False, reason="price")
-    if not accept_terms:
-        return EvaluationDecision(False, reason="terms")
     cheapest = min(notary_list, key=lambda nt: (nt.fee, nt.notary_address))
     return EvaluationDecision(True, chosen_notary=cheapest.notary_address)
 
@@ -221,33 +217,18 @@ class Seller:
         )
         if not decision.participate:
             return
-        data = self.dataset[order.request.schema_id]
-        salt = self._rng.randbytes(crypto.SALT_LEN)
-        response = self._build_response(order, contract, decision.chosen_notary, data, salt)
-        self._offers[response.digest()] = _SellerOffer(contract, response, salt, data)
-        self._post(response.encode(), order.upload_url)
-
-    def _build_response(self, order, contract, chosen_notary, data, salt) -> DataResponse:
-        price = contract.price
+        price, chosen_notary = contract.price, decision.chosen_notary
         if self.mutation is Mutation.PRICE_MISMATCH:
-            price = contract.price + 1
+            price += 1
         if self.mutation is Mutation.WRONG_NOTARY:
             chosen_notary = Address(b"\xee" * crypto.ADDRESS_LEN)
-        # Constructed directly so adversarial offers can bypass the honest
-        # builder's preconditions.
-        response = DataResponse(
-            seller_pk=self.keys.public_key,
-            payment_address=self.address,
-            order_ref=order.digest(),
-            price=price,
-            commitment=crypto.commit(salt, data),
-            chosen_notary=chosen_notary,
-            terms=order.terms,
+        data = self.dataset[order.request.schema_id]
+        salt = self._rng.randbytes(crypto.SALT_LEN)
+        response, _ = messages.build_data_response(
+            self.keys, order, price, data, chosen_notary, salt
         )
-        return messages.signed(self.keys, response)
-
-    def _post(self, message_bytes: bytes, endpoint: str) -> None:
-        self.network.send(self.address, endpoint, message_bytes)
+        self._offers[response.digest()] = _SellerOffer(contract, response, salt, data)
+        self.network.send(self.address, order.upload_url, response.encode())
 
     def _progress_offer(self, offer: _SellerOffer, tick: int) -> bool:
         """Advance one offer; False once it can never act again: it is
@@ -262,7 +243,7 @@ class Seller:
             if offer.resends_left > 0 and tick >= offer.next_send_tick:
                 offer.resends_left -= 1
                 offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
-                self._post(offer.response.encode(), contract.order.upload_url)
+                self.network.send(self.address, contract.order.upload_url, offer.response.encode())
             return True
         if state.phase is Phase.SETTLED:
             return False
@@ -278,7 +259,7 @@ class Seller:
         order = contract.order
         ciphertext = crypto.encrypt_for(order.buyer_pk, plaintext, self._rng.randbytes(32))
         delivery = PayloadDelivery(offer.response.digest(), ciphertext)
-        self._post(delivery.encode(), order.upload_url)
+        self.network.send(self.address, order.upload_url, delivery.encode())
         return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
@@ -345,16 +326,16 @@ class Notary:
             pass
 
     def _handle_notarization_request(self, request: NotarizationRequest) -> None:
-        try:
-            response = DataResponse.decode(request.response_bytes)
-        except EncodingError:
-            return
+        """Audit the response that the order's contract records under the
+        request's digest. The request is dropped unless that response is
+        selected, unsettled, and names this notary."""
         contract = self.ledger.contracts.get(request.order_ref.hex())
         if contract is None:
             return
-        state = contract.responses.get(response.digest())
+        state = contract.responses.get(request.response_digest)
         if state is None or state.phase is not Phase.SELECTED:
             return
+        response = state.response
         if response.chosen_notary != self.address:
             return
         verdict = self.decide_verdict(request, response, contract.order.request.schema_id)
@@ -524,10 +505,9 @@ class Buyer:
         for response in self.inbox.responses.values():
             if response.order_ref != contract.order_digest:
                 continue
-            result = messages.validate_response(
+            if not messages.validate_response(
                 response, pending.order, pending.terms, contract.price
-            )
-            if result.ok:
+            ):
                 valid.append(response)
         chosen = self.selection.select(valid, contract.price)
         # Pre-fund the worst case: every selected response audited.
@@ -581,13 +561,13 @@ class Buyer:
             )
         request = NotarizationRequest(
             order_ref=contract.order_digest,
-            response_bytes=response.encode(),
+            response_digest=digest,
             forced=forced,
             audit_ciphertext=audit_ciphertext,
-        )
+        ).encode()
         endpoint = f"notary:{self._notary_name(notary_terms)}"
-        pending.audit_requests[digest] = [endpoint, request.encode(), self.network.tick_now]
-        self.network.send(self.address, endpoint, request.encode())
+        pending.audit_requests[digest] = [endpoint, request, self.network.tick_now]
+        self.network.send(self.address, endpoint, request)
 
     def _notary_name(self, terms: NotaryTerms) -> str:
         return self._notary_names.get(terms.notary_address, "")
@@ -616,12 +596,7 @@ class Buyer:
             except InvalidSignature as exc:
                 self.rejected_submissions.append(f"forged-certificate: {exc}")
         try:
-            try:
-                self.ledger.close_response(order_id, cert.response_digest, cert)
-            except AuditEscrowDepleted:
-                fee = contract.notary_terms[state.response.chosen_notary].fee
-                self.ledger.select_sellers(order_id, [], audit_topup=fee)
-                self.ledger.close_response(order_id, cert.response_digest, cert)
+            self.ledger.close_response(order_id, cert.response_digest, cert)
         except LedgerError as exc:
             self.rejected_submissions.append(f"certificate: {exc}")
             return

@@ -5,7 +5,8 @@
     datamarket verify <journal>
 
 Exit codes: 0 all invariants (and the oracle table, if present) pass,
-1 invariant failure or tampered journal, 2 input error.
+1 invariant failure or tampered journal, 2 input error (a bad scenario, a
+`--ticks` below 1, or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ def _cmd_run(args) -> int:
         return 2
     result = run_scenario(scenario, seed=args.seed, tick_limit=args.ticks)
     text = result.report.render()
-    if args.journal_out:
-        ledger_mod.write_journal(args.journal_out, result.ledger)
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(text)
+    try:
+        if args.journal_out:
+            ledger_mod.write_journal(args.journal_out, result.ledger)
+        if args.report_out:
+            with open(args.report_out, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(text)
     return result.report.exit_code()
 
@@ -54,6 +59,12 @@ def _cmd_verify(args) -> int:
     return 0 if market.conservation_holds() else 1
 
 
+def _tick_limit(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="datamarket",
@@ -64,7 +75,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario end to end")
     run_p.add_argument("scenario", help="scenario YAML file")
     run_p.add_argument("--seed", type=int, default=None, help="override the network seed")
-    run_p.add_argument("--ticks", type=int, default=200, help="tick limit")
+    run_p.add_argument("--ticks", type=_tick_limit, default=200, help="tick limit")
     run_p.add_argument("--journal-out", default=None, help="write the ledger journal here")
     run_p.add_argument("--report-out", default=None, help="write the settlement report here")
     run_p.set_defaults(func=_cmd_run)

@@ -374,12 +374,14 @@ class PayloadDelivery(Message):
 
 @_layout(TAG_NOTARIZATION_REQUEST)
 class NotarizationRequest(Message):
-    """Buyer's request for a settlement certificate. The audit material
-    (salt and data, as delivered) is encrypted under the notary's key; an
-    empty ciphertext marks a delivery the buyer could not decrypt."""
+    """Buyer's request for a settlement certificate for the response that
+    the order's contract records under `response_digest`; the notary audits
+    that recorded copy. The audit material (salt and data, as delivered) is
+    encrypted under the notary's key; an empty ciphertext marks a delivery
+    the buyer could not decrypt."""
 
     order_ref: bytes
-    response_bytes: bytes
+    response_digest: bytes
     forced: bool
     audit_ciphertext: bytes
 
@@ -475,16 +477,12 @@ def build_data_response(
     price: int,
     data: bytes,
     chosen_notary: Address,
-    notary_list: Sequence[NotaryTerms],
-    posted_price: int,
     salt: bytes = None,
 ):
-    """Build a signed offer for `order`. Returns (response, salt); the salt
-    never leaves the seller until payload delivery."""
-    if chosen_notary not in {nt.notary_address for nt in notary_list}:
-        raise MessageError("chosen notary is not in the order's notary list")
-    if price != posted_price:
-        raise MessageError(f"price {price} does not match the posted price {posted_price}")
+    """Build a signed offer for `order` at `price`, naming `chosen_notary`.
+    Returns (response, salt); the salt never leaves the seller until payload
+    delivery. Whether the price and notary fit the order is judged by
+    `validate_response` and by the ledger, not here."""
     if salt is None:
         salt = secrets.token_bytes(crypto.SALT_LEN)
     response = DataResponse(
@@ -499,32 +497,22 @@ def build_data_response(
     return signed(seller_keys, response), salt
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    failures: tuple = ()
-
-
 def validate_response(
     response: DataResponse,
     order: DataOrder,
     notary_list: Sequence[NotaryTerms],
     posted_price: int,
-) -> ValidationResult:
-    """Buyer-side screening before selection; each failed check is reported
-    distinctly."""
-    failures = []
-    if not response.verify_signature():
-        failures.append("signature")
-    if response.order_ref != order.digest():
-        failures.append("order-mismatch")
-    if response.price != posted_price:
-        failures.append("price")
-    if response.chosen_notary not in {nt.notary_address for nt in notary_list}:
-        failures.append("notary-not-listed")
-    if response.terms != order.terms:
-        failures.append("terms")
-    return ValidationResult(ok=not failures, failures=tuple(failures))
+) -> tuple:
+    """Buyer-side screening before selection: the names of the checks
+    `response` fails, each reported distinctly; empty when it is valid."""
+    checks = (
+        ("signature", response.verify_signature()),
+        ("order-mismatch", response.order_ref == order.digest()),
+        ("price", response.price == posted_price),
+        ("notary-not-listed", response.chosen_notary in {nt.notary_address for nt in notary_list}),
+        ("terms", response.terms == order.terms),
+    )
+    return tuple(name for name, passed in checks if not passed)
 
 
 def issue_certificate(

@@ -1,7 +1,11 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
-one countersigned order, and signed seller responses."""
+one countersigned order, and signed seller responses; and the benchmark's
+smallest ladder market."""
 
-from dataclasses import dataclass
+import importlib.util
+import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import List
 
 from datamarket import crypto, messages
@@ -17,6 +21,7 @@ from datamarket.messages import (
 )
 
 TERMS = messages.terms_link("test terms")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def make_order(buyer_keys, m_a=10, upload_url="ub:test-buyer"):
@@ -71,8 +76,19 @@ def make_response(market: Market, seller_seed=10, data=b"seller-data-0123", salt
         market.price,
         data,
         market.notary,
-        market.terms,
-        posted_price=market.price,
         salt=salt,
     )
     return response, used_salt, seller_keys
+
+
+def ladder_10x10(drop_rate=0.0):
+    """The benchmark's smallest ladder market at seed 0, at `drop_rate`. The
+    workloads module imports only `datamarket` and the standard library, so
+    it is loaded here by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up while built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    (scenario,) = module.WORKLOADS["ladder-10x10"].scenarios(0)
+    return replace(scenario, network=replace(scenario.network, drop_rate=drop_rate))

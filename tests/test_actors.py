@@ -12,13 +12,15 @@ from datamarket.actors import (
     keys_from_seed,
     seller_evaluate_order,
 )
+from datamarket.encoding import Reader
 from datamarket.errors import MarketError
+from datamarket.ledger import EventKind
 from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario
+from datamarket.scenario import load_scenario, random_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import make_market, make_order, make_response
+from market_helpers import ladder_10x10, make_market, make_order, make_response
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 
@@ -44,7 +46,7 @@ def audit_request(market, response, salt, data, forced=True):
     ciphertext = crypto.encrypt_for(market.notary_keys.public_key, plaintext)
     return NotarizationRequest(
         order_ref=market.order.digest(),
-        response_bytes=response.encode(),
+        response_digest=response.digest(),
         forced=forced,
         audit_ciphertext=ciphertext,
     )
@@ -86,18 +88,13 @@ def test_evaluate_missing_schema():
     assert not decision.participate and decision.reason == "no-data"
 
 
-def test_evaluate_price_floor_and_terms():
+def test_evaluate_price_floor():
     market = make_market()
     decision = seller_evaluate_order(
         {"country": "AR"}, {SCHEMA: DATA}, market.order, market.terms, market.price,
         min_price=market.price + 1,
     )
     assert not decision.participate and decision.reason == "price"
-    decision = seller_evaluate_order(
-        {"country": "AR"}, {SCHEMA: DATA}, market.order, market.terms, market.price,
-        accept_terms=False,
-    )
-    assert not decision.participate and decision.reason == "terms"
 
 
 def test_evaluate_picks_cheapest_notary():
@@ -168,7 +165,7 @@ def test_unenrolled_seller_is_invalid():
 def test_garbled_audit_payload_is_invalid():
     market, response, salt, enrollment = selected_market()
     notary = make_notary(market, {("s10", SCHEMA): DATA}, enrollment)
-    request = NotarizationRequest(market.order.digest(), response.encode(), True, b"")
+    request = NotarizationRequest(market.order.digest(), response.digest(), True, b"")
     assert notary.decide_verdict(request, response, SCHEMA) is Verdict.NOTARIZED_INVALID
 
 
@@ -201,6 +198,24 @@ def test_mutation_role_checks():
             "s", 1, {}, {}, market.ledger, Network(NetworkConfig()),
             mutation=Mutation.CERTIFICATE_REPLAY,
         )
+
+
+def test_no_top_up_follows_a_selection():
+    """The buyer tops the audit escrow up to every selected response's fee
+    when it selects, and selects once per order, so settling never needs a
+    second top-up."""
+    scenarios = [random_scenario(seed) for seed in range(200)]
+    scenarios += [ladder_10x10(drop_rate) for drop_rate in (0.0, 0.05)]
+    top_ups = 0
+    for scenario in scenarios:
+        selected = set()
+        for event in run_scenario(scenario).ledger.journal:
+            if event.kind is EventKind.AUDIT_TOPUP:
+                top_ups += 1
+                assert Reader(event.payload).read_field() not in selected, scenario.name
+            elif event.kind is EventKind.SELLERS_SELECTED:
+                selected.add(Reader(event.payload).read_field())
+    assert top_ups > 0
 
 
 # -- inputs an actor must drop ---------------------------------------------

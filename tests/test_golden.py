@@ -9,10 +9,7 @@ smaller cannot silently change what it produces. A change that alters
 journal or report bytes on purpose updates these values and says so.
 """
 
-import dataclasses
 import hashlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,9 +18,9 @@ from datamarket import ledger as ledger_mod
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario, random_scenario
 
-ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = ROOT / "scenarios"
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
+from market_helpers import ladder_10x10
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
@@ -60,19 +57,6 @@ def _outputs(scenario):
     return ledger_mod.journal_bytes(result.ledger), result.report.render().encode()
 
 
-def _ladder_10x10():
-    """The benchmark's smallest ladder market at seed 0. The workloads
-    module imports only `datamarket` and the standard library, so it is
-    loaded here by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # Registered first: its dataclasses look their module up while built.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    (scenario,) = module.WORKLOADS["ladder-10x10"].scenarios(0)
-    return scenario
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_worked_scenario_output_is_pinned(name):
     journal, report = _outputs(load_scenario(SCENARIOS / name))
@@ -90,11 +74,7 @@ def test_random_scenarios_output_is_pinned():
 
 @pytest.mark.parametrize("drop_rate", sorted(LADDER))
 def test_multi_order_ladder_output_is_pinned(drop_rate):
-    scenario = _ladder_10x10()
-    scenario = dataclasses.replace(
-        scenario, network=dataclasses.replace(scenario.network, drop_rate=drop_rate)
-    )
-    result = run_scenario(scenario)
+    result = run_scenario(ladder_10x10(drop_rate))
     journal, report = ledger_mod.journal_bytes(result.ledger), result.report.render().encode()
     assert (
         hashlib.sha256(journal).hexdigest(),

@@ -154,7 +154,7 @@ def test_selection_insufficient_funds_aborts():
 
 def overpriced_response(market):
     response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, 6, b"data", market.notary, market.terms, posted_price=6
+        keys_from_seed(10), market.order, 6, b"data", market.notary
     )
     return response
 

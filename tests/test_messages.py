@@ -134,32 +134,23 @@ def test_build_response_valid():
 
 
 def test_build_response_unknown_notary():
+    # The builder signs what it is given; screening names the one fault.
     market = make_market()
     stranger = crypto.derive_address(keys_from_seed(99).public_key)
-    with pytest.raises(MessageError):
-        messages.build_data_response(
-            keys_from_seed(10),
-            market.order,
-            market.price,
-            b"data",
-            stranger,
-            market.terms,
-            posted_price=market.price,
-        )
+    response, _ = messages.build_data_response(
+        keys_from_seed(10), market.order, market.price, b"data", stranger
+    )
+    failures = messages.validate_response(response, market.order, market.terms, market.price)
+    assert failures == ("notary-not-listed",)
 
 
 def test_build_response_price_mismatch():
     market = make_market()
-    with pytest.raises(MessageError):
-        messages.build_data_response(
-            keys_from_seed(10),
-            market.order,
-            market.price + 1,
-            b"data",
-            market.notary,
-            market.terms,
-            posted_price=market.price,
-        )
+    response, _ = messages.build_data_response(
+        keys_from_seed(10), market.order, market.price + 1, b"data", market.notary
+    )
+    failures = messages.validate_response(response, market.order, market.terms, market.price)
+    assert failures == ("price",)
 
 
 def test_response_has_no_plaintext_field():
@@ -177,33 +168,39 @@ def test_response_has_no_plaintext_field():
     }
 
 
+def test_notarization_request_names_the_response_by_digest():
+    # The notary audits the response the ledger recorded; no copy travels.
+    names = [f.name for f in dataclass_fields(messages.NotarizationRequest)]
+    assert names == ["order_ref", "response_digest", "forced", "audit_ciphertext"]
+
+
 def test_validate_response_accepts_honest():
     market = make_market()
     response, _, _ = make_response(market)
-    assert messages.validate_response(response, market.order, market.terms, market.price).ok
+    assert messages.validate_response(response, market.order, market.terms, market.price) == ()
 
 
 def test_validate_response_rejects_forged_signature():
     market = make_market()
     response, _, _ = make_response(market)
     forged = replace(response, seller_signature=b"\x11" * 64)
-    result = messages.validate_response(forged, market.order, market.terms, market.price)
-    assert not result.ok and "signature" in result.failures
+    failures = messages.validate_response(forged, market.order, market.terms, market.price)
+    assert "signature" in failures
 
 
 def test_validate_response_rejects_stale_order():
     market = make_market()
     response, _, _ = make_response(market)
     other_order = make_order(keys_from_seed(77))
-    result = messages.validate_response(response, other_order, market.terms, market.price)
-    assert "order-mismatch" in result.failures
+    failures = messages.validate_response(response, other_order, market.terms, market.price)
+    assert "order-mismatch" in failures
 
 
 def test_validate_response_rejects_price():
     market = make_market()
     response, _, _ = make_response(market)
-    result = messages.validate_response(response, market.order, market.terms, market.price + 1)
-    assert "price" in result.failures
+    failures = messages.validate_response(response, market.order, market.terms, market.price + 1)
+    assert "price" in failures
 
 
 def test_certificate_binds_single_response():
@@ -322,6 +319,6 @@ def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
 
     monkeypatch.setattr(crypto, "verify", counting_verify)
     buyer_view = messages.validate_response(response, market.order, market.terms, market.price)
-    assert buyer_view.ok
+    assert buyer_view == ()
     market.ledger.select_sellers(market.order_id, [response])
     assert calls == [response.signing_bytes()]

@@ -81,7 +81,7 @@ def certificate_for_another_order():
 def price_differs_from_posted():
     market = make_market(price=5)
     response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, 6, b"data", market.notary, market.terms, posted_price=6
+        keys_from_seed(10), market.order, 6, b"data", market.notary
     )
     return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response])
 
@@ -182,7 +182,7 @@ def world():
         [
             messages.build_data_response(
                 keys_from_seed(10 + s), order, 5, b"data-%d-%d" % (i, s),
-                terms[i][s % 2].notary_address, terms[i], posted_price=5,
+                terms[i][s % 2].notary_address,
                 salt=crypto.sha256(b"salt-%d-%d" % (i, s)),
             )[0]
             for s in range(3)

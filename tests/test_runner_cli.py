@@ -422,6 +422,29 @@ def test_cli_run_survives_edited_bank_values(edits):
     assert "Traceback" not in err
 
 
+# Options `datamarket run` must refuse: (options, start of the error text).
+BAD_RUN_OPTIONS = {
+    "journal under a missing directory": (
+        ["--journal-out", "{tmp}/missing/bank.journal"],
+        "input error: ",
+    ),
+    "report under a missing directory": (["--report-out", "{tmp}/missing/bank.txt"], "input error: "),
+    "negative tick limit": (["--ticks", "-3"], "usage: "),
+}
+
+
+@pytest.mark.parametrize("options, error", BAD_RUN_OPTIONS.values(), ids=BAD_RUN_OPTIONS.keys())
+def test_cli_bad_run_option_is_input_error(tmp_path, capsys, options, error):
+    argv = ["run", str(SCENARIOS / "bank.yaml")] + [o.format(tmp=tmp_path) for o in options]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # how argparse refuses an option
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+
+
 def test_cli_missing_journal_is_input_error(capsys):
     assert cli.main(["verify", "no-such.journal"]) == 2
 
