@@ -163,9 +163,9 @@ class _SellerOffer:
     response: DataResponse
     salt: bytes
     data: bytes
-    delivered_tick: Optional[int] = None
+    next_send_tick: int
+    delivery: Optional[bytes] = None  # the encoded PayloadDelivery, once sent
     resends_left: int = 2
-    next_send_tick: int = 0
 
 
 class Seller:
@@ -199,12 +199,12 @@ class Seller:
             if order_id in self._seen_orders:
                 continue
             self._seen_orders.add(order_id)
-            self._consider(order_id)
+            self._consider(order_id, tick)
         for digest, offer in list(self._offers.items()):
             if not self._progress_offer(offer, tick):
                 del self._offers[digest]
 
-    def _consider(self, order_id: str) -> None:
+    def _consider(self, order_id: str, tick: int) -> None:
         contract = self.ledger.contract(order_id)
         order = contract.order
         decision = seller_evaluate_order(
@@ -227,7 +227,8 @@ class Seller:
         response, _ = messages.build_data_response(
             self.keys, order, price, data, chosen_notary, salt
         )
-        self._offers[response.digest()] = _SellerOffer(contract, response, salt, data)
+        offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
+        self._offers[response.digest()] = offer
         self.network.send(self.address, order.upload_url, response.encode())
 
     def _progress_offer(self, offer: _SellerOffer, tick: int) -> bool:
@@ -247,19 +248,17 @@ class Seller:
             return True
         if state.phase is Phase.SETTLED:
             return False
-        # Selected and unsettled: deliver (and re-deliver on a timer until
-        # the ledger shows settlement). Payloads are only ever uploaded for
-        # selected offers, and only inside an encryption envelope.
-        if offer.delivered_tick is not None and tick < offer.next_send_tick:
+        # Selected and unsettled: encrypt the payload once, and re-send that
+        # delivery on a timer until settled. Only selected offers upload it.
+        if offer.delivery is not None and tick < offer.next_send_tick:
             return True
-        offer.delivered_tick = tick
         offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
-        data = self._delivery_data(offer)
-        plaintext = messages.encode_payload_plaintext(offer.salt, data)
         order = contract.order
-        ciphertext = crypto.encrypt_for(order.buyer_pk, plaintext, self._rng.randbytes(32))
-        delivery = PayloadDelivery(offer.response.digest(), ciphertext)
-        self.network.send(self.address, order.upload_url, delivery.encode())
+        if offer.delivery is None:
+            plaintext = messages.encode_payload_plaintext(offer.salt, self._delivery_data(offer))
+            ciphertext = crypto.encrypt_for(order.buyer_pk, plaintext, self._rng.randbytes(32))
+            offer.delivery = PayloadDelivery(offer.response.digest(), ciphertext).encode()
+        self.network.send(self.address, order.upload_url, offer.delivery)
         return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
@@ -430,6 +429,7 @@ class Buyer:
             self.upload_url,
             spec.audit_budget,
             messages.terms_link(spec.terms),
+            nonce=len(self._pending),  # orders this buyer started before this one
         )
         self._pending[order.digest().hex()] = _PendingOrder(
             spec=spec,

@@ -305,7 +305,8 @@ class DataRequest(Message):
 @_layout(TAG_DATA_ORDER)
 class DataOrder(_Signed):
     """Buyer's signed query: audience filter, data request, buyer key,
-    upload endpoint, minimum audit budget, and terms link."""
+    upload endpoint, minimum audit budget, a nonce that tells apart
+    otherwise identical orders from one buyer, and terms link."""
 
     _SIGNER = "buyer_pk"
 
@@ -314,6 +315,7 @@ class DataOrder(_Signed):
     buyer_pk: bytes
     upload_url: str
     min_audit_budget: int
+    nonce: int
     terms: bytes
     buyer_signature: bytes = b""
 
@@ -437,6 +439,7 @@ def build_data_order(
     upload_url: str,
     min_audit_budget: int,
     terms: bytes,
+    nonce: int = 0,
 ) -> DataOrder:
     if min_audit_budget < 0:
         raise MessageError("minimum audit budget must be >= 0")
@@ -446,6 +449,7 @@ def build_data_order(
         buyer_pk=buyer_keys.public_key,
         upload_url=upload_url,
         min_audit_budget=min_audit_budget,
+        nonce=nonce,
         terms=terms,
     )
     return signed(buyer_keys, order)

@@ -104,26 +104,27 @@ class PostResult:
 @dataclass
 class BuyerEndpoint:
     """The buyer's public upload inbox: accepts seller offers and encrypted
-    payload deliveries, deduplicating by digest."""
+    payload deliveries, and skips byte-identical repeats of accepted ones."""
 
     # Response digest -> response, in arrival order.
     responses: Dict[bytes, DataResponse] = field(default_factory=dict)
     deliveries: List[PayloadDelivery] = field(default_factory=list)
-    _delivery_digests: set = field(default_factory=set)
+    _accepted: set = field(default_factory=set)  # bytes of accepted posts
 
     def post(self, message_bytes: bytes) -> PostResult:
+        if message_bytes in self._accepted:
+            return PostResult(True)
         try:
             msg = messages.decode(message_bytes)
         except EncodingError as exc:
             return PostResult(False, f"parse: {exc}")
         if isinstance(msg, DataResponse):
             self.responses.setdefault(msg.digest(), msg)
-            return PostResult(True)
-        if isinstance(msg, PayloadDelivery):
-            if msg.response_digest not in self.responses:
-                return PostResult(False, "unknown-response")
-            if msg.response_digest not in self._delivery_digests:
-                self._delivery_digests.add(msg.response_digest)
-                self.deliveries.append(msg)
-            return PostResult(True)
-        return PostResult(False, f"unsupported message type {type(msg).__name__}")
+        elif not isinstance(msg, PayloadDelivery):
+            return PostResult(False, f"unsupported message type {type(msg).__name__}")
+        elif msg.response_digest not in self.responses:
+            return PostResult(False, "unknown-response")
+        else:
+            self.deliveries.append(msg)
+        self._accepted.add(message_bytes)
+        return PostResult(True)

@@ -218,6 +218,31 @@ def test_no_top_up_follows_a_selection():
     assert top_ups > 0
 
 
+def test_each_offer_and_delivery_is_sent_once():
+    """Lossless bank.yaml: no offer is posted twice in one tick, and every
+    re-sent delivery repeats the bytes of the first one for its response."""
+    transcript = run_scenario(load_scenario(BANK)).network.transcript
+    offers, deliveries = set(), {}
+    for envelope in transcript:
+        message = messages.decode(envelope.message)
+        if isinstance(message, messages.DataResponse):
+            assert (envelope.send_tick, envelope.message) not in offers
+            offers.add((envelope.send_tick, envelope.message))
+        elif isinstance(message, messages.PayloadDelivery):
+            deliveries.setdefault(message.response_digest, []).append(envelope.message)
+    assert offers and any(len(sent) > 1 for sent in deliveries.values())
+    assert all(len(set(sent)) == 1 for sent in deliveries.values())
+
+
+def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
+    """100 settlements: 100 deliveries and 100 notarization requests."""
+    envelopes, encrypt_for = [], crypto.encrypt_for
+    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: envelopes.append(a) or encrypt_for(*a))
+    result = run_scenario(ladder_10x10(0.0))
+    assert len(result.report.rows) == 100
+    assert len(envelopes) == 200
+
+
 # -- inputs an actor must drop ---------------------------------------------
 
 

@@ -176,7 +176,7 @@ def response(commitment=bytes(32), seller_pk=bytes(64), order_ref=bytes(32)):
 def order(upload_url):
     request = fields(b"records", 0, tag=messages.TAG_DATA_REQUEST)
     return fields(
-        audience(), request, bytes(64), upload_url, 10, bytes(32), bytes(64),
+        audience(), request, bytes(64), upload_url, 10, 0, bytes(32), bytes(64),
         tag=messages.TAG_DATA_ORDER,
     )
 

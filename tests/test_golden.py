@@ -24,30 +24,30 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "a3a076c1569913b4aa7248b514c4491455b1b278005aa0fc4fceedc6c809304c",
-        "4b9096effcb58a0218a27a7614e6310ab23dd6e9b93f834523ca12b4ecb1f18b",
+        "847c4019c6f1dd9063f3c260581c9108628eca4daef8938218defb3000be9b2d",
+        "f487edc6d5c1eee5090c5d946ee699a78528f402fdb18ff9cf80f9fcdeade4bd",
     ),
     "telco.yaml": (
-        "c470206e7bd05606ff2fd1a7a3f1129dc819e291c1b6484aa79155a268ed45f7",
-        "4b7f1b65fbefd174d0469541e749aba65dec50ee974140131fcc14d8f101245e",
+        "2b5a5dc36c912c5dedfe002e984fd3f9ac9e8a5b6afdcba5fe7c630dd942cef6",
+        "5701bdfe08d676995402e23025b2071fc45f3311eb240e5c2f1eb73841df6182",
     ),
 }
 RANDOM_SEEDS = range(1000)
-RANDOM_COMBINED = "8770065793028e57d1133f15792e4c659137dc4559b190c46fcaf45648dd9e79"
+RANDOM_COMBINED = "8c9f034193b3d50643d81e9496445a86e442346cf32b829347df7c3d85e12576"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "25f9594cab7d93bb9c6aa9854135c764108adbccbff59cfa385306dc1f170e29",
-        "2caf6744a468af65150a972a551ac1124dc1fcbe4eed228039ec87b0ab192b3d",
+        "41358efed69d9838658717093207c87885abca2af1f33d31d5786d18d132d3bc",
+        "e962c5756f0d87122050f71ce2e083420915fc545a2ec90ee17befc86c9d9d71",
         100,
         134,
     ),
     0.05: (
-        "124176fd655b759c345a95f91e5af0345cba9923ecd2f4fd0db6563ac0fa6f71",
-        "3bad681be8761b5cc99e2adf40ec7be9488a16670a38a5f67cadc7c500bdc325",
-        99,
-        133,
+        "9a0f80fe95f41022214279eb24a72a0fecfcf8fb1fd1e4d85a130891c2961810",
+        "2884d228c45380676924d422bd7d222c22e37b0010311dd90799c850eb24b114",
+        100,
+        134,
     ),
 }
 

@@ -386,6 +386,18 @@ def test_refused_registration_aborts_the_order():
     assert len(buyer.aborted_orders) == 1
 
 
+def test_two_identical_orders_from_one_buyer_both_settle():
+    """A copy of bank.yaml's order is an order of its own: the buyer's
+    order nonce gives it its own digest, and both orders settle."""
+    doc = edited_bank([])
+    doc["orders"].append(copy.deepcopy(doc["orders"][0]))
+    doc["expected_settlements"] *= 2
+    assert run_cli(doc) == (0, "")
+    result = run_doc(doc)
+    assert len(result.ledger.contracts) == 2 and len(result.report.rows) == 4
+    assert not result.buyers[0].aborted_orders
+
+
 def test_order_that_never_starts_fails_liveness():
     """An order that starts past the tick limit is never sent: the run ends
     at the limit without quiescence, with nothing unsettled, and fails."""

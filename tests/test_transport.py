@@ -4,7 +4,7 @@ from datamarket import messages
 from datamarket.crypto import Address
 from datamarket.errors import TransportError
 from datamarket.messages import PayloadDelivery
-from datamarket.transport import BuyerEndpoint, Network, NetworkConfig
+from datamarket.transport import BuyerEndpoint, Network, NetworkConfig, PostResult
 
 from market_helpers import make_market, make_response
 
@@ -123,6 +123,33 @@ def test_endpoint_accepts_payload_after_response():
     assert inbox.post(delivery.encode()).ok
     assert inbox.post(delivery.encode()).ok  # idempotent
     assert len(inbox.deliveries) == 1
+
+
+def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
+    response, _, _ = make_response(make_market())
+    inbox = BuyerEndpoint()
+    assert inbox.post(response.encode()).ok
+    decoded, decode = [], messages.decode
+    monkeypatch.setattr(messages, "decode", lambda data: decoded.append(data) or decode(data))
+    assert inbox.post(response.encode()).ok
+    assert decoded == []
+
+
+def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives():
+    response, _, _ = make_response(make_market())
+    inbox = BuyerEndpoint()
+    delivery = PayloadDelivery(response.digest(), b"\x01" * 50).encode()
+    assert inbox.post(delivery) == PostResult(False, "unknown-response")
+    assert inbox.post(response.encode()).ok
+    assert inbox.post(delivery).ok
+    assert len(inbox.deliveries) == 1
+
+
+def test_endpoint_refuses_a_garbled_message_every_time():
+    inbox = BuyerEndpoint()
+    for _ in range(3):
+        result = inbox.post(b"\xde\xad\xbe\xef")
+        assert not result.ok and result.reason.startswith("parse:")
 
 
 def test_endpoint_rejects_unsupported_type():
