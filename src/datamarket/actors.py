@@ -41,7 +41,7 @@ from .messages import (
 from .transport import BuyerEndpoint, Envelope, Network
 
 if TYPE_CHECKING:
-    from .scenario import OrderSpec
+    from .scenario import BuyerSpec, NotarySpec, OrderSpec, SellerSpec
 
 
 class Mutation(enum.Enum):
@@ -169,28 +169,15 @@ class _SellerOffer:
 
 
 class Seller:
-    def __init__(
-        self,
-        name: str,
-        seed: int,
-        attributes: Dict[str, object],
-        dataset: Dict[str, bytes],
-        ledger: Ledger,
-        network: Network,
-        mutation: Mutation = Mutation.NONE,
-        min_price: int = 0,
-    ):
-        check_mutation(mutation, "seller")
-        self.name = name
-        self.keys = keys_from_seed(seed)
+    def __init__(self, spec: "SellerSpec", ledger: Ledger, network: Network):
+        check_mutation(spec.mutation, "seller")
+        self.spec = spec
+        self.name = spec.name
+        self.keys = keys_from_seed(spec.seed)
         self.address = crypto.derive_address(self.keys.public_key)
-        self.attributes = dict(attributes)
-        self.dataset = dict(dataset)
         self.ledger = ledger
         self.network = network
-        self.mutation = mutation
-        self.min_price = min_price
-        self._rng = random.Random(seed)
+        self._rng = random.Random(spec.seed)
         self._seen_orders: set = set()
         self._offers: Dict[bytes, _SellerOffer] = {}
 
@@ -207,24 +194,25 @@ class Seller:
     def _consider(self, order_id: str, tick: int) -> None:
         contract = self.ledger.contract(order_id)
         order = contract.order
+        spec = self.spec
         decision = seller_evaluate_order(
-            self.attributes,
-            self.dataset,
+            spec.attributes,
+            spec.dataset,
             order,
             list(contract.notary_terms.values()),
             contract.price,
-            min_price=self.min_price,
+            min_price=spec.min_price,
         )
         if not decision.participate:
             return
         price, chosen_notary = contract.price, decision.chosen_notary
-        if self.mutation is Mutation.PRICE_MISMATCH:
+        if spec.mutation is Mutation.PRICE_MISMATCH:
             price += 1
-        if self.mutation is Mutation.WRONG_NOTARY:
+        if spec.mutation is Mutation.WRONG_NOTARY:
             chosen_notary = Address(b"\xee" * crypto.ADDRESS_LEN)
-        data = self.dataset[order.request.schema_id]
+        data = spec.dataset[order.request.schema_id]
         salt = self._rng.randbytes(crypto.SALT_LEN)
-        response, _ = messages.build_data_response(
+        response = messages.build_data_response(
             self.keys, order, price, data, chosen_notary, salt
         )
         offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
@@ -262,9 +250,9 @@ class Seller:
         return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
-        if self.mutation is Mutation.SUBSTITUTE_DATA:
+        if self.spec.mutation is Mutation.SUBSTITUTE_DATA:
             return b"forged:" + self._rng.randbytes(max(8, len(offer.data)))
-        if self.mutation is Mutation.BIT_FLIP:
+        if self.spec.mutation is Mutation.BIT_FLIP:
             data = bytearray(offer.data)
             pos = self._rng.randrange(len(data))
             data[pos] ^= 1 << self._rng.randrange(8)
@@ -275,29 +263,29 @@ class Seller:
 class Notary:
     def __init__(
         self,
-        name: str,
-        seed: int,
-        fee: int,
-        policy: NotarizationPolicy,
+        spec: "NotarySpec",
         ledger: Ledger,
         network: Network,
-        ground_truth: Dict[Tuple[str, str], bytes],
+        records: Dict[Tuple[str, str], bytes],
         enrollment: Dict[Address, str],
-        declines: bool = False,
-        service_terms: bytes = b"\x00" * 32,
     ):
-        self.name = name
-        self.keys = keys_from_seed(seed)
+        """`records` maps (seller name, schema) to the data the notary holds
+        for it; `spec.ground_truth` is laid over them. `enrollment` maps each
+        seller's payment address to its name."""
+        self.spec = spec
+        self.name = spec.name
+        self.keys = keys_from_seed(spec.seed)
         self.address = crypto.derive_address(self.keys.public_key)
-        self.fee = fee
-        self.policy = policy
+        self.policy = NotarizationPolicy(spec.mode, spec.rate, spec.seed)
         self.ledger = ledger
         self.network = network
-        self.ground_truth = dict(ground_truth)
-        self.enrollment = dict(enrollment)
-        self.declines = declines
-        self.service_terms = service_terms
-        self.endpoint = f"notary:{name}"
+        self.ground_truth = dict(records)
+        for seller, per_schema in spec.ground_truth.items():
+            for schema, data in per_schema.items():
+                self.ground_truth[(seller, schema)] = data
+        self.enrollment = enrollment
+        self.service_terms = messages.terms_link(f"service terms of {spec.name}")
+        self.endpoint = f"notary:{spec.name}"
 
     def handle(self, envelope: Envelope) -> None:
         try:
@@ -313,10 +301,10 @@ class Notary:
         """Countersign and answer a well-formed order; one whose upload URL
         names no buyer, or no registered one, is dropped."""
         endpoint = _control_endpoint(order.upload_url)
-        if self.declines or endpoint is None:
+        if self.spec.declines or endpoint is None:
             return
         try:
-            terms = messages.countersign_order(self.keys, order, self.fee, self.service_terms)
+            terms = messages.countersign_order(self.keys, order, self.spec.fee, self.service_terms)
         except MarketError:
             return
         try:
@@ -391,33 +379,30 @@ class _PendingOrder:
 class Buyer:
     def __init__(
         self,
-        name: str,
-        seed: int,
+        spec: "BuyerSpec",
         ledger: Ledger,
         network: Network,
-        selection: SelectionPolicy = SelectionPolicy(),
-        force_audit: bool = False,
-        mutation: Mutation = Mutation.NONE,
+        notary_names: Dict[Address, str],
     ):
-        check_mutation(mutation, "buyer")
-        self.name = name
-        self.keys = keys_from_seed(seed)
+        """`notary_names` maps each notary's address to the name its
+        endpoint is registered under."""
+        check_mutation(spec.mutation, "buyer")
+        self.spec = spec
+        self.name = spec.name
+        self.keys = keys_from_seed(spec.seed)
         self.address = crypto.derive_address(self.keys.public_key)
         self.ledger = ledger
         self.network = network
-        self.selection = selection
-        self.force_audit = force_audit
-        self.mutation = mutation
-        self.control_endpoint = f"buyer:{name}"
-        self.upload_url = f"ub:{name}"
+        self.notary_names = notary_names
+        self.control_endpoint = f"buyer:{spec.name}"
+        self.upload_url = f"ub:{spec.name}"
         self.inbox = BuyerEndpoint()
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[str] = []
-        self._rng = random.Random(seed)
+        self._rng = random.Random(spec.seed)
         # Order id (the order digest in hex) -> the buyer's progress on it.
         self._pending: Dict[str, _PendingOrder] = {}
         self._delivery_cursor = 0
-        self._notary_names: Dict[Address, str] = {}
 
     # -- protocol steps --------------------------------------------------
 
@@ -509,17 +494,15 @@ class Buyer:
                 response, pending.order, pending.terms, contract.price
             ):
                 valid.append(response)
-        chosen = self.selection.select(valid, contract.price)
-        # Pre-fund the worst case: every selected response audited.
-        worst_fees = sum(
-            contract.notary_terms[r.chosen_notary].fee for r in chosen
-        )
-        topup = max(0, worst_fees - contract.audit_escrow)
+        chosen = self.spec.selection.select(valid, contract.price)
         affordable = self.ledger.balance(self.address)
-        while chosen and contract.price * len(chosen) + topup > affordable:
-            chosen = chosen[:-1]
+        while True:  # drop the last chosen response until the buyer can pay
+            # Pre-fund the worst case: every selected response audited.
             worst_fees = sum(contract.notary_terms[r.chosen_notary].fee for r in chosen)
             topup = max(0, worst_fees - contract.audit_escrow)
+            if contract.price * len(chosen) + topup <= affordable:
+                break
+            chosen = chosen[:-1]
         if not chosen:
             self.ledger.close_order(order_id)
             pending.phase = "DONE"
@@ -546,7 +529,7 @@ class Buyer:
             return
         response = state.response
         notary_terms = contract.notary_terms[response.chosen_notary]
-        forced = self.force_audit
+        forced = self.spec.force_audit
         audit_ciphertext = b""
         try:
             plaintext = crypto.decrypt(self.keys.secret_key, delivery.ciphertext)
@@ -565,16 +548,9 @@ class Buyer:
             forced=forced,
             audit_ciphertext=audit_ciphertext,
         ).encode()
-        endpoint = f"notary:{self._notary_name(notary_terms)}"
+        endpoint = f"notary:{self.notary_names.get(notary_terms.notary_address, '')}"
         pending.audit_requests[digest] = [endpoint, request, self.network.tick_now]
         self.network.send(self.address, endpoint, request)
-
-    def _notary_name(self, terms: NotaryTerms) -> str:
-        return self._notary_names.get(terms.notary_address, "")
-
-    def set_directory(self, notary_names: Dict[Address, str]) -> None:
-        """Address -> notary endpoint name, provided by the runner."""
-        self._notary_names = dict(notary_names)
 
     def _settle(self, cert: NotaryCertificate) -> None:
         """Submit a certificate for one of this buyer's unsettled responses.
@@ -587,7 +563,7 @@ class Buyer:
         state = contract.responses.get(cert.response_digest)
         if state is None or state.phase is Phase.SETTLED:
             return
-        if self.mutation is Mutation.FORGED_CERTIFICATE:
+        if self.spec.mutation is Mutation.FORGED_CERTIFICATE:
             forged = messages.issue_certificate(
                 self.keys, cert.order_ref, state.response, cert.verdict
             )
@@ -600,11 +576,12 @@ class Buyer:
         except LedgerError as exc:
             self.rejected_submissions.append(f"certificate: {exc}")
             return
-        if self.mutation is Mutation.CERTIFICATE_REPLAY:
+        if self.spec.mutation is Mutation.CERTIFICATE_REPLAY:
             try:
                 self.ledger.close_response(order_id, cert.response_digest, cert)
             except AlreadySettled as exc:
                 self.rejected_submissions.append(f"certificate-replay: {exc}")
-        if all(s.phase is Phase.SETTLED for s in contract.responses.values()):
+        # The escrow holds `price` (at least 1) for each unsettled selected response.
+        if contract.payment_escrow == 0:
             self.ledger.close_order(order_id)
             pending.phase = "DONE"

@@ -113,17 +113,12 @@ def derive_address(public_key: bytes) -> Address:
     return Address(sha256(public_key)[:ADDRESS_LEN])
 
 
-def commit(salt: bytes, data: bytes, *, allow_empty: bool = False) -> Commitment:
-    """SHA-256 over salt-prepended data.
-
-    `allow_empty` exists for known-answer test vectors only; the production
-    path requires a 32-byte salt and non-empty data.
-    """
-    if not allow_empty:
-        if len(salt) != SALT_LEN:
-            raise CryptoError(f"salt must be {SALT_LEN} bytes")
-        if len(data) == 0:
-            raise CryptoError("data must be non-empty")
+def commit(salt: bytes, data: bytes) -> Commitment:
+    """SHA-256 over salt-prepended data: a 32-byte salt and non-empty data."""
+    if len(salt) != SALT_LEN:
+        raise CryptoError(f"salt must be {SALT_LEN} bytes")
+    if len(data) == 0:
+        raise CryptoError("data must be non-empty")
     return Commitment(sha256(salt + data))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import secrets
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Annotated, Dict, Mapping, Optional, Sequence, Union, get_origin, get_type_hints
 
@@ -481,14 +480,12 @@ def build_data_response(
     price: int,
     data: bytes,
     chosen_notary: Address,
-    salt: bytes = None,
-):
-    """Build a signed offer for `order` at `price`, naming `chosen_notary`.
-    Returns (response, salt); the salt never leaves the seller until payload
-    delivery. Whether the price and notary fit the order is judged by
-    `validate_response` and by the ledger, not here."""
-    if salt is None:
-        salt = secrets.token_bytes(crypto.SALT_LEN)
+    salt: bytes,
+) -> DataResponse:
+    """Build a signed offer for `order` at `price`, naming `chosen_notary`,
+    that commits to `data` under `salt`; the salt never leaves the seller
+    until payload delivery. Whether the price and notary fit the order is
+    judged by `validate_response` and by the ledger, not here."""
     response = DataResponse(
         seller_pk=seller_keys.public_key,
         payment_address=crypto.derive_address(seller_keys.public_key),
@@ -498,7 +495,7 @@ def build_data_response(
         chosen_notary=chosen_notary,
         terms=order.terms,
     )
-    return signed(seller_keys, response), salt
+    return signed(seller_keys, response)
 
 
 def validate_response(

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from . import ledger as ledger_mod
-from . import messages
-from .actors import Buyer, NotarizationPolicy, Notary, Seller
+from .actors import Buyer, Notary, Seller
 from .ledger import Ledger, ReplayError
 from .scenario import Scenario
 from .transport import Network
@@ -118,75 +117,27 @@ def run_scenario(
     network = Network(config if seed is None else dataclasses.replace(config, seed=seed))
     market = Ledger()
 
-    sellers = [
-        Seller(
-            name=spec.name,
-            seed=spec.seed,
-            attributes=spec.attributes,
-            dataset=spec.dataset,
-            ledger=market,
-            network=network,
-            mutation=spec.mutation,
-            min_price=spec.min_price,
-        )
-        for spec in scenario.sellers
-    ]
+    sellers = [Seller(spec, market, network) for spec in scenario.sellers]
     enrollment = {seller.address: seller.name for seller in sellers}
-
-    notaries = []
-    for spec in scenario.notaries:
-        truth = {}
-        for seller in scenario.sellers:
-            for schema, data in seller.dataset.items():
-                truth[(seller.name, schema)] = data
-        for seller_name, per_schema in spec.ground_truth.items():
-            for schema, data in per_schema.items():
-                truth[(seller_name, schema)] = data
-        notary = Notary(
-            name=spec.name,
-            seed=spec.seed,
-            fee=spec.fee,
-            policy=NotarizationPolicy(mode=spec.mode, rate=spec.rate, seed=spec.seed),
-            ledger=market,
-            network=network,
-            ground_truth=truth,
-            enrollment=enrollment,
-            declines=spec.declines,
-            service_terms=messages.terms_link(f"service terms of {spec.name}"),
-        )
-        network.register(notary.endpoint)
-        notaries.append(notary)
-    notary_directory = {n.address: n.name for n in notaries}
-
-    buyers = []
-    for spec in scenario.buyers:
-        buyer = Buyer(
-            name=spec.name,
-            seed=spec.seed,
-            ledger=market,
-            network=network,
-            selection=spec.selection,
-            force_audit=spec.force_audit,
-            mutation=spec.mutation,
-        )
-        buyer.set_directory(notary_directory)
-        network.register(buyer.control_endpoint)
-        network.register(buyer.upload_url)
-        buyers.append(buyer)
-    buyer_by_name = {b.name: b for b in buyers}
-
-    for spec in scenario.buyers:
-        if spec.balance > 0:
-            market.mint(buyer_by_name[spec.name].address, spec.balance)
+    records = {
+        (s.name, schema): data for s in scenario.sellers for schema, data in s.dataset.items()
+    }
+    notaries = [Notary(spec, market, network, records, enrollment) for spec in scenario.notaries]
+    notary_names = {notary.address: notary.name for notary in notaries}
+    buyers = [Buyer(spec, market, network, notary_names) for spec in scenario.buyers]
+    buyer_by_name = {buyer.name: buyer for buyer in buyers}
+    for buyer in buyers:
+        if buyer.spec.balance > 0:
+            market.mint(buyer.address, buyer.spec.balance)
 
     last_start = max((order.start_tick for order in scenario.orders), default=0)
 
-    endpoint_owner = {}
+    endpoint_owner = {notary.endpoint: notary for notary in notaries}
     for buyer in buyers:
         endpoint_owner[buyer.control_endpoint] = buyer
         endpoint_owner[buyer.upload_url] = buyer
-    for notary in notaries:
-        endpoint_owner[notary.endpoint] = notary
+    for endpoint in endpoint_owner:
+        network.register(endpoint)
 
     quiescent = False
     while network.tick_now < tick_limit:

@@ -27,7 +27,9 @@ File grammar (YAML, all keys lowercase):
 Each spec field declares its kind: a function that takes the field's file
 form, or the value a spec built in code holds, and returns the field's value
 or raises `ScenarioError`. The loader reads every field through its kind, and
-`Scenario.validate` checks every spec against the same kinds.
+`Scenario.validate` checks every spec against the same kinds. Each buyer,
+seller and notary spec is its actor's constructor input: the actor keeps the
+spec and reads its options from it.
 
 Notary ground truth defaults to each seller's own dataset; an explicit
 `ground_truth` entry overrides it (modelling a seller whose offered data

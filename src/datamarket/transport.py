@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from . import messages
 from .crypto import Address
@@ -49,7 +49,7 @@ class Network:
     def __init__(self, config: NetworkConfig):
         self.config = config
         self._rng = random.Random(config.seed)
-        self._endpoints: Dict[str, List[Envelope]] = {}
+        self._endpoints: Set[str] = set()
         self._in_flight: List[Envelope] = []
         self.transcript: List[Envelope] = []
         self.tick_now = 0
@@ -59,7 +59,7 @@ class Network:
     def register(self, endpoint: str) -> None:
         if endpoint in self._endpoints:
             raise TransportError(f"endpoint {endpoint!r} already registered")
-        self._endpoints[endpoint] = []
+        self._endpoints.add(endpoint)
 
     def send(self, sender: Address, endpoint: str, message: bytes) -> None:
         if endpoint not in self._endpoints:

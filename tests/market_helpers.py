@@ -70,7 +70,7 @@ def make_response(market: Market, seller_seed=10, data=b"seller-data-0123", salt
     if salt is None:
         # Deterministic per-seller salt keeps test journals byte-stable.
         salt = crypto.sha256(f"salt-{seller_seed}".encode())
-    response, used_salt = messages.build_data_response(
+    response = messages.build_data_response(
         seller_keys,
         market.order,
         market.price,
@@ -78,7 +78,7 @@ def make_response(market: Market, seller_seed=10, data=b"seller-data-0123", salt
         market.notary,
         salt=salt,
     )
-    return response, used_salt, seller_keys
+    return response, salt, seller_keys
 
 
 def ladder_10x10(drop_rate=0.0):

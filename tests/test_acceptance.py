@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from datamarket import crypto, ledger as ledger_mod, messages
-from datamarket.actors import NotarizationPolicy, Notary
+from datamarket.actors import Notary
 from datamarket.errors import ReplayError
 from datamarket.ledger import Outcome
 from datamarket.messages import NotarizationRequest, Verdict
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario, random_scenario, scenario_from_dict
+from datamarket.scenario import NotarySpec, load_scenario, random_scenario, scenario_from_dict
 from datamarket.transport import Network, NetworkConfig
 
 from market_helpers import make_market, make_response
@@ -97,13 +97,10 @@ def test_acceptance_1_settlement_truth_table():
             response, salt, _ = make_response(market, data=DATA)
             market.ledger.select_sellers(market.order_id, [response])
             notary = Notary(
-                name="n",
-                seed=2,
-                fee=2,
-                policy=NotarizationPolicy(mode=mode, seed=0),
-                ledger=market.ledger,
-                network=Network(NetworkConfig()),
-                ground_truth={("s", "records"): truth},
+                NotarySpec(name="n", seed=2, fee=2, mode=mode),
+                market.ledger,
+                Network(NetworkConfig()),
+                records={("s", "records"): truth},
                 enrollment={response.payment_address: "s"},
             )
             plaintext = messages.encode_payload_plaintext(salt, delivered)

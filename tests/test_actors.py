@@ -17,7 +17,7 @@ from datamarket.errors import MarketError
 from datamarket.ledger import EventKind
 from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario, random_scenario
+from datamarket.scenario import NotarySpec, SellerSpec, load_scenario, random_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
 from market_helpers import ladder_10x10, make_market, make_order, make_response
@@ -30,13 +30,10 @@ SCHEMA = "records"
 
 def make_notary(market, ground_truth=None, enrollment=None, mode="ALWAYS"):
     return Notary(
-        name="n",
-        seed=2,  # must match the market's notary keys
-        fee=2,
-        policy=NotarizationPolicy(mode=mode, seed=1),
-        ledger=market.ledger,
-        network=Network(NetworkConfig()),
-        ground_truth=ground_truth or {},
+        NotarySpec(name="n", seed=2, fee=2, mode=mode),  # seed 2: the market's notary keys
+        market.ledger,
+        Network(NetworkConfig()),
+        records=ground_truth or {},
         enrollment=enrollment or {},
     )
 
@@ -195,8 +192,9 @@ def test_mutation_role_checks():
     market = make_market()
     with pytest.raises(MarketError):
         Seller(
-            "s", 1, {}, {}, market.ledger, Network(NetworkConfig()),
-            mutation=Mutation.CERTIFICATE_REPLAY,
+            SellerSpec(name="s", seed=1, mutation=Mutation.CERTIFICATE_REPLAY),
+            market.ledger,
+            Network(NetworkConfig()),
         )
 
 

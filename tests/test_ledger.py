@@ -153,10 +153,9 @@ def test_selection_insufficient_funds_aborts():
 
 
 def overpriced_response(market):
-    response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, 6, b"data", market.notary
+    return messages.build_data_response(
+        keys_from_seed(10), market.order, 6, b"data", market.notary, crypto.sha256(b"salt")
     )
-    return response
 
 
 @pytest.mark.parametrize(

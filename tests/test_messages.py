@@ -137,8 +137,8 @@ def test_build_response_unknown_notary():
     # The builder signs what it is given; screening names the one fault.
     market = make_market()
     stranger = crypto.derive_address(keys_from_seed(99).public_key)
-    response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, market.price, b"data", stranger
+    response = messages.build_data_response(
+        keys_from_seed(10), market.order, market.price, b"data", stranger, crypto.sha256(b"salt")
     )
     failures = messages.validate_response(response, market.order, market.terms, market.price)
     assert failures == ("notary-not-listed",)
@@ -146,8 +146,9 @@ def test_build_response_unknown_notary():
 
 def test_build_response_price_mismatch():
     market = make_market()
-    response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, market.price + 1, b"data", market.notary
+    response = messages.build_data_response(
+        keys_from_seed(10), market.order, market.price + 1, b"data", market.notary,
+        crypto.sha256(b"salt"),
     )
     failures = messages.validate_response(response, market.order, market.terms, market.price)
     assert failures == ("price",)

@@ -80,8 +80,8 @@ def certificate_for_another_order():
 
 def price_differs_from_posted():
     market = make_market(price=5)
-    response, _ = messages.build_data_response(
-        keys_from_seed(10), market.order, 6, b"data", market.notary
+    response = messages.build_data_response(
+        keys_from_seed(10), market.order, 6, b"data", market.notary, crypto.sha256(b"salt")
     )
     return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response])
 
@@ -184,7 +184,7 @@ def world():
                 keys_from_seed(10 + s), order, 5, b"data-%d-%d" % (i, s),
                 terms[i][s % 2].notary_address,
                 salt=crypto.sha256(b"salt-%d-%d" % (i, s)),
-            )[0]
+            )
             for s in range(3)
         ]
         for i, order in enumerate(orders)

@@ -408,6 +408,33 @@ def test_order_that_never_starts_fails_liveness():
     assert report.invariant_failures == ["liveness: tick limit reached before quiescence"]
 
 
+def test_declining_notaries_are_left_off_the_contract():
+    """A listed notary that declines sends no terms: the contract holds the
+    other one's term and both sellers settle. When every listed notary
+    declines, no contract is registered and the order is aborted."""
+    doc = edited_bank([(("orders", 0, "notaries"), ["bank", "other"])])
+    doc["notaries"].append({"name": "other", "seed": 302, "fee": 1, "declines": True})
+    assert run_cli(doc) == (0, "")
+    result = run_doc(doc)
+    (contract,) = result.ledger.contracts.values()
+    assert list(contract.notary_terms) == [result.notaries[0].address]
+    assert len(result.report.rows) == 2
+    doc["notaries"][0]["declines"] = True
+    result = run_doc(doc)
+    assert not result.ledger.contracts and len(result.buyers[0].aborted_orders) == 1
+
+
+def test_selection_is_trimmed_to_what_the_buyer_can_afford():
+    """After registration escrows the audit budget, a balance of 25 leaves
+    15: enough for one offer at price 10, not two. The buyer selects the
+    first offer only, and the audit budget left over is refunded."""
+    doc = edited_bank([(("buyers", 0, "balance"), 25), (("expected_settlements",), None)])
+    report = run_doc(doc).report
+    assert report.ok and report.quiescent
+    assert [(r.seller_name, r.verdict) for r in report.rows] == [("alice", "b")]
+    assert report.balances == {"bank": 2, "alice": 10, "modelcorp": 13}
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
