@@ -178,15 +178,13 @@ class Seller:
         self.ledger = ledger
         self.network = network
         self._rng = random.Random(spec.seed)
-        self._seen_orders: set = set()
+        self._registrations_read = 0  # cursor into `ledger.registrations`
         self._offers: Dict[bytes, _SellerOffer] = {}
 
     def step(self, tick: int) -> None:
-        for order_id in sorted(self.ledger.open_orders()):
-            if order_id in self._seen_orders:
-                continue
-            self._seen_orders.add(order_id)
+        for order_id in sorted(self.ledger.registrations[self._registrations_read :]):
             self._consider(order_id, tick)
+        self._registrations_read = len(self.ledger.registrations)
         for digest, offer in list(self._offers.items()):
             if not self._progress_offer(offer, tick):
                 del self._offers[digest]
@@ -203,7 +201,7 @@ class Seller:
             contract.price,
             min_price=spec.min_price,
         )
-        if not decision.participate:
+        if contract.status is not Status.OPEN or not decision.participate:
             return
         price, chosen_notary = contract.price, decision.chosen_notary
         if spec.mutation is Mutation.PRICE_MISMATCH:
@@ -400,7 +398,8 @@ class Buyer:
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[str] = []
         self._rng = random.Random(spec.seed)
-        # Order id (the order digest in hex) -> the buyer's progress on it.
+        self._orders_started = 0
+        # Order id (the order digest in hex) -> the buyer's progress on it, until finished.
         self._pending: Dict[str, _PendingOrder] = {}
         self._delivery_cursor = 0
 
@@ -414,8 +413,9 @@ class Buyer:
             self.upload_url,
             spec.audit_budget,
             messages.terms_link(spec.terms),
-            nonce=len(self._pending),  # orders this buyer started before this one
+            nonce=self._orders_started,  # orders this buyer started before this one
         )
+        self._orders_started += 1
         self._pending[order.digest().hex()] = _PendingOrder(
             spec=spec,
             order=order,
@@ -443,13 +443,15 @@ class Buyer:
             self._settle(msg)
 
     def step(self, tick: int) -> None:
-        for order_id, pending in self._pending.items():
+        for order_id, pending in list(self._pending.items()):
             if pending.phase == "GATHERING" and tick >= pending.gather_deadline:
                 self._register(pending, tick)
             elif pending.phase == "COLLECTING" and tick >= pending.select_deadline:
                 self._select(order_id, pending)
             elif pending.phase == "AWAITING":
                 self._retry_audit_requests(order_id, pending, tick)
+            if pending.phase in ("DONE", "ABORTED"):
+                del self._pending[order_id]
         self._process_deliveries()
 
     def _retry_audit_requests(self, order_id: str, pending: _PendingOrder, tick: int) -> None:
@@ -487,9 +489,7 @@ class Buyer:
     def _select(self, order_id: str, pending: _PendingOrder) -> None:
         contract = self.ledger.contract(order_id)
         valid = []
-        for response in self.inbox.responses.values():
-            if response.order_ref != contract.order_digest:
-                continue
+        for response in self.inbox.by_order.get(contract.order_digest, ()):
             if not messages.validate_response(
                 response, pending.order, pending.terms, contract.price
             ):

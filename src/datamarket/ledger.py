@@ -4,7 +4,9 @@ Escrow rules: registering an order moves the buyer's audit budget into the
 contract; selecting sellers moves the per-response price into payment
 escrow; a verifying notary certificate releases each response's escrow to
 the seller (verdicts a/b) or back to the buyer (verdict c), with the
-notary's fee drawn from audit escrow for audited verdicts. Every mutation
+notary's fee drawn from audit escrow for audited verdicts. Money moves only
+through `_credit` and `_escrow`, which keep the running totals that each
+event checks; `replay` also recounts everything at the end. Every mutation
 is journaled, and replaying the journal reproduces the exact state digest.
 
 Each event kind has one check, which reads the ledger and raises before
@@ -157,8 +159,10 @@ class Ledger:
     def __init__(self):
         self.accounts: Dict[Address, int] = {}
         self.contracts: Dict[str, OrderContract] = {}
+        self.registrations: List[str] = []  # order ids, in registration order
         self.journal: List[LedgerEvent] = []
         self.total_supply = 0
+        self.balance_sum = self.escrow_sum = 0  # running sums of balances and of escrows
         self._genesis_open = True
 
     # -- queries ---------------------------------------------------------
@@ -217,17 +221,12 @@ class Ledger:
             terms_match = response.terms == contract.order.terms
             _require(response, ("signature", response.verify_signature()), ("terms", terms_match))
         if audit_topup > 0:
+            if responses:
+                # Both events apply or neither: check the selection and all funds first.
+                self._check_selection(contract.order_digest, responses, audit_topup)
             self._commit(EventKind.AUDIT_TOPUP, (contract.order_digest, audit_topup))
         if responses:
-            try:
-                self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses))
-            except LedgerError:
-                if audit_topup > 0:
-                    # The whole selection applies or none of it: undo the top-up.
-                    self.journal.pop()
-                    self._credit(contract.buyer_address, audit_topup)
-                    contract.audit_escrow -= audit_topup
-                raise
+            self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses))
 
     def close_response(
         self, order_id: str, response_digest: bytes, certificate: NotaryCertificate
@@ -251,7 +250,7 @@ class Ledger:
             event = LedgerEvent(len(self.journal), kind, rule.encode(*args))
         result = rule.apply(self, *args)
         self.journal.append(event)
-        if not self.conservation_holds():
+        if self.balance_sum + self.escrow_sum != self.total_supply:
             raise LedgerError("internal error: token conservation violated")
         return result
 
@@ -284,9 +283,9 @@ class Ledger:
         self._genesis_open = False
         self._credit(buyer, -min_audit_budget)
         terms = {nt.notary_address: nt for nt in notary_list}
-        self.contracts[digest.hex()] = OrderContract(
-            digest, buyer, min_audit_budget, price, terms, audit_escrow=min_audit_budget
-        )
+        self.contracts[digest.hex()] = OrderContract(digest, buyer, min_audit_budget, price, terms)
+        self._escrow(self.contracts[digest.hex()], audit=min_audit_budget)
+        self.registrations.append(digest.hex())
 
     def _check_topup(self, order_digest: bytes, amount: int) -> None:
         contract = self._open_contract(order_digest)
@@ -296,10 +295,10 @@ class Ledger:
 
     def _apply_topup(self, order_digest: bytes, amount: int) -> None:
         contract = self.contracts[order_digest.hex()]
-        self.accounts[contract.buyer_address] -= amount
-        contract.audit_escrow += amount
+        self._credit(contract.buyer_address, -amount)
+        self._escrow(contract, audit=amount)
 
-    def _check_selection(self, order_digest: bytes, responses) -> None:
+    def _check_selection(self, order_digest: bytes, responses, audit_topup: int = 0) -> None:
         contract = self._open_contract(order_digest)
         if not responses:
             raise LedgerError("selection names no response")
@@ -315,14 +314,14 @@ class Ledger:
                 ("price", response.price == contract.price),
                 ("notary-not-listed", response.chosen_notary in contract.notary_terms),
             )
-        total = contract.price * len(responses)
+        total = contract.price * len(responses) + audit_topup
         self._check_funds(contract.buyer_address, total, "selection payment and top-up")
 
     def _apply_selection(self, order_digest: bytes, responses) -> None:
         contract = self.contracts[order_digest.hex()]
         total = contract.price * len(responses)
-        self.accounts[contract.buyer_address] -= total
-        contract.payment_escrow += total
+        self._credit(contract.buyer_address, -total)
+        self._escrow(contract, payment=total)
         for response in responses:
             contract.responses[response.digest()] = ResponseState(response)
 
@@ -354,13 +353,12 @@ class Ledger:
             outcome, seller_amount, buyer_refund = Outcome.BUYER_REFUNDED, 0, price
         else:
             outcome, seller_amount, buyer_refund = Outcome.SELLER_PAID, price, 0
-        contract.payment_escrow -= price
+        self._escrow(contract, audit=-notary_fee, payment=-price)
         if seller_amount:
             self._credit(state.response.payment_address, seller_amount)
         if buyer_refund:
             self._credit(contract.buyer_address, buyer_refund)
         if notary_fee:
-            contract.audit_escrow -= notary_fee
             self._credit(notary, notary_fee)
         state.settlement = Settlement(
             outcome, cert.verdict, seller_amount, buyer_refund, notary_fee, notary
@@ -376,7 +374,7 @@ class Ledger:
     def _apply_order_closed(self, order_digest: bytes) -> None:
         contract = self.contracts[order_digest.hex()]
         self._credit(contract.buyer_address, contract.audit_escrow)
-        contract.audit_escrow = 0
+        self._escrow(contract, audit=-contract.audit_escrow)
         contract.status = Status.CLOSED
 
     def _open_contract(self, order_digest: bytes, closed: str = "is closed") -> OrderContract:
@@ -392,6 +390,12 @@ class Ledger:
 
     def _credit(self, address: Address, amount: int) -> None:
         self.accounts[address] = self.balance(address) + amount
+        self.balance_sum += amount
+
+    def _escrow(self, contract: OrderContract, audit: int = 0, payment: int = 0) -> None:
+        contract.audit_escrow += audit
+        contract.payment_escrow += payment
+        self.escrow_sum += audit + payment
 
     # -- state digest ----------------------------------------------------
 
@@ -485,7 +489,7 @@ _RULES = {
 def replay(events: Iterable[LedgerEvent]) -> Ledger:
     """Rebuild a ledger from its journal, committing each event through the
     live ledger's checks (signatures aside); aborts with the offending
-    sequence number on any gap or rejected event."""
+    sequence number on any gap, rejected event or failed final recount."""
     ledger = Ledger()
     for expected, event in enumerate(events):
         if event.sequence != expected:
@@ -497,6 +501,8 @@ def replay(events: Iterable[LedgerEvent]) -> Ledger:
             ledger._commit(event.kind, args, event)
         except Exception as exc:
             raise ReplayError(event.sequence, str(exc)) from exc
+    if not ledger.conservation_holds():
+        raise ReplayError(len(ledger.journal), "token conservation violated in final state")
     return ledger
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from . import ledger as ledger_mod
 from .actors import Buyer, Notary, Seller
 from .ledger import Ledger, ReplayError
-from .scenario import Scenario
+from .scenario import OrderSpec, Scenario
 from .transport import Network
 
 
@@ -130,7 +130,10 @@ def run_scenario(
         if buyer.spec.balance > 0:
             market.mint(buyer.address, buyer.spec.balance)
 
-    last_start = max((order.start_tick for order in scenario.orders), default=0)
+    starts: Dict[int, List[OrderSpec]] = {}  # start tick -> the orders started then
+    for order in scenario.orders:
+        starts.setdefault(order.start_tick, []).append(order)
+    last_start = max(starts, default=0)
 
     endpoint_owner = {notary.endpoint: notary for notary in notaries}
     for buyer in buyers:
@@ -142,9 +145,8 @@ def run_scenario(
     quiescent = False
     while network.tick_now < tick_limit:
         t = network.tick_now
-        for order in scenario.orders:
-            if order.start_tick == t:
-                buyer_by_name[order.buyer].start_order(order, t)
+        for order in starts.get(t, ()):
+            buyer_by_name[order.buyer].start_order(order, t)
         delivered = network.tick()
         for endpoint in sorted(delivered):
             owner = endpoint_owner[endpoint]
@@ -235,8 +237,8 @@ def run_invariants(
     if not market.conservation_holds():
         failures.append("token conservation violated in final state")
     try:
-        # Re-executes every journal event; conservation is checked after
-        # each one inside replay().
+        # Re-executes every journal event; replay() checks conservation
+        # against running totals after each one, and recounts at the end.
         replayed = ledger_mod.replay(market.journal)
     except ReplayError as exc:
         failures.append(f"journal replay failed: {exc}")

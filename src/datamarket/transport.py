@@ -108,6 +108,7 @@ class BuyerEndpoint:
 
     # Response digest -> response, in arrival order.
     responses: Dict[bytes, DataResponse] = field(default_factory=dict)
+    by_order: Dict[bytes, List[DataResponse]] = field(default_factory=dict)  # by `order_ref`
     deliveries: List[PayloadDelivery] = field(default_factory=list)
     _accepted: set = field(default_factory=set)  # bytes of accepted posts
 
@@ -119,7 +120,8 @@ class BuyerEndpoint:
         except EncodingError as exc:
             return PostResult(False, f"parse: {exc}")
         if isinstance(msg, DataResponse):
-            self.responses.setdefault(msg.digest(), msg)
+            if self.responses.setdefault(msg.digest(), msg) is msg:  # a new response
+                self.by_order.setdefault(msg.order_ref, []).append(msg)
         elif not isinstance(msg, PayloadDelivery):
             return PostResult(False, f"unsupported message type {type(msg).__name__}")
         elif msg.response_digest not in self.responses:

@@ -106,7 +106,7 @@ def test_acceptance_1_settlement_truth_table():
             plaintext = messages.encode_payload_plaintext(salt, delivered)
             request = NotarizationRequest(
                 market.order.digest(),
-                response.encode(),
+                response.digest(),
                 forced,
                 crypto.encrypt_for(market.notary_keys.public_key, plaintext),
             )

@@ -14,13 +14,13 @@ from datamarket.actors import (
 )
 from datamarket.encoding import Reader
 from datamarket.errors import MarketError
-from datamarket.ledger import EventKind
+from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import NotarySpec, SellerSpec, load_scenario, random_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import ladder_10x10, make_market, make_order, make_response
+from market_helpers import TERMS, ladder_10x10, make_market, make_order, make_response
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 
@@ -196,6 +196,27 @@ def test_mutation_role_checks():
             market.ledger,
             Network(NetworkConfig()),
         )
+
+
+def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
+    """Three orders registered between two seller steps, in descending
+    order-id order, and one of them closed before the second step: the
+    seller offers on the two open ones, in ascending order-id order."""
+    ledger, network = Ledger(), Network(NetworkConfig())
+    network.register("ub:test-buyer")
+    buyer_keys, notary_keys = keys_from_seed(1), keys_from_seed(2)
+    ledger.mint(crypto.derive_address(buyer_keys.public_key), 100)
+    spec = SellerSpec(name="s", seed=5, attributes={"country": "AR"}, dataset={SCHEMA: DATA})
+    seller = Seller(spec, ledger, network)
+    seller.step(1)
+    orders = [make_order(buyer_keys, m_a=m_a) for m_a in (1, 2, 3)]
+    orders.sort(key=lambda order: order.digest(), reverse=True)
+    for order in orders:
+        ledger.register_order(order, [messages.countersign_order(notary_keys, order, 2, TERMS)], 5)
+    ledger.close_order(orders[1].digest().hex())
+    seller.step(2)
+    offered = [messages.decode(envelope.message).order_ref for envelope in network.transcript]
+    assert offered == [orders[2].digest(), orders[0].digest()]
 
 
 def test_no_top_up_follows_a_selection():

@@ -174,6 +174,13 @@ def test_rejected_selection_with_topup_changes_nothing(balance, make, error):
         market.ledger.select_sellers(market.order_id, [response], audit_topup=8)
     assert market.ledger.journal == journal_before
     assert market.ledger.state_digest() == digest_before
+    # A valid selection with a top-up still commits, on running totals
+    # that a full recount agrees with.
+    valid, _, _ = make_response(market)
+    market.ledger.select_sellers(market.order_id, [valid], audit_topup=2)
+    assert len(market.ledger.journal) == len(journal_before) + 2
+    assert market.ledger.balance_sum == sum(market.ledger.accounts.values())
+    assert market.ledger.escrow_sum == market.ledger.escrow_total() == 7
 
 
 # -- close_response ------------------------------------------------------

@@ -61,7 +61,7 @@ def test_roundtrip_all_message_types():
         market.notary_keys, market.order.digest(), response, Verdict.NOTARIZED_VALID
     )
     delivery = messages.PayloadDelivery(response.digest(), b"\x01" * 60)
-    request = messages.NotarizationRequest(market.order.digest(), response.encode(), True, b"")
+    request = messages.NotarizationRequest(market.order.digest(), response.digest(), True, b"")
     for msg in (
         market.order.audience,
         market.order.request,

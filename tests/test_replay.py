@@ -8,6 +8,7 @@ correctly signed.
 """
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -294,9 +295,27 @@ def plan(live, call):
     return [(EventKind.ORDER_CLOSED, (digest,))], lambda lg: lg.close_order(digest.hex())
 
 
+def commit_checking_totals(commit):
+    """`Ledger._commit` that, after each committed event, checks the running
+    totals against a full recount of the accounts and contracts."""
+
+    def checked(ledger, *args, **kwargs):
+        result = commit(ledger, *args, **kwargs)
+        assert ledger.balance_sum == sum(ledger.accounts.values())
+        assert ledger.escrow_sum == ledger.escrow_total()
+        return result
+
+    return checked
+
+
 @given(STREAMS)
 @settings(max_examples=500, deadline=None)
 def test_replay_accepts_exactly_what_the_live_ledger_accepts(calls):
+    with mock.patch.object(Ledger, "_commit", commit_checking_totals(Ledger._commit)):
+        check_live_against_replay(calls)
+
+
+def check_live_against_replay(calls):
     live = Ledger()
     for call in calls:
         events, make_call = plan(live, call)
