@@ -28,7 +28,6 @@ from .messages import (
     PayloadDelivery,
     Predicate,
     Verdict,
-    canonical_encode,
     decode,
 )
 from .runner import run_scenario
@@ -54,7 +53,6 @@ __all__ = [
     "Predicate",
     "Scenario",
     "Verdict",
-    "canonical_encode",
     "commit",
     "decode",
     "decrypt",

@@ -488,12 +488,9 @@ class Buyer:
 
     def _select(self, order_id: str, pending: _PendingOrder) -> None:
         contract = self.ledger.contract(order_id)
-        valid = []
-        for response in self.inbox.by_order.get(contract.order_digest, ()):
-            if not messages.validate_response(
-                response, pending.order, pending.terms, contract.price
-            ):
-                valid.append(response)
+        received = self.inbox.by_order.get(contract.order_digest, ())
+        # The same rule list the ledger's selection applies.
+        valid = [r for r in received if not messages.validate_response(r, contract)]
         chosen = self.spec.selection.select(valid, contract.price)
         affordable = self.ledger.balance(self.address)
         while True:  # drop the last chosen response until the buyer can pay
@@ -568,17 +565,17 @@ class Buyer:
                 self.keys, cert.order_ref, state.response, cert.verdict
             )
             try:
-                self.ledger.close_response(order_id, cert.response_digest, forged)
+                self.ledger.close_response(forged)
             except InvalidSignature as exc:
                 self.rejected_submissions.append(f"forged-certificate: {exc}")
         try:
-            self.ledger.close_response(order_id, cert.response_digest, cert)
+            self.ledger.close_response(cert)
         except LedgerError as exc:
             self.rejected_submissions.append(f"certificate: {exc}")
             return
         if self.spec.mutation is Mutation.CERTIFICATE_REPLAY:
             try:
-                self.ledger.close_response(order_id, cert.response_digest, cert)
+                self.ledger.close_response(cert)
             except AlreadySettled as exc:
                 self.rejected_submissions.append(f"certificate-replay: {exc}")
         # The escrow holds `price` (at least 1) for each unsettled selected response.

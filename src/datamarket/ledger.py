@@ -12,10 +12,12 @@ is journaled, and replaying the journal reproduces the exact state digest.
 Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`). Live operations and `replay`
 both run them through `Ledger._commit`, so replay accepts exactly the
-events the live ledger would accept in the same state. Only the checks that
-need no ledger state stay live-only: signatures, whose re-verification
-would cost several times the rest of a replay, and a response's terms,
-since the full order is not in the journal.
+events the live ledger would accept in the same state. Only the signature
+checks of orders, notary terms and certificates stay live-only: their
+re-verification would cost several times the rest of a replay. A selected
+response is judged by `messages.validate_response`, the one rule list that
+the buyer's screen applies too; its signature and terms rules need the full
+order, which only a live contract holds, so replay applies the other three.
 
 The journal deliberately stores a blinded order record (digest, buyer
 address, amounts, notary terms) instead of the full order: audience
@@ -30,7 +32,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from . import crypto
+from . import crypto, messages
 from .crypto import Address
 from .encoding import (
     ADDRESS,
@@ -216,10 +218,8 @@ class Ledger:
         if not responses and audit_topup == 0:
             raise LedgerError("empty selection with no top-up")
         if contract.order is None:
+            # Without the order, `validate_response` would skip the signature rule.
             raise LedgerError("contract has no full order; ledger is a replay snapshot")
-        for response in responses:
-            terms_match = response.terms == contract.order.terms
-            _require(response, ("signature", response.verify_signature()), ("terms", terms_match))
         if audit_topup > 0:
             if responses:
                 # Both events apply or neither: check the selection and all funds first.
@@ -228,15 +228,11 @@ class Ledger:
         if responses:
             self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses))
 
-    def close_response(
-        self, order_id: str, response_digest: bytes, certificate: NotaryCertificate
-    ) -> Settlement:
-        contract = self.contract(order_id)
-        if certificate.response_digest != response_digest:
-            raise LedgerError("certificate binds a different response")
+    def close_response(self, certificate: NotaryCertificate) -> Settlement:
+        """Settle the response `certificate` binds, on the order it names."""
         if not certificate.verify_signature():
             raise InvalidSignature("certificate signature does not verify")
-        return self._commit(EventKind.RESPONSE_CLOSED, (contract.order_digest, certificate))
+        return self._commit(EventKind.RESPONSE_CLOSED, (certificate.order_ref, certificate))
 
     def close_order(self, order_id: str) -> None:
         self._commit(EventKind.ORDER_CLOSED, (self.contract(order_id).order_digest,))
@@ -308,12 +304,9 @@ class Ledger:
             if digest in contract.responses or digest in batch:
                 raise DuplicateResponse(f"response {digest.hex()} already selected")
             batch.add(digest)
-            _require(
-                response,
-                ("order-mismatch", response.order_ref == order_digest),
-                ("price", response.price == contract.price),
-                ("notary-not-listed", response.chosen_notary in contract.notary_terms),
-            )
+            failed = messages.validate_response(response, contract)
+            if failed:
+                raise LedgerError(f"invalid response {digest.hex()}: {', '.join(failed)}")
         total = contract.price * len(responses) + audit_topup
         self._check_funds(contract.buyer_address, total, "selection payment and top-up")
 
@@ -413,13 +406,6 @@ def _notary_fee(contract: OrderContract, response: DataResponse, verdict: Verdic
     if verdict is Verdict.NOT_NOTARIZED:
         return 0
     return contract.notary_terms[response.chosen_notary].fee
-
-
-def _require(response: DataResponse, *checks) -> None:
-    """Reject `response`, naming every (name, passed) check it failed."""
-    failed = [name for name, passed in checks if not passed]
-    if failed:
-        raise LedgerError(f"invalid response {response.digest().hex()}: {', '.join(failed)}")
 
 
 def _contract_state_bytes(c: OrderContract) -> bytes:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Annotated, Dict, Mapping, Optional, Sequence, Union, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Union
+from typing import get_origin, get_type_hints
 
 from . import crypto
 from .crypto import Address, Commitment
@@ -46,6 +47,9 @@ from .encoding import (
     write_field,
 )
 from .errors import EncodingError, MessageError
+
+if TYPE_CHECKING:
+    from .ledger import OrderContract
 
 TAG_AUDIENCE = 1
 TAG_DATA_REQUEST = 2
@@ -387,10 +391,6 @@ class NotarizationRequest(Message):
     audit_ciphertext: bytes
 
 
-def canonical_encode(message: Message) -> bytes:
-    return message.encode()
-
-
 def decode(data: bytes) -> Message:
     """The message `data` encodes, of the type its tag byte names."""
     if not data:
@@ -484,8 +484,9 @@ def build_data_response(
 ) -> DataResponse:
     """Build a signed offer for `order` at `price`, naming `chosen_notary`,
     that commits to `data` under `salt`; the salt never leaves the seller
-    until payload delivery. Whether the price and notary fit the order is
-    judged by `validate_response` and by the ledger, not here."""
+    until payload delivery. Whether the price, notary and terms fit the
+    order is judged by `validate_response`, the one rule list that the
+    buyer's screen and the ledger's selection both apply, not here."""
     response = DataResponse(
         seller_pk=seller_keys.public_key,
         payment_address=crypto.derive_address(seller_keys.public_key),
@@ -498,20 +499,19 @@ def build_data_response(
     return signed(seller_keys, response)
 
 
-def validate_response(
-    response: DataResponse,
-    order: DataOrder,
-    notary_list: Sequence[NotaryTerms],
-    posted_price: int,
-) -> tuple:
-    """Buyer-side screening before selection: the names of the checks
-    `response` fails, each reported distinctly; empty when it is valid."""
+def validate_response(response: DataResponse, contract: OrderContract) -> tuple:
+    """The one list of rules a response must meet to be selected on
+    `contract`, for the buyer's screen and the ledger alike: the names of the
+    rules `response` fails, each reported distinctly; empty when it is valid.
+    The signature and terms rules need the full order, so they apply only
+    where the contract holds it (not on a replayed contract)."""
+    order = contract.order
     checks = (
-        ("signature", response.verify_signature()),
-        ("order-mismatch", response.order_ref == order.digest()),
-        ("price", response.price == posted_price),
-        ("notary-not-listed", response.chosen_notary in {nt.notary_address for nt in notary_list}),
-        ("terms", response.terms == order.terms),
+        ("signature", order is None or response.verify_signature()),
+        ("order-mismatch", response.order_ref == contract.order_digest),
+        ("price", response.price == contract.price),
+        ("notary-not-listed", response.chosen_notary in contract.notary_terms),
+        ("terms", order is None or response.terms == order.terms),
     )
     return tuple(name for name, passed in checks if not passed)
 

@@ -356,6 +356,8 @@ class Scenario:
                     raise ScenarioError(f"order references unknown notary {notary}")
             if not order.notaries:
                 raise ScenarioError("order has an empty notary list")
+            if len(set(order.notaries)) != len(order.notaries):
+                raise ScenarioError("order names a notary twice")
             if order.schema_id not in known_schemas:
                 raise ScenarioError(
                     f"schema {order.schema_id!r} is neither held by any seller, "

@@ -116,9 +116,7 @@ def test_acceptance_1_settlement_truth_table():
                 market.notary_keys, market.order.digest(), response, verdict
             )
             before = dict(market.ledger.accounts)
-            settlement = market.ledger.close_response(
-                market.order_id, response.digest(), certificate
-            )
+            settlement = market.ledger.close_response(certificate)
             after = market.ledger.accounts
             seller = response.payment_address
             if verdict.letter in ("a", "b"):

@@ -183,6 +183,62 @@ def test_rejected_selection_with_topup_changes_nothing(balance, make, error):
     assert market.ledger.escrow_sum == market.ledger.escrow_total() == 7
 
 
+def test_live_selection_on_a_replayed_ledger_is_refused():
+    # A replayed contract holds no full order, so the signature rule could
+    # not run on it: the selection is refused whatever the response.
+    market = make_market()
+    response, _, _ = make_response(market)
+    replayed = ledger_mod.replay(market.ledger.journal)
+    journal_before, digest_before = list(replayed.journal), replayed.state_digest()
+    for candidate in (response, replace(response, seller_signature=bytes(64))):
+        with pytest.raises(LedgerError):
+            replayed.select_sellers(market.order_id, [candidate])
+        assert replayed.journal == journal_before
+        assert replayed.state_digest() == digest_before
+
+
+# (field, value) edits that each break one selection rule of a valid
+# response: make_market's price is 5.
+RESPONSE_EDITS = [
+    ("price", 4),
+    ("price", 6),
+    ("order_ref", make_order(keys_from_seed(77)).digest()),
+    ("chosen_notary", addr(99)),
+    ("terms", messages.terms_link("other terms")),
+]
+
+
+@given(
+    st.integers(10, 2**16),
+    st.one_of(st.just([]), st.lists(st.sampled_from(RESPONSE_EDITS), min_size=1, max_size=3)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 63)),
+)
+@settings(max_examples=200, deadline=None)
+def test_buyer_screen_passes_exactly_what_the_selection_accepts(
+    seller_seed, edits, resign, corrupt_at
+):
+    market = make_market()
+    response, _, seller_keys = make_response(market, seller_seed=seller_seed)
+    candidate = replace(response, **dict(edits))
+    if resign:
+        candidate = messages.signed(seller_keys, candidate)
+    if corrupt_at is not None:
+        signature = bytearray(candidate.seller_signature)
+        signature[corrupt_at] ^= 0x01
+        candidate = replace(candidate, seller_signature=bytes(signature))
+    screened = not messages.validate_response(candidate, market.ledger.contract(market.order_id))
+    try:
+        market.ledger.select_sellers(market.order_id, [candidate])
+        accepted = True
+    except LedgerError:
+        accepted = False
+    assert screened == accepted
+    if accepted:
+        replayed = ledger_mod.replay(market.ledger.journal)
+        assert replayed.state_digest() == market.ledger.state_digest()
+
+
 # -- close_response ------------------------------------------------------
 
 
@@ -190,9 +246,7 @@ def settle_one(verdict, fee=2, m_a=10, price=5):
     market = make_market(balance=100, m_a=m_a, price=price, fee=fee)
     response, _, _ = make_response(market)
     market.ledger.select_sellers(market.order_id, [response])
-    settlement = market.ledger.close_response(
-        market.order_id, response.digest(), certify(market, response, verdict)
-    )
+    settlement = market.ledger.close_response(certify(market, response, verdict))
     return market, response, settlement
 
 
@@ -229,7 +283,7 @@ def test_certificate_from_wrong_notary_rejected():
         impostor, market.order.digest(), response, Verdict.NOTARIZED_VALID
     )
     with pytest.raises(InvalidSignature):
-        market.ledger.close_response(market.order_id, response.digest(), cert)
+        market.ledger.close_response(cert)
 
 
 def test_certificate_replay_rejected_and_neutral():
@@ -237,7 +291,7 @@ def test_certificate_replay_rejected_and_neutral():
     cert = certify(market, response, Verdict.NOTARIZED_VALID)
     digest_before = market.ledger.state_digest()
     with pytest.raises(AlreadySettled):
-        market.ledger.close_response(market.order_id, response.digest(), cert)
+        market.ledger.close_response(cert)
     assert market.ledger.state_digest() == digest_before
 
 
@@ -247,21 +301,23 @@ def test_fee_exceeding_audit_escrow_rejected():
     market.ledger.select_sellers(market.order_id, [response])
     cert = certify(market, response, Verdict.NOTARIZED_VALID)
     with pytest.raises(AuditEscrowDepleted):
-        market.ledger.close_response(market.order_id, response.digest(), cert)
+        market.ledger.close_response(cert)
     # Top up through the selection path, then the close succeeds.
     market.ledger.select_sellers(market.order_id, [], audit_topup=2)
-    settlement = market.ledger.close_response(market.order_id, response.digest(), cert)
+    settlement = market.ledger.close_response(cert)
     assert settlement.notary_fee == 3
 
 
-def test_certificate_for_other_response_rejected():
+def test_certificate_settles_only_the_response_it_binds():
     market = make_market(balance=100)
     r1, _, _ = make_response(market, seller_seed=10)
     r2, _, _ = make_response(market, seller_seed=11)
     market.ledger.select_sellers(market.order_id, [r1, r2])
-    cert1 = certify(market, r1, Verdict.NOTARIZED_VALID)
-    with pytest.raises(LedgerError):
-        market.ledger.close_response(market.order_id, r2.digest(), cert1)
+    market.ledger.close_response(certify(market, r1, Verdict.NOTARIZED_VALID))
+    contract = market.ledger.contract(market.order_id)
+    assert contract.responses[r1.digest()].phase is Phase.SETTLED
+    assert contract.responses[r2.digest()].phase is Phase.SELECTED
+    assert contract.payment_escrow == market.price  # r2's payment stays held
 
 
 # -- close_order ---------------------------------------------------------
@@ -302,9 +358,7 @@ def test_conservation_property(verdict, n_sellers, fee, price):
     responses = [make_response(market, seller_seed=100 + i)[0] for i in range(n_sellers)]
     market.ledger.select_sellers(market.order_id, responses)
     for response in responses:
-        market.ledger.close_response(
-            market.order_id, response.digest(), certify(market, response, verdict)
-        )
+        market.ledger.close_response(certify(market, response, verdict))
         assert market.ledger.conservation_holds()
     market.ledger.close_order(market.order_id)
     assert market.ledger.conservation_holds()
@@ -328,7 +382,7 @@ def test_invalid_certificates_never_move_funds():
     )
     for cert in (impostor_cert, garbage_cert):
         with pytest.raises(InvalidSignature):
-            market.ledger.close_response(market.order_id, response.digest(), cert)
+            market.ledger.close_response(cert)
     assert market.ledger.state_digest() == digest_before
 
 

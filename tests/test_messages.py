@@ -3,7 +3,7 @@ from dataclasses import fields as dataclass_fields, replace
 
 import pytest
 
-from datamarket import crypto, messages
+from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
 from datamarket.errors import MessageError
 from datamarket.messages import (
@@ -72,7 +72,7 @@ def test_roundtrip_all_message_types():
         delivery,
         request,
     ):
-        assert messages.decode(messages.canonical_encode(msg)) == msg
+        assert messages.decode(msg.encode()) == msg
 
 
 def test_budget_injectivity():
@@ -140,7 +140,7 @@ def test_build_response_unknown_notary():
     response = messages.build_data_response(
         keys_from_seed(10), market.order, market.price, b"data", stranger, crypto.sha256(b"salt")
     )
-    failures = messages.validate_response(response, market.order, market.terms, market.price)
+    failures = messages.validate_response(response, market.ledger.contract(market.order_id))
     assert failures == ("notary-not-listed",)
 
 
@@ -150,7 +150,7 @@ def test_build_response_price_mismatch():
         keys_from_seed(10), market.order, market.price + 1, b"data", market.notary,
         crypto.sha256(b"salt"),
     )
-    failures = messages.validate_response(response, market.order, market.terms, market.price)
+    failures = messages.validate_response(response, market.ledger.contract(market.order_id))
     assert failures == ("price",)
 
 
@@ -178,14 +178,14 @@ def test_notarization_request_names_the_response_by_digest():
 def test_validate_response_accepts_honest():
     market = make_market()
     response, _, _ = make_response(market)
-    assert messages.validate_response(response, market.order, market.terms, market.price) == ()
+    assert messages.validate_response(response, market.ledger.contract(market.order_id)) == ()
 
 
 def test_validate_response_rejects_forged_signature():
     market = make_market()
     response, _, _ = make_response(market)
     forged = replace(response, seller_signature=b"\x11" * 64)
-    failures = messages.validate_response(forged, market.order, market.terms, market.price)
+    failures = messages.validate_response(forged, market.ledger.contract(market.order_id))
     assert "signature" in failures
 
 
@@ -193,14 +193,17 @@ def test_validate_response_rejects_stale_order():
     market = make_market()
     response, _, _ = make_response(market)
     other_order = make_order(keys_from_seed(77))
-    failures = messages.validate_response(response, other_order, market.terms, market.price)
+    contract = market.ledger.contract(market.order_id)
+    other_contract = replace(contract, order_digest=other_order.digest(), order=other_order)
+    failures = messages.validate_response(response, other_contract)
     assert "order-mismatch" in failures
 
 
 def test_validate_response_rejects_price():
     market = make_market()
     response, _, _ = make_response(market)
-    failures = messages.validate_response(response, market.order, market.terms, market.price + 1)
+    contract = market.ledger.contract(market.order_id)
+    failures = messages.validate_response(response, replace(contract, price=market.price + 1))
     assert "price" in failures
 
 
@@ -319,7 +322,8 @@ def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
         return real_verify(public_key, message, signature)
 
     monkeypatch.setattr(crypto, "verify", counting_verify)
-    buyer_view = messages.validate_response(response, market.order, market.terms, market.price)
+    buyer_view = messages.validate_response(response, market.ledger.contract(market.order_id))
     assert buyer_view == ()
     market.ledger.select_sellers(market.order_id, [response])
+    ledger_mod.replay(market.ledger.journal)
     assert calls == [response.signing_bytes()]

@@ -66,7 +66,7 @@ def mint_after_first_order():
 
 def selection_on_closed_order():
     market, response = selected()
-    market.ledger.close_response(market.order_id, response.digest(), certify(market, response))
+    market.ledger.close_response(certify(market, response))
     market.ledger.close_order(market.order_id)
     late, _, _ = make_response(market, seller_seed=11)
     return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late])
@@ -126,7 +126,7 @@ def unknown_event_kind():
     """Kind byte 9 in the frame of event 3 (the trailer is left as it was:
     the frame must fail before any digest is compared)."""
     market, response = selected()
-    market.ledger.close_response(market.order_id, response.digest(), certify(market, response))
+    market.ledger.close_response(certify(market, response))
     data = bytearray(ledger_mod.journal_bytes(market.ledger))
     frame_start = sum(4 + len(event.encode()) for event in market.ledger.journal[:3])
     data[frame_start + 4 + 8] = 9  # after the length prefix and the 8-byte sequence
@@ -289,9 +289,8 @@ def plan(live, call):
         picked = list(contract.responses) if contract else []
         target = picked[rest[1] % len(picked)] if picked else responses[rest[0]][rest[1]].digest()
         cert = certs[target, rest[2], rest[3]]
-        return [(EventKind.RESPONSE_CLOSED, (digest, cert))], lambda lg: lg.close_response(
-            digest.hex(), cert.response_digest, cert
-        )
+        events = [(EventKind.RESPONSE_CLOSED, (cert.order_ref, cert))]
+        return events, lambda lg: lg.close_response(cert)
     return [(EventKind.ORDER_CLOSED, (digest,))], lambda lg: lg.close_order(digest.hex())
 
 

@@ -300,6 +300,7 @@ BAD_BANK_EDITS = {
     "negative buyer seed": (("buyers", 0, "seed"), -1),
     "seller seed above 32 bytes": (("sellers", 0, "seed"), 2**300),
     "negative notary seed": (("notaries", 0, "seed"), -5),
+    "notary named twice": (("orders", 0, "notaries"), ["bank", "bank"]),
     "negative FIRST_K k": (("buyers", 0, "selection"), {"rule": "FIRST_K", "k": -2}),
     "negative max_tokens": (("buyers", 0, "selection"), {"rule": "BUDGET_CAP", "max_tokens": -2}),
     "negative start tick": (("orders", 0, "start_tick"), -1),
