@@ -70,62 +70,8 @@ SELLER_RETRY_INTERVAL = 3
 BUYER_RETRY_INTERVAL = 4
 
 
-def check_mutation(mutation: Mutation, role: str) -> None:
-    """Raise unless a `role` ("seller" or "buyer") can take `mutation`."""
-    allowed = SELLER_MUTATIONS if role == "seller" else BUYER_MUTATIONS
-    if mutation is not Mutation.NONE and mutation not in allowed:
-        raise MarketError(f"{mutation} is not a {role} mutation")
-
-
 def keys_from_seed(seed: int) -> KeyPair:
     return crypto.generate_keypair(seed.to_bytes(crypto.SEED_LEN, "big"))
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    rule: str = "ALL_VALID"  # ALL_VALID | FIRST_K | BUDGET_CAP
-    k: int = 0
-    max_tokens: int = 0
-
-    def __post_init__(self):
-        if self.rule not in ("ALL_VALID", "FIRST_K", "BUDGET_CAP"):
-            raise MarketError(f"unknown selection rule {self.rule!r}")
-        if self.k < 0 or self.max_tokens < 0:
-            raise MarketError("selection k and max_tokens must be >= 0")
-
-    def select(self, responses: Sequence[DataResponse], price: int) -> List[DataResponse]:
-        responses = list(responses)
-        if self.rule == "ALL_VALID":
-            return responses
-        if self.rule == "FIRST_K":
-            return responses[: self.k]
-        # BUDGET_CAP
-        if price <= 0:
-            return []
-        return responses[: self.max_tokens // price]
-
-
-@dataclass
-class NotarizationPolicy:
-    MODES = ("ALWAYS", "NEVER", "SAMPLE")
-    mode: str = "ALWAYS"  # one of MODES
-    rate: float = 0.0
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise MarketError(f"unknown notarization mode {self.mode!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise MarketError("notarization rate must be in [0, 1]")
-        self._rng = random.Random(self.seed)
-
-    def decide(self) -> bool:
-        if self.mode == "ALWAYS":
-            return True
-        if self.mode == "NEVER":
-            return False
-        return self._rng.random() < self.rate
 
 
 @dataclass(frozen=True)
@@ -170,7 +116,6 @@ class _SellerOffer:
 
 class Seller:
     def __init__(self, spec: "SellerSpec", ledger: Ledger, network: Network):
-        check_mutation(spec.mutation, "seller")
         self.spec = spec
         self.name = spec.name
         self.keys = keys_from_seed(spec.seed)
@@ -274,7 +219,7 @@ class Notary:
         self.name = spec.name
         self.keys = keys_from_seed(spec.seed)
         self.address = crypto.derive_address(self.keys.public_key)
-        self.policy = NotarizationPolicy(spec.mode, spec.rate, spec.seed)
+        self._rng = random.Random(spec.seed)
         self.ledger = ledger
         self.network = network
         self.ground_truth = dict(records)
@@ -331,10 +276,10 @@ class Notary:
     def decide_verdict(
         self, request: NotarizationRequest, response: DataResponse, schema_id: str
     ) -> Verdict:
-        """Skip the audit unless forced or the policy says otherwise; an
+        """Skip the audit unless forced or the spec's mode says otherwise; an
         audited response is valid only if both the commitment opens and the
         data matches the notary's own records for the enrolled seller."""
-        if not (request.forced or self.policy.decide()):
+        if not (request.forced or self._audits()):
             return Verdict.NOT_NOTARIZED
         try:
             plaintext = crypto.decrypt(self.keys.secret_key, request.audit_ciphertext)
@@ -350,6 +295,12 @@ class Notary:
         if truth is None or data != truth:
             return Verdict.NOTARIZED_INVALID
         return Verdict.NOTARIZED_VALID
+
+    def _audits(self) -> bool:
+        """Whether to audit an unforced request; SAMPLE draws once per call."""
+        if self.spec.mode == "SAMPLE":
+            return self._rng.random() < self.spec.rate
+        return self.spec.mode == "ALWAYS"
 
 
 def _control_endpoint(upload_url: str) -> Optional[str]:
@@ -384,7 +335,6 @@ class Buyer:
     ):
         """`notary_names` maps each notary's address to the name its
         endpoint is registered under."""
-        check_mutation(spec.mutation, "buyer")
         self.spec = spec
         self.name = spec.name
         self.keys = keys_from_seed(spec.seed)

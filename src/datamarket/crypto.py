@@ -16,7 +16,6 @@ key raises DecryptionError.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature as _InvalidSignature
@@ -149,21 +148,20 @@ def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     ).derive(shared + eph_pub + recipient_pub)
 
 
-def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes | None = None) -> bytes:
+def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:
     """Encrypt under the recipient's encryption key.
 
-    `entropy` seeds the ephemeral key for reproducible transcripts; omit it
-    for OS randomness. The nonce is fixed because each envelope uses a fresh
+    `entropy`, 32 bytes, seeds the ephemeral key, so transcripts are
+    reproducible. The nonce is fixed because each envelope uses a fresh
     ephemeral key.
     """
     if len(public_key) != PUBLIC_KEY_LEN:
         raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
     if len(plaintext) == 0:
         raise CryptoError("plaintext must be non-empty")
-    eph_seed = entropy if entropy is not None else secrets.token_bytes(32)
-    if len(eph_seed) != 32:
+    if len(entropy) != 32:
         raise CryptoError("entropy must be 32 bytes")
-    eph_sk = X25519PrivateKey.from_private_bytes(eph_seed)
+    eph_sk = X25519PrivateKey.from_private_bytes(entropy)
     recipient = X25519PublicKey.from_public_bytes(public_key[32:])
     eph_pub = eph_sk.public_key().public_bytes(_RAW, _RAW_PUB)
     key = _envelope_key(eph_sk.exchange(recipient), eph_pub, public_key[32:])

@@ -27,9 +27,11 @@ File grammar (YAML, all keys lowercase):
 Each spec field declares its kind: a function that takes the field's file
 form, or the value a spec built in code holds, and returns the field's value
 or raises `ScenarioError`. The loader reads every field through its kind, and
-`Scenario.validate` checks every spec against the same kinds. Each buyer,
-seller and notary spec is its actor's constructor input: the actor keeps the
-spec and reads its options from it.
+`Scenario.validate` checks every spec against the same kinds; `run_scenario`
+calls it before it builds an actor, so no actor checks a spec value again.
+Each buyer, seller and notary spec is its actor's constructor input: the
+actor keeps the spec and reads its options from it. A buyer's
+`SelectionPolicy` is declared here, as a spec of its own.
 
 Notary ground truth defaults to each seller's own dataset; an explicit
 `ground_truth` entry overrides it (modelling a seller whose offered data
@@ -45,17 +47,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
 from . import actors
-from .actors import Mutation, NotarizationPolicy, SelectionPolicy
+from .actors import Mutation
 from .crypto import SEED_LEN
 from .encoding import UINT_MAX
 from .errors import MarketError, ScenarioError
 from .ledger import Outcome
-from .messages import Comparator, Predicate, Verdict
+from .messages import Comparator, DataResponse, Predicate, Verdict
 from .transport import NetworkConfig
 
 # A scenario's network is the simulated network's own configuration.
@@ -104,7 +106,8 @@ def _choice(options: dict) -> Callable:
     return kind
 
 
-MODE = _choice({mode: mode for mode in NotarizationPolicy.MODES})
+MODE = _choice({mode: mode for mode in ("ALWAYS", "NEVER", "SAMPLE")})
+RULE = _choice({rule: rule for rule in ("ALL_VALID", "FIRST_K", "BUDGET_CAP")})
 VERDICT = _choice({v.letter: v.letter for v in Verdict})
 OUTCOME = _choice({o.name: o.name for o in Outcome})
 COMPARATOR = _choice({c.name.lower(): c for c in Comparator})
@@ -148,15 +151,6 @@ def _predicate(value) -> Predicate:
 
 
 AUDIENCE = _tuple_of(_predicate)
-
-
-def SELECTION(value) -> SelectionPolicy:
-    raw = vars(value) if isinstance(value, SelectionPolicy) else _mapping(value)
-    return SelectionPolicy(
-        rule=raw.get("rule", "ALL_VALID"),
-        k=_read("k", AMOUNT, raw.get("k", 0)),
-        max_tokens=_read("max_tokens", AMOUNT, raw.get("max_tokens", 0)),
-    )
 
 
 def NETWORK(value) -> NetworkSpec:
@@ -229,11 +223,30 @@ def _specs(cls) -> Callable:
 
 
 @_spec
+class SelectionPolicy:
+    """Which of an order's valid responses, in arrival order, the buyer
+    selects: all of them, the first `k`, or as many as `max_tokens` pays for."""
+
+    rule: str = _kind(RULE, "ALL_VALID")
+    k: int = _kind(AMOUNT, 0)
+    max_tokens: int = _kind(AMOUNT, 0)
+
+    def select(self, responses: Sequence[DataResponse], price: int) -> List[DataResponse]:
+        responses = list(responses)
+        if self.rule == "ALL_VALID":
+            return responses
+        if self.rule == "FIRST_K":
+            return responses[: self.k]
+        # BUDGET_CAP; `PRICE` makes every order's price at least 1.
+        return responses[: self.max_tokens // price]
+
+
+@_spec
 class BuyerSpec:
     name: str = _kind(TEXT)
     seed: int = _kind(SEED)
     balance: int = _kind(AMOUNT, 0)
-    selection: SelectionPolicy = _kind(SELECTION, SelectionPolicy())
+    selection: SelectionPolicy = _kind(lambda v: _build(SelectionPolicy, v), SelectionPolicy())
     force_audit: bool = _kind(FLAG, False)
     mutation: Mutation = _kind(BUYER_MUTATION, Mutation.NONE)
 

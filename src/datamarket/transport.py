@@ -40,7 +40,6 @@ class Envelope:
     message: bytes
     send_tick: int
     delivery_tick: Optional[int] = None  # None = dropped
-    sequence: int = 0
 
 
 class Network:
@@ -50,10 +49,12 @@ class Network:
         self.config = config
         self._rng = random.Random(config.seed)
         self._endpoints: Set[str] = set()
-        self._in_flight: List[Envelope] = []
+        # Delivery tick -> the envelopes due then, in send order. A send is
+        # due `latency_min` >= 1 ticks later or more, and the clock advances
+        # one tick at a time, so each list is delivered at exactly its tick.
+        self._in_flight: Dict[int, List[Envelope]] = {}
         self.transcript: List[Envelope] = []
         self.tick_now = 0
-        self._sent = 0
         self._last_delivery: Dict[tuple, int] = {}
 
     def register(self, endpoint: str) -> None:
@@ -64,8 +65,7 @@ class Network:
     def send(self, sender: Address, endpoint: str, message: bytes) -> None:
         if endpoint not in self._endpoints:
             raise TransportError(f"unknown endpoint {endpoint!r}")
-        env = Envelope(sender, endpoint, message, self.tick_now, sequence=self._sent)
-        self._sent += 1
+        env = Envelope(sender, endpoint, message, self.tick_now)
         if self._rng.random() < self.config.drop_rate:
             env.delivery_tick = None
         else:
@@ -76,17 +76,14 @@ class Network:
             due = max(due, self._last_delivery.get(pair, 0))
             self._last_delivery[pair] = due
             env.delivery_tick = due
-            self._in_flight.append(env)
+            self._in_flight.setdefault(due, []).append(env)
         self.transcript.append(env)
 
     def tick(self) -> Dict[str, List[Envelope]]:
         """Advance the clock one tick and deliver due envelopes per endpoint."""
         self.tick_now += 1
-        due = [e for e in self._in_flight if e.delivery_tick <= self.tick_now]
-        self._in_flight = [e for e in self._in_flight if e.delivery_tick > self.tick_now]
-        due.sort(key=lambda e: (e.delivery_tick, e.sequence))
         delivered: Dict[str, List[Envelope]] = {}
-        for env in due:
+        for env in self._in_flight.pop(self.tick_now, ()):
             delivered.setdefault(env.endpoint, []).append(env)
         return delivered
 

@@ -108,7 +108,7 @@ def test_acceptance_1_settlement_truth_table():
                 market.order.digest(),
                 response.digest(),
                 forced,
-                crypto.encrypt_for(market.notary_keys.public_key, plaintext),
+                crypto.encrypt_for(market.notary_keys.public_key, plaintext, b"\x01" * 32),
             )
             verdict = notary.decide_verdict(request, response, "records")
             assert verdict.letter == cell[0], cell

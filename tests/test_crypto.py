@@ -125,21 +125,21 @@ def test_salt_flip_fails():
 
 def test_encrypt_decrypt_roundtrip():
     kp = crypto.generate_keypair(SEED)
-    ct = crypto.encrypt_for(kp.public_key, b"secret payload")
+    ct = crypto.encrypt_for(kp.public_key, b"secret payload", b"\x01" * 32)
     assert crypto.decrypt(kp.secret_key, ct) == b"secret payload"
 
 
 def test_decrypt_wrong_key_fails():
     kp = crypto.generate_keypair(SEED)
     other = crypto.generate_keypair(bytes([9]) * 32)
-    ct = crypto.encrypt_for(kp.public_key, b"secret")
+    ct = crypto.encrypt_for(kp.public_key, b"secret", b"\x01" * 32)
     with pytest.raises(DecryptionError):
         crypto.decrypt(other.secret_key, ct)
 
 
 def test_tampered_ciphertext_fails():
     kp = crypto.generate_keypair(SEED)
-    ct = bytearray(crypto.encrypt_for(kp.public_key, b"secret"))
+    ct = bytearray(crypto.encrypt_for(kp.public_key, b"secret", b"\x01" * 32))
     ct[40] ^= 1
     with pytest.raises(DecryptionError):
         crypto.decrypt(kp.secret_key, bytes(ct))
@@ -203,7 +203,8 @@ def test_sign_verify_property(seed, message):
 @settings(max_examples=50)
 def test_encrypt_decrypt_property(seed, plaintext):
     kp = crypto.generate_keypair(seed)
-    assert crypto.decrypt(kp.secret_key, crypto.encrypt_for(kp.public_key, plaintext)) == plaintext
+    ct = crypto.encrypt_for(kp.public_key, plaintext, b"\x01" * 32)
+    assert crypto.decrypt(kp.secret_key, ct) == plaintext
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=128))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -10,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datamarket import cli, ledger as ledger_mod, runner
+from datamarket.actors import Mutation
+from datamarket.errors import ScenarioError
+from datamarket.ledger import LedgerEvent
 from datamarket.messages import DataResponse, PayloadDelivery, decode
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario, random_scenario, scenario_from_dict
+from datamarket.scenario import (
+    SelectionPolicy,
+    load_scenario,
+    random_scenario,
+    scenario_from_dict,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -291,6 +300,7 @@ BAD_BANK_EDITS = {
     "negative audit budget": (("orders", 0, "audit_budget"), -3),
     "buyers not a list": (("buyers",), 5),
     "seller mutation on a buyer": (("buyers", 0, "mutation"), "bit_flip"),
+    "buyer mutation on a seller": (("sellers", 0, "mutation"), "certificate_replay"),
     "negative notary fee": (("notaries", 0, "fee"), -1),
     "sampling rate above 1": (("notaries", 0, "policy"), {"mode": "SAMPLE", "rate": 2}),
     "balance above u64": (("buyers", 0, "balance"), 2**70),
@@ -350,6 +360,29 @@ def test_cli_bad_scenario_value_is_input_error(tmp_path, capsys, path, value):
     assert cli.main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+# (scenario list, changes to its first spec) for a scenario built in code.
+BAD_SPECS = {
+    "buyer mutation on a seller": ("sellers", {"mutation": Mutation.CERTIFICATE_REPLAY}),
+    "seller mutation on a buyer": ("buyers", {"mutation": Mutation.BIT_FLIP}),
+    "unknown selection rule": ("buyers", {"selection": SelectionPolicy(rule="NOPE")}),
+    "negative FIRST_K k": ("buyers", {"selection": SelectionPolicy(rule="FIRST_K", k=-1)}),
+    "unknown notarization mode": ("notaries", {"mode": "NOPE"}),
+}
+
+
+@pytest.mark.parametrize("where, changes", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+def test_code_built_spec_outside_its_kind_is_refused(where, changes):
+    """The scenario's kinds are the only check of a spec value; no actor
+    checks it again, so `validate` refuses it before any actor is built."""
+    scenario = load_scenario(SCENARIOS / "bank.yaml")
+    specs = getattr(scenario, where)
+    specs[0] = dataclasses.replace(specs[0], **changes)
+    with pytest.raises(ScenarioError):
+        scenario.validate()
+    with pytest.raises(ScenarioError):
+        run_scenario(scenario)
 
 
 def edited_bank(edits) -> dict:
@@ -544,6 +577,7 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
         result.scenario, market, network, result.report.quiescent, result.report.unsettled
     )
     assert failures == [
+        "journal replay failed: replay aborted at event 6: frames after the digest trailer",
         "journal leaks profile value b'confidential-x'",
         "journal leaks plaintext data b'row-s1-aaaa'",
         "journal leaks plaintext data b'row-s1-aaaa-plus'",
@@ -553,3 +587,20 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
         "plaintext data left an actor unencrypted (to buyer:b)",
         "plaintext data left an actor unencrypted (to buyer:b)",
     ]
+
+
+def test_an_event_that_does_not_decode_fails_the_journal_invariant():
+    """Each event of a finished bank.yaml run in turn is replaced by a frame
+    with the same sequence whose payload does not decode: the invariant
+    suite's verify of the journal bytes aborts at exactly that event."""
+    result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
+    market, report = result.ledger, result.report
+    assert report.ok and len(market.journal) > 1
+    for k, event in enumerate(list(market.journal)):
+        market.journal[k] = LedgerEvent(event.sequence, event.kind, event.payload + b"\x00")
+        failures = runner.run_invariants(
+            result.scenario, market, result.network, report.quiescent, report.unsettled
+        )
+        market.journal[k] = event
+        assert len(failures) == 1, failures
+        assert failures[0].startswith(f"journal replay failed: replay aborted at event {k}: ")
