@@ -229,6 +229,7 @@ class Notary:
         self.enrollment = enrollment
         self.service_terms = messages.terms_link(f"service terms of {spec.name}")
         self.endpoint = f"notary:{spec.name}"
+        self._openers: Dict[bytes, crypto.Opener] = {}  # by the envelopes' ephemeral key
 
     def handle(self, envelope: Envelope) -> None:
         try:
@@ -281,11 +282,13 @@ class Notary:
         data matches the notary's own records for the enrolled seller."""
         if not (request.forced or self._audits()):
             return Verdict.NOT_NOTARIZED
+        ephemeral = request.audit_ciphertext[:32]
         try:
-            plaintext = crypto.decrypt(self.keys.secret_key, request.audit_ciphertext)
-            salt, data = messages.parse_payload_plaintext(plaintext)
+            opener = self._openers.get(ephemeral) or crypto.Opener(self.keys.secret_key, ephemeral)
+            salt, data = messages.parse_payload_plaintext(opener.open(request.audit_ciphertext))
         except (DecryptionError, EncodingError, MarketError):
             return Verdict.NOTARIZED_INVALID
+        self._openers[ephemeral] = opener  # kept only once one of its envelopes opened
         if not crypto.verify_commitment(salt, data, response.commitment):
             return Verdict.NOTARIZED_INVALID
         identity = self.enrollment.get(response.payment_address)
@@ -323,6 +326,8 @@ class _PendingOrder:
     # response digest -> (notary endpoint, request bytes, last send tick);
     # re-sent on a timer while the response stays unsettled.
     audit_requests: Dict[bytes, List] = field(default_factory=dict)
+    # notary address -> the one key agreement this order's requests to it are sealed under
+    sealers: Dict[Address, crypto.Sealer] = field(default_factory=dict)
 
 
 class Buyer:
@@ -486,9 +491,11 @@ class Buyer:
             # which the notary can only judge invalid.
             forced = True
         else:
-            audit_ciphertext = crypto.encrypt_for(
-                notary_terms.notary_pk, plaintext, self._rng.randbytes(32)
-            )
+            sealer = pending.sealers.get(notary_terms.notary_address)
+            if sealer is None:
+                sealer = crypto.Sealer(notary_terms.notary_pk, self._rng.randbytes(32))
+                pending.sealers[notary_terms.notary_address] = sealer
+            audit_ciphertext = sealer.seal(plaintext)
         request = NotarizationRequest(
             order_ref=contract.order_digest,
             response_digest=digest,

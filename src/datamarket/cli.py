@@ -30,7 +30,8 @@ def _cmd_run(args) -> int:
     text = result.report.render()
     try:
         if args.journal_out:
-            ledger_mod.write_journal(args.journal_out, result.ledger)
+            with open(args.journal_out, "wb") as fh:
+                fh.write(result.report.journal)  # the bytes the invariant suite verified
         if args.report_out:
             with open(args.report_out, "w") as fh:
                 fh.write(text)

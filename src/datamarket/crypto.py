@@ -8,9 +8,14 @@ concatenation signing-pub (32) || encryption-pub (32). The secret key is a
 pair is derived; it compares by seed and prints none of them. Addresses are
 the first 20 bytes of SHA-256 over the public key bytes.
 
-Envelopes are ECIES-style: an ephemeral X25519 key agreement, HKDF-SHA256
-key derivation, and ChaCha20-Poly1305 for the payload. Tampering or a wrong
-key raises DecryptionError.
+Envelopes are ECIES-style, shaped like an RFC 9180 (HPKE) context: a
+`Sealer` runs one ephemeral X25519 agreement and HKDF-SHA256 derivation,
+then seals any number of plaintexts with ChaCha20-Poly1305. An envelope is
+`ephemeral public (32) || sequence (u64, big-endian) || ciphertext + tag`,
+sealed under the nonce `4 zero bytes || sequence`. The sequence starts at 0
+and is never reused, so each (key, nonce) pair seals one plaintext, and it
+is authenticated because it is the nonce. An `Opener` is the recipient's
+side of one agreement. Tampering or a wrong key raises DecryptionError.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ DIGEST_LEN = 32
 
 _ENC_SEED_INFO = b"datamarket-enc-key-v1"
 _ENVELOPE_INFO = b"datamarket-envelope-v1"
+_NONCE_PAD = bytes(4)  # a nonce is these || the envelope's sequence
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
 
@@ -139,44 +145,58 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(),
-        length=32,
-        salt=None,
-        info=_ENVELOPE_INFO,
-    ).derive(shared + eph_pub + recipient_pub)
+def _envelope_aead(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> ChaCha20Poly1305:
+    hkdf = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_ENVELOPE_INFO)
+    return ChaCha20Poly1305(hkdf.derive(shared + eph_pub + recipient_pub))
+
+
+class Sealer:
+    """One key agreement with the holder of `public_key`. `entropy`, 32
+    bytes, seeds the ephemeral key, so transcripts are reproducible."""
+
+    def __init__(self, public_key: bytes, entropy: bytes):
+        if len(public_key) != PUBLIC_KEY_LEN:
+            raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
+        if len(entropy) != 32:
+            raise CryptoError("entropy must be 32 bytes")
+        eph_sk = X25519PrivateKey.from_private_bytes(entropy)
+        self.ephemeral_public = eph_sk.public_key().public_bytes(_RAW, _RAW_PUB)
+        shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(public_key[32:]))
+        self._aead = _envelope_aead(shared, self.ephemeral_public, public_key[32:])
+        self._sequence = 0
+
+    def seal(self, plaintext: bytes) -> bytes:
+        if len(plaintext) == 0:
+            raise CryptoError("plaintext must be non-empty")
+        sequence = self._sequence.to_bytes(8, "big")
+        self._sequence += 1
+        ciphertext = self._aead.encrypt(_NONCE_PAD + sequence, plaintext, None)
+        return self.ephemeral_public + sequence + ciphertext
+
+
+class Opener:
+    """The recipient's side of the agreement that `ephemeral_public` names."""
+
+    def __init__(self, secret_key: SecretKey, ephemeral_public: bytes):
+        try:
+            peer = X25519PublicKey.from_public_bytes(ephemeral_public)
+            shared = secret_key.decryption.exchange(peer)
+        except ValueError as exc:
+            raise DecryptionError("envelope names no usable ephemeral key") from exc
+        self._aead = _envelope_aead(shared, ephemeral_public, secret_key.encryption_public)
+
+    def open(self, envelope: bytes) -> bytes:
+        """An envelope sealed under another agreement fails to authenticate."""
+        try:
+            return self._aead.decrypt(_NONCE_PAD + envelope[32:40], envelope[40:], None)
+        except (_InvalidTag, ValueError) as exc:  # ValueError: a nonce under 12 bytes
+            raise DecryptionError("envelope failed to authenticate") from exc
 
 
 def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:
-    """Encrypt under the recipient's encryption key.
-
-    `entropy`, 32 bytes, seeds the ephemeral key, so transcripts are
-    reproducible. The nonce is fixed because each envelope uses a fresh
-    ephemeral key.
-    """
-    if len(public_key) != PUBLIC_KEY_LEN:
-        raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
-    if len(plaintext) == 0:
-        raise CryptoError("plaintext must be non-empty")
-    if len(entropy) != 32:
-        raise CryptoError("entropy must be 32 bytes")
-    eph_sk = X25519PrivateKey.from_private_bytes(entropy)
-    recipient = X25519PublicKey.from_public_bytes(public_key[32:])
-    eph_pub = eph_sk.public_key().public_bytes(_RAW, _RAW_PUB)
-    key = _envelope_key(eph_sk.exchange(recipient), eph_pub, public_key[32:])
-    ct = ChaCha20Poly1305(key).encrypt(b"\x00" * 12, plaintext, None)
-    return eph_pub + ct
+    """Seal one plaintext under a key agreement of its own."""
+    return Sealer(public_key, entropy).seal(plaintext)
 
 
 def decrypt(secret_key: SecretKey, envelope: bytes) -> bytes:
-    if len(envelope) < 32 + 16:
-        raise DecryptionError("envelope too short")
-    eph_pub, ct = envelope[:32], envelope[32:]
-    try:
-        shared = secret_key.decryption.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _envelope_key(shared, eph_pub, secret_key.encryption_public)
-        return ChaCha20Poly1305(key).decrypt(b"\x00" * 12, ct, None)
-    except (_InvalidTag, ValueError) as exc:
-        raise DecryptionError("envelope failed to authenticate") from exc
-
+    return Opener(secret_key, envelope[:32]).open(envelope)

@@ -382,8 +382,9 @@ class NotarizationRequest(Message):
     """Buyer's request for a settlement certificate for the response that
     the order's contract records under `response_digest`; the notary audits
     that recorded copy. The audit material (salt and data, as delivered) is
-    encrypted under the notary's key; an empty ciphertext marks a delivery
-    the buyer could not decrypt."""
+    encrypted under the notary's key: a buyer seals one order's requests to
+    one notary under one key agreement and re-sends each byte for byte. An
+    empty ciphertext marks a delivery the buyer could not decrypt."""
 
     order_ref: bytes
     response_digest: bytes

@@ -48,6 +48,7 @@ class RunReport:
     balances: Dict[str, int]
     total_supply: int
     state_digest: str
+    journal: bytes = field(repr=False)  # as verified; `--journal-out` writes it, unrendered
     invariant_failures: List[str] = field(default_factory=list)
     oracle_failures: List[str] = field(default_factory=list)
     unsettled: List[str] = field(default_factory=list)
@@ -222,15 +223,18 @@ def build_report(
         total_supply=market.total_supply,
         state_digest=market.state_digest().hex(),
         unsettled=unsettled,
+        journal=ledger_mod.journal_bytes(market),
     )
-    report.invariant_failures = run_invariants(scenario, market, network, quiescent, unsettled)
+    report.invariant_failures = run_invariants(
+        scenario, report.journal, network, quiescent, unsettled
+    )
     report.oracle_failures = check_oracle(scenario, rows)
     return report
 
 
 def run_invariants(
     scenario: Scenario,
-    market: Ledger,
+    journal: bytes,
     network: Network,
     quiescent: bool,
     unsettled: List[str],
@@ -239,7 +243,6 @@ def run_invariants(
 
     # The trailer holds the live state digest, so verifying the bytes also
     # checks that replay reaches the live state.
-    journal = ledger_mod.journal_bytes(market)
     try:
         ledger_mod.verify_journal(journal)
     except ReplayError as exc:

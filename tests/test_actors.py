@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from datamarket import crypto, messages, transport
 from datamarket.actors import Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
@@ -161,6 +163,36 @@ def test_garbled_audit_payload_is_invalid():
     assert notary.decide_verdict(request, response, SCHEMA) is Verdict.NOTARIZED_INVALID
 
 
+@pytest.mark.parametrize("case", ["too short", "another agreement", "flipped tag"])
+def test_an_audit_envelope_that_does_not_open_is_invalid_and_not_kept(case):
+    market, response, salt, enrollment = selected_market()
+    notary = make_notary(market, {("s10", SCHEMA): DATA}, enrollment)
+    sealed = audit_request(market, response, salt, DATA).audit_ciphertext
+    plaintext = messages.encode_payload_plaintext(salt, DATA)
+    audit_ciphertext = {
+        "too short": sealed[:39],
+        "another agreement": sealed[:32]
+        + crypto.encrypt_for(market.notary_keys.public_key, plaintext, b"\x02" * 32)[32:],
+        "flipped tag": sealed[:-1] + bytes([sealed[-1] ^ 1]),
+    }[case]
+    request = NotarizationRequest(market.order.digest(), response.digest(), True, audit_ciphertext)
+    assert notary.decide_verdict(request, response, SCHEMA) is Verdict.NOTARIZED_INVALID
+    assert notary._openers == {}
+
+
+def test_a_notary_keeps_one_opener_per_agreement():
+    market, response, salt, enrollment = selected_market()
+    notary = make_notary(market, {("s10", SCHEMA): DATA}, enrollment)
+    sealer = crypto.Sealer(market.notary_keys.public_key, b"\x01" * 32)
+    plaintext = messages.encode_payload_plaintext(salt, DATA)
+    for _ in range(3):
+        request = NotarizationRequest(
+            market.order.digest(), response.digest(), True, sealer.seal(plaintext)
+        )
+        assert notary.decide_verdict(request, response, SCHEMA) is Verdict.NOTARIZED_VALID
+    assert list(notary._openers) == [sealer.ephemeral_public]
+
+
 # -- policies -------------------------------------------------------------
 
 
@@ -244,12 +276,49 @@ def test_each_offer_and_delivery_is_sent_once():
 
 
 def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
-    """100 settlements: 100 deliveries and 100 notarization requests."""
-    envelopes, encrypt_for = [], crypto.encrypt_for
-    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: envelopes.append(a) or encrypt_for(*a))
+    """100 settlements: 100 deliveries, each under a key agreement of its
+    own, and 100 notarization requests, each sealed once under the one
+    `Sealer` of its (order, notary) pair; the ladder has 10 such pairs."""
+    deliveries, encrypt_for = [], crypto.encrypt_for
+    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: deliveries.append(a) or encrypt_for(*a))
+    sealers, init = [], crypto.Sealer.__init__
+    monkeypatch.setattr(crypto.Sealer, "__init__", lambda *a: sealers.append(a) or init(*a))
+    seals, seal = [], crypto.Sealer.seal
+    monkeypatch.setattr(crypto.Sealer, "seal", lambda *a: seals.append(a) or seal(*a))
     result = run_scenario(ladder_10x10(0.0))
+    sent = [(messages.decode(e.message), e.endpoint) for e in result.network.transcript]
+    requests = [(m, endpoint) for m, endpoint in sent if isinstance(m, NotarizationRequest)]
+    pairs = {(request.order_ref, endpoint) for request, endpoint in requests}
     assert len(result.report.rows) == 100
-    assert len(envelopes) == 200
+    assert len(deliveries) == 100
+    assert len({request.response_digest for request, _ in requests}) == 100
+    assert len(seals) == 100 + 100
+    assert len(pairs) == 10
+    assert len(sealers) == 100 + len(pairs)
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.05])
+def test_no_key_and_nonce_seal_two_audit_plaintexts(drop_rate):
+    """Audit envelopes grouped by ephemeral key: one group per (order,
+    notary) pair, and within a group one envelope per sequence number, so a
+    re-sent request repeats the bytes it was first sent with."""
+    groups = {}  # ephemeral key -> {(order, notary endpoint)}, {sequence: {envelope}}
+    sends = 0
+    for envelope in run_scenario(ladder_10x10(drop_rate)).network.transcript:
+        request = messages.decode(envelope.message)
+        if isinstance(request, NotarizationRequest):
+            sends += 1
+            sealed = request.audit_ciphertext
+            pairs, by_sequence = groups.setdefault(sealed[:32], (set(), {}))
+            pairs.add((request.order_ref, envelope.endpoint))
+            by_sequence.setdefault(sealed[32:40], set()).add(sealed)
+    all_pairs = set().union(*(pairs for pairs, _ in groups.values()))
+    assert len(groups) == len(all_pairs) == 10
+    assert all(len(pairs) == 1 for pairs, _ in groups.values())
+    assert sum(len(by_sequence) for _, by_sequence in groups.values()) == 100
+    assert (sends > 100) == (drop_rate > 0)  # the lossy run re-sends some requests
+    for _, by_sequence in groups.values():
+        assert all(len(sent) == 1 for sent in by_sequence.values())
 
 
 # -- inputs an actor must drop ---------------------------------------------

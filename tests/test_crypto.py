@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import crypto
+from datamarket import crypto, messages
 from datamarket.errors import CryptoError, DecryptionError
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario
@@ -13,6 +13,7 @@ from datamarket.scenario import load_scenario
 from sha256_ref import sha256_ref
 
 SEED = bytes(range(32))
+FUZZ_KEYS = crypto.generate_keypair(SEED)
 
 
 def test_keypair_deterministic():
@@ -140,9 +141,58 @@ def test_decrypt_wrong_key_fails():
 def test_tampered_ciphertext_fails():
     kp = crypto.generate_keypair(SEED)
     ct = bytearray(crypto.encrypt_for(kp.public_key, b"secret", b"\x01" * 32))
-    ct[40] ^= 1
+    ct[40] ^= 1  # the first ciphertext byte
     with pytest.raises(DecryptionError):
         crypto.decrypt(kp.secret_key, bytes(ct))
+
+
+def test_every_sequence_and_ciphertext_byte_is_authenticated():
+    """Bytes 32-39 hold the sequence, which is the nonce; the rest is
+    ciphertext and tag. Flipping any one of them fails to open."""
+    kp = crypto.generate_keypair(SEED)
+    sealer = crypto.Sealer(kp.public_key, b"\x01" * 32)
+    sealer.seal(b"first")
+    envelope = sealer.seal(b"secret payload")
+    assert envelope[32:40] == (1).to_bytes(8, "big")
+    for offset in range(32, len(envelope)):
+        flipped = bytearray(envelope)
+        flipped[offset] ^= 0x80
+        with pytest.raises(DecryptionError):
+            crypto.decrypt(kp.secret_key, bytes(flipped))
+
+
+def test_one_sealer_seals_each_plaintext_under_its_own_nonce():
+    kp = crypto.generate_keypair(SEED)
+    sealer = crypto.Sealer(kp.public_key, b"\x01" * 32)
+    first, second = sealer.seal(b"same"), sealer.seal(b"same")
+    assert first != second and first[:32] == second[:32] == sealer.ephemeral_public
+    assert [e[32:40] for e in (first, second)] == [bytes(8), (1).to_bytes(8, "big")]
+    for order in ([first, second], [second, first]):
+        opener = crypto.Opener(kp.secret_key, first[:32])
+        assert [crypto.decrypt(kp.secret_key, e) for e in order] == [b"same", b"same"]
+        assert [opener.open(e) for e in order] == [b"same", b"same"]
+
+
+def test_an_opener_refuses_another_agreement():
+    kp = crypto.generate_keypair(SEED)
+    envelope = crypto.encrypt_for(kp.public_key, b"secret", b"\x01" * 32)
+    opener = crypto.Opener(kp.secret_key, envelope[:32])
+    assert opener.open(envelope) == b"secret"
+    other = crypto.encrypt_for(kp.public_key, b"secret", b"\x02" * 32)
+    assert other[32:] != envelope[32:] and crypto.decrypt(kp.secret_key, other) == b"secret"
+    with pytest.raises(DecryptionError):
+        opener.open(other)
+    with pytest.raises(DecryptionError):
+        opener.open(envelope[:32] + other[32:])
+
+
+@given(st.binary(min_size=0, max_size=120))
+@settings(max_examples=300)
+def test_decrypt_of_arbitrary_bytes_raises_only_decryption_error(data):
+    try:
+        crypto.decrypt(FUZZ_KEYS.secret_key, data)
+    except DecryptionError:
+        pass
 
 
 def test_encrypt_deterministic_with_entropy():
@@ -170,17 +220,25 @@ def count_parses(monkeypatch, name):
 
 def test_a_run_parses_each_identity_key_once(monkeypatch):
     """bank.yaml: one buyer, three sellers and one notary. Beyond their keys,
-    only each envelope's ephemeral key is parsed."""
+    only the ephemeral key of each seller delivery and of each (order,
+    notary) request context is parsed."""
     ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
     x25519 = count_parses(monkeypatch, "X25519PrivateKey")
-    envelopes, encrypt_for = [], crypto.encrypt_for
-    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: envelopes.append(a) or encrypt_for(*a))
+    deliveries, encrypt_for = [], crypto.encrypt_for
+    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: deliveries.append(a) or encrypt_for(*a))
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
-    assert run_scenario(scenario).report.ok
+    result = run_scenario(scenario)
+    assert result.report.ok
+    requests = [messages.decode(e.message) for e in result.network.transcript]
+    contexts = {
+        (r.order_ref, e.endpoint)
+        for r, e in zip(requests, result.network.transcript)
+        if isinstance(r, messages.NotarizationRequest) and r.audit_ciphertext
+    }
     identities = len(scenario.buyers) + len(scenario.sellers) + len(scenario.notaries)
-    assert identities == 5 and envelopes
+    assert identities == 5 and deliveries and contexts
     assert len(ed25519) == identities
-    assert len(x25519) == identities + len(envelopes)
+    assert len(x25519) == identities + len(deliveries) + len(contexts)
 
 
 def test_signing_with_many_keys_parses_each_once(monkeypatch):

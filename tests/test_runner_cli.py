@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import tempfile
 from pathlib import Path
@@ -22,6 +23,8 @@ from datamarket.scenario import (
     random_scenario,
     scenario_from_dict,
 )
+
+from test_golden import GOLDEN
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -536,6 +539,17 @@ def test_cli_seed_reproducibility(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_run_serializes_the_journal_once(tmp_path, monkeypatch, capsys):
+    """`run --journal-out` writes the bytes the invariant suite verified:
+    one `journal_bytes` call, and the file is the pinned bank.yaml journal."""
+    calls, journal_bytes = [], ledger_mod.journal_bytes
+    monkeypatch.setattr(ledger_mod, "journal_bytes", lambda m: calls.append(m) or journal_bytes(m))
+    journal = tmp_path / "bank.journal"
+    assert cli.main(["run", str(SCENARIOS / "bank.yaml"), "--journal-out", str(journal)]) == 0
+    assert len(calls) == 1
+    assert hashlib.sha256(journal.read_bytes()).hexdigest() == GOLDEN["bank.yaml"][0]
+
+
 def test_load_scenario_files_validate():
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scenario = load_scenario(path)
@@ -567,14 +581,9 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
         ("ub:b", b"row-s1-aaa zz-s3-ccc confidential-x"),
     ]:
         network.send(sender, endpoint, message)
-    real_journal_bytes = ledger_mod.journal_bytes
-    monkeypatch.setattr(
-        ledger_mod,
-        "journal_bytes",
-        lambda m: real_journal_bytes(m) + b"confidential-x|row-s1-aaaa-plus",
-    )
+    journal = ledger_mod.journal_bytes(market) + b"confidential-x|row-s1-aaaa-plus"
     failures = runner.run_invariants(
-        result.scenario, market, network, result.report.quiescent, result.report.unsettled
+        result.scenario, journal, network, result.report.quiescent, result.report.unsettled
     )
     assert failures == [
         "journal replay failed: replay aborted at event 6: frames after the digest trailer",
@@ -599,7 +608,11 @@ def test_an_event_that_does_not_decode_fails_the_journal_invariant():
     for k, event in enumerate(list(market.journal)):
         market.journal[k] = LedgerEvent(event.sequence, event.kind, event.payload + b"\x00")
         failures = runner.run_invariants(
-            result.scenario, market, result.network, report.quiescent, report.unsettled
+            result.scenario,
+            ledger_mod.journal_bytes(market),
+            result.network,
+            report.quiescent,
+            report.unsettled,
         )
         market.journal[k] = event
         assert len(failures) == 1, failures
