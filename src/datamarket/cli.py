@@ -22,11 +22,11 @@ from .scenario import load_scenario
 
 def _cmd_run(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        # Loading only builds the scenario; `run_scenario` validates it.
+        result = run_scenario(load_scenario(args.scenario), seed=args.seed, tick_limit=args.ticks)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(scenario, seed=args.seed, tick_limit=args.ticks)
     text = result.report.render()
     try:
         if args.journal_out:

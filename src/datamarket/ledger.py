@@ -1,13 +1,16 @@
 """Deterministic single-writer token ledger hosting order contracts.
 
 Escrow rules: registering an order moves the buyer's audit budget into the
-contract; selecting sellers moves the per-response price into payment
-escrow; a verifying notary certificate releases each response's escrow to
-the seller (verdicts a/b) or back to the buyer (verdict c), with the
-notary's fee drawn from audit escrow for audited verdicts. Money moves only
-through `_credit` and `_escrow`, which keep the running totals that each
-event checks; `replay` also recounts everything at the end. Every mutation
-is journaled, and replaying the journal reproduces the exact state digest.
+contract; selecting n sellers moves price × n into payment escrow and the
+selection's audit top-up, if any, into audit escrow; a verifying notary
+certificate releases each response's escrow to the seller (verdicts a/b) or
+back to the buyer (verdict c), with the notary's fee drawn from audit escrow
+for audited verdicts. Money moves only through `_credit` and `_escrow`,
+which keep the running totals that each event checks; `replay` also
+recounts everything at the end. Each ledger call commits exactly one
+journal event, and replaying the journal reproduces the exact state digest.
+A settlement event is its certificate alone: the certificate names its
+order.
 
 Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`). Live operations and `replay`
@@ -67,7 +70,7 @@ from .messages import DataOrder, DataResponse, NotaryCertificate, NotaryTerms, V
 class EventKind(enum.IntEnum):
     MINT = 0
     ORDER_CREATED = 1
-    AUDIT_TOPUP = 2
+    # 2 is not reused: a frame of the retired audit top-up kind must not decode.
     SELLERS_SELECTED = 3
     RESPONSE_CLOSED = 4
     ORDER_CLOSED = 5
@@ -189,7 +192,7 @@ class Ledger:
 
     # -- operations ------------------------------------------------------
     # Each makes only the checks that need no ledger state, then commits
-    # its events; every rule that reads the ledger lives in a `_check_*`.
+    # its one event; every rule that reads the ledger lives in a `_check_*`.
 
     def mint(self, address: Address, amount: int) -> None:
         self._commit(EventKind.MINT, (address, amount))
@@ -215,24 +218,16 @@ class Ledger:
         contract = self.contract(order_id)
         if audit_topup < 0:
             raise LedgerError("audit top-up must be >= 0")
-        if not responses and audit_topup == 0:
-            raise LedgerError("empty selection with no top-up")
         if contract.order is None:
             # Without the order, `validate_response` would skip the signature rule.
             raise LedgerError("contract has no full order; ledger is a replay snapshot")
-        if audit_topup > 0:
-            if responses:
-                # Both events apply or neither: check the selection and all funds first.
-                self._check_selection(contract.order_digest, responses, audit_topup)
-            self._commit(EventKind.AUDIT_TOPUP, (contract.order_digest, audit_topup))
-        if responses:
-            self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses))
+        self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses, audit_topup))
 
     def close_response(self, certificate: NotaryCertificate) -> Settlement:
         """Settle the response `certificate` binds, on the order it names."""
         if not certificate.verify_signature():
             raise InvalidSignature("certificate signature does not verify")
-        return self._commit(EventKind.RESPONSE_CLOSED, (certificate.order_ref, certificate))
+        return self._commit(EventKind.RESPONSE_CLOSED, (certificate,))
 
     def close_order(self, order_id: str) -> None:
         self._commit(EventKind.ORDER_CLOSED, (self.contract(order_id).order_digest,))
@@ -283,21 +278,10 @@ class Ledger:
         self._escrow(self.contracts[digest.hex()], audit=min_audit_budget)
         self.registrations.append(digest.hex())
 
-    def _check_topup(self, order_digest: bytes, amount: int) -> None:
+    def _check_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
         contract = self._open_contract(order_digest)
-        if amount <= 0:
-            raise LedgerError("audit top-up must be positive")
-        self._check_funds(contract.buyer_address, amount, "selection payment and top-up")
-
-    def _apply_topup(self, order_digest: bytes, amount: int) -> None:
-        contract = self.contracts[order_digest.hex()]
-        self._credit(contract.buyer_address, -amount)
-        self._escrow(contract, audit=amount)
-
-    def _check_selection(self, order_digest: bytes, responses, audit_topup: int = 0) -> None:
-        contract = self._open_contract(order_digest)
-        if not responses:
-            raise LedgerError("selection names no response")
+        if not responses and not audit_topup:
+            raise LedgerError("selection names no response and tops up nothing")
         batch = set()
         for response in responses:
             digest = response.digest()
@@ -310,23 +294,21 @@ class Ledger:
         total = contract.price * len(responses) + audit_topup
         self._check_funds(contract.buyer_address, total, "selection payment and top-up")
 
-    def _apply_selection(self, order_digest: bytes, responses) -> None:
+    def _apply_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
         contract = self.contracts[order_digest.hex()]
-        total = contract.price * len(responses)
-        self._credit(contract.buyer_address, -total)
-        self._escrow(contract, payment=total)
+        payment = contract.price * len(responses)
+        self._credit(contract.buyer_address, -(payment + audit_topup))
+        self._escrow(contract, audit=audit_topup, payment=payment)
         for response in responses:
             contract.responses[response.digest()] = ResponseState(response)
 
-    def _check_close(self, order_digest: bytes, cert: NotaryCertificate) -> None:
-        contract = self._open_contract(order_digest)
+    def _check_close(self, cert: NotaryCertificate) -> None:
+        contract = self._open_contract(cert.order_ref)
         state = contract.responses.get(cert.response_digest)
         if state is None:
             raise UnknownResponse(f"response {cert.response_digest.hex()} is not selected")
         if state.phase is Phase.SETTLED:
             raise AlreadySettled(f"response {cert.response_digest.hex()} is already settled")
-        if cert.order_ref != order_digest:
-            raise LedgerError("certificate binds a different order")
         notary = state.response.chosen_notary
         if crypto.derive_address(cert.notary_pk) != notary:
             raise InvalidSignature("certificate is not from the response's chosen notary")
@@ -336,8 +318,8 @@ class Ledger:
                 f"notary fee {fee} exceeds audit escrow {contract.audit_escrow}"
             )
 
-    def _apply_close(self, order_digest: bytes, cert: NotaryCertificate) -> Settlement:
-        contract = self.contracts[order_digest.hex()]
+    def _apply_close(self, cert: NotaryCertificate) -> Settlement:
+        contract = self.contracts[cert.order_ref.hex()]
         state = contract.responses[cert.response_digest]
         price = contract.price
         notary = state.response.chosen_notary
@@ -458,12 +440,11 @@ _RULES = {
         U64,
         _NOTARY_TERMS,
     ),
-    EventKind.AUDIT_TOPUP: _rule(Ledger._check_topup, Ledger._apply_topup, RAW, U64),
     EventKind.SELLERS_SELECTED: _rule(
-        Ledger._check_selection, Ledger._apply_selection, RAW, ListOf(nested(DataResponse))
+        Ledger._check_selection, Ledger._apply_selection, RAW, ListOf(nested(DataResponse)), U64
     ),
     EventKind.RESPONSE_CLOSED: _rule(
-        Ledger._check_close, Ledger._apply_close, RAW, nested(NotaryCertificate)
+        Ledger._check_close, Ledger._apply_close, nested(NotaryCertificate)
     ),
     EventKind.ORDER_CLOSED: _rule(Ledger._check_order_closed, Ledger._apply_order_closed, RAW),
 }
@@ -505,11 +486,6 @@ def journal_bytes(ledger: Ledger) -> bytes:
         write_field(out, event.encode())
     write_field(out, bytes([TRAILER_KIND]) + ledger.state_digest() + crypto.sha256(out))
     return bytes(out)
-
-
-def write_journal(path, ledger: Ledger) -> None:
-    with open(path, "wb") as fh:
-        fh.write(journal_bytes(ledger))
 
 
 def parse_journal(data: bytes):

@@ -1,6 +1,5 @@
-"""Declarative market scenarios: the dataclasses, the YAML file loader with
-cross-reference validation, and a seeded random generator used by the
-property suites.
+"""Declarative market scenarios: the dataclasses, their validation, the YAML
+file loader and a seeded random generator used by the property suites.
 
 File grammar (YAML, all keys lowercase):
 
@@ -27,8 +26,10 @@ File grammar (YAML, all keys lowercase):
 Each spec field declares its kind: a function that takes the field's file
 form, or the value a spec built in code holds, and returns the field's value
 or raises `ScenarioError`. The loader reads every field through its kind, and
-`Scenario.validate` checks every spec against the same kinds; `run_scenario`
-calls it before it builds an actor, so no actor checks a spec value again.
+`Scenario.validate` checks every spec against the same kinds and the
+cross-references. Loading only builds a scenario: `run_scenario` calls
+`validate` before it builds an actor, so a scenario is validated once per
+run and no actor checks a spec value again.
 Each buyer, seller and notary spec is its actor's constructor input: the
 actor keeps the spec and reads its options from it. A buyer's
 `SelectionPolicy` is declared here, as a spec of its own.
@@ -400,9 +401,8 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    scenario = _build(Scenario, doc)
-    scenario.validate()
-    return scenario
+    """Build a scenario from its file form; `Scenario.validate` checks it."""
+    return _build(Scenario, doc)
 
 
 # -- random scenario generation -------------------------------------------

@@ -217,9 +217,10 @@ def test_hand_made_inputs_are_well_formed_otherwise():
     assert check_message(response()) and check_message(order(b"ub:b"))
 
 
-def test_unknown_event_kind_raises_encoding_error():
+@pytest.mark.parametrize("kind", [2, 9])  # 2 is the retired audit top-up kind
+def test_unknown_event_kind_raises_encoding_error(kind):
     frame = bytearray(LedgerEvent(0, EventKind.ORDER_CLOSED, fields(bytes(32))).encode())
-    frame[8] = 9
+    frame[8] = kind
     with pytest.raises(EncodingError):
         LedgerEvent.decode(bytes(frame))
 

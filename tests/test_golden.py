@@ -24,27 +24,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "847c4019c6f1dd9063f3c260581c9108628eca4daef8938218defb3000be9b2d",
+        "fa5e3127e429c07aead05c94a05c146234dea8d2ca28d4d8459e12312eea5499",
         "f487edc6d5c1eee5090c5d946ee699a78528f402fdb18ff9cf80f9fcdeade4bd",
     ),
     "telco.yaml": (
-        "2b5a5dc36c912c5dedfe002e984fd3f9ac9e8a5b6afdcba5fe7c630dd942cef6",
+        "c5057f289ac6d596ddda4f45b0e4a506705f70df46b39d21a0dd5b3c22eefc9b",
         "5701bdfe08d676995402e23025b2071fc45f3311eb240e5c2f1eb73841df6182",
     ),
 }
 RANDOM_SEEDS = range(1000)
-RANDOM_COMBINED = "8c9f034193b3d50643d81e9496445a86e442346cf32b829347df7c3d85e12576"
+RANDOM_COMBINED = "ec6b419c30b827ac4b1238b8538181893526d8773d0aab265934209bb1d1578d"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "41358efed69d9838658717093207c87885abca2af1f33d31d5786d18d132d3bc",
+        "1ee0fc2220a8663401abd761e79a829878dca5c31762658c5a8a27698fac67c8",
         "e962c5756f0d87122050f71ce2e083420915fc545a2ec90ee17befc86c9d9d71",
         100,
         134,
     ),
     0.05: (
-        "9a0f80fe95f41022214279eb24a72a0fecfcf8fb1fd1e4d85a130891c2961810",
+        "a1e85f1f1186454a213d4a30cfa5ae2062fabc53c82e55dd5bc8de59fccab2ec",
         "2884d228c45380676924d422bd7d222c22e37b0010311dd90799c850eb24b114",
         100,
         134,

@@ -33,13 +33,13 @@ def forge(ledger, kind, *args, payload=None):
     sequence = len(ledger.journal)
     payload = rule.encode(*args) if payload is None else payload
     ledger.journal.append(LedgerEvent(sequence, kind, payload))
-    rule.apply(ledger, *args)
     frames = bytearray()
     for event in ledger.journal:
         write_field(frames, event.encode())
     try:
+        rule.apply(ledger, *args)
         state = ledger.state_digest()
-    except EncodingError:  # a negative escrow has no encoding
+    except (KeyError, EncodingError):  # no contract to apply to, or a negative escrow
         state = bytes(32)
     trailer = bytes([ledger_mod.TRAILER_KIND]) + state + crypto.sha256(frames)
     write_field(frames, trailer)
@@ -69,14 +69,16 @@ def selection_on_closed_order():
     market.ledger.close_response(certify(market, response))
     market.ledger.close_order(market.order_id)
     late, _, _ = make_response(market, seller_seed=11)
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late])
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late], 0)
 
 
 def certificate_for_another_order():
+    """A certificate for a selected response that names an order never
+    registered: the certificate alone says which contract it settles."""
     market, response = selected()
     other = make_order(keys_from_seed(3)).digest()
     cert = certify(market, response, order_ref=other)
-    return forge(market.ledger, EventKind.RESPONSE_CLOSED, market.order.digest(), cert)
+    return forge(market.ledger, EventKind.RESPONSE_CLOSED, cert)
 
 
 def price_differs_from_posted():
@@ -84,23 +86,18 @@ def price_differs_from_posted():
     response = messages.build_data_response(
         keys_from_seed(10), market.order, 6, b"data", market.notary, crypto.sha256(b"salt")
     )
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response])
-
-
-def zero_topup():
-    market = make_market()
-    return forge(market.ledger, EventKind.AUDIT_TOPUP, market.order.digest(), 0)
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response], 0)
 
 
 def empty_selection():
+    """A selection that names no response and tops up nothing."""
     market = make_market()
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [])
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [], 0)
 
 
 def fee_exceeds_audit_escrow():
     market, response = selected(m_a=1, fee=3)
-    cert = certify(market, response)
-    return forge(market.ledger, EventKind.RESPONSE_CLOSED, market.order.digest(), cert)
+    return forge(market.ledger, EventKind.RESPONSE_CLOSED, certify(market, response))
 
 
 def notary_terms_out_of_order():
@@ -138,7 +135,6 @@ CRAFTED = [
     selection_on_closed_order,
     certificate_for_another_order,
     price_differs_from_posted,
-    zero_topup,
     empty_selection,
     fee_exceeds_audit_escrow,
     notary_terms_out_of_order,
@@ -260,38 +256,37 @@ STREAMS = st.builds(
 
 
 def plan(live, call):
-    """Return the (kind, args) of the events `call` asks the journal to
+    """Return the kind and args of the one event `call` asks the journal to
     take, and a function that makes the call on a live ledger. A close picks
     its response among those `live` has selected for the order, if any."""
     buyers, orders, notary_lists, responses, certs = world()
     name, *rest = call
     if name == "mint":
         args = (buyers[rest[0]], rest[1])
-        return [(EventKind.MINT, args)], lambda lg: lg.mint(*args)
+        return EventKind.MINT, args, lambda lg: lg.mint(*args)
     order = orders[rest[0]]
     digest = order.digest()
     if name == "register":
         notary_list, price = notary_lists[rest[0]][rest[1]], rest[2]
         buyer = crypto.derive_address(order.buyer_pk)
         args = (digest, buyer, order.min_audit_budget, price, notary_list)
-        return [(EventKind.ORDER_CREATED, args)], lambda lg: lg.register_order(
+        return EventKind.ORDER_CREATED, args, lambda lg: lg.register_order(
             order, notary_list, price
         )
     if name == "select":
         mine, other = responses[rest[0]], responses[1 - rest[0]]
         chosen, topup = [mine[s] if s < 3 else other[0] for s in rest[1]], rest[2]
-        events = [(EventKind.AUDIT_TOPUP, (digest, topup))] if topup else []
-        if chosen or not topup:  # an empty selection with no top-up is rejected
-            events.append((EventKind.SELLERS_SELECTED, (digest, chosen)))
-        return events, lambda lg: lg.select_sellers(digest.hex(), chosen, topup)
+        args = (digest, chosen, topup)
+        return EventKind.SELLERS_SELECTED, args, lambda lg: lg.select_sellers(
+            digest.hex(), chosen, topup
+        )
     if name == "close":
         contract = live.contracts.get(digest.hex())
         picked = list(contract.responses) if contract else []
         target = picked[rest[1] % len(picked)] if picked else responses[rest[0]][rest[1]].digest()
         cert = certs[target, rest[2], rest[3]]
-        events = [(EventKind.RESPONSE_CLOSED, (cert.order_ref, cert))]
-        return events, lambda lg: lg.close_response(cert)
-    return [(EventKind.ORDER_CLOSED, (digest,))], lambda lg: lg.close_order(digest.hex())
+        return EventKind.RESPONSE_CLOSED, (cert,), lambda lg: lg.close_response(cert)
+    return EventKind.ORDER_CLOSED, (digest,), lambda lg: lg.close_order(digest.hex())
 
 
 def commit_checking_totals(commit):
@@ -317,17 +312,15 @@ def test_replay_accepts_exactly_what_the_live_ledger_accepts(calls):
 def check_live_against_replay(calls):
     live = Ledger()
     for call in calls:
-        events, make_call = plan(live, call)
+        kind, args, make_call = plan(live, call)
         before, digest_before = list(live.journal), live.state_digest()
         try:
             make_call(live)
             accepted = True
         except LedgerError:
             accepted = False
-        candidate = before + [
-            LedgerEvent(len(before) + i, kind, ledger_mod._RULES[kind].encode(*args))
-            for i, (kind, args) in enumerate(events)
-        ]
+        event = LedgerEvent(len(before), kind, ledger_mod._RULES[kind].encode(*args))
+        candidate = before + [event]
         try:
             replayed = ledger_mod.replay(candidate)
         except ReplayError:

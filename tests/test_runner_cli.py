@@ -18,6 +18,7 @@ from datamarket.ledger import LedgerEvent
 from datamarket.messages import DataResponse, PayloadDelivery, decode
 from datamarket.runner import run_scenario
 from datamarket.scenario import (
+    Scenario,
     SelectionPolicy,
     load_scenario,
     random_scenario,
@@ -249,7 +250,7 @@ def test_cli_run_bank_scenario(tmp_path, capsys):
 def test_cli_verify_reports_event_count(tmp_path, capsys):
     result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
     journal = tmp_path / "bank.journal"
-    ledger_mod.write_journal(journal, result.ledger)
+    journal.write_bytes(ledger_mod.journal_bytes(result.ledger))
     assert cli.main(["verify", str(journal)]) == 0
     events = len(result.ledger.journal)
     assert events > 0
@@ -550,9 +551,18 @@ def test_cli_run_serializes_the_journal_once(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == GOLDEN["bank.yaml"][0]
 
 
+def test_cli_run_validates_the_scenario_once(monkeypatch, capsys):
+    """Loading only builds the scenario; `run_scenario` validates it."""
+    calls, validate = [], Scenario.validate
+    monkeypatch.setattr(Scenario, "validate", lambda s: calls.append(s) or validate(s))
+    assert cli.main(["run", str(SCENARIOS / "bank.yaml")]) == 0
+    assert len(calls) == 1
+
+
 def test_load_scenario_files_validate():
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scenario = load_scenario(path)
+        scenario.validate()
         assert scenario.buyers and scenario.orders
 
 
