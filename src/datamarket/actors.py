@@ -95,8 +95,6 @@ def seller_evaluate_order(
         return EvaluationDecision(False, reason="audience")
     if order.request.schema_id not in dataset:
         return EvaluationDecision(False, reason="no-data")
-    if not notary_list:
-        return EvaluationDecision(False, reason="no-notary")
     if price < min_price:
         return EvaluationDecision(False, reason="price")
     cheapest = min(notary_list, key=lambda nt: (nt.fee, nt.notary_address))
@@ -127,15 +125,15 @@ class Seller:
         self._offers: Dict[bytes, _SellerOffer] = {}
 
     def step(self, tick: int) -> None:
-        for order_id in sorted(self.ledger.registrations[self._registrations_read :]):
-            self._consider(order_id, tick)
+        for order_digest in sorted(self.ledger.registrations[self._registrations_read :]):
+            self._consider(order_digest, tick)
         self._registrations_read = len(self.ledger.registrations)
         for digest, offer in list(self._offers.items()):
             if not self._progress_offer(offer, tick):
                 del self._offers[digest]
 
-    def _consider(self, order_id: str, tick: int) -> None:
-        contract = self.ledger.contract(order_id)
+    def _consider(self, order_digest: bytes, tick: int) -> None:
+        contract = self.ledger.contract(order_digest)
         order = contract.order
         spec = self.spec
         decision = seller_evaluate_order(
@@ -260,7 +258,7 @@ class Notary:
         """Audit the response that the order's contract records under the
         request's digest. The request is dropped unless that response is
         selected, unsettled, and names this notary."""
-        contract = self.ledger.contracts.get(request.order_ref.hex())
+        contract = self.ledger.contracts.get(request.order_ref)
         if contract is None:
             return
         state = contract.responses.get(request.response_digest)
@@ -314,12 +312,13 @@ def _control_endpoint(upload_url: str) -> Optional[str]:
 
 @dataclass
 class _PendingOrder:
-    """The buyer's own progress through one order. What the ledger records
-    (selections, settlements) is read from the order's contract."""
+    """The buyer's own progress through one order: its notary terms,
+    deadlines and audit requests. The order's stage is read from its
+    contract: none while gathering terms, no selected response while
+    collecting responses, selected ones while awaiting certificates."""
 
     spec: "OrderSpec"
     order: DataOrder
-    phase: str  # GATHERING | COLLECTING | AWAITING | DONE | ABORTED
     gather_deadline: int
     terms: List[NotaryTerms] = field(default_factory=list)
     select_deadline: int = 0
@@ -351,11 +350,11 @@ class Buyer:
         self.upload_url = f"ub:{spec.name}"
         self.inbox = BuyerEndpoint()
         self.rejected_submissions: List[str] = []
-        self.aborted_orders: List[str] = []
+        self.aborted_orders: List[bytes] = []  # order digests
         self._rng = random.Random(spec.seed)
         self._orders_started = 0
-        # Order id (the order digest in hex) -> the buyer's progress on it, until finished.
-        self._pending: Dict[str, _PendingOrder] = {}
+        # Order digest -> the buyer's progress on it, until the order closes or aborts.
+        self._pending: Dict[bytes, _PendingOrder] = {}
         self._delivery_cursor = 0
 
     # -- protocol steps --------------------------------------------------
@@ -371,11 +370,8 @@ class Buyer:
             nonce=self._orders_started,  # orders this buyer started before this one
         )
         self._orders_started += 1
-        self._pending[order.digest().hex()] = _PendingOrder(
-            spec=spec,
-            order=order,
-            phase="GATHERING",
-            gather_deadline=tick + spec.countersign_window,
+        self._pending[order.digest()] = _PendingOrder(
+            spec=spec, order=order, gather_deadline=tick + spec.countersign_window
         )
         for name in spec.notaries:
             self.network.send(self.address, f"notary:{name}", order.encode())
@@ -390,31 +386,36 @@ class Buyer:
         except EncodingError:
             return
         if isinstance(msg, NotaryTerms):
-            pending = self._pending.get(msg.order_digest.hex())
-            if pending is not None and pending.phase == "GATHERING":
-                if msg.verify_signature():
-                    pending.terms.append(msg)
+            pending = self._pending.get(msg.order_digest)
+            gathering = pending is not None and msg.order_digest not in self.ledger.contracts
+            if gathering and msg.verify_signature():
+                pending.terms.append(msg)
         elif isinstance(msg, NotaryCertificate):
             self._settle(msg)
 
     def step(self, tick: int) -> None:
-        for order_id, pending in list(self._pending.items()):
-            if pending.phase == "GATHERING" and tick >= pending.gather_deadline:
-                self._register(pending, tick)
-            elif pending.phase == "COLLECTING" and tick >= pending.select_deadline:
-                self._select(order_id, pending)
-            elif pending.phase == "AWAITING":
-                self._retry_audit_requests(order_id, pending, tick)
-            if pending.phase in ("DONE", "ABORTED"):
-                del self._pending[order_id]
+        for digest, pending in list(self._pending.items()):
+            contract = self.ledger.contracts.get(digest)
+            if contract is None:  # gathering notary terms
+                if tick >= pending.gather_deadline and not self._register(pending, tick):
+                    del self._pending[digest]
+                continue
+            if contract.status is Status.OPEN:
+                if contract.responses:  # awaiting certificates
+                    self._retry_audit_requests(contract, pending, tick)
+                elif tick >= pending.select_deadline:  # collecting responses
+                    self._select(contract)
+            if contract.status is Status.CLOSED:
+                del self._pending[digest]
         self._process_deliveries()
 
-    def _retry_audit_requests(self, order_id: str, pending: _PendingOrder, tick: int) -> None:
+    def _retry_audit_requests(
+        self, contract: OrderContract, pending: _PendingOrder, tick: int
+    ) -> None:
         # A dropped request or certificate would stall settlement forever;
         # re-ask the notary until the ledger shows the response settled.
-        responses = self.ledger.contract(order_id).responses
         for digest, entry in pending.audit_requests.items():
-            if responses[digest].phase is Phase.SETTLED:
+            if contract.responses[digest].phase is Phase.SETTLED:
                 continue
             endpoint, payload, last_sent = entry
             if tick - last_sent >= BUYER_RETRY_INTERVAL:
@@ -423,26 +424,25 @@ class Buyer:
 
     @property
     def done(self) -> bool:
-        return all(p.phase in ("DONE", "ABORTED") for p in self._pending.values())
+        return not self._pending
 
     # -- internals -------------------------------------------------------
 
-    def _register(self, pending: _PendingOrder, tick: int) -> None:
-        """An order with no notary terms, or one the ledger refuses, is aborted."""
+    def _register(self, pending: _PendingOrder, tick: int) -> bool:
+        """Register the order. One with no notary terms, or one the ledger
+        refuses, is aborted instead, and the result is False."""
         if pending.terms:
             try:
                 self.ledger.register_order(pending.order, pending.terms, pending.spec.price)
             except LedgerError as exc:
                 self.rejected_submissions.append(f"register: {exc}")
             else:
-                pending.phase = "COLLECTING"
                 pending.select_deadline = tick + pending.spec.response_window
-                return
-        pending.phase = "ABORTED"
-        self.aborted_orders.append(pending.order.digest().hex())
+                return True
+        self.aborted_orders.append(pending.order.digest())
+        return False
 
-    def _select(self, order_id: str, pending: _PendingOrder) -> None:
-        contract = self.ledger.contract(order_id)
+    def _select(self, contract: OrderContract) -> None:
         received = self.inbox.by_order.get(contract.order_digest, ())
         # The same rule list the ledger's selection applies.
         valid = [r for r in received if not messages.validate_response(r, contract)]
@@ -455,12 +455,10 @@ class Buyer:
             if contract.price * len(chosen) + topup <= affordable:
                 break
             chosen = chosen[:-1]
-        if not chosen:
-            self.ledger.close_order(order_id)
-            pending.phase = "DONE"
-            return
-        self.ledger.select_sellers(order_id, chosen, audit_topup=topup)
-        pending.phase = "AWAITING"
+        if chosen:
+            self.ledger.select_sellers(contract.order_digest, chosen, audit_topup=topup)
+        else:
+            self.ledger.close_order(contract.order_digest)
 
     def _process_deliveries(self) -> None:
         while self._delivery_cursor < len(self.inbox.deliveries):
@@ -471,13 +469,11 @@ class Buyer:
     def _request_notarization(self, delivery: PayloadDelivery) -> None:
         digest = delivery.response_digest
         # The inbox accepts a delivery only for a response it holds.
-        order_id = self.inbox.responses[digest].order_ref.hex()
-        pending = self._pending.get(order_id)
-        if pending is None or pending.phase != "AWAITING" or digest in pending.audit_requests:
-            return
-        contract = self.ledger.contract(order_id)
-        state = contract.responses.get(digest)
-        if state is None:
+        order_digest = self.inbox.responses[digest].order_ref
+        pending = self._pending.get(order_digest)
+        contract = self.ledger.contracts.get(order_digest)
+        state = contract and contract.responses.get(digest)
+        if pending is None or state is None or digest in pending.audit_requests:
             return
         response = state.response
         notary_terms = contract.notary_terms[response.chosen_notary]
@@ -509,13 +505,9 @@ class Buyer:
     def _settle(self, cert: NotaryCertificate) -> None:
         """Submit a certificate for one of this buyer's unsettled responses.
         One the ledger refuses is recorded and dropped."""
-        order_id = cert.order_ref.hex()
-        pending = self._pending.get(order_id)
-        if pending is None or pending.phase != "AWAITING":
-            return
-        contract = self.ledger.contract(order_id)
-        state = contract.responses.get(cert.response_digest)
-        if state is None or state.phase is Phase.SETTLED:
+        contract = self.ledger.contracts.get(cert.order_ref)
+        state = contract and contract.responses.get(cert.response_digest)
+        if cert.order_ref not in self._pending or state is None or state.phase is Phase.SETTLED:
             return
         if self.spec.mutation is Mutation.FORGED_CERTIFICATE:
             forged = messages.issue_certificate(
@@ -537,5 +529,4 @@ class Buyer:
                 self.rejected_submissions.append(f"certificate-replay: {exc}")
         # The escrow holds `price` (at least 1) for each unsettled selected response.
         if contract.payment_escrow == 0:
-            self.ledger.close_order(order_id)
-            pending.phase = "DONE"
+            self.ledger.close_order(cert.order_ref)

@@ -163,8 +163,8 @@ class Ledger:
 
     def __init__(self):
         self.accounts: Dict[Address, int] = {}
-        self.contracts: Dict[str, OrderContract] = {}
-        self.registrations: List[str] = []  # order ids, in registration order
+        self.contracts: Dict[bytes, OrderContract] = {}  # by order digest
+        self.registrations: List[bytes] = []  # order digests, in registration order
         self.journal: List[LedgerEvent] = []
         self.total_supply = 0
         self.balance_sum = self.escrow_sum = 0  # running sums of balances and of escrows
@@ -175,14 +175,14 @@ class Ledger:
     def balance(self, address: Address) -> int:
         return self.accounts.get(address, 0)
 
-    def open_orders(self) -> Dict[str, OrderContract]:
-        return {oid: c for oid, c in self.contracts.items() if c.status is Status.OPEN}
+    def open_orders(self) -> Dict[bytes, OrderContract]:
+        return {d: c for d, c in self.contracts.items() if c.status is Status.OPEN}
 
-    def contract(self, order_id: str) -> OrderContract:
+    def contract(self, order_digest: bytes) -> OrderContract:
         try:
-            return self.contracts[order_id]
+            return self.contracts[order_digest]
         except KeyError:
-            raise UnknownOrder(f"no contract for order {order_id}") from None
+            raise UnknownOrder(f"no contract for order {order_digest.hex()}") from None
 
     def escrow_total(self) -> int:
         return sum(c.audit_escrow + c.payment_escrow for c in self.contracts.values())
@@ -199,7 +199,7 @@ class Ledger:
 
     def register_order(
         self, order: DataOrder, notary_list: Sequence[NotaryTerms], price: int
-    ) -> str:
+    ) -> bytes:
         if not order.verify_signature():
             raise InvalidSignature("order buyer signature does not verify")
         if not all(nt.verify_signature() for nt in notary_list):
@@ -208,20 +208,19 @@ class Ledger:
         buyer = crypto.derive_address(order.buyer_pk)
         args = (digest, buyer, order.min_audit_budget, price, notary_list)
         self._commit(EventKind.ORDER_CREATED, args)
-        order_id = digest.hex()
-        self.contracts[order_id].order = order
-        return order_id
+        self.contracts[digest].order = order
+        return digest
 
     def select_sellers(
-        self, order_id: str, responses: Sequence[DataResponse], audit_topup: int = 0
+        self, order_digest: bytes, responses: Sequence[DataResponse], audit_topup: int = 0
     ) -> None:
-        contract = self.contract(order_id)
+        contract = self.contract(order_digest)
         if audit_topup < 0:
             raise LedgerError("audit top-up must be >= 0")
         if contract.order is None:
             # Without the order, `validate_response` would skip the signature rule.
             raise LedgerError("contract has no full order; ledger is a replay snapshot")
-        self._commit(EventKind.SELLERS_SELECTED, (contract.order_digest, responses, audit_topup))
+        self._commit(EventKind.SELLERS_SELECTED, (order_digest, responses, audit_topup))
 
     def close_response(self, certificate: NotaryCertificate) -> Settlement:
         """Settle the response `certificate` binds, on the order it names."""
@@ -229,8 +228,8 @@ class Ledger:
             raise InvalidSignature("certificate signature does not verify")
         return self._commit(EventKind.RESPONSE_CLOSED, (certificate,))
 
-    def close_order(self, order_id: str) -> None:
-        self._commit(EventKind.ORDER_CLOSED, (self.contract(order_id).order_digest,))
+    def close_order(self, order_digest: bytes) -> None:
+        self._commit(EventKind.ORDER_CLOSED, (order_digest,))
 
     def _commit(self, kind: EventKind, args: tuple, event: Optional[LedgerEvent] = None):
         """Check, apply and journal one event: built from `args` on a live
@@ -262,7 +261,7 @@ class Ledger:
             raise LedgerError("price must be positive")
         if not notary_list:
             raise LedgerError("notary list must be non-empty")
-        if digest.hex() in self.contracts:
+        if digest in self.contracts:
             raise LedgerError(f"order {digest.hex()} already registered")
         if any(nt.order_digest != digest for nt in notary_list):
             raise InvalidSignature("notary terms bind a different order")
@@ -274,9 +273,9 @@ class Ledger:
         self._genesis_open = False
         self._credit(buyer, -min_audit_budget)
         terms = {nt.notary_address: nt for nt in notary_list}
-        self.contracts[digest.hex()] = OrderContract(digest, buyer, min_audit_budget, price, terms)
-        self._escrow(self.contracts[digest.hex()], audit=min_audit_budget)
-        self.registrations.append(digest.hex())
+        self.contracts[digest] = OrderContract(digest, buyer, min_audit_budget, price, terms)
+        self._escrow(self.contracts[digest], audit=min_audit_budget)
+        self.registrations.append(digest)
 
     def _check_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
         contract = self._open_contract(order_digest)
@@ -295,7 +294,7 @@ class Ledger:
         self._check_funds(contract.buyer_address, total, "selection payment and top-up")
 
     def _apply_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
-        contract = self.contracts[order_digest.hex()]
+        contract = self.contracts[order_digest]
         payment = contract.price * len(responses)
         self._credit(contract.buyer_address, -(payment + audit_topup))
         self._escrow(contract, audit=audit_topup, payment=payment)
@@ -319,7 +318,7 @@ class Ledger:
             )
 
     def _apply_close(self, cert: NotaryCertificate) -> Settlement:
-        contract = self.contracts[cert.order_ref.hex()]
+        contract = self.contracts[cert.order_ref]
         state = contract.responses[cert.response_digest]
         price = contract.price
         notary = state.response.chosen_notary
@@ -347,16 +346,15 @@ class Ledger:
             raise LedgerError(f"unsettled responses remain: {unsettled}")
 
     def _apply_order_closed(self, order_digest: bytes) -> None:
-        contract = self.contracts[order_digest.hex()]
+        contract = self.contracts[order_digest]
         self._credit(contract.buyer_address, contract.audit_escrow)
         self._escrow(contract, audit=-contract.audit_escrow)
         contract.status = Status.CLOSED
 
     def _open_contract(self, order_digest: bytes, closed: str = "is closed") -> OrderContract:
-        order_id = order_digest.hex()
-        contract = self.contract(order_id)
+        contract = self.contract(order_digest)
         if contract.status is not Status.OPEN:
-            raise OrderClosed(f"order {order_id} {closed}")
+            raise OrderClosed(f"order {order_digest.hex()} {closed}")
         return contract
 
     def _check_funds(self, address: Address, amount: int, purpose: str) -> None:
@@ -378,8 +376,8 @@ class Ledger:
         out = bytearray(encode_uint(self.total_supply))
         for address in sorted(self.accounts):
             write_field(out, address.bytes + encode_uint(self.accounts[address]))
-        for order_id in sorted(self.contracts):
-            write_field(out, _contract_state_bytes(self.contracts[order_id]))
+        for order_digest in sorted(self.contracts):
+            write_field(out, _contract_state_bytes(self.contracts[order_digest]))
         return crypto.sha256(bytes(out))
 
 
@@ -486,6 +484,11 @@ def journal_bytes(ledger: Ledger) -> bytes:
         write_field(out, event.encode())
     write_field(out, bytes([TRAILER_KIND]) + ledger.state_digest() + crypto.sha256(out))
     return bytes(out)
+
+
+def journal_state_digest(data: bytes) -> bytes:
+    """The state digest in the trailer of bytes that `journal_bytes` wrote."""
+    return data[-64:-32]
 
 
 def parse_journal(data: bytes):

@@ -186,9 +186,10 @@ def build_report(
     for notary in notaries:
         names[notary.address] = notary.name
 
-    # Settlements come from the ledger, in (order id, response digest) order.
+    # Settlements come from the ledger, in (order digest, response digest) order.
     rows, unsettled = [], []
-    for order_id, contract in sorted(market.contracts.items()):
+    for order_digest, contract in sorted(market.contracts.items()):
+        order_id = order_digest.hex()
         for digest, state in sorted(contract.responses.items()):
             s = state.settlement
             if s is None:
@@ -214,6 +215,7 @@ def build_report(
         label = names.get(address, address.hex)
         balances[label] = market.accounts[address]
 
+    journal = ledger_mod.journal_bytes(market)
     report = RunReport(
         scenario_name=scenario.name,
         ticks_used=network.tick_now,
@@ -221,9 +223,9 @@ def build_report(
         rows=rows,
         balances=balances,
         total_supply=market.total_supply,
-        state_digest=market.state_digest().hex(),
+        state_digest=ledger_mod.journal_state_digest(journal).hex(),
         unsettled=unsettled,
-        journal=ledger_mod.journal_bytes(market),
+        journal=journal,
     )
     report.invariant_failures = run_invariants(
         scenario, report.journal, network, quiescent, unsettled

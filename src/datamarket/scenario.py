@@ -389,11 +389,12 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, "r") as fh:
+        # As bytes: YAML detects the encoding, and bytes it cannot decode raise a YAMLError.
+        with open(path, "rb") as fh:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ScenarioError(f"scenario does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a mapping")

@@ -38,7 +38,7 @@ class Market:
     notary_keys: crypto.KeyPair
     notary: crypto.Address
     order: DataOrder
-    order_id: str
+    order_id: bytes
     terms: List[NotaryTerms]
     price: int
 

@@ -3,13 +3,15 @@ from pathlib import Path
 import pytest
 
 from datamarket import crypto, ledger as ledger_mod, messages, transport
-from datamarket.actors import Notary, Seller, keys_from_seed, seller_evaluate_order
+from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
 from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import (
+    BuyerSpec,
     NotarySpec,
+    OrderSpec,
     SelectionPolicy,
     SellerSpec,
     load_scenario,
@@ -222,8 +224,8 @@ def test_sample_policy_reproducible():
 
 def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
     """Three orders registered between two seller steps, in descending
-    order-id order, and one of them closed before the second step: the
-    seller offers on the two open ones, in ascending order-id order."""
+    order-digest order, and one of them closed before the second step: the
+    seller offers on the two open ones, in ascending order-digest order."""
     ledger, network = Ledger(), Network(NetworkConfig())
     network.register("ub:test-buyer")
     buyer_keys, notary_keys = keys_from_seed(1), keys_from_seed(2)
@@ -235,7 +237,7 @@ def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
     orders.sort(key=lambda order: order.digest(), reverse=True)
     for order in orders:
         ledger.register_order(order, [messages.countersign_order(notary_keys, order, 2, TERMS)], 5)
-    ledger.close_order(orders[1].digest().hex())
+    ledger.close_order(orders[1].digest())
     seller.step(2)
     offered = [messages.decode(envelope.message).order_ref for envelope in network.transcript]
     assert offered == [orders[2].digest(), orders[0].digest()]
@@ -342,6 +344,29 @@ def test_notary_drops_orders_it_cannot_answer():
     assert notary.network.transcript == []
     send_order("ub:known")
     assert [e.endpoint for e in notary.network.transcript] == ["buyer:known"]
+
+
+def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract():
+    """While the buyer gathers notary terms, its order has no contract: a
+    certificate and a payload delivery naming that order are dropped."""
+    ledger, network = Ledger(), Network(NetworkConfig())
+    buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {})
+    order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=()), 0)
+    notary_keys = keys_from_seed(2)
+    notary = crypto.derive_address(notary_keys.public_key)
+    response = messages.build_data_response(keys_from_seed(10), order, 5, DATA, notary, b"s" * 32)
+    cert = messages.issue_certificate(notary_keys, order.digest(), response, Verdict.NOT_NOTARIZED)
+    delivery = messages.PayloadDelivery(response.digest(), b"ciphertext")
+    for endpoint, message in [
+        (buyer.upload_url, response),
+        (buyer.upload_url, delivery),
+        (buyer.control_endpoint, cert),
+    ]:
+        buyer.handle(Envelope(None, endpoint, message.encode(), 0))
+    buyer.step(1)
+    assert buyer.inbox.deliveries == [delivery]
+    assert not ledger.contracts and not buyer.rejected_submissions and not network.transcript
+    assert not buyer.done
 
 
 def test_bad_certificate_does_not_end_the_run(monkeypatch):

@@ -65,6 +65,20 @@ def test_register_order_moves_audit_budget():
     assert market.ledger.contract(market.order_id).audit_escrow == 10
 
 
+def test_an_order_is_named_by_its_digest():
+    """`register_order` returns the order's digest, and `contract`,
+    `select_sellers` and `close_order` take it."""
+    market = make_market()
+    digest = market.order.digest()
+    assert market.order_id == digest and market.ledger.registrations == [digest]
+    response, _, _ = make_response(market)
+    market.ledger.select_sellers(digest, [response])
+    market.ledger.close_response(certify(market, response, Verdict.NOT_NOTARIZED))
+    market.ledger.close_order(digest)
+    contract = market.ledger.contract(digest)
+    assert market.ledger.contracts == {digest: contract} and contract.status is Status.CLOSED
+
+
 def test_register_rejects_broken_countersignature():
     lg = Ledger()
     buyer_keys = keys_from_seed(1)

@@ -278,15 +278,15 @@ def plan(live, call):
         chosen, topup = [mine[s] if s < 3 else other[0] for s in rest[1]], rest[2]
         args = (digest, chosen, topup)
         return EventKind.SELLERS_SELECTED, args, lambda lg: lg.select_sellers(
-            digest.hex(), chosen, topup
+            digest, chosen, topup
         )
     if name == "close":
-        contract = live.contracts.get(digest.hex())
+        contract = live.contracts.get(digest)
         picked = list(contract.responses) if contract else []
         target = picked[rest[1] % len(picked)] if picked else responses[rest[0]][rest[1]].digest()
         cert = certs[target, rest[2], rest[3]]
         return EventKind.RESPONSE_CLOSED, (cert,), lambda lg: lg.close_response(cert)
-    return EventKind.ORDER_CLOSED, (digest,), lambda lg: lg.close_order(digest.hex())
+    return EventKind.ORDER_CLOSED, (digest,), lambda lg: lg.close_order(digest)
 
 
 def commit_checking_totals(commit):

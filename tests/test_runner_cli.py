@@ -292,6 +292,22 @@ def test_cli_bad_scenario_is_input_error(tmp_path, capsys):
     assert cli.main(["run", str(bad)]) == 2
 
 
+# Scenario files that YAML cannot read: file bytes.
+UNREADABLE_FILES = {
+    "not UTF-8": b"name: caf\xe9\n",
+    "nested 2,000 levels deep": b"[" * 2000 + b"]" * 2000,
+}
+
+
+@pytest.mark.parametrize("data", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys())
+def test_cli_unreadable_scenario_is_input_error(tmp_path, capsys, data):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(data)
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 # One edit each to `bank.yaml`: (path to the edited value, new value).
 BAD_BANK_EDITS = {
     "latency with one bound": (("network", "latency"), [1]),
@@ -499,6 +515,37 @@ def test_cli_run_survives_edited_bank_values(edits):
     assert "Traceback" not in err
 
 
+BANK_BYTES = (SCENARIOS / "bank.yaml").read_bytes()
+
+
+@st.composite
+def mutated_bank(draw):
+    """`bank.yaml` with a few bytes overwritten, inserted or deleted."""
+    data = bytearray(BANK_BYTES)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["overwrite", "insert", "delete"]))
+        if op == "delete":
+            del data[pos]
+        else:
+            data[pos : pos + (op == "overwrite")] = bytes([draw(st.integers(0, 255))])
+    return bytes(data)
+
+
+@given(st.one_of(st.binary(max_size=200), mutated_bank()))
+@settings(max_examples=200, deadline=None)
+def test_any_scenario_file_runs_or_is_refused(data):
+    """Any file bytes: loading and running either succeed or raise
+    `ScenarioError`, which `datamarket run` reports as an input error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.yaml"
+        path.write_bytes(data)
+        try:
+            run_scenario(load_scenario(path), tick_limit=60)
+        except ScenarioError:
+            pass
+
+
 # Options `datamarket run` must refuse: (options, start of the error text).
 BAD_RUN_OPTIONS = {
     "journal under a missing directory": (
@@ -549,6 +596,15 @@ def test_cli_run_serializes_the_journal_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(SCENARIOS / "bank.yaml"), "--journal-out", str(journal)]) == 0
     assert len(calls) == 1
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == GOLDEN["bank.yaml"][0]
+
+
+def test_cli_run_computes_the_state_digest_twice(monkeypatch, capsys):
+    """`datamarket run` computes the state digest once for the live ledger,
+    whose journal trailer the report reads it from, and once on replay."""
+    calls, state_digest = [], ledger_mod.Ledger.state_digest
+    monkeypatch.setattr(ledger_mod.Ledger, "state_digest", lambda m: calls.append(m) or state_digest(m))
+    assert cli.main(["run", str(SCENARIOS / "bank.yaml")]) == 0
+    assert len(calls) == 2
 
 
 def test_cli_run_validates_the_scenario_once(monkeypatch, capsys):
