@@ -16,7 +16,7 @@ from .crypto import (
     verify,
     verify_commitment,
 )
-from .ledger import Ledger, Outcome, Phase, replay, verify_journal
+from .ledger import Ledger, Outcome, replay, verify_journal
 from .messages import (
     Audience,
     Comparator,
@@ -49,7 +49,6 @@ __all__ = [
     "NotaryTerms",
     "Outcome",
     "PayloadDelivery",
-    "Phase",
     "Predicate",
     "Scenario",
     "Verdict",

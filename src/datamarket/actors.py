@@ -26,7 +26,7 @@ from .errors import (
     MarketError,
     TransportError,
 )
-from .ledger import Ledger, OrderContract, Phase, Status
+from .ledger import Ledger, OrderContract, Status
 from .messages import (
     Audience,
     DataOrder,
@@ -121,16 +121,16 @@ class Seller:
         self.ledger = ledger
         self.network = network
         self._rng = random.Random(spec.seed)
-        self._registrations_read = 0  # cursor into `ledger.registrations`
-        self._offers: Dict[bytes, _SellerOffer] = {}
+        self._contracts_read = 0  # `ledger.contracts` is in registration order
+        self._offers: List[_SellerOffer] = []
 
     def step(self, tick: int) -> None:
-        for order_digest in sorted(self.ledger.registrations[self._registrations_read :]):
-            self._consider(order_digest, tick)
-        self._registrations_read = len(self.ledger.registrations)
-        for digest, offer in list(self._offers.items()):
-            if not self._progress_offer(offer, tick):
-                del self._offers[digest]
+        contracts = self.ledger.contracts
+        if len(contracts) > self._contracts_read:
+            for order_digest in sorted(list(contracts)[self._contracts_read :]):
+                self._consider(order_digest, tick)
+            self._contracts_read = len(contracts)
+        self._offers = [offer for offer in self._offers if self._progress_offer(offer, tick)]
 
     def _consider(self, order_digest: bytes, tick: int) -> None:
         contract = self.ledger.contract(order_digest)
@@ -157,7 +157,7 @@ class Seller:
             self.keys, order, price, data, chosen_notary, salt
         )
         offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
-        self._offers[response.digest()] = offer
+        self._offers.append(offer)
         self.network.send(self.address, order.upload_url, response.encode())
 
     def _progress_offer(self, offer: _SellerOffer, tick: int) -> bool:
@@ -175,7 +175,7 @@ class Seller:
                 offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
                 self.network.send(self.address, contract.order.upload_url, offer.response.encode())
             return True
-        if state.phase is Phase.SETTLED:
+        if state.settlement is not None:
             return False
         # Selected and unsettled: encrypt the payload once, and re-send that
         # delivery on a timer until settled. Only selected offers upload it.
@@ -262,7 +262,7 @@ class Notary:
         if contract is None:
             return
         state = contract.responses.get(request.response_digest)
-        if state is None or state.phase is not Phase.SELECTED:
+        if state is None or state.settlement is not None:
             return
         response = state.response
         if response.chosen_notary != self.address:
@@ -415,7 +415,7 @@ class Buyer:
         # A dropped request or certificate would stall settlement forever;
         # re-ask the notary until the ledger shows the response settled.
         for digest, entry in pending.audit_requests.items():
-            if contract.responses[digest].phase is Phase.SETTLED:
+            if contract.responses[digest].settlement is not None:
                 continue
             endpoint, payload, last_sent = entry
             if tick - last_sent >= BUYER_RETRY_INTERVAL:
@@ -507,7 +507,7 @@ class Buyer:
         One the ledger refuses is recorded and dropped."""
         contract = self.ledger.contracts.get(cert.order_ref)
         state = contract and contract.responses.get(cert.response_digest)
-        if cert.order_ref not in self._pending or state is None or state.phase is Phase.SETTLED:
+        if cert.order_ref not in self._pending or state is None or state.settlement is not None:
             return
         if self.spec.mutation is Mutation.FORGED_CERTIFICATE:
             forged = messages.issue_certificate(

@@ -10,7 +10,7 @@ which keep the running totals that each event checks; `replay` also
 recounts everything at the end. Each ledger call commits exactly one
 journal event, and replaying the journal reproduces the exact state digest.
 A settlement event is its certificate alone: the certificate names its
-order.
+order. `contracts` is in registration order, the feed sellers read.
 
 Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`). Live operations and `replay`
@@ -41,6 +41,7 @@ from .encoding import (
     ADDRESS,
     RAW,
     U64,
+    UINT_MAX,
     Fields,
     ListOf,
     Reader,
@@ -105,12 +106,6 @@ class LedgerEvent:
         return cls(seq, kind, data[_FRAME_HEAD.size :])
 
 
-class Phase(enum.IntEnum):
-    # The values are written into the state digest.
-    SELECTED = 1
-    SETTLED = 2
-
-
 class Outcome(enum.IntEnum):
     SELLER_PAID = 0
     BUYER_REFUNDED = 1
@@ -128,7 +123,6 @@ class Settlement:
     seller_amount: int
     buyer_refund: int
     notary_fee: int
-    notary: Address
 
 
 @dataclass
@@ -136,10 +130,6 @@ class ResponseState:
     response: DataResponse
     # What the response's close paid out; None while it is only selected.
     settlement: Optional[Settlement] = None
-
-    @property
-    def phase(self) -> Phase:
-        return Phase.SELECTED if self.settlement is None else Phase.SETTLED
 
 
 @dataclass
@@ -163,12 +153,10 @@ class Ledger:
 
     def __init__(self):
         self.accounts: Dict[Address, int] = {}
-        self.contracts: Dict[bytes, OrderContract] = {}  # by order digest
-        self.registrations: List[bytes] = []  # order digests, in registration order
+        self.contracts: Dict[bytes, OrderContract] = {}  # by order digest, in registration order
         self.journal: List[LedgerEvent] = []
         self.total_supply = 0
         self.balance_sum = self.escrow_sum = 0  # running sums of balances and of escrows
-        self._genesis_open = True
 
     # -- queries ---------------------------------------------------------
 
@@ -247,10 +235,12 @@ class Ledger:
     # -- event checks and applies (shared with replay) -------------------
 
     def _check_mint(self, address: Address, amount: int) -> None:
-        if not self._genesis_open:
+        if self.contracts:
             raise GenesisClosed("mint is only allowed before the first order")
         if amount <= 0:
             raise LedgerError("mint amount must be positive")
+        if self.total_supply + amount > UINT_MAX:
+            raise LedgerError("mint takes total supply past 2**64 - 1")
 
     def _apply_mint(self, address: Address, amount: int) -> None:
         self._credit(address, amount)
@@ -270,12 +260,10 @@ class Ledger:
         self._check_funds(buyer, min_audit_budget, "the minimum audit budget")
 
     def _apply_order_created(self, digest, buyer, min_audit_budget, price, notary_list):
-        self._genesis_open = False
         self._credit(buyer, -min_audit_budget)
         terms = {nt.notary_address: nt for nt in notary_list}
         self.contracts[digest] = OrderContract(digest, buyer, min_audit_budget, price, terms)
         self._escrow(self.contracts[digest], audit=min_audit_budget)
-        self.registrations.append(digest)
 
     def _check_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
         contract = self._open_contract(order_digest)
@@ -306,7 +294,7 @@ class Ledger:
         state = contract.responses.get(cert.response_digest)
         if state is None:
             raise UnknownResponse(f"response {cert.response_digest.hex()} is not selected")
-        if state.phase is Phase.SETTLED:
+        if state.settlement is not None:
             raise AlreadySettled(f"response {cert.response_digest.hex()} is already settled")
         notary = state.response.chosen_notary
         if crypto.derive_address(cert.notary_pk) != notary:
@@ -320,28 +308,25 @@ class Ledger:
     def _apply_close(self, cert: NotaryCertificate) -> Settlement:
         contract = self.contracts[cert.order_ref]
         state = contract.responses[cert.response_digest]
-        price = contract.price
-        notary = state.response.chosen_notary
-        notary_fee = _notary_fee(contract, state.response, cert.verdict)
+        response, price = state.response, contract.price
+        fee = _notary_fee(contract, response, cert.verdict)
         if cert.verdict is Verdict.NOTARIZED_INVALID:
-            outcome, seller_amount, buyer_refund = Outcome.BUYER_REFUNDED, 0, price
+            settlement = Settlement(Outcome.BUYER_REFUNDED, cert.verdict, 0, price, fee)
         else:
-            outcome, seller_amount, buyer_refund = Outcome.SELLER_PAID, price, 0
-        self._escrow(contract, audit=-notary_fee, payment=-price)
-        if seller_amount:
-            self._credit(state.response.payment_address, seller_amount)
-        if buyer_refund:
-            self._credit(contract.buyer_address, buyer_refund)
-        if notary_fee:
-            self._credit(notary, notary_fee)
-        state.settlement = Settlement(
-            outcome, cert.verdict, seller_amount, buyer_refund, notary_fee, notary
-        )
-        return state.settlement
+            settlement = Settlement(Outcome.SELLER_PAID, cert.verdict, price, 0, fee)
+        state.settlement = settlement
+        self._escrow(contract, audit=-settlement.notary_fee, payment=-price)
+        if settlement.seller_amount:
+            self._credit(response.payment_address, settlement.seller_amount)
+        if settlement.buyer_refund:
+            self._credit(contract.buyer_address, settlement.buyer_refund)
+        if settlement.notary_fee:
+            self._credit(response.chosen_notary, settlement.notary_fee)
+        return settlement
 
     def _check_order_closed(self, order_digest: bytes) -> None:
         contract = self._open_contract(order_digest, "is already closed")
-        unsettled = [d.hex() for d, s in contract.responses.items() if s.phase is not Phase.SETTLED]
+        unsettled = [d.hex() for d, s in contract.responses.items() if s.settlement is None]
         if unsettled:
             raise LedgerError(f"unsettled responses remain: {unsettled}")
 
@@ -401,11 +386,12 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
         write_field(out, addr.bytes + encode_uint(c.notary_terms[addr].fee))
     for digest in sorted(c.responses):
         s = c.responses[digest]
-        outcome = 0xFF if s.settlement is None else s.settlement.outcome
+        # Format constants: 01 ff for a selected response, 02 <outcome> for a settled one.
+        stage = b"\x01\xff" if s.settlement is None else bytes([2, s.settlement.outcome])
         write_field(
             out,
             digest
-            + bytes([s.phase, outcome])
+            + stage
             + s.response.payment_address.bytes
             + s.response.chosen_notary.bytes,
         )

@@ -13,6 +13,7 @@ expected-settlement oracle table.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import re
@@ -305,16 +306,13 @@ def _prefilter(needles: List[bytes], haystack_bytes: int) -> Callable[[bytes], b
 
 
 def check_oracle(scenario: Scenario, rows: List[SettlementRow]) -> List[str]:
+    """Oracle rows not settled, and settlements not in the table, each as often as it is."""
     if scenario.expected is None:
         return []
-    expected = sorted(
-        (e.seller, e.verdict, e.outcome) for e in scenario.expected
-    )
-    actual = sorted((r.seller_name, r.verdict, r.outcome) for r in rows)
-    if expected == actual:
-        return []
-    missing = [e for e in expected if e not in actual]
-    surplus = [a for a in actual if a not in expected]
+    expected = collections.Counter((e.seller, e.verdict, e.outcome) for e in scenario.expected)
+    actual = collections.Counter((r.seller_name, r.verdict, r.outcome) for r in rows)
+    missing = sorted((expected - actual).elements())
+    surplus = sorted((actual - expected).elements())
     out = []
     if missing:
         out.append(f"expected settlements missing: {missing}")

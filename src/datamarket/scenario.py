@@ -141,7 +141,7 @@ def _predicate(value) -> Predicate:
     """A predicate; its value is a string, an amount, or for `in` a set of
     strings."""
     if not isinstance(value, Predicate):
-        raw = _mapping(value)
+        raw = _known_keys(_mapping(value), ("attribute", "op", "value"))
         op, operand = _read("op", COMPARATOR, raw.get("op")), raw.get("value")
         if op is Comparator.IN:
             operand = frozenset(_read("value", TEXTS, operand))
@@ -158,7 +158,7 @@ def NETWORK(value) -> NetworkSpec:
     """The one section not read key by key: `latency` is a pair."""
     if isinstance(value, NetworkSpec):
         return value
-    raw = _mapping(value)
+    raw = _known_keys(_mapping(value), ("seed", "latency", "drop_rate"))
     latency = _read("latency", PAIR, raw.get("latency", [1, 1]))
     return NetworkSpec(
         seed=_read("seed", INTEGER, raw.get("seed", 0)),
@@ -166,6 +166,18 @@ def NETWORK(value) -> NetworkSpec:
         latency_max=_read("latency", INTEGER, latency[1]),
         drop_rate=_read("drop_rate", RATE, raw.get("drop_rate", 0.0)),
     )
+
+
+def _known_keys(raw: dict, keys: Sequence[str], where: str = "") -> dict:
+    """`raw`, refused if it holds a key that names no field in `keys`. A
+    key before a dot (`policy` of `policy.mode`) holds a mapping of them."""
+    names = {k[len(where) :].split(".")[0] for k in keys if k.startswith(where)}
+    for key, entry in raw.items():
+        if key not in names:
+            raise ScenarioError(f"unknown key {where + str(key)!r}")
+        if isinstance(entry, dict) and where + key not in keys:
+            _known_keys(entry, keys, f"{where}{key}.")
+    return raw
 
 
 def _read(where: str, kind: Callable, *args):
@@ -184,7 +196,7 @@ _spec = dataclasses.dataclass(frozen=True, kw_only=True)
 def _kind(kind: Callable, default=dataclasses.MISSING, *, key=None, factory=dataclasses.MISSING):
     """A field of `kind`, read from the file key `key`, a dotted path into
     nested mappings; from the key named as the field when not given."""
-    metadata = {"kind": kind, "key": key and tuple(key.split("."))}
+    metadata = {"kind": kind, "key": key}
     return dataclasses.field(default=default, default_factory=factory, metadata=metadata)
 
 
@@ -205,9 +217,10 @@ def _build(cls, value):
         except MarketError as exc:
             raise ScenarioError(f"{name}: {exc}") from None
         return value
-    raw, values = _mapping(value), {}
-    for f in dataclasses.fields(cls):
-        *parents, key = f.metadata["key"] or (f.name,)
+    fields, values = dataclasses.fields(cls), {}
+    raw = _known_keys(_mapping(value), [f.metadata["key"] or f.name for f in fields])
+    for f in fields:
+        *parents, key = (f.metadata["key"] or f.name).split(".")
         source = raw
         for part in parents:
             source = _read(part, _mapping, source.get(part, {}))

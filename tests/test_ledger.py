@@ -17,7 +17,7 @@ from datamarket.errors import (
     LedgerError,
     ReplayError,
 )
-from datamarket.ledger import EventKind, Ledger, LedgerEvent, Outcome, Phase, Status
+from datamarket.ledger import EventKind, Ledger, LedgerEvent, Outcome, Status
 from datamarket.messages import Verdict
 
 from market_helpers import TERMS, make_market, make_order, make_response
@@ -70,7 +70,7 @@ def test_an_order_is_named_by_its_digest():
     `select_sellers` and `close_order` take it."""
     market = make_market()
     digest = market.order.digest()
-    assert market.order_id == digest and market.ledger.registrations == [digest]
+    assert market.order_id == digest and list(market.ledger.contracts) == [digest]
     response, _, _ = make_response(market)
     market.ledger.select_sellers(digest, [response])
     market.ledger.close_response(certify(market, response, Verdict.NOT_NOTARIZED))
@@ -329,8 +329,8 @@ def test_certificate_settles_only_the_response_it_binds():
     market.ledger.select_sellers(market.order_id, [r1, r2])
     market.ledger.close_response(certify(market, r1, Verdict.NOTARIZED_VALID))
     contract = market.ledger.contract(market.order_id)
-    assert contract.responses[r1.digest()].phase is Phase.SETTLED
-    assert contract.responses[r2.digest()].phase is Phase.SELECTED
+    assert contract.responses[r1.digest()].settlement is not None
+    assert contract.responses[r2.digest()].settlement is None
     assert contract.payment_escrow == market.price  # r2's payment stays held
 
 
@@ -377,7 +377,7 @@ def test_conservation_property(verdict, n_sellers, fee, price):
     market.ledger.close_order(market.order_id)
     assert market.ledger.conservation_holds()
     for state in market.ledger.contract(market.order_id).responses.values():
-        assert state.phase is Phase.SETTLED
+        assert state.settlement is not None
         paid = market.ledger.balance(state.response.payment_address) > 0
         refunded = state.settlement.outcome is Outcome.BUYER_REFUNDED
         assert paid != refunded  # exactly one of the two

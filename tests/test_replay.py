@@ -64,6 +64,14 @@ def mint_after_first_order():
     return forge(market.ledger, EventKind.MINT, address, 10)
 
 
+def mints_past_the_u64_supply():
+    """Two mints of 2**64 - 1: a total supply the journal cannot write."""
+    ledger = Ledger()
+    address = crypto.derive_address(keys_from_seed(9).public_key)
+    ledger.mint(address, 2**64 - 1)
+    return forge(ledger, EventKind.MINT, address, 2**64 - 1)
+
+
 def selection_on_closed_order():
     market, response = selected()
     market.ledger.close_response(certify(market, response))
@@ -132,6 +140,7 @@ def unknown_event_kind():
 
 CRAFTED = [
     mint_after_first_order,
+    mints_past_the_u64_supply,
     selection_on_closed_order,
     certificate_for_another_order,
     price_differs_from_posted,

@@ -190,6 +190,23 @@ def test_oracle_mismatch_reported():
     assert report.exit_code() == 1
 
 
+def test_oracle_counts_each_row():
+    """A row expected twice but settled once is missing once, and a row
+    settled twice but expected once is surplus once."""
+    rows = run_doc(base_doc()).report.rows  # s1 and s2, both verdict b and paid
+    s1 = {"seller": "s1", "verdict": "b", "outcome": "SELLER_PAID"}
+    s2 = {**s1, "seller": "s2"}
+    expected_twice = scenario_from_dict(base_doc(expected_settlements=[s1, s1, s2]))
+    assert runner.check_oracle(expected_twice, rows) == [
+        "expected settlements missing: [('s1', 'b', 'SELLER_PAID')]"
+    ]
+    settled_twice = [*rows, next(r for r in rows if r.seller_name == "s1")]
+    expected_once = scenario_from_dict(base_doc(expected_settlements=[s1, s2]))
+    assert runner.check_oracle(expected_once, settled_twice) == [
+        "settlements not in oracle table: [('s1', 'b', 'SELLER_PAID')]"
+    ]
+
+
 def test_empty_scenario_is_quiet_pass():
     report = run_doc({"name": "empty"}).report
     assert report.ok and report.quiescent and not report.rows
@@ -290,6 +307,30 @@ def test_cli_bad_scenario_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("orders:\n  - buyer: ghost\n    schema: s\n    price: 1\n    notaries: [n]\n")
     assert cli.main(["run", str(bad)]) == 2
+
+
+# One key each added to `bank.yaml` that names no field: (path to the key, value).
+UNKNOWN_BANK_KEYS = {
+    "top-level key": (("expected_setlements",), []),
+    "network key": (("network", "drop_rat"), 0.9),
+    "buyer key": (("buyers", 0, "force_audti"), True),
+    "selection key": (("buyers", 0, "selection", "kk"), 2),
+    "seller key": (("sellers", 0, "min_prize"), 3),
+    "nested policy key": (("notaries", 0, "policy", "rat"), 0.5),
+    "order key": (("orders", 0, "audit_budjet"), 3),
+    "predicate key": (("orders", 0, "audience", 0, "vlaue"), "Argentina"),
+    "expected settlement key": (("expected_settlements", 0, "verdikt"), "b"),
+}
+
+
+@pytest.mark.parametrize("path, value", UNKNOWN_BANK_KEYS.values(), ids=UNKNOWN_BANK_KEYS.keys())
+def test_cli_unknown_scenario_key_is_input_error(tmp_path, capsys, path, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(edited_bank([(path, value)])))
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert "unknown key " in err and path[-1] in err
 
 
 # Scenario files that YAML cannot read: file bytes.
@@ -605,6 +646,20 @@ def test_cli_run_computes_the_state_digest_twice(monkeypatch, capsys):
     monkeypatch.setattr(ledger_mod.Ledger, "state_digest", lambda m: calls.append(m) or state_digest(m))
     assert cli.main(["run", str(SCENARIOS / "bank.yaml")]) == 0
     assert len(calls) == 2
+
+
+def test_cli_verify_computes_the_state_digest_once(tmp_path, monkeypatch, capsys):
+    """`datamarket verify` computes the replayed state digest once, to check
+    it against the trailer, and prints the trailer's digest it equals."""
+    journal = tmp_path / "bank.journal"
+    assert cli.main(["run", str(SCENARIOS / "bank.yaml"), "--journal-out", str(journal)]) == 0
+    digest = ledger_mod.journal_state_digest(journal.read_bytes())
+    capsys.readouterr()
+    calls, state_digest = [], ledger_mod.Ledger.state_digest
+    monkeypatch.setattr(ledger_mod.Ledger, "state_digest", lambda m: calls.append(m) or state_digest(m))
+    assert cli.main(["verify", str(journal)]) == 0
+    assert len(calls) == 1
+    assert f"state_digest: {digest.hex()}\n" in capsys.readouterr().out
 
 
 def test_cli_run_validates_the_scenario_once(monkeypatch, capsys):
