@@ -108,7 +108,7 @@ class _SellerOffer:
     salt: bytes
     data: bytes
     next_send_tick: int
-    delivery: Optional[bytes] = None  # the encoded PayloadDelivery, once sent
+    delivery: Optional[bytes] = None  # the encoded PayloadDelivery, sealed once on first send
     resends_left: int = 2
 
 
@@ -123,6 +123,7 @@ class Seller:
         self._rng = random.Random(spec.seed)
         self._contracts_read = 0  # `ledger.contracts` is in registration order
         self._offers: List[_SellerOffer] = []
+        self._sealers: Dict[bytes, crypto.Sealer] = {}  # by buyer public key
 
     def step(self, tick: int) -> None:
         contracts = self.ledger.contracts
@@ -177,15 +178,18 @@ class Seller:
             return True
         if state.settlement is not None:
             return False
-        # Selected and unsettled: encrypt the payload once, and re-send that
-        # delivery on a timer until settled. Only selected offers upload it.
+        # Selected and unsettled: seal the payload once, under this seller's one
+        # agreement with the buyer, and re-send that delivery on a timer until settled.
         if offer.delivery is not None and tick < offer.next_send_tick:
             return True
         offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
         order = contract.order
         if offer.delivery is None:
             plaintext = messages.encode_payload_plaintext(offer.salt, self._delivery_data(offer))
-            ciphertext = crypto.encrypt_for(order.buyer_pk, plaintext, self._rng.randbytes(32))
+            entropy = self._rng.randbytes(32)  # drawn for every delivery, keeping the RNG stream
+            if order.buyer_pk not in self._sealers:
+                self._sealers[order.buyer_pk] = crypto.Sealer(order.buyer_pk, entropy)
+            ciphertext = self._sealers[order.buyer_pk].seal(plaintext)
             offer.delivery = PayloadDelivery(offer.response.digest(), ciphertext).encode()
         self.network.send(self.address, order.upload_url, offer.delivery)
         return True
@@ -280,13 +284,12 @@ class Notary:
         data matches the notary's own records for the enrolled seller."""
         if not (request.forced or self._audits()):
             return Verdict.NOT_NOTARIZED
-        ephemeral = request.audit_ciphertext[:32]
+        sealed = request.audit_ciphertext
         try:
-            opener = self._openers.get(ephemeral) or crypto.Opener(self.keys.secret_key, ephemeral)
-            salt, data = messages.parse_payload_plaintext(opener.open(request.audit_ciphertext))
+            plaintext = crypto.open_kept(self._openers, self.keys.secret_key, sealed)
+            salt, data = messages.parse_payload_plaintext(plaintext)
         except (DecryptionError, EncodingError, MarketError):
             return Verdict.NOTARIZED_INVALID
-        self._openers[ephemeral] = opener  # kept only once one of its envelopes opened
         if not crypto.verify_commitment(salt, data, response.commitment):
             return Verdict.NOTARIZED_INVALID
         identity = self.enrollment.get(response.payment_address)
@@ -356,6 +359,7 @@ class Buyer:
         # Order digest -> the buyer's progress on it, until the order closes or aborts.
         self._pending: Dict[bytes, _PendingOrder] = {}
         self._delivery_cursor = 0
+        self._openers: Dict[bytes, crypto.Opener] = {}  # by the deliveries' ephemeral key
 
     # -- protocol steps --------------------------------------------------
 
@@ -407,7 +411,9 @@ class Buyer:
                     self._select(contract)
             if contract.status is Status.CLOSED:
                 del self._pending[digest]
-        self._process_deliveries()
+        for delivery in self.inbox.deliveries[self._delivery_cursor :]:
+            self._request_notarization(delivery)
+        self._delivery_cursor = len(self.inbox.deliveries)
 
     def _retry_audit_requests(
         self, contract: OrderContract, pending: _PendingOrder, tick: int
@@ -460,12 +466,6 @@ class Buyer:
         else:
             self.ledger.close_order(contract.order_digest)
 
-    def _process_deliveries(self) -> None:
-        while self._delivery_cursor < len(self.inbox.deliveries):
-            delivery = self.inbox.deliveries[self._delivery_cursor]
-            self._delivery_cursor += 1
-            self._request_notarization(delivery)
-
     def _request_notarization(self, delivery: PayloadDelivery) -> None:
         digest = delivery.response_digest
         # The inbox accepts a delivery only for a response it holds.
@@ -480,7 +480,7 @@ class Buyer:
         forced = self.spec.force_audit
         audit_ciphertext = b""
         try:
-            plaintext = crypto.decrypt(self.keys.secret_key, delivery.ciphertext)
+            plaintext = crypto.open_kept(self._openers, self.keys.secret_key, delivery.ciphertext)
             messages.parse_payload_plaintext(plaintext)
         except (DecryptionError, EncodingError):
             # Garbled delivery: force an audit with an empty audit payload,

@@ -15,7 +15,12 @@ then seals any number of plaintexts with ChaCha20-Poly1305. An envelope is
 sealed under the nonce `4 zero bytes || sequence`. The sequence starts at 0
 and is never reused, so each (key, nonce) pair seals one plaintext, and it
 is authenticated because it is the nonce. An `Opener` is the recipient's
-side of one agreement. Tampering or a wrong key raises DecryptionError.
+side of one agreement. Both keep the derived key, not a 2.4 KB AEAD object.
+A seller's deliveries to one buyer share one agreement, as do one order's
+audit copies to one notary; the shared ephemeral key reveals nothing new, as
+offers and transport envelopes name their sender. The one-shot `encrypt_for`
+and `decrypt` serve tests and the benchmark's micro-benchmarks and traces.
+Tampering or a wrong key raises DecryptionError.
 """
 
 from __future__ import annotations
@@ -145,9 +150,9 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def _envelope_aead(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> ChaCha20Poly1305:
+def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     hkdf = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_ENVELOPE_INFO)
-    return ChaCha20Poly1305(hkdf.derive(shared + eph_pub + recipient_pub))
+    return hkdf.derive(shared + eph_pub + recipient_pub)
 
 
 class Sealer:
@@ -162,7 +167,7 @@ class Sealer:
         eph_sk = X25519PrivateKey.from_private_bytes(entropy)
         self.ephemeral_public = eph_sk.public_key().public_bytes(_RAW, _RAW_PUB)
         shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(public_key[32:]))
-        self._aead = _envelope_aead(shared, self.ephemeral_public, public_key[32:])
+        self._key = _envelope_key(shared, self.ephemeral_public, public_key[32:])
         self._sequence = 0
 
     def seal(self, plaintext: bytes) -> bytes:
@@ -170,7 +175,7 @@ class Sealer:
             raise CryptoError("plaintext must be non-empty")
         sequence = self._sequence.to_bytes(8, "big")
         self._sequence += 1
-        ciphertext = self._aead.encrypt(_NONCE_PAD + sequence, plaintext, None)
+        ciphertext = ChaCha20Poly1305(self._key).encrypt(_NONCE_PAD + sequence, plaintext, None)
         return self.ephemeral_public + sequence + ciphertext
 
 
@@ -183,14 +188,24 @@ class Opener:
             shared = secret_key.decryption.exchange(peer)
         except ValueError as exc:
             raise DecryptionError("envelope names no usable ephemeral key") from exc
-        self._aead = _envelope_aead(shared, ephemeral_public, secret_key.encryption_public)
+        self._key = _envelope_key(shared, ephemeral_public, secret_key.encryption_public)
 
     def open(self, envelope: bytes) -> bytes:
         """An envelope sealed under another agreement fails to authenticate."""
+        nonce = _NONCE_PAD + envelope[32:40]
         try:
-            return self._aead.decrypt(_NONCE_PAD + envelope[32:40], envelope[40:], None)
+            return ChaCha20Poly1305(self._key).decrypt(nonce, envelope[40:], None)
         except (_InvalidTag, ValueError) as exc:  # ValueError: a nonce under 12 bytes
             raise DecryptionError("envelope failed to authenticate") from exc
+
+
+def open_kept(openers: dict[bytes, Opener], secret_key: SecretKey, envelope: bytes) -> bytes:
+    """Open `envelope` with the opener `openers` holds for its ephemeral key,
+    or with a new one, kept only once the envelope authenticates."""
+    opener = openers.get(envelope[:32]) or Opener(secret_key, envelope[:32])
+    plaintext = opener.open(envelope)
+    openers[envelope[:32]] = opener
+    return plaintext
 
 
 def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:

@@ -279,25 +279,29 @@ def test_each_offer_and_delivery_is_sent_once():
 
 
 def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
-    """100 settlements: 100 deliveries, each under a key agreement of its
-    own, and 100 notarization requests, each sealed once under the one
-    `Sealer` of its (order, notary) pair; the ladder has 10 such pairs."""
-    deliveries, encrypt_for = [], crypto.encrypt_for
-    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: deliveries.append(a) or encrypt_for(*a))
+    """100 settlements: 100 deliveries, each sealed once under the one
+    `Sealer` of its (seller, buyer) pair, and 100 notarization requests,
+    each sealed once under the one `Sealer` of its (order, notary) pair; the
+    ladder has 40 and 10 such pairs. No envelope has an agreement of its own."""
+    one_shots, encrypt_for = [], crypto.encrypt_for
+    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: one_shots.append(a) or encrypt_for(*a))
     sealers, init = [], crypto.Sealer.__init__
     monkeypatch.setattr(crypto.Sealer, "__init__", lambda *a: sealers.append(a) or init(*a))
     seals, seal = [], crypto.Sealer.seal
     monkeypatch.setattr(crypto.Sealer, "seal", lambda *a: seals.append(a) or seal(*a))
     result = run_scenario(ladder_10x10(0.0))
-    sent = [(messages.decode(e.message), e.endpoint) for e in result.network.transcript]
-    requests = [(m, endpoint) for m, endpoint in sent if isinstance(m, NotarizationRequest)]
+    sent = [(messages.decode(e.message), e) for e in result.network.transcript]
+    requests = [(m, e.endpoint) for m, e in sent if isinstance(m, NotarizationRequest)]
     pairs = {(request.order_ref, endpoint) for request, endpoint in requests}
+    deliveries = [(m, e) for m, e in sent if isinstance(m, messages.PayloadDelivery)]
+    delivery_pairs = {(e.sender, e.endpoint) for _, e in deliveries}
     assert len(result.report.rows) == 100
-    assert len(deliveries) == 100
+    assert one_shots == []
+    assert len({delivery.response_digest for delivery, _ in deliveries}) == 100
     assert len({request.response_digest for request, _ in requests}) == 100
     assert len(seals) == 100 + 100
-    assert len(pairs) == 10
-    assert len(sealers) == 100 + len(pairs)
+    assert len(delivery_pairs) == 40 and len(pairs) == 10
+    assert len(sealers) == 40 + 10
 
 
 @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
@@ -322,6 +326,92 @@ def test_no_key_and_nonce_seal_two_audit_plaintexts(drop_rate):
     assert (sends > 100) == (drop_rate > 0)  # the lossy run re-sends some requests
     for _, by_sequence in groups.values():
         assert all(len(sent) == 1 for sent in by_sequence.values())
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.05])
+def test_no_key_and_nonce_seal_two_deliveries(drop_rate):
+    """Delivery envelopes grouped by ephemeral key: one group per (seller,
+    buyer) pair, and within a group one envelope per sequence number, so a
+    re-sent delivery repeats the bytes it was first sent with."""
+    groups = {}  # ephemeral key -> {(seller, upload URL)}, {sequence: {envelope}}
+    sent = {}  # response digest -> {delivery bytes}
+    for envelope in run_scenario(ladder_10x10(drop_rate)).network.transcript:
+        delivery = messages.decode(envelope.message)
+        if isinstance(delivery, messages.PayloadDelivery):
+            sent.setdefault(delivery.response_digest, set()).add(envelope.message)
+            sealed = delivery.ciphertext
+            pairs, by_sequence = groups.setdefault(sealed[:32], (set(), {}))
+            pairs.add((envelope.sender, envelope.endpoint))
+            by_sequence.setdefault(sealed[32:40], set()).add(sealed)
+    all_pairs = set().union(*(pairs for pairs, _ in groups.values()))
+    assert len(groups) == len(all_pairs) == 40
+    assert all(len(pairs) == 1 for pairs, _ in groups.values())
+    assert sum(len(by_sequence) for _, by_sequence in groups.values()) == len(sent)
+    for _, by_sequence in groups.values():
+        assert all(len(envelopes) == 1 for envelopes in by_sequence.values())
+    assert all(len(resent) == 1 for resent in sent.values())
+
+
+@pytest.mark.parametrize("case", ["too short", "another agreement", "flipped tag"])
+def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(case):
+    """Two selected responses. The first one's delivery does not open: the
+    buyer forces an audit with an empty payload, which the notary judges
+    invalid, and keeps no opener. The second one's delivery, sealed under the
+    same agreement, still opens, and its audit is valid."""
+    ledger, network = Ledger(), Network(NetworkConfig())
+    market = make_market()  # only for the notary's keys and address
+    notary_keys = market.notary_keys
+    buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {market.notary: "n"})
+    for endpoint in (buyer.control_endpoint, buyer.upload_url, "notary:n"):
+        network.register(endpoint)
+    ledger.mint(buyer.address, 100)
+    order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=("n",)), 0)
+    terms = messages.countersign_order(notary_keys, order, 2, TERMS)
+    buyer.handle(Envelope(None, buyer.control_endpoint, terms.encode(), 1))
+    buyer.step(4)  # the countersign window closes: the order is registered
+    offers = []
+    for seed in (10, 11):
+        salt = bytes([seed]) * 32
+        response = messages.build_data_response(
+            keys_from_seed(seed), order, 5, DATA, market.notary, salt
+        )
+        offers.append((response, messages.encode_payload_plaintext(salt, DATA)))
+        buyer.handle(Envelope(None, buyer.upload_url, response.encode(), 5))
+    buyer.step(10)  # the response window closes: both responses are selected
+    notary = make_notary(
+        market,
+        {("s10", SCHEMA): DATA, ("s11", SCHEMA): DATA},
+        {r.payment_address: f"s{seed}" for (r, _), seed in zip(offers, (10, 11))},
+    )
+    sealer = crypto.Sealer(order.buyer_pk, b"\x01" * 32)
+    sealed = sealer.seal(offers[0][1])
+    bad = {
+        "too short": sealed[:39],
+        "another agreement": sealed[:32]
+        + crypto.encrypt_for(order.buyer_pk, offers[0][1], b"\x02" * 32)[32:],
+        "flipped tag": sealed[:-1] + bytes([sealed[-1] ^ 1]),
+    }[case]
+    verdicts = []
+    for tick, ((response, _), ciphertext) in enumerate(
+        zip(offers, [bad, sealer.seal(offers[1][1])]), start=11
+    ):
+        delivery = messages.PayloadDelivery(response.digest(), ciphertext)
+        buyer.handle(Envelope(None, buyer.upload_url, delivery.encode(), tick))
+        buyer.step(tick)
+        request = messages.decode(network.transcript[-1].message)
+        assert isinstance(request, NotarizationRequest)
+        assert request.response_digest == response.digest()
+        verdicts.append((request.forced, request.audit_ciphertext == b""))
+        verdicts.append(notary.decide_verdict(request, response, SCHEMA))
+        if tick == 11:
+            assert buyer._openers == {}
+    assert verdicts == [
+        (True, True),
+        Verdict.NOTARIZED_INVALID,
+        (False, False),
+        Verdict.NOTARIZED_VALID,
+    ]
+    assert list(buyer._openers) == [sealer.ephemeral_public]
 
 
 # -- inputs an actor must drop ---------------------------------------------

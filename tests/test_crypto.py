@@ -220,20 +220,21 @@ def count_parses(monkeypatch, name):
 
 def test_a_run_parses_each_identity_key_once(monkeypatch):
     """bank.yaml: one buyer, three sellers and one notary. Beyond their keys,
-    only the ephemeral key of each seller delivery and of each (order,
-    notary) request context is parsed."""
+    only the ephemeral key of each delivering (seller, buyer) context and of
+    each (order, notary) request context is parsed."""
     ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
     x25519 = count_parses(monkeypatch, "X25519PrivateKey")
-    deliveries, encrypt_for = [], crypto.encrypt_for
-    monkeypatch.setattr(crypto, "encrypt_for", lambda *a: deliveries.append(a) or encrypt_for(*a))
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
     result = run_scenario(scenario)
     assert result.report.ok
-    requests = [messages.decode(e.message) for e in result.network.transcript]
+    sent = [(messages.decode(e.message), e) for e in result.network.transcript]
+    deliveries = {
+        (e.sender, e.endpoint) for m, e in sent if isinstance(m, messages.PayloadDelivery)
+    }
     contexts = {
-        (r.order_ref, e.endpoint)
-        for r, e in zip(requests, result.network.transcript)
-        if isinstance(r, messages.NotarizationRequest) and r.audit_ciphertext
+        (m.order_ref, e.endpoint)
+        for m, e in sent
+        if isinstance(m, messages.NotarizationRequest) and m.audit_ciphertext
     }
     identities = len(scenario.buyers) + len(scenario.sellers) + len(scenario.notaries)
     assert identities == 5 and deliveries and contexts
