@@ -38,7 +38,7 @@ from .messages import (
     PayloadDelivery,
     Verdict,
 )
-from .transport import BuyerEndpoint, Envelope, Network
+from .transport import Envelope, Network
 
 if TYPE_CHECKING:
     from .scenario import BuyerSpec, NotarySpec, OrderSpec, SellerSpec
@@ -323,7 +323,7 @@ class _PendingOrder:
     spec: "OrderSpec"
     order: DataOrder
     gather_deadline: int
-    terms: List[NotaryTerms] = field(default_factory=list)
+    terms: Dict[Address, NotaryTerms] = field(default_factory=dict)  # one per notary
     select_deadline: int = 0
     # response digest -> (notary endpoint, request bytes, last send tick);
     # re-sent on a timer while the response stays unsettled.
@@ -351,14 +351,18 @@ class Buyer:
         self.notary_names = notary_names
         self.control_endpoint = f"buyer:{spec.name}"
         self.upload_url = f"ub:{spec.name}"
-        self.inbox = BuyerEndpoint()
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[bytes] = []  # order digests
         self._rng = random.Random(spec.seed)
         self._orders_started = 0
         # Order digest -> the buyer's progress on it, until the order closes or aborts.
         self._pending: Dict[bytes, _PendingOrder] = {}
-        self._delivery_cursor = 0
+        # Upload intake: offers by digest and by `order_ref` in arrival order,
+        # the bytes of every accepted upload, and the deliveries not yet handled.
+        self._offers: Dict[bytes, DataResponse] = {}
+        self._offers_by_order: Dict[bytes, List[DataResponse]] = {}
+        self._accepted_uploads: set = set()
+        self._deliveries: List[PayloadDelivery] = []
         self._openers: Dict[bytes, crypto.Opener] = {}  # by the deliveries' ephemeral key
 
     # -- protocol steps --------------------------------------------------
@@ -383,7 +387,7 @@ class Buyer:
 
     def handle(self, envelope: Envelope) -> None:
         if envelope.endpoint == self.upload_url:
-            self.inbox.post(envelope.message)
+            self._upload(envelope.message)
             return
         try:
             msg = messages.decode(envelope.message)
@@ -391,11 +395,36 @@ class Buyer:
             return
         if isinstance(msg, NotaryTerms):
             pending = self._pending.get(msg.order_digest)
-            gathering = pending is not None and msg.order_digest not in self.ledger.contracts
-            if gathering and msg.verify_signature():
-                pending.terms.append(msg)
+            listed = pending and self.notary_names.get(msg.notary_address) in pending.spec.notaries
+            if listed and msg.order_digest not in self.ledger.contracts and msg.verify_signature():
+                pending.terms.setdefault(msg.notary_address, msg)
         elif isinstance(msg, NotaryCertificate):
             self._settle(msg)
+
+    def _upload(self, data: bytes) -> None:
+        """Keep a new offer, and queue a delivery for an offer the buyer holds.
+        A byte-identical repeat of an accepted upload is skipped undecoded; a
+        refused upload is recorded, and judged again each time it comes."""
+        if data in self._accepted_uploads:
+            return
+        try:
+            msg = messages.decode(data)
+        except EncodingError as exc:
+            self.rejected_submissions.append(f"upload: parse: {exc}")
+            return
+        if isinstance(msg, DataResponse):
+            if self._offers.setdefault(msg.digest(), msg) is msg:  # a new offer
+                self._offers_by_order.setdefault(msg.order_ref, []).append(msg)
+        elif not isinstance(msg, PayloadDelivery):
+            kind = type(msg).__name__
+            self.rejected_submissions.append(f"upload: unsupported message type {kind}")
+            return
+        elif msg.response_digest not in self._offers:
+            self.rejected_submissions.append("upload: unknown-response")
+            return
+        else:
+            self._deliveries.append(msg)
+        self._accepted_uploads.add(data)
 
     def step(self, tick: int) -> None:
         for digest, pending in list(self._pending.items()):
@@ -411,9 +440,9 @@ class Buyer:
                     self._select(contract)
             if contract.status is Status.CLOSED:
                 del self._pending[digest]
-        for delivery in self.inbox.deliveries[self._delivery_cursor :]:
+        for delivery in self._deliveries:
             self._request_notarization(delivery)
-        self._delivery_cursor = len(self.inbox.deliveries)
+        self._deliveries.clear()
 
     def _retry_audit_requests(
         self, contract: OrderContract, pending: _PendingOrder, tick: int
@@ -439,7 +468,8 @@ class Buyer:
         refuses, is aborted instead, and the result is False."""
         if pending.terms:
             try:
-                self.ledger.register_order(pending.order, pending.terms, pending.spec.price)
+                terms = list(pending.terms.values())
+                self.ledger.register_order(pending.order, terms, pending.spec.price)
             except LedgerError as exc:
                 self.rejected_submissions.append(f"register: {exc}")
             else:
@@ -449,7 +479,7 @@ class Buyer:
         return False
 
     def _select(self, contract: OrderContract) -> None:
-        received = self.inbox.by_order.get(contract.order_digest, ())
+        received = self._offers_by_order.get(contract.order_digest, ())
         # The same rule list the ledger's selection applies.
         valid = [r for r in received if not messages.validate_response(r, contract)]
         chosen = self.spec.selection.select(valid, contract.price)
@@ -468,8 +498,8 @@ class Buyer:
 
     def _request_notarization(self, delivery: PayloadDelivery) -> None:
         digest = delivery.response_digest
-        # The inbox accepts a delivery only for a response it holds.
-        order_digest = self.inbox.responses[digest].order_ref
+        # A delivery is queued only for an offer the buyer holds.
+        order_digest = self._offers[digest].order_ref
         pending = self._pending.get(order_digest)
         contract = self.ledger.contracts.get(order_digest)
         state = contract and contract.responses.get(digest)
@@ -498,7 +528,8 @@ class Buyer:
             forced=forced,
             audit_ciphertext=audit_ciphertext,
         ).encode()
-        endpoint = f"notary:{self.notary_names.get(notary_terms.notary_address, '')}"
+        # The contract holds terms only from notaries the order lists.
+        endpoint = f"notary:{self.notary_names[notary_terms.notary_address]}"
         pending.audit_requests[digest] = [endpoint, request, self.network.tick_now]
         self.network.send(self.address, endpoint, request)
 

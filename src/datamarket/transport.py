@@ -4,19 +4,19 @@ A discrete-tick scheduler routes opaque message bytes between registered
 endpoints with seeded random latency and loss. With drop_rate=0 every
 message is delivered exactly once; per (sender, endpoint) pair FIFO order
 is preserved among delivered messages. The full transcript of sent
-envelopes is retained for the leak-scan invariants.
+envelopes is retained for the leak-scan invariants. The network never
+reads a message: what an endpoint accepts is its owner's decision (the
+buyer's upload intake is `actors.Buyer.handle`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from . import messages
 from .crypto import Address
-from .errors import EncodingError, TransportError
-from .messages import DataResponse, PayloadDelivery
+from .errors import TransportError
 
 
 @dataclass(frozen=True)
@@ -91,39 +91,3 @@ class Network:
     def idle(self) -> bool:
         return not self._in_flight
 
-
-@dataclass
-class PostResult:
-    ok: bool
-    reason: str = ""
-
-
-@dataclass
-class BuyerEndpoint:
-    """The buyer's public upload inbox: accepts seller offers and encrypted
-    payload deliveries, and skips byte-identical repeats of accepted ones."""
-
-    # Response digest -> response, in arrival order.
-    responses: Dict[bytes, DataResponse] = field(default_factory=dict)
-    by_order: Dict[bytes, List[DataResponse]] = field(default_factory=dict)  # by `order_ref`
-    deliveries: List[PayloadDelivery] = field(default_factory=list)
-    _accepted: set = field(default_factory=set)  # bytes of accepted posts
-
-    def post(self, message_bytes: bytes) -> PostResult:
-        if message_bytes in self._accepted:
-            return PostResult(True)
-        try:
-            msg = messages.decode(message_bytes)
-        except EncodingError as exc:
-            return PostResult(False, f"parse: {exc}")
-        if isinstance(msg, DataResponse):
-            if self.responses.setdefault(msg.digest(), msg) is msg:  # a new response
-                self.by_order.setdefault(msg.order_ref, []).append(msg)
-        elif not isinstance(msg, PayloadDelivery):
-            return PostResult(False, f"unsupported message type {type(msg).__name__}")
-        elif msg.response_digest not in self.responses:
-            return PostResult(False, "unknown-response")
-        else:
-            self.deliveries.append(msg)
-        self._accepted.add(message_bytes)
-        return PostResult(True)

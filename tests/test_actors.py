@@ -6,7 +6,7 @@ from datamarket import crypto, ledger as ledger_mod, messages, transport
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
 from datamarket.ledger import EventKind, Ledger
-from datamarket.messages import NotarizationRequest, NotaryCertificate, Verdict
+from datamarket.messages import NotarizationRequest, NotaryCertificate, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import (
     BuyerSpec,
@@ -453,10 +453,35 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
         (buyer.control_endpoint, cert),
     ]:
         buyer.handle(Envelope(None, endpoint, message.encode(), 0))
+    assert buyer._deliveries == [delivery]  # accepted: the buyer holds its offer
     buyer.step(1)
-    assert buyer.inbox.deliveries == [delivery]
+    assert buyer._deliveries == []
     assert not ledger.contracts and not buyer.rejected_submissions and not network.transcript
     assert not buyer.done
+
+
+def run_bank_with(monkeypatch, extra):
+    """A `bank.yaml` run in which `extra(network, delivered)` adds envelopes
+    to each tick's deliveries."""
+    tick = transport.Network.tick
+
+    def tick_with_extra(network):
+        delivered = tick(network)
+        extra(network, delivered)
+        return delivered
+
+    monkeypatch.setattr(transport.Network, "tick", tick_with_extra)
+    return run_scenario(load_scenario(BANK))
+
+
+def add_at_tick(at, endpoint, message):
+    """An `extra` for `run_bank_with` that delivers `message` to `endpoint` at tick `at`."""
+
+    def extra(network, delivered):
+        if network.tick_now == at:
+            delivered.setdefault(endpoint, []).append(Envelope(None, endpoint, message, at, at))
+
+    return extra
 
 
 def test_bad_certificate_does_not_end_the_run(monkeypatch):
@@ -473,18 +498,40 @@ def test_bad_certificate_does_not_end_the_run(monkeypatch):
         verdict=Verdict.NOTARIZED_VALID,
         notary_signature=bytes(64),
     ).encode()
-    endpoint = f"buyer:{scenario.buyers[0].name}"
-    tick = transport.Network.tick
-
-    def tick_with_bad_certificate(network):
-        delivered = tick(network)
-        if network.tick_now == 12:
-            delivered.setdefault(endpoint, []).append(Envelope(None, endpoint, bad, 12, 12))
-        return delivered
-
-    monkeypatch.setattr(transport.Network, "tick", tick_with_bad_certificate)
-    result = run_scenario(scenario)
+    result = run_bank_with(monkeypatch, add_at_tick(12, "buyer:modelcorp", bad))
     assert result.buyers[0].rejected_submissions == [
         "certificate: certificate signature does not verify"
     ]
+    assert result.report.render() == undisturbed.report.render()
+
+
+def test_buyer_takes_notary_terms_only_from_a_notary_the_order_lists(monkeypatch):
+    """Terms for `bank.yaml`'s pending order, countersigned with fee 0 by a
+    notary the order never asked, reach the buyer at tick 1: the buyer
+    ignores them, and the run ends as it would without them."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    (contract,) = undisturbed.ledger.contracts.values()
+    stranger = messages.countersign_order(keys_from_seed(999), contract.order, 0, TERMS)
+    result = run_bank_with(monkeypatch, add_at_tick(1, "buyer:modelcorp", stranger.encode()))
+    assert not result.buyers[0].rejected_submissions
+    assert result.report.render() == undisturbed.report.render()
+
+
+def test_buyer_keeps_one_terms_message_per_notary(monkeypatch):
+    """Every notary terms envelope of a `bank.yaml` run reaches the buyer
+    twice: the buyer keeps one per notary, and the run ends as it would
+    without the repeats."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    repeated = []
+
+    def repeat_terms(network, delivered):
+        envelopes = delivered.get("buyer:modelcorp", [])
+        for envelope in list(envelopes):
+            if isinstance(messages.decode(envelope.message), NotaryTerms):
+                envelopes.append(envelope)
+                repeated.append(envelope)
+
+    result = run_bank_with(monkeypatch, repeat_terms)
+    assert repeated
+    assert not result.buyers[0].rejected_submissions
     assert result.report.render() == undisturbed.report.render()

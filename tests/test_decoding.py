@@ -19,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datamarket import ledger as ledger_mod, messages, transport
+from datamarket.actors import Buyer
 from datamarket.encoding import Reader, encode_uint, write_field
 from datamarket.errors import EncodingError
-from datamarket.ledger import EventKind, LedgerEvent
+from datamarket.ledger import EventKind, Ledger, LedgerEvent
+from datamarket.messages import DataResponse
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario
-from datamarket.transport import BuyerEndpoint, Envelope
+from datamarket.scenario import BuyerSpec, load_scenario
+from datamarket.transport import Envelope, Network, NetworkConfig
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 
@@ -131,6 +133,32 @@ def test_mutated_journal_frames(index, edits, payload_only):
         check_frame(LedgerEvent(event.sequence, event.kind, mutate(event.payload, edits)).encode())
     else:
         check_frame(mutate(event.encode(), edits))
+
+
+@functools.lru_cache(maxsize=None)
+def bank_offers():
+    sent, _ = bank()
+    return [data for data in sent if isinstance(messages.decode(data), DataResponse)]
+
+
+@given(st.integers(0, 2**16), EDITS)
+@settings(max_examples=1000, deadline=None)
+def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
+    """A buyer holding every offer of the run takes a mutated message on its
+    upload URL, then steps: the message is an offer or a delivery it accepts,
+    or it adds exactly one `upload:` refusal. Nothing raises."""
+    sent, _ = bank()
+    buyer = Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
+    for data in bank_offers():
+        buyer.handle(Envelope(None, buyer.upload_url, data, 0))
+    data = mutate(sent[index % len(sent)], edits)
+    buyer.handle(Envelope(None, buyer.upload_url, data, 0))
+    buyer.step(1)
+    if buyer.rejected_submissions:
+        (reason,) = buyer.rejected_submissions
+        assert reason.startswith("upload: ") and data not in buyer._accepted_uploads
+    else:
+        assert data in buyer._accepted_uploads
 
 
 # -- hand-made malformed inputs --------------------------------------------
@@ -255,6 +283,6 @@ def test_malformed_envelopes_do_not_crash_a_run(monkeypatch):
     result = run_scenario(scenario)
     assert result.report.ok
     assert result.report.render() == undisturbed.report.render()
-    for message in bad:
-        posted = BuyerEndpoint().post(message)
-        assert not posted.ok and posted.reason.startswith("parse: ")
+    refused = result.buyers[0].rejected_submissions
+    assert len(refused) == len(bad)
+    assert all(reason.startswith("upload: parse: ") for reason in refused)

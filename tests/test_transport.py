@@ -1,10 +1,16 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from datamarket import messages
+from datamarket import messages, transport
+from datamarket.actors import Buyer
 from datamarket.crypto import Address
 from datamarket.errors import TransportError
+from datamarket.ledger import Ledger
 from datamarket.messages import PayloadDelivery
-from datamarket.transport import BuyerEndpoint, Network, NetworkConfig, PostResult
+from datamarket.scenario import BuyerSpec
+from datamarket.transport import Envelope, Network, NetworkConfig
 
 from market_helpers import make_market, make_response
 
@@ -90,69 +96,103 @@ def test_transport_neutrality():
     assert [e.message for e in net.transcript] == payloads
 
 
-# -- buyer upload endpoint -----------------------------------------------
+# -- the buyer's upload endpoint ------------------------------------------
+# The network only routes bytes; the buyer's `handle` decides what it accepts
+# on its upload URL, and records a refusal as an `upload: ...` rejection.
+
+
+def make_buyer():
+    return Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
+
+
+def upload(buyer, data):
+    """Hand `data` to the buyer's upload URL; the refusals this recorded."""
+    before = len(buyer.rejected_submissions)
+    buyer.handle(Envelope(None, buyer.upload_url, data, 0))
+    return buyer.rejected_submissions[before:]
 
 
 def test_endpoint_deduplicates_responses():
     market = make_market()
     response, _, _ = make_response(market)
-    inbox = BuyerEndpoint()
-    assert inbox.post(response.encode()).ok
-    assert inbox.post(response.encode()).ok
-    assert len(inbox.responses) == 1
+    buyer = make_buyer()
+    assert upload(buyer, response.encode()) == []
+    assert upload(buyer, response.encode()) == []
+    assert list(buyer._offers) == [response.digest()]
 
 
 def test_endpoint_rejects_garbage():
-    result = BuyerEndpoint().post(b"\xde\xad\xbe\xef")
-    assert not result.ok and "parse" in result.reason
+    (reason,) = upload(make_buyer(), b"\xde\xad\xbe\xef")
+    assert reason.startswith("upload: parse: ")
 
 
 def test_endpoint_rejects_payload_for_unknown_response():
-    inbox = BuyerEndpoint()
+    buyer = make_buyer()
     delivery = PayloadDelivery(b"\x00" * 32, b"\x01" * 50)
-    result = inbox.post(delivery.encode())
-    assert not result.ok and result.reason == "unknown-response"
+    assert upload(buyer, delivery.encode()) == ["upload: unknown-response"]
+    assert buyer._deliveries == []
 
 
 def test_endpoint_accepts_payload_after_response():
     market = make_market()
     response, _, _ = make_response(market)
-    inbox = BuyerEndpoint()
-    inbox.post(response.encode())
+    buyer = make_buyer()
+    upload(buyer, response.encode())
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
-    assert inbox.post(delivery.encode()).ok
-    assert inbox.post(delivery.encode()).ok  # idempotent
-    assert len(inbox.deliveries) == 1
+    assert upload(buyer, delivery.encode()) == []
+    assert upload(buyer, delivery.encode()) == []  # idempotent
+    assert buyer._deliveries == [delivery]
 
 
 def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
     response, _, _ = make_response(make_market())
-    inbox = BuyerEndpoint()
-    assert inbox.post(response.encode()).ok
+    buyer = make_buyer()
+    assert upload(buyer, response.encode()) == []
     decoded, decode = [], messages.decode
     monkeypatch.setattr(messages, "decode", lambda data: decoded.append(data) or decode(data))
-    assert inbox.post(response.encode()).ok
+    assert upload(buyer, response.encode()) == []
     assert decoded == []
 
 
 def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives():
     response, _, _ = make_response(make_market())
-    inbox = BuyerEndpoint()
-    delivery = PayloadDelivery(response.digest(), b"\x01" * 50).encode()
-    assert inbox.post(delivery) == PostResult(False, "unknown-response")
-    assert inbox.post(response.encode()).ok
-    assert inbox.post(delivery).ok
-    assert len(inbox.deliveries) == 1
+    buyer = make_buyer()
+    delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
+    assert upload(buyer, delivery.encode()) == ["upload: unknown-response"]
+    assert upload(buyer, response.encode()) == []
+    assert upload(buyer, delivery.encode()) == []
+    assert buyer._deliveries == [delivery]
 
 
 def test_endpoint_refuses_a_garbled_message_every_time():
-    inbox = BuyerEndpoint()
+    buyer = make_buyer()
     for _ in range(3):
-        result = inbox.post(b"\xde\xad\xbe\xef")
-        assert not result.ok and result.reason.startswith("parse:")
+        (reason,) = upload(buyer, b"\xde\xad\xbe\xef")
+        assert reason.startswith("upload: parse:")
+    assert len(buyer.rejected_submissions) == 3
 
 
 def test_endpoint_rejects_unsupported_type():
     market = make_market()
-    result = BuyerEndpoint().post(market.order.encode())
-    assert not result.ok
+    buyer = make_buyer()
+    assert upload(buyer, market.order.encode()) == ["upload: unsupported message type DataOrder"]
+    assert buyer._offers == {} and buyer._deliveries == []
+
+
+# -- layering ----------------------------------------------------------------
+
+
+def test_transport_imports_no_protocol_module():
+    """The network routes opaque bytes, so it must not import the modules
+    that give them meaning."""
+    tree = ast.parse(Path(transport.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            imported.add(module)
+            if not node.module or module == "datamarket":  # `from . import messages`
+                imported.update(alias.name for alias in node.names)
+    assert imported & {"messages", "ledger", "actors"} == set()
