@@ -483,16 +483,12 @@ class Buyer:
         # The same rule list the ledger's selection applies.
         valid = [r for r in received if not messages.validate_response(r, contract)]
         chosen = self.spec.selection.select(valid, contract.price)
-        affordable = self.ledger.balance(self.address)
-        while True:  # drop the last chosen response until the buyer can pay
-            # Pre-fund the worst case: every selected response audited.
-            worst_fees = sum(contract.notary_terms[r.chosen_notary].fee for r in chosen)
-            topup = max(0, worst_fees - contract.audit_escrow)
-            if contract.price * len(chosen) + topup <= affordable:
-                break
+        balance = self.ledger.balance(self.address)
+        # Drop the last chosen response until the buyer can pay, audit top-up included.
+        while contract.price * len(chosen) + self.ledger.audit_topup(contract, chosen) > balance:
             chosen = chosen[:-1]
         if chosen:
-            self.ledger.select_sellers(contract.order_digest, chosen, audit_topup=topup)
+            self.ledger.select_sellers(contract.order_digest, chosen)
         else:
             self.ledger.close_order(contract.order_digest)
 
@@ -503,7 +499,11 @@ class Buyer:
         pending = self._pending.get(order_digest)
         contract = self.ledger.contracts.get(order_digest)
         state = contract and contract.responses.get(digest)
-        if pending is None or state is None or digest in pending.audit_requests:
+        if pending is None or digest in pending.audit_requests:
+            return
+        if state is None:  # not selected yet: judged again when it comes again
+            self._accepted_uploads.discard(delivery.encode())
+            self.rejected_submissions.append("upload: unselected-response")
             return
         response = state.response
         notary_terms = contract.notary_terms[response.chosen_notary]

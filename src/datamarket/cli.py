@@ -55,6 +55,8 @@ def _cmd_verify(args) -> int:
         print(f"journal verification failed at sequence {exc.sequence}: {exc.reason}")
         return 1
     print(f"events: {len(market.journal)}")
+    kinds = [event.kind for event in market.journal]
+    print("kinds:", " ".join(f"{kind.name}={kinds.count(kind)}" for kind in sorted(set(kinds))))
     # The trailer's digest, which `verify_journal` checked against the replay.
     print(f"state_digest: {ledger_mod.journal_state_digest(data).hex()}")
     # Replay commits every event through the ledger, which refuses any that

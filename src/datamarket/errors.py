@@ -54,7 +54,7 @@ class AlreadySettled(LedgerError):
 
 
 class AuditEscrowDepleted(LedgerError):
-    """Notary fee exceeds the remaining audit escrow; top up first."""
+    """Notary fee exceeds the audit escrow, which each selection's top-up prevents."""
 
 
 class GenesisClosed(LedgerError):

@@ -1,16 +1,16 @@
 """Deterministic single-writer token ledger hosting order contracts.
 
 Escrow rules: registering an order moves the buyer's audit budget into the
-contract; selecting n sellers moves price × n into payment escrow and the
-selection's audit top-up, if any, into audit escrow; a verifying notary
+contract; selecting n sellers escrows price × n and tops audit escrow up to
+the fees of all unsettled responses (`audit_topup`); a verifying notary
 certificate releases each response's escrow to the seller (verdicts a/b) or
 back to the buyer (verdict c), with the notary's fee drawn from audit escrow
-for audited verdicts. Money moves only through `_credit` and `_escrow`,
-which keep the running totals that each event checks; `replay` also
-recounts everything at the end. Each ledger call commits exactly one
-journal event, and replaying the journal reproduces the exact state digest.
-A settlement event is its certificate alone: the certificate names its
-order. `contracts` is in registration order, the feed sellers read.
+for audited verdicts. Money moves only through `_credit` and `_escrow`, which
+keep the running totals that each event checks; `replay` also recounts
+everything at the end. Each ledger call commits exactly one journal event,
+and replaying the journal reproduces the exact state digest. A settlement
+event is its certificate alone: the certificate names its order. `contracts`
+is in registration order, the feed sellers read.
 
 Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`). Live operations and `replay`
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -77,33 +76,27 @@ class EventKind(enum.IntEnum):
     ORDER_CLOSED = 5
 
 
+# An event frame is its kind byte and its payload; the trailer is the frame
+# of kind 255. An event's sequence is its index in the journal.
 TRAILER_KIND = 255
-
-# An event frame: 8-byte sequence, kind byte, 4-byte payload length, payload.
-_FRAME_HEAD = struct.Struct(">QBI")
 
 
 @dataclass(frozen=True)
 class LedgerEvent:
-    sequence: int
     kind: EventKind
     payload: bytes
 
     def encode(self) -> bytes:
-        return _FRAME_HEAD.pack(self.sequence, self.kind, len(self.payload)) + self.payload
+        return bytes([self.kind]) + self.payload
 
     @classmethod
-    def decode(cls, data: bytes) -> "LedgerEvent":
-        if len(data) < _FRAME_HEAD.size:
-            raise EncodingError("truncated event frame")
-        seq, kind, length = _FRAME_HEAD.unpack_from(data)
-        if _FRAME_HEAD.size + length != len(data):
-            raise EncodingError("event payload length does not match its frame")
+    def decode(cls, frame: bytes) -> "LedgerEvent":
+        if not frame:
+            raise EncodingError("empty event frame")
         try:
-            kind = EventKind(kind)
+            return cls(EventKind(frame[0]), frame[1:])
         except ValueError:
-            raise EncodingError(f"unknown event kind {kind}") from None
-        return cls(seq, kind, data[_FRAME_HEAD.size :])
+            raise EncodingError(f"unknown event kind {frame[0]}") from None
 
 
 class Outcome(enum.IntEnum):
@@ -178,6 +171,13 @@ class Ledger:
     def conservation_holds(self) -> bool:
         return sum(self.accounts.values()) + self.escrow_total() == self.total_supply
 
+    def audit_topup(self, contract: OrderContract, responses: Sequence[DataResponse]) -> int:
+        """What selecting `responses` moves into audit escrow: enough to pay the
+        chosen notary's fee of every unsettled response, `responses` included."""
+        unsettled = [s.response for s in contract.responses.values() if s.settlement is None]
+        fees = sum(contract.notary_terms[r.chosen_notary].fee for r in unsettled + list(responses))
+        return max(0, fees - contract.audit_escrow)
+
     # -- operations ------------------------------------------------------
     # Each makes only the checks that need no ledger state, then commits
     # its one event; every rule that reads the ledger lives in a `_check_*`.
@@ -199,16 +199,11 @@ class Ledger:
         self.contracts[digest].order = order
         return digest
 
-    def select_sellers(
-        self, order_digest: bytes, responses: Sequence[DataResponse], audit_topup: int = 0
-    ) -> None:
-        contract = self.contract(order_digest)
-        if audit_topup < 0:
-            raise LedgerError("audit top-up must be >= 0")
-        if contract.order is None:
+    def select_sellers(self, order_digest: bytes, responses: Sequence[DataResponse]) -> None:
+        if self.contract(order_digest).order is None:
             # Without the order, `validate_response` would skip the signature rule.
             raise LedgerError("contract has no full order; ledger is a replay snapshot")
-        self._commit(EventKind.SELLERS_SELECTED, (order_digest, responses, audit_topup))
+        self._commit(EventKind.SELLERS_SELECTED, (order_digest, responses))
 
     def close_response(self, certificate: NotaryCertificate) -> Settlement:
         """Settle the response `certificate` binds, on the order it names."""
@@ -225,7 +220,7 @@ class Ledger:
         rule = _RULES[kind]
         rule.check(self, *args)
         if event is None:
-            event = LedgerEvent(len(self.journal), kind, rule.encode(*args))
+            event = LedgerEvent(kind, rule.encode(*args))
         result = rule.apply(self, *args)
         self.journal.append(event)
         if self.balance_sum + self.escrow_sum != self.total_supply:
@@ -265,10 +260,10 @@ class Ledger:
         self.contracts[digest] = OrderContract(digest, buyer, min_audit_budget, price, terms)
         self._escrow(self.contracts[digest], audit=min_audit_budget)
 
-    def _check_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
+    def _check_selection(self, order_digest: bytes, responses) -> None:
         contract = self._open_contract(order_digest)
-        if not responses and not audit_topup:
-            raise LedgerError("selection names no response and tops up nothing")
+        if not responses:
+            raise LedgerError("selection names no response")
         batch = set()
         for response in responses:
             digest = response.digest()
@@ -278,14 +273,16 @@ class Ledger:
             failed = messages.validate_response(response, contract)
             if failed:
                 raise LedgerError(f"invalid response {digest.hex()}: {', '.join(failed)}")
-        total = contract.price * len(responses) + audit_topup
-        self._check_funds(contract.buyer_address, total, "selection payment and top-up")
+        # Derived only now: every response names a listed notary.
+        total = contract.price * len(responses) + self.audit_topup(contract, responses)
+        self._check_funds(contract.buyer_address, total, "selection payment and audit top-up")
 
-    def _apply_selection(self, order_digest: bytes, responses, audit_topup: int) -> None:
+    def _apply_selection(self, order_digest: bytes, responses) -> None:
         contract = self.contracts[order_digest]
         payment = contract.price * len(responses)
-        self._credit(contract.buyer_address, -(payment + audit_topup))
-        self._escrow(contract, audit=audit_topup, payment=payment)
+        topup = self.audit_topup(contract, responses)
+        self._credit(contract.buyer_address, -(payment + topup))
+        self._escrow(contract, audit=topup, payment=payment)
         for response in responses:
             contract.responses[response.digest()] = ResponseState(response)
 
@@ -425,7 +422,7 @@ _RULES = {
         _NOTARY_TERMS,
     ),
     EventKind.SELLERS_SELECTED: _rule(
-        Ledger._check_selection, Ledger._apply_selection, RAW, ListOf(nested(DataResponse)), U64
+        Ledger._check_selection, Ledger._apply_selection, RAW, ListOf(nested(DataResponse))
     ),
     EventKind.RESPONSE_CLOSED: _rule(
         Ledger._check_close, Ledger._apply_close, nested(NotaryCertificate)
@@ -440,18 +437,16 @@ _RULES = {
 def replay(events: Iterable[LedgerEvent]) -> Ledger:
     """Rebuild a ledger from its journal, committing each event through the
     live ledger's checks (signatures aside); aborts with the offending
-    sequence number on any gap, rejected event or failed final recount."""
+    sequence number on any rejected event or failed final recount."""
     ledger = Ledger()
-    for expected, event in enumerate(events):
-        if event.sequence != expected:
-            raise ReplayError(expected, f"sequence gap (found {event.sequence})")
+    for sequence, event in enumerate(events):
         try:
             r = Reader(event.payload)
             args = _RULES[event.kind].decode(r)
             r.expect_end()
             ledger._commit(event.kind, args, event)
         except Exception as exc:
-            raise ReplayError(event.sequence, str(exc)) from exc
+            raise ReplayError(sequence, str(exc)) from exc
     if not ledger.conservation_holds():
         raise ReplayError(len(ledger.journal), "token conservation violated in final state")
     return ledger

@@ -155,9 +155,11 @@ AUDIENCE = _tuple_of(_predicate)
 
 
 def NETWORK(value) -> NetworkSpec:
-    """The one section not read key by key: `latency` is a pair."""
+    """The one section not read key by key: `latency` is a pair. A spec
+    built in code is read as its file form, through the same kinds."""
     if isinstance(value, NetworkSpec):
-        return value
+        latency = [value.latency_min, value.latency_max]
+        value = {"seed": value.seed, "latency": latency, "drop_rate": value.drop_rate}
     raw = _known_keys(_mapping(value), ("seed", "latency", "drop_rate"))
     latency = _read("latency", PAIR, raw.get("latency", [1, 1]))
     return NetworkSpec(

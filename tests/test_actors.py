@@ -244,21 +244,25 @@ def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
 
 
 def test_no_top_up_follows_a_selection():
-    """The buyer makes one selection per order, which tops the audit escrow
-    up to every selected response's fee, so settling never needs a second
-    top-up; some selections carry a non-zero one."""
+    """The buyer makes one selection per order; the ledger tops the audit
+    escrow up to every selected response's fee then, so no later top-up is
+    needed. Some selections top up: their fees exceed the audit budget."""
     scenarios = [random_scenario(seed) for seed in range(200)]
     scenarios += [ladder_10x10(drop_rate) for drop_rate in (0.0, 0.05)]
     layout = ledger_mod._RULES[EventKind.SELLERS_SELECTED]
     top_ups = 0
     for scenario in scenarios:
-        selected = set()
-        for event in run_scenario(scenario).ledger.journal:
-            if event.kind is EventKind.SELLERS_SELECTED:
-                digest, _, top_up = layout.decode(Reader(event.payload))
-                assert digest not in selected, scenario.name
-                selected.add(digest)
-                top_ups += top_up > 0
+        ledger = run_scenario(scenario).ledger
+        selected = [
+            layout.decode(Reader(event.payload))[0]
+            for event in ledger.journal
+            if event.kind is EventKind.SELLERS_SELECTED
+        ]
+        assert len(selected) == len(set(selected)), scenario.name
+        for contract in map(ledger.contract, selected):
+            states = contract.responses.values()
+            fees = sum(contract.notary_terms[s.response.chosen_notary].fee for s in states)
+            top_ups += fees > contract.min_audit_budget
     assert top_ups > 0
 
 
@@ -438,7 +442,8 @@ def test_notary_drops_orders_it_cannot_answer():
 
 def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract():
     """While the buyer gathers notary terms, its order has no contract: a
-    certificate and a payload delivery naming that order are dropped."""
+    certificate naming that order is dropped, and a payload delivery for
+    it is refused as one whose response is not selected."""
     ledger, network = Ledger(), Network(NetworkConfig())
     buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {})
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=()), 0)
@@ -456,7 +461,8 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
     assert buyer._deliveries == [delivery]  # accepted: the buyer holds its offer
     buyer.step(1)
     assert buyer._deliveries == []
-    assert not ledger.contracts and not buyer.rejected_submissions and not network.transcript
+    assert buyer.rejected_submissions == ["upload: unselected-response"]
+    assert not ledger.contracts and not network.transcript
     assert not buyer.done
 
 
@@ -502,6 +508,25 @@ def test_bad_certificate_does_not_end_the_run(monkeypatch):
     assert result.buyers[0].rejected_submissions == [
         "certificate: certificate signature does not verify"
     ]
+    assert result.report.render() == undisturbed.report.render()
+
+
+@pytest.mark.parametrize("tick", range(5, 10))
+def test_a_delivery_before_its_selection_is_judged_again(monkeypatch, tick):
+    """`bank.yaml`'s first offer arrives at tick 5, and the first delivery
+    is sent at tick 10, once its response is selected. That delivery,
+    replayed to the buyer at any tick between, is refused as unselected and
+    not kept as accepted, so the seller's send is taken when it comes, and
+    the run ends as it would without the replay."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    (first,) = [
+        e.message
+        for e in undisturbed.network.transcript
+        if e.endpoint == "ub:modelcorp"
+        and isinstance(messages.decode(e.message), messages.PayloadDelivery)
+    ][:1]
+    result = run_bank_with(monkeypatch, add_at_tick(tick, "ub:modelcorp", first))
+    assert result.buyers[0].rejected_submissions == ["upload: unselected-response"]
     assert result.report.render() == undisturbed.report.render()
 
 

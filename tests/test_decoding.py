@@ -130,7 +130,7 @@ def test_mutated_journal_frames(index, edits, payload_only):
     _, journal = bank()
     event = journal[index % len(journal)]
     if payload_only:
-        check_frame(LedgerEvent(event.sequence, event.kind, mutate(event.payload, edits)).encode())
+        check_frame(LedgerEvent(event.kind, mutate(event.payload, edits)).encode())
     else:
         check_frame(mutate(event.encode(), edits))
 
@@ -247,8 +247,8 @@ def test_hand_made_inputs_are_well_formed_otherwise():
 
 @pytest.mark.parametrize("kind", [2, 9])  # 2 is the retired audit top-up kind
 def test_unknown_event_kind_raises_encoding_error(kind):
-    frame = bytearray(LedgerEvent(0, EventKind.ORDER_CLOSED, fields(bytes(32))).encode())
-    frame[8] = kind
+    frame = bytearray(LedgerEvent(EventKind.ORDER_CLOSED, fields(bytes(32))).encode())
+    frame[0] = kind
     with pytest.raises(EncodingError):
         LedgerEvent.decode(bytes(frame))
 

@@ -24,27 +24,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "fa5e3127e429c07aead05c94a05c146234dea8d2ca28d4d8459e12312eea5499",
+        "e876c187e3403bd89311a1598b40906f2ce47725342dbff859b814b6a4fe38a9",
         "f487edc6d5c1eee5090c5d946ee699a78528f402fdb18ff9cf80f9fcdeade4bd",
     ),
     "telco.yaml": (
-        "c5057f289ac6d596ddda4f45b0e4a506705f70df46b39d21a0dd5b3c22eefc9b",
+        "1aba98d4721357fd4a6f1b3bd2141e51930d6e70fec1e4de2a151da5c104adb2",
         "5701bdfe08d676995402e23025b2071fc45f3311eb240e5c2f1eb73841df6182",
     ),
 }
 RANDOM_SEEDS = range(1000)
-RANDOM_COMBINED = "ec6b419c30b827ac4b1238b8538181893526d8773d0aab265934209bb1d1578d"
+RANDOM_COMBINED = "414c7309e8b1e776546f5e2bed7f95d81b6588351d260576b372239c38f7deba"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "1ee0fc2220a8663401abd761e79a829878dca5c31762658c5a8a27698fac67c8",
+        "022cd20fff35c09624897360857f6b49a9012ddda4a84ead4a8b5fb5351783bc",
         "e962c5756f0d87122050f71ce2e083420915fc545a2ec90ee17befc86c9d9d71",
         100,
         134,
     ),
     0.05: (
-        "a1e85f1f1186454a213d4a30cfa5ae2062fabc53c82e55dd5bc8de59fccab2ec",
+        "d6620464f215bad6a8d477a5c177779e0509924ad53deadac85ac636b61a5f55",
         "2884d228c45380676924d422bd7d222c22e37b0010311dd90799c850eb24b114",
         100,
         134,

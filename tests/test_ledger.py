@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
+from datamarket.encoding import write_field
 from datamarket.errors import (
     AlreadySettled,
     AuditEscrowDepleted,
@@ -134,10 +135,22 @@ def test_selection_arithmetic():
 
 
 def test_selection_topup():
-    market = make_market(balance=100, m_a=0, price=5)
-    response, _, _ = make_response(market)
-    market.ledger.select_sellers(market.order_id, [response], audit_topup=4)
-    assert market.ledger.contract(market.order_id).audit_escrow == 4
+    """Each selection tops the audit escrow up to the fees of the unsettled
+    selected responses, its own included; a settled response's fee no
+    longer counts."""
+    market = make_market(balance=100, m_a=3, price=5, fee=2)
+    r1, r2, r3 = [make_response(market, seller_seed=s)[0] for s in (10, 11, 12)]
+    contract = market.ledger.contract(market.order_id)
+    market.ledger.select_sellers(market.order_id, [r1])
+    assert contract.audit_escrow == 3  # the budget covers one fee of 2
+    market.ledger.select_sellers(market.order_id, [r2])
+    assert contract.audit_escrow == 4  # topped up by 1 to cover 2 + 2
+    market.ledger.close_response(certify(market, r1, Verdict.NOTARIZED_VALID))
+    market.ledger.select_sellers(market.order_id, [r3])
+    assert contract.audit_escrow == 4  # r1's fee paid leaves 2, topped up by 2
+    assert market.ledger.audit_topup(contract, []) == 0
+    assert market.ledger.audit_topup(contract, [make_response(market, seller_seed=13)[0]]) == 2
+    assert market.ledger.balance(market.buyer) == 100 - 3 - 15 - 1 - 2
 
 
 def test_selection_atomicity_on_invalid_response():
@@ -173,25 +186,29 @@ def overpriced_response(market):
 
 
 @pytest.mark.parametrize(
-    "balance, make, error",
+    "make, error",
     [
-        (100, overpriced_response, LedgerError),
-        (12, lambda market: make_response(market)[0], InsufficientFunds),
+        (lambda market: [overpriced_response(market)], LedgerError),
+        # Payment 10 and top-up 4 are each affordable from 12; together not.
+        (
+            lambda market: [make_response(market, seller_seed=s)[0] for s in (11, 12)],
+            InsufficientFunds,
+        ),
     ],
     ids=["invalid-response", "top-up-affordable-selection-not"],
 )
-def test_rejected_selection_with_topup_changes_nothing(balance, make, error):
-    market = make_market(balance=balance, m_a=0, price=5)
-    response = make(market)
+def test_rejected_selection_with_topup_changes_nothing(make, error):
+    market = make_market(balance=12, m_a=0, price=5, fee=2)
+    responses = make(market)
     journal_before, digest_before = list(market.ledger.journal), market.ledger.state_digest()
     with pytest.raises(error):
-        market.ledger.select_sellers(market.order_id, [response], audit_topup=8)
+        market.ledger.select_sellers(market.order_id, responses)
     assert market.ledger.journal == journal_before
     assert market.ledger.state_digest() == digest_before
     # A valid selection with a top-up still commits, on running totals
     # that a full recount agrees with.
     valid, _, _ = make_response(market)
-    market.ledger.select_sellers(market.order_id, [valid], audit_topup=2)
+    market.ledger.select_sellers(market.order_id, [valid])
     assert len(market.ledger.journal) == len(journal_before) + 1
     assert market.ledger.balance_sum == sum(market.ledger.accounts.values())
     assert market.ledger.escrow_sum == market.ledger.escrow_total() == 7
@@ -310,16 +327,19 @@ def test_certificate_replay_rejected_and_neutral():
 
 
 def test_fee_exceeding_audit_escrow_rejected():
+    """The selection's top-up covers every fee, so only an escrow lowered
+    behind the ledger's back reaches the close's own fee check."""
     market = make_market(balance=100, m_a=1, price=5, fee=3)
     response, _, _ = make_response(market)
     market.ledger.select_sellers(market.order_id, [response])
+    contract = market.ledger.contract(market.order_id)
+    assert contract.audit_escrow == 3
     cert = certify(market, response, Verdict.NOTARIZED_VALID)
+    contract.audit_escrow = 2
     with pytest.raises(AuditEscrowDepleted):
         market.ledger.close_response(cert)
-    # Top up through the selection path, then the close succeeds.
-    market.ledger.select_sellers(market.order_id, [], audit_topup=2)
-    settlement = market.ledger.close_response(cert)
-    assert settlement.notary_fee == 3
+    contract.audit_escrow = 3
+    assert market.ledger.close_response(cert).notary_fee == 3
 
 
 def test_certificate_settles_only_the_response_it_binds():
@@ -416,30 +436,35 @@ def test_replay_reproduces_state_digest():
 
 
 def test_replay_detects_gap():
+    """An event's sequence is its index: without the selection (event 2),
+    the close that follows names an unselected response."""
     live = full_session()
-    events = [e for e in live.journal if e.sequence != 2]
+    events = live.journal[:2] + live.journal[3:]
     with pytest.raises(ReplayError) as exc:
         ledger_mod.replay(events)
     assert exc.value.sequence == 2
 
 
 def test_replay_detects_permutation():
-    live = full_session()
-    events = list(live.journal)
-    events[1], events[2] = (
-        LedgerEvent(1, events[2].kind, events[2].payload),
-        LedgerEvent(2, events[1].kind, events[1].payload),
-    )
-    try:
-        replayed = ledger_mod.replay(events)
-    except ReplayError:
-        return
-    assert replayed.state_digest() != live.state_digest()
+    """Two mints in swapped order replay to the same state; the trailer's
+    hash over the event frames catches the swap."""
+    live = Ledger()
+    live.mint(addr(1), 100)
+    live.mint(addr(2), 50)
+    data = ledger_mod.journal_bytes(live)
+    events, trailer, _ = ledger_mod.parse_journal(data)
+    swapped = bytearray()
+    for event in reversed(events):
+        write_field(swapped, event.encode())
+    write_field(swapped, bytes([ledger_mod.TRAILER_KIND]) + trailer)
+    assert ledger_mod.replay(events[::-1]).state_digest() == live.state_digest()
+    with pytest.raises(ReplayError, match="event bytes do not match the journal hash") as exc:
+        ledger_mod.verify_journal(bytes(swapped))
+    assert exc.value.sequence == 2
 
 
 FRAMES = st.builds(
-    lambda seq, kind, payload: LedgerEvent(seq, kind, payload).encode(),
-    st.integers(0, 2**64 - 1),
+    lambda kind, payload: LedgerEvent(kind, payload).encode(),
     st.sampled_from(list(EventKind)),
     st.binary(max_size=64),
 )

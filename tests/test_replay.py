@@ -32,7 +32,7 @@ def forge(ledger, kind, *args, payload=None):
     rule = ledger_mod._RULES[kind]
     sequence = len(ledger.journal)
     payload = rule.encode(*args) if payload is None else payload
-    ledger.journal.append(LedgerEvent(sequence, kind, payload))
+    ledger.journal.append(LedgerEvent(kind, payload))
     frames = bytearray()
     for event in ledger.journal:
         write_field(frames, event.encode())
@@ -77,7 +77,7 @@ def selection_on_closed_order():
     market.ledger.close_response(certify(market, response))
     market.ledger.close_order(market.order_id)
     late, _, _ = make_response(market, seller_seed=11)
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late], 0)
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late])
 
 
 def certificate_for_another_order():
@@ -94,18 +94,13 @@ def price_differs_from_posted():
     response = messages.build_data_response(
         keys_from_seed(10), market.order, 6, b"data", market.notary, crypto.sha256(b"salt")
     )
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response], 0)
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [response])
 
 
 def empty_selection():
-    """A selection that names no response and tops up nothing."""
+    """A selection that names no response."""
     market = make_market()
-    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [], 0)
-
-
-def fee_exceeds_audit_escrow():
-    market, response = selected(m_a=1, fee=3)
-    return forge(market.ledger, EventKind.RESPONSE_CLOSED, certify(market, response))
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [])
 
 
 def notary_terms_out_of_order():
@@ -127,15 +122,30 @@ def notary_terms_out_of_order():
     return forge(ledger, EventKind.ORDER_CREATED, *args, payload=bytes(payload))
 
 
+def settled_journal():
+    """Journal bytes of an order with one settled response (four events),
+    and the offset of the frame of event 3."""
+    market, response = selected()
+    market.ledger.close_response(certify(market, response))
+    data = ledger_mod.journal_bytes(market.ledger)
+    return data, sum(4 + len(event.encode()) for event in market.ledger.journal[:3])
+
+
 def unknown_event_kind():
     """Kind byte 9 in the frame of event 3 (the trailer is left as it was:
     the frame must fail before any digest is compared)."""
-    market, response = selected()
-    market.ledger.close_response(certify(market, response))
-    data = bytearray(ledger_mod.journal_bytes(market.ledger))
-    frame_start = sum(4 + len(event.encode()) for event in market.ledger.journal[:3])
-    data[frame_start + 4 + 8] = 9  # after the length prefix and the 8-byte sequence
+    data, frame_start = settled_journal()
+    data = bytearray(data)
+    data[frame_start + 4] = 9  # the frame's first byte, after its length prefix
     return bytes(data), 3
+
+
+def empty_event_frame():
+    """An empty frame, with no kind byte, in place of event 3."""
+    data, frame_start = settled_journal()
+    frame = bytearray()
+    write_field(frame, b"")
+    return data[:frame_start] + frame + data[frame_start:], 3
 
 
 CRAFTED = [
@@ -145,9 +155,9 @@ CRAFTED = [
     certificate_for_another_order,
     price_differs_from_posted,
     empty_selection,
-    fee_exceeds_audit_escrow,
     notary_terms_out_of_order,
     unknown_event_kind,
+    empty_event_frame,
 ]
 
 
@@ -224,12 +234,7 @@ REGISTER = st.tuples(
 )
 # A response index of 3 picks a response to the other order.
 PICKS = st.lists(st.sampled_from([0, 1, 2] * 3 + [3]), min_size=1, max_size=3)
-SELECT = st.tuples(
-    st.just("select"),
-    ORDER,
-    st.one_of(PICKS, PICKS, PICKS, st.just([])),
-    st.sampled_from([0, 0, 0, 3, 6]),  # top-up
-)
+SELECT = st.tuples(st.just("select"), ORDER, st.one_of(PICKS, PICKS, PICKS, st.just([])))
 # The response index of a close picks among the responses selected so far.
 CLOSE = st.tuples(
     st.just("close"),
@@ -284,10 +289,9 @@ def plan(live, call):
         )
     if name == "select":
         mine, other = responses[rest[0]], responses[1 - rest[0]]
-        chosen, topup = [mine[s] if s < 3 else other[0] for s in rest[1]], rest[2]
-        args = (digest, chosen, topup)
-        return EventKind.SELLERS_SELECTED, args, lambda lg: lg.select_sellers(
-            digest, chosen, topup
+        chosen = [mine[s] if s < 3 else other[0] for s in rest[1]]
+        return EventKind.SELLERS_SELECTED, (digest, chosen), lambda lg: lg.select_sellers(
+            digest, chosen
         )
     if name == "close":
         contract = live.contracts.get(digest)
@@ -328,7 +332,7 @@ def check_live_against_replay(calls):
             accepted = True
         except LedgerError:
             accepted = False
-        event = LedgerEvent(len(before), kind, ledger_mod._RULES[kind].encode(*args))
+        event = LedgerEvent(kind, ledger_mod._RULES[kind].encode(*args))
         candidate = before + [event]
         try:
             replayed = ledger_mod.replay(candidate)
@@ -338,5 +342,15 @@ def check_live_against_replay(calls):
         if accepted:
             assert live.journal == candidate
             assert replayed.state_digest() == live.state_digest()
+            assert_fees_covered(live)
         else:
             assert (live.journal, live.state_digest()) == (before, digest_before)
+
+
+def assert_fees_covered(ledger):
+    """Each contract's audit escrow covers the chosen notary's fee of every
+    unsettled response, so no close can find it depleted."""
+    for contract in ledger.contracts.values():
+        unsettled = [s.response for s in contract.responses.values() if s.settlement is None]
+        fees = sum(contract.notary_terms[r.chosen_notary].fee for r in unsettled)
+        assert contract.audit_escrow >= fees

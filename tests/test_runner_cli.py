@@ -271,7 +271,10 @@ def test_cli_verify_reports_event_count(tmp_path, capsys):
     assert cli.main(["verify", str(journal)]) == 0
     events = len(result.ledger.journal)
     assert events > 0
-    assert f"events: {events}\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"events: {events}\n" in out
+    kinds = "MINT=1 ORDER_CREATED=1 SELLERS_SELECTED=1 RESPONSE_CLOSED=2 ORDER_CLOSED=1"
+    assert f"\nkinds: {kinds}\n" in out
 
 
 @pytest.mark.parametrize("name", ["bank.yaml", "telco.yaml"])
@@ -441,6 +444,25 @@ def test_code_built_spec_outside_its_kind_is_refused(where, changes):
     specs = getattr(scenario, where)
     specs[0] = dataclasses.replace(specs[0], **changes)
     with pytest.raises(ScenarioError):
+        scenario.validate()
+    with pytest.raises(ScenarioError):
+        run_scenario(scenario)
+
+
+# Network settings the network's own range checks let through.
+BAD_NETWORKS = {
+    "fractional latency bound": {"latency_max": 2.5},
+    "list seed": {"seed": [1]},
+    "boolean latency bound": {"latency_min": True},
+}
+
+
+@pytest.mark.parametrize("changes", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
+def test_code_built_network_outside_its_kind_is_refused(changes):
+    """A network built in code is read through the kinds of its file form."""
+    scenario = load_scenario(SCENARIOS / "bank.yaml")
+    scenario.network = dataclasses.replace(scenario.network, **changes)
+    with pytest.raises(ScenarioError, match="^network: "):
         scenario.validate()
     with pytest.raises(ScenarioError):
         run_scenario(scenario)
@@ -721,13 +743,13 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
 
 def test_an_event_that_does_not_decode_fails_the_journal_invariant():
     """Each event of a finished bank.yaml run in turn is replaced by a frame
-    with the same sequence whose payload does not decode: the invariant
-    suite's verify of the journal bytes aborts at exactly that event."""
+    of the same kind whose payload does not decode: the invariant suite's
+    verify of the journal bytes aborts at exactly that event."""
     result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
     market, report = result.ledger, result.report
     assert report.ok and len(market.journal) > 1
     for k, event in enumerate(list(market.journal)):
-        market.journal[k] = LedgerEvent(event.sequence, event.kind, event.payload + b"\x00")
+        market.journal[k] = LedgerEvent(event.kind, event.payload + b"\x00")
         failures = runner.run_invariants(
             result.scenario,
             ledger_mod.journal_bytes(market),
