@@ -37,6 +37,7 @@ from .messages import (
     NotaryTerms,
     PayloadDelivery,
     Verdict,
+    validate_response,
 )
 from .transport import Envelope, Network
 
@@ -241,7 +242,7 @@ class Notary:
         if isinstance(msg, DataOrder):
             self._handle_countersign_request(msg)
         elif isinstance(msg, NotarizationRequest):
-            self._handle_notarization_request(msg)
+            self._handle_notarization_request(msg, envelope.sender)
 
     def _handle_countersign_request(self, order: DataOrder) -> None:
         """Countersign and answer a well-formed order; one whose upload URL
@@ -258,12 +259,12 @@ class Notary:
         except TransportError:
             pass
 
-    def _handle_notarization_request(self, request: NotarizationRequest) -> None:
+    def _handle_notarization_request(self, request: NotarizationRequest, sender: Address) -> None:
         """Audit the response that the order's contract records under the
-        request's digest. The request is dropped unless that response is
-        selected, unsettled, and names this notary."""
+        request's digest. The request is dropped unless it is from the order's
+        buyer and that response is selected, unsettled, and names this notary."""
         contract = self.ledger.contracts.get(request.order_ref)
-        if contract is None:
+        if contract is None or sender != contract.buyer_address:
             return
         state = contract.responses.get(request.response_digest)
         if state is None or state.settlement is not None:
@@ -387,7 +388,7 @@ class Buyer:
 
     def handle(self, envelope: Envelope) -> None:
         if envelope.endpoint == self.upload_url:
-            self._upload(envelope.message)
+            self._upload(envelope.sender, envelope.message)
             return
         try:
             msg = messages.decode(envelope.message)
@@ -401,9 +402,9 @@ class Buyer:
         elif isinstance(msg, NotaryCertificate):
             self._settle(msg)
 
-    def _upload(self, data: bytes) -> None:
-        """Keep a new offer, and queue a delivery for an offer the buyer holds.
-        A byte-identical repeat of an accepted upload is skipped undecoded; a
+    def _upload(self, sender: Address, data: bytes) -> None:
+        """Keep a new offer, and queue a delivery from an offer's seller. A
+        byte-identical repeat of an accepted upload is skipped undecoded; a
         refused upload is recorded, and judged again each time it comes."""
         if data in self._accepted_uploads:
             return
@@ -421,6 +422,9 @@ class Buyer:
             return
         elif msg.response_digest not in self._offers:
             self.rejected_submissions.append("upload: unknown-response")
+            return
+        elif sender != self._offers[msg.response_digest].payment_address:
+            self.rejected_submissions.append("upload: not-from-seller")
             return
         else:
             self._deliveries.append(msg)
@@ -479,9 +483,9 @@ class Buyer:
         return False
 
     def _select(self, contract: OrderContract) -> None:
-        received = self._offers_by_order.get(contract.order_digest, ())
-        # The same rule list the ledger's selection applies.
-        valid = [r for r in received if not messages.validate_response(r, contract)]
+        offers = self._offers_by_order.get(contract.order_digest, ())
+        # The same checks the ledger's selection makes.
+        valid = [r for r in offers if r.verify_signature() and not validate_response(r, contract)]
         chosen = self.spec.selection.select(valid, contract.price)
         balance = self.ledger.balance(self.address)
         # Drop the last chosen response until the buyer can pay, audit top-up included.

@@ -16,7 +16,7 @@ import functools
 import struct
 from typing import Callable
 
-from .crypto import ADDRESS_LEN, DIGEST_LEN, Address, Commitment
+from .crypto import ADDRESS_LEN, DIGEST_LEN, PUBLIC_KEY_LEN, Address, Commitment
 from .errors import EncodingError
 
 _LEN = struct.Struct(">I")
@@ -123,6 +123,12 @@ def _decode_fixed(cls, size: int, data: bytes):
     return cls(data)
 
 
+def _decode_public_key(data: bytes) -> bytes:
+    if len(data) != PUBLIC_KEY_LEN:
+        raise EncodingError(f"public key must be {PUBLIC_KEY_LEN} bytes, got {len(data)}")
+    return data
+
+
 def enum_byte(cls) -> Codec:
     """A member of the enum `cls` as its one-byte value."""
     return Codec(lambda member: bytes([member.value]), functools.partial(_decode_enum, cls))
@@ -199,3 +205,4 @@ UTF8 = Codec(str.encode, _decode_utf8)
 FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
 ADDRESS = Codec(lambda a: a.bytes, functools.partial(_decode_fixed, Address, ADDRESS_LEN))
 COMMITMENT = Codec(lambda c: c.digest, functools.partial(_decode_fixed, Commitment, DIGEST_LEN))
+PUBLIC_KEY = Codec(_same, _decode_public_key)  # as `crypto.generate_keypair` writes a key

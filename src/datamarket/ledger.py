@@ -16,11 +16,11 @@ Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`). Live operations and `replay`
 both run them through `Ledger._commit`, so replay accepts exactly the
 events the live ledger would accept in the same state. Only the signature
-checks of orders, notary terms and certificates stay live-only: their
+checks of orders, notary terms, responses and certificates stay live-only,
+each made by the operation where its message enters the ledger: their
 re-verification would cost several times the rest of a replay. A selected
-response is judged by `messages.validate_response`, the one rule list that
-the buyer's screen applies too; its signature and terms rules need the full
-order, which only a live contract holds, so replay applies the other three.
+response is judged by `messages.validate_response`, the rule list that the
+buyer's screen applies too, live and on replay alike.
 
 The journal deliberately stores a blinded order record (digest, buyer
 address, amounts, notary terms) instead of the full order: audience
@@ -193,16 +193,14 @@ class Ledger:
         if not all(nt.verify_signature() for nt in notary_list):
             raise InvalidSignature("notary countersignature does not verify")
         digest = order.digest()
-        buyer = crypto.derive_address(order.buyer_pk)
-        args = (digest, buyer, order.min_audit_budget, price, notary_list)
+        args = (digest, order.signer_address(), order.min_audit_budget, price, notary_list)
         self._commit(EventKind.ORDER_CREATED, args)
         self.contracts[digest].order = order
         return digest
 
     def select_sellers(self, order_digest: bytes, responses: Sequence[DataResponse]) -> None:
-        if self.contract(order_digest).order is None:
-            # Without the order, `validate_response` would skip the signature rule.
-            raise LedgerError("contract has no full order; ledger is a replay snapshot")
+        if not all(r.verify_signature() for r in responses):
+            raise InvalidSignature("response seller signature does not verify")
         self._commit(EventKind.SELLERS_SELECTED, (order_digest, responses))
 
     def close_response(self, certificate: NotaryCertificate) -> Settlement:
@@ -294,7 +292,7 @@ class Ledger:
         if state.settlement is not None:
             raise AlreadySettled(f"response {cert.response_digest.hex()} is already settled")
         notary = state.response.chosen_notary
-        if crypto.derive_address(cert.notary_pk) != notary:
+        if cert.signer_address() != notary:
             raise InvalidSignature("certificate is not from the response's chosen notary")
         fee = _notary_fee(contract, state.response, cert.verdict)
         if fee > contract.audit_escrow:

@@ -10,7 +10,9 @@ decodes re-encodes to its input.
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
 signature field). They are frozen, so each instance computes its encodings,
-digest and signature check once and keeps them (see `_memoized`).
+digest, signer address and signature check once and keeps them (see
+`_memoized`). No field repeats a fact another fixes: a signer's address is
+derived from its key, and a response names its order only by digest.
 
 The seller's offer deliberately has no plaintext-data field and no salt
 field: only the salted commitment is signed and published, and the salt is
@@ -31,6 +33,7 @@ from .encoding import (
     ADDRESS,
     COMMITMENT,
     FLAG,
+    PUBLIC_KEY,
     RAW,
     U64,
     UTF8,
@@ -61,6 +64,7 @@ TAG_PAYLOAD_DELIVERY = 7
 TAG_NOTARIZATION_REQUEST = 8
 
 PredicateValue = Union[int, str, frozenset]
+PublicKey = Annotated[bytes, PUBLIC_KEY]
 
 
 class Comparator(enum.Enum):
@@ -108,6 +112,7 @@ class Message:
     _TAG: Optional[int] = None
     _CODECS: tuple = ()  # (field name, codec) in field order
     _READERS: tuple = ()  # each codec's bound `read`, in field order
+    _SIGNER: Optional[str] = None  # the name of the one `PublicKey` field, if any
 
     def _write(self, codecs) -> bytes:
         out = bytearray() if self._TAG is None else bytearray([self._TAG])
@@ -139,11 +144,8 @@ class Message:
 
 class _Signed(Message):
     """Base of the signed types. The last field is the signature, by the
-    key in the field `_SIGNER`, over the encoding of the fields before it;
-    a `_SIGNER_ADDRESS` field must hold that key's address."""
-
-    _SIGNER = ""
-    _SIGNER_ADDRESS: Optional[str] = None
+    key in the type's one `PublicKey` field, over the encoding of the fields
+    before it."""
 
     @property
     def signature(self) -> bytes:
@@ -164,14 +166,12 @@ class _Signed(Message):
         return crypto.sha256(self.encode())
 
     @_memoized
+    def signer_address(self) -> Address:
+        return crypto.derive_address(getattr(self, self._SIGNER))
+
+    @_memoized
     def verify_signature(self) -> bool:
-        key = getattr(self, self._SIGNER)
-        if self._SIGNER_ADDRESS is not None and (
-            len(key) != crypto.PUBLIC_KEY_LEN
-            or crypto.derive_address(key) != getattr(self, self._SIGNER_ADDRESS)
-        ):
-            return False
-        return crypto.verify(key, self.signing_bytes(), self.signature)
+        return crypto.verify(getattr(self, self._SIGNER), self.signing_bytes(), self.signature)
 
     @classmethod
     def _build(cls, data: bytes, values: list):
@@ -209,6 +209,7 @@ def _layout(tag: Optional[int] = None):
         cls._TAG = tag
         cls._CODECS = tuple((f.name, _codec(hints[f.name])) for f in dataclass_fields(cls))
         cls._READERS = tuple(codec.read for _, codec in cls._CODECS)
+        cls._SIGNER = next((name for name, codec in cls._CODECS if codec is PUBLIC_KEY), None)
         if tag is not None:
             _BY_TAG[tag] = cls
         return cls
@@ -311,11 +312,9 @@ class DataOrder(_Signed):
     upload endpoint, minimum audit budget, a nonce that tells apart
     otherwise identical orders from one buyer, and terms link."""
 
-    _SIGNER = "buyer_pk"
-
     audience: Audience
     request: DataRequest
-    buyer_pk: bytes
+    buyer_pk: PublicKey
     upload_url: str
     min_audit_budget: int
     nonce: int
@@ -327,41 +326,36 @@ class DataOrder(_Signed):
 class NotaryTerms(_Signed):
     """A notary's countersigned fee and terms of service for one order."""
 
-    _SIGNER, _SIGNER_ADDRESS = "notary_pk", "notary_address"
-
-    notary_pk: bytes
-    notary_address: Address
+    notary_pk: PublicKey
     fee: int
     service_terms: bytes
     order_digest: bytes
     notary_signature: bytes = b""
 
+    notary_address = property(_Signed.signer_address)
+
 
 @_layout(TAG_DATA_RESPONSE)
 class DataResponse(_Signed):
-    """Seller's signed offer: payment address, order reference, price,
-    salted commitment, and chosen notary. Carries no plaintext data and no
-    salt; both stay with the seller until delivery."""
+    """Seller's signed offer: seller key, order reference, price, salted
+    commitment, and chosen notary. Carries no plaintext data and no salt;
+    both stay with the seller until delivery."""
 
-    _SIGNER, _SIGNER_ADDRESS = "seller_pk", "payment_address"
-
-    seller_pk: bytes
-    payment_address: Address
+    seller_pk: PublicKey
     order_ref: bytes
     price: int
     commitment: Commitment
     chosen_notary: Address
-    terms: bytes
     seller_signature: bytes = b""
+
+    payment_address = property(_Signed.signer_address)  # the seller is paid at its key's address
 
 
 @_layout(TAG_CERTIFICATE)
 class NotaryCertificate(_Signed):
     """Notary-signed verdict binding one (order, response) pair."""
 
-    _SIGNER = "notary_pk"
-
-    notary_pk: bytes
+    notary_pk: PublicKey
     order_ref: bytes
     response_digest: bytes
     verdict: Verdict
@@ -467,7 +461,6 @@ def countersign_order(
         raise MessageError("fee must be >= 0")
     terms = NotaryTerms(
         notary_pk=notary_keys.public_key,
-        notary_address=crypto.derive_address(notary_keys.public_key),
         fee=fee,
         service_terms=service_terms,
         order_digest=order.digest(),
@@ -485,34 +478,29 @@ def build_data_response(
 ) -> DataResponse:
     """Build a signed offer for `order` at `price`, naming `chosen_notary`,
     that commits to `data` under `salt`; the salt never leaves the seller
-    until payload delivery. Whether the price, notary and terms fit the
-    order is judged by `validate_response`, the one rule list that the
-    buyer's screen and the ledger's selection both apply, not here."""
+    until payload delivery. Whether the price and notary fit the order is
+    judged by `validate_response`, the one rule list that the buyer's screen
+    and the ledger's selection both apply, not here."""
     response = DataResponse(
         seller_pk=seller_keys.public_key,
-        payment_address=crypto.derive_address(seller_keys.public_key),
         order_ref=order.digest(),
         price=price,
         commitment=crypto.commit(salt, data),
         chosen_notary=chosen_notary,
-        terms=order.terms,
     )
     return signed(seller_keys, response)
 
 
 def validate_response(response: DataResponse, contract: OrderContract) -> tuple:
     """The one list of rules a response must meet to be selected on
-    `contract`, for the buyer's screen and the ledger alike: the names of the
-    rules `response` fails, each reported distinctly; empty when it is valid.
-    The signature and terms rules need the full order, so they apply only
-    where the contract holds it (not on a replayed contract)."""
-    order = contract.order
+    `contract`, live or replayed, for the buyer's screen and the ledger
+    alike: the names of the rules `response` fails, each reported distinctly;
+    empty when it is valid. Its signature is checked where it enters the
+    ledger (`Ledger.select_sellers`)."""
     checks = (
-        ("signature", order is None or response.verify_signature()),
         ("order-mismatch", response.order_ref == contract.order_digest),
         ("price", response.price == contract.price),
         ("notary-not-listed", response.chosen_notary in contract.notary_terms),
-        ("terms", order is None or response.terms == order.terms),
     )
     return tuple(name for name, passed in checks if not passed)
 

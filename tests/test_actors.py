@@ -371,7 +371,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
     ledger.mint(buyer.address, 100)
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=("n",)), 0)
     terms = messages.countersign_order(notary_keys, order, 2, TERMS)
-    buyer.handle(Envelope(None, buyer.control_endpoint, terms.encode(), 1))
+    buyer.handle(Envelope(market.notary, buyer.control_endpoint, terms.encode(), 1))
     buyer.step(4)  # the countersign window closes: the order is registered
     offers = []
     for seed in (10, 11):
@@ -380,7 +380,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
             keys_from_seed(seed), order, 5, DATA, market.notary, salt
         )
         offers.append((response, messages.encode_payload_plaintext(salt, DATA)))
-        buyer.handle(Envelope(None, buyer.upload_url, response.encode(), 5))
+        buyer.handle(Envelope(response.payment_address, buyer.upload_url, response.encode(), 5))
     buyer.step(10)  # the response window closes: both responses are selected
     notary = make_notary(
         market,
@@ -400,7 +400,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         zip(offers, [bad, sealer.seal(offers[1][1])]), start=11
     ):
         delivery = messages.PayloadDelivery(response.digest(), ciphertext)
-        buyer.handle(Envelope(None, buyer.upload_url, delivery.encode(), tick))
+        buyer.handle(Envelope(response.payment_address, buyer.upload_url, delivery.encode(), tick))
         buyer.step(tick)
         request = messages.decode(network.transcript[-1].message)
         assert isinstance(request, NotarizationRequest)
@@ -452,12 +452,12 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
     response = messages.build_data_response(keys_from_seed(10), order, 5, DATA, notary, b"s" * 32)
     cert = messages.issue_certificate(notary_keys, order.digest(), response, Verdict.NOT_NOTARIZED)
     delivery = messages.PayloadDelivery(response.digest(), b"ciphertext")
-    for endpoint, message in [
-        (buyer.upload_url, response),
-        (buyer.upload_url, delivery),
-        (buyer.control_endpoint, cert),
+    for sender, endpoint, message in [
+        (response.payment_address, buyer.upload_url, response),
+        (response.payment_address, buyer.upload_url, delivery),
+        (notary, buyer.control_endpoint, cert),
     ]:
-        buyer.handle(Envelope(None, endpoint, message.encode(), 0))
+        buyer.handle(Envelope(sender, endpoint, message.encode(), 0))
     assert buyer._deliveries == [delivery]  # accepted: the buyer holds its offer
     buyer.step(1)
     assert buyer._deliveries == []
@@ -480,14 +480,19 @@ def run_bank_with(monkeypatch, extra):
     return run_scenario(load_scenario(BANK))
 
 
-def add_at_tick(at, endpoint, message):
-    """An `extra` for `run_bank_with` that delivers `message` to `endpoint` at tick `at`."""
+def add_at_tick(at, sender, endpoint, message):
+    """An `extra` for `run_bank_with` that delivers `message` from `sender`
+    to `endpoint` at tick `at`."""
 
     def extra(network, delivered):
         if network.tick_now == at:
-            delivered.setdefault(endpoint, []).append(Envelope(None, endpoint, message, at, at))
+            delivered.setdefault(endpoint, []).append(Envelope(sender, endpoint, message, at, at))
 
     return extra
+
+
+def address_of(seed):
+    return crypto.derive_address(keys_from_seed(seed).public_key)
 
 
 def test_bad_certificate_does_not_end_the_run(monkeypatch):
@@ -504,7 +509,8 @@ def test_bad_certificate_does_not_end_the_run(monkeypatch):
         verdict=Verdict.NOTARIZED_VALID,
         notary_signature=bytes(64),
     ).encode()
-    result = run_bank_with(monkeypatch, add_at_tick(12, "buyer:modelcorp", bad))
+    notary = address_of(scenario.notaries[0].seed)
+    result = run_bank_with(monkeypatch, add_at_tick(12, notary, "buyer:modelcorp", bad))
     assert result.buyers[0].rejected_submissions == [
         "certificate: certificate signature does not verify"
     ]
@@ -520,12 +526,13 @@ def test_a_delivery_before_its_selection_is_judged_again(monkeypatch, tick):
     the run ends as it would without the replay."""
     undisturbed = run_scenario(load_scenario(BANK))
     (first,) = [
-        e.message
+        e
         for e in undisturbed.network.transcript
         if e.endpoint == "ub:modelcorp"
         and isinstance(messages.decode(e.message), messages.PayloadDelivery)
     ][:1]
-    result = run_bank_with(monkeypatch, add_at_tick(tick, "ub:modelcorp", first))
+    replay = add_at_tick(tick, first.sender, "ub:modelcorp", first.message)
+    result = run_bank_with(monkeypatch, replay)
     assert result.buyers[0].rejected_submissions == ["upload: unselected-response"]
     assert result.report.render() == undisturbed.report.render()
 
@@ -537,7 +544,8 @@ def test_buyer_takes_notary_terms_only_from_a_notary_the_order_lists(monkeypatch
     undisturbed = run_scenario(load_scenario(BANK))
     (contract,) = undisturbed.ledger.contracts.values()
     stranger = messages.countersign_order(keys_from_seed(999), contract.order, 0, TERMS)
-    result = run_bank_with(monkeypatch, add_at_tick(1, "buyer:modelcorp", stranger.encode()))
+    terms = add_at_tick(1, address_of(999), "buyer:modelcorp", stranger.encode())
+    result = run_bank_with(monkeypatch, terms)
     assert not result.buyers[0].rejected_submissions
     assert result.report.render() == undisturbed.report.render()
 
@@ -559,4 +567,39 @@ def test_buyer_keeps_one_terms_message_per_notary(monkeypatch):
     result = run_bank_with(monkeypatch, repeat_terms)
     assert repeated
     assert not result.buyers[0].rejected_submissions
+    assert result.report.render() == undisturbed.report.render()
+
+
+def alices_response(undisturbed):
+    """The digest of alice's selected response in a `bank.yaml` run."""
+    (contract,) = undisturbed.ledger.contracts.values()
+    alice = address_of(201)
+    (digest,) = [d for d, s in contract.responses.items() if s.response.payment_address == alice]
+    return contract, digest
+
+
+def test_notary_takes_a_notarization_request_only_from_the_orders_buyer(monkeypatch):
+    """carla asks `bank.yaml`'s notary, at tick 11, for a forced audit of
+    alice's selected response with no audit payload. The notary drops the
+    request, as it is not from the order's buyer, so alice's genuine
+    delivery is audited and paid, and the run ends as it would without it."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    contract, digest = alices_response(undisturbed)
+    request = NotarizationRequest(contract.order_digest, digest, True, b"").encode()
+    result = run_bank_with(monkeypatch, add_at_tick(11, address_of(203), "notary:bank", request))
+    assert result.report.render() == undisturbed.report.render()
+
+
+def test_buyer_takes_a_delivery_only_from_the_responses_seller(monkeypatch):
+    """carla uploads, at tick 11, a garbled delivery for alice's selected
+    response. The buyer refuses it, as it is not from alice, and does not
+    keep its bytes, so alice's genuine delivery is audited and paid, and
+    the run ends as it would without it."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    _, digest = alices_response(undisturbed)
+    delivery = messages.PayloadDelivery(digest, b"\x01" * 80).encode()
+    result = run_bank_with(monkeypatch, add_at_tick(11, address_of(203), "ub:modelcorp", delivery))
+    buyer = result.buyers[0]
+    assert buyer.rejected_submissions == ["upload: not-from-seller"]
+    assert delivery not in buyer._accepted_uploads
     assert result.report.render() == undisturbed.report.render()

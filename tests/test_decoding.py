@@ -2,9 +2,10 @@
 
 Total: on any input, `messages.decode`, `LedgerEvent.decode` and each event
 kind's payload decoder return a value or raise `EncodingError`, nothing
-else. Canonical: whatever decodes re-encodes to its input. The re-encoding
-is taken from a fresh copy (`dataclasses.replace`), because a decoded
-signed message keeps its input as its encoding.
+else, and a decoded signed message has a signer address. Canonical:
+whatever decodes re-encodes to its input. The re-encoding is taken from a
+fresh copy (`dataclasses.replace`), because a decoded signed message keeps
+its input as its encoding.
 
 The inputs are mutations of the messages a `bank.yaml` run sends and of the
 frames its journal holds, plus a table of hand-made malformed inputs.
@@ -34,10 +35,17 @@ BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 @functools.lru_cache(maxsize=None)
 def bank():
     """The distinct messages a `bank.yaml` run sends, and its journal."""
+    sent, journal = bank_run()
+    return sorted(sent), journal
+
+
+@functools.lru_cache(maxsize=None)
+def bank_run():
+    """Each distinct message a `bank.yaml` run sends, with its sender, and
+    the run's journal."""
     result = run_scenario(load_scenario(BANK))
-    return sorted({envelope.message for envelope in result.network.transcript}), tuple(
-        result.ledger.journal
-    )
+    senders = {envelope.message: envelope.sender for envelope in result.network.transcript}
+    return senders, tuple(result.ledger.journal)
 
 
 def fresh(value):
@@ -56,6 +64,8 @@ def check_message(data):
     except EncodingError:
         return False
     assert fresh(message).encode() == data
+    if hasattr(message, "signer_address"):
+        message.signer_address()  # every key that decodes has an address
     return True
 
 
@@ -144,15 +154,17 @@ def bank_offers():
 @given(st.integers(0, 2**16), EDITS)
 @settings(max_examples=1000, deadline=None)
 def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
-    """A buyer holding every offer of the run takes a mutated message on its
-    upload URL, then steps: the message is an offer or a delivery it accepts,
-    or it adds exactly one `upload:` refusal. Nothing raises."""
-    sent, _ = bank()
+    """A buyer holding every offer of the run takes a mutated message, from
+    the original's sender, on its upload URL, then steps: the message is an
+    offer or a delivery it accepts, or it adds exactly one `upload:` refusal.
+    Nothing raises."""
+    (sent, _), (senders, _) = bank(), bank_run()
     buyer = Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
     for data in bank_offers():
-        buyer.handle(Envelope(None, buyer.upload_url, data, 0))
-    data = mutate(sent[index % len(sent)], edits)
-    buyer.handle(Envelope(None, buyer.upload_url, data, 0))
+        buyer.handle(Envelope(senders[data], buyer.upload_url, data, 0))
+    original = sent[index % len(sent)]
+    data = mutate(original, edits)
+    buyer.handle(Envelope(senders[original], buyer.upload_url, data, 0))
     buyer.step(1)
     if buyer.rejected_submissions:
         (reason,) = buyer.rejected_submissions
@@ -186,8 +198,12 @@ def string_set(*items):
     return b"S" + fields(*items)
 
 
-def certificate(verdict):
-    return fields(bytes(64), bytes(32), bytes(32), verdict, bytes(64), tag=messages.TAG_CERTIFICATE)
+def certificate(verdict, notary_pk=bytes(64)):
+    return fields(notary_pk, bytes(32), bytes(32), verdict, bytes(64), tag=messages.TAG_CERTIFICATE)
+
+
+def notary_terms(notary_pk=bytes(64)):
+    return fields(notary_pk, 2, bytes(32), bytes(32), bytes(64), tag=messages.TAG_NOTARY_TERMS)
 
 
 def notarization_request(forced):
@@ -196,15 +212,14 @@ def notarization_request(forced):
 
 def response(commitment=bytes(32), seller_pk=bytes(64), order_ref=bytes(32)):
     return fields(
-        seller_pk, bytes(20), order_ref, 5, commitment, bytes(20), bytes(32), bytes(64),
-        tag=messages.TAG_DATA_RESPONSE,
+        seller_pk, order_ref, 5, commitment, bytes(20), bytes(64), tag=messages.TAG_DATA_RESPONSE
     )
 
 
-def order(upload_url):
+def order(upload_url, buyer_pk=bytes(64)):
     request = fields(b"records", 0, tag=messages.TAG_DATA_REQUEST)
     return fields(
-        audience(), request, bytes(64), upload_url, 10, 0, bytes(32), bytes(64),
+        audience(), request, buyer_pk, upload_url, 10, 0, bytes(32), bytes(64),
         tag=messages.TAG_DATA_ORDER,
     )
 
@@ -229,6 +244,14 @@ MALFORMED = {
     "IN with an int value": audience(predicate(IN, b"i" + bytes(8))),
     "31-byte commitment": response(bytes(31)),
     "invalid UTF-8": order(b"ub:\xff\xfe"),
+    "63-byte seller key": response(seller_pk=bytes(63)),
+    "65-byte seller key": response(seller_pk=bytes(65)),
+    "63-byte buyer key": order(b"ub:b", buyer_pk=bytes(63)),
+    "65-byte buyer key": order(b"ub:b", buyer_pk=bytes(65)),
+    "63-byte notary key in terms": notary_terms(bytes(63)),
+    "65-byte notary key in terms": notary_terms(bytes(65)),
+    "63-byte notary key in a certificate": certificate(b"\x01", bytes(63)),
+    "empty notary key in a certificate": certificate(b"\x01", b""),
 }
 
 
@@ -238,9 +261,16 @@ def test_malformed_message_raises_encoding_error(data):
         messages.decode(data)
 
 
+@pytest.mark.parametrize("length", [0, 63, 65])
+def test_a_public_key_of_any_other_length_is_named_in_the_error(length):
+    with pytest.raises(EncodingError, match=f"public key must be 64 bytes, got {length}"):
+        messages.decode(response(seller_pk=bytes(length)))
+
+
 def test_hand_made_inputs_are_well_formed_otherwise():
     for data in (audience(LOW, HIGH), certificate(b"\x01"), notarization_request(1)):
         assert check_message(data)
+    assert check_message(notary_terms())
     assert check_message(audience(predicate(IN, string_set(b"AR", b"UY"))))
     assert check_message(response()) and check_message(order(b"ub:b"))
 
@@ -260,13 +290,13 @@ def test_malformed_envelopes_do_not_crash_a_run(monkeypatch):
     """Deliver a response with a 31-byte commitment, an order with an
     invalid UTF-8 upload URL, and a response to the running order whose key
     is 10 bytes long, to the buyer's upload endpoint and to the notary
-    mid-run: each recipient drops or rejects them, and the run ends as it
-    would without them."""
+    mid-run: none decodes, so each recipient drops or rejects them, and the
+    run ends as it would without them."""
     scenario = load_scenario(BANK)
     undisturbed = run_scenario(scenario)
     (order_digest,) = [c.order_digest for c in undisturbed.ledger.contracts.values()]
-    bad = [response(bytes(31)), order(b"ub:\xff\xfe")]
     short_key = response(seller_pk=bytes(10), order_ref=order_digest)
+    bad = [response(bytes(31)), order(b"ub:\xff\xfe"), short_key]
     targets = [f"ub:{scenario.buyers[0].name}", f"notary:{scenario.notaries[0].name}"]
     tick = transport.Network.tick
 
@@ -274,7 +304,7 @@ def test_malformed_envelopes_do_not_crash_a_run(monkeypatch):
         delivered = tick(network)
         if network.tick_now == 5:
             for endpoint in targets:
-                for message in bad + [short_key]:
+                for message in bad:
                     envelope = Envelope(None, endpoint, message, 5, delivery_tick=5)
                     delivered.setdefault(endpoint, []).append(envelope)
         return delivered

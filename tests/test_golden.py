@@ -24,28 +24,28 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "e876c187e3403bd89311a1598b40906f2ce47725342dbff859b814b6a4fe38a9",
-        "f487edc6d5c1eee5090c5d946ee699a78528f402fdb18ff9cf80f9fcdeade4bd",
+        "0a4c4a57040398d94c2724dc6396105538288ea34bf8e5c2ff16c39d5e56d55a",
+        "8e6d41cac0eeee397c671fb43edbc5843b894cdba831e63c61ae39bd35600596",
     ),
     "telco.yaml": (
-        "1aba98d4721357fd4a6f1b3bd2141e51930d6e70fec1e4de2a151da5c104adb2",
-        "5701bdfe08d676995402e23025b2071fc45f3311eb240e5c2f1eb73841df6182",
+        "c2ae7f7524592c8f58dfa7c91a7309dd055844fb4ff7564790021c6813da347e",
+        "9f584906f375de01ba3c7003e0b8eaaa08d9fea2a2a4d4f491db6752de14849f",
     ),
 }
 RANDOM_SEEDS = range(1000)
-RANDOM_COMBINED = "414c7309e8b1e776546f5e2bed7f95d81b6588351d260576b372239c38f7deba"
+RANDOM_COMBINED = "45998d2a6548ccdce5e367353708c0ae01ea01785e0aeece16e0d35c2bb48091"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "022cd20fff35c09624897360857f6b49a9012ddda4a84ead4a8b5fb5351783bc",
-        "e962c5756f0d87122050f71ce2e083420915fc545a2ec90ee17befc86c9d9d71",
+        "73879fcec0331b90dd54e7b1ae4f6f39e85888c2c3a790520be0a6734b953b7a",
+        "5fdcd16bc98d6bd676421dfb46b42f49ffef8c49582fd71cb20bdbdc6ceeb80a",
         100,
         134,
     ),
     0.05: (
-        "d6620464f215bad6a8d477a5c177779e0509924ad53deadac85ac636b61a5f55",
-        "2884d228c45380676924d422bd7d222c22e37b0010311dd90799c850eb24b114",
+        "ea91792054331a659401a2344f10e134160c2c255a990f0c50f5c8d29fa23b66",
+        "1870df758fc1513fd75a8627a2816008024143bfb255b6dbb06f8f1853b57cba",
         100,
         134,
     ),

@@ -214,18 +214,23 @@ def test_rejected_selection_with_topup_changes_nothing(make, error):
     assert market.ledger.escrow_sum == market.ledger.escrow_total() == 7
 
 
-def test_live_selection_on_a_replayed_ledger_is_refused():
-    # A replayed contract holds no full order, so the signature rule could
-    # not run on it: the selection is refused whatever the response.
+@pytest.mark.parametrize("replayed", [False, True], ids=["live", "replayed"])
+def test_select_sellers_refuses_a_forged_signature(replayed):
+    """A response whose signature does not verify is refused where it enters
+    the ledger, and nothing changes; the genuine response is then selected,
+    on a replayed ledger as on the live one."""
     market = make_market()
     response, _, _ = make_response(market)
-    replayed = ledger_mod.replay(market.ledger.journal)
-    journal_before, digest_before = list(replayed.journal), replayed.state_digest()
-    for candidate in (response, replace(response, seller_signature=bytes(64))):
-        with pytest.raises(LedgerError):
-            replayed.select_sellers(market.order_id, [candidate])
-        assert replayed.journal == journal_before
-        assert replayed.state_digest() == digest_before
+    ledger = ledger_mod.replay(market.ledger.journal) if replayed else market.ledger
+    journal_before, digest_before = list(ledger.journal), ledger.state_digest()
+    forged = replace(response, seller_signature=bytes(64))
+    assert not messages.validate_response(forged, ledger.contract(market.order_id))
+    with pytest.raises(InvalidSignature, match="response seller signature does not verify"):
+        ledger.select_sellers(market.order_id, [response, forged])
+    assert ledger.journal == journal_before
+    assert ledger.state_digest() == digest_before
+    ledger.select_sellers(market.order_id, [response])
+    assert ledger_mod.replay(ledger.journal).state_digest() == ledger.state_digest()
 
 
 # (field, value) edits that each break one selection rule of a valid
@@ -235,7 +240,6 @@ RESPONSE_EDITS = [
     ("price", 6),
     ("order_ref", make_order(keys_from_seed(77)).digest()),
     ("chosen_notary", addr(99)),
-    ("terms", messages.terms_link("other terms")),
 ]
 
 
@@ -244,12 +248,17 @@ RESPONSE_EDITS = [
     st.one_of(st.just([]), st.lists(st.sampled_from(RESPONSE_EDITS), min_size=1, max_size=3)),
     st.booleans(),
     st.one_of(st.none(), st.integers(0, 63)),
+    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
 def test_buyer_screen_passes_exactly_what_the_selection_accepts(
-    seller_seed, edits, resign, corrupt_at
+    seller_seed, edits, resign, corrupt_at, replayed
 ):
+    """`Buyer._select`'s screen passes a response exactly when the ledger's
+    selection accepts it, on the live ledger and on a replay of it."""
     market = make_market()
+    if replayed:
+        market.ledger = ledger_mod.replay(market.ledger.journal)
     response, _, seller_keys = make_response(market, seller_seed=seller_seed)
     candidate = replace(response, **dict(edits))
     if resign:
@@ -258,7 +267,8 @@ def test_buyer_screen_passes_exactly_what_the_selection_accepts(
         signature = bytearray(candidate.seller_signature)
         signature[corrupt_at] ^= 0x01
         candidate = replace(candidate, seller_signature=bytes(signature))
-    screened = not messages.validate_response(candidate, market.ledger.contract(market.order_id))
+    contract = market.ledger.contract(market.order_id)
+    screened = candidate.verify_signature() and not messages.validate_response(candidate, contract)
     try:
         market.ledger.select_sellers(market.order_id, [candidate])
         accepted = True

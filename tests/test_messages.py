@@ -159,14 +159,23 @@ def test_response_has_no_plaintext_field():
     names = {f.name for f in dataclass_fields(DataResponse)}
     assert names == {
         "seller_pk",
-        "payment_address",
         "order_ref",
         "price",
         "commitment",
         "chosen_notary",
-        "terms",
         "seller_signature",
     }
+
+
+def test_a_signers_address_is_derived_from_its_key():
+    # No signed message carries its signer's address: it is the key's.
+    market = make_market()
+    response, _, seller_keys = make_response(market)
+    (terms,) = market.terms
+    assert "notary_address" not in {f.name for f in dataclass_fields(messages.NotaryTerms)}
+    assert response.payment_address == crypto.derive_address(seller_keys.public_key)
+    assert terms.notary_address == market.notary
+    assert market.order.signer_address() == market.buyer
 
 
 def test_notarization_request_names_the_response_by_digest():
@@ -179,14 +188,6 @@ def test_validate_response_accepts_honest():
     market = make_market()
     response, _, _ = make_response(market)
     assert messages.validate_response(response, market.ledger.contract(market.order_id)) == ()
-
-
-def test_validate_response_rejects_forged_signature():
-    market = make_market()
-    response, _, _ = make_response(market)
-    forged = replace(response, seller_signature=b"\x11" * 64)
-    failures = messages.validate_response(forged, market.ledger.contract(market.order_id))
-    assert "signature" in failures
 
 
 def test_validate_response_rejects_stale_order():
@@ -284,6 +285,8 @@ def test_replaced_copy_gets_fresh_digest_and_fails_verification(index):
     changed_value = getattr(msg, changed_field)
     if isinstance(changed_value, Verdict):
         changed_value = Verdict.NOTARIZED_INVALID
+    elif isinstance(changed_value, crypto.Address):
+        changed_value = crypto.Address(bytes(crypto.ADDRESS_LEN))
     else:
         changed_value = bytes(len(changed_value))
     signature = getattr(msg, sig_field)
@@ -322,8 +325,8 @@ def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
         return real_verify(public_key, message, signature)
 
     monkeypatch.setattr(crypto, "verify", counting_verify)
-    buyer_view = messages.validate_response(response, market.ledger.contract(market.order_id))
-    assert buyer_view == ()
+    contract = market.ledger.contract(market.order_id)
+    assert response.verify_signature() and messages.validate_response(response, contract) == ()
     market.ledger.select_sellers(market.order_id, [response])
     ledger_mod.replay(market.ledger.journal)
     assert calls == [response.signing_bytes()]

@@ -4,10 +4,12 @@ Every rule that reads ledger state runs in one check per event kind, on the
 live ledger and on replay alike. These tests craft journals that break one
 rule each under a trailer that matches them, and drive random call streams
 through both paths. Signature checks stay live-only, so every input here is
-correctly signed.
+correctly signed, save where a forged field breaks a decoder first.
 """
 
 import functools
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,10 +18,12 @@ from hypothesis import strategies as st
 
 from datamarket import cli, crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
-from datamarket.encoding import encode_uint, write_field
+from datamarket.encoding import Reader, encode_uint, write_field
 from datamarket.errors import EncodingError, LedgerError, ReplayError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
 from datamarket.messages import Verdict
+from datamarket.runner import run_scenario
+from datamarket.scenario import load_scenario
 
 from market_helpers import TERMS, make_market, make_order, make_response
 
@@ -140,6 +144,52 @@ def unknown_event_kind():
     return bytes(data), 3
 
 
+BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
+
+
+def bank_ledger():
+    """The live ledger of a `bank.yaml` run and a decoder of its events' arguments."""
+    ledger = run_scenario(load_scenario(BANK)).ledger
+    return ledger, lambda event: ledger_mod._RULES[event.kind].decode(Reader(event.payload))
+
+
+def short_seller_key():
+    """`bank.yaml`'s journal with the first selected response's key cut to
+    63 bytes and its certificate pointed at the new digest, under the
+    trailer the ledger would write for it. No live ledger could select that
+    response: its key has no address, and no signature verifies under it."""
+    ledger, args = bank_ledger()
+    kind = EventKind.SELLERS_SELECTED
+    order_digest, responses = args(ledger.journal[2])
+    genuine = responses[0]
+    responses[0] = replace(genuine, seller_pk=genuine.seller_pk[:63])
+    old, new = genuine.digest(), responses[0].digest()
+    ledger.journal[2] = LedgerEvent(kind, ledger_mod._RULES[kind].encode(order_digest, responses))
+    for sequence, event in enumerate(ledger.journal):
+        if event.kind is EventKind.RESPONSE_CLOSED and args(event)[0].response_digest == old:
+            cert = replace(args(event)[0], response_digest=new)
+            payload = ledger_mod._RULES[event.kind].encode(cert)
+            ledger.journal[sequence] = LedgerEvent(event.kind, payload)
+    contract = ledger.contracts[order_digest]
+    contract.responses = {new if d == old else d: s for d, s in contract.responses.items()}
+    return ledger_mod.journal_bytes(ledger), 2
+
+
+def long_notary_key():
+    """`bank.yaml`'s journal with a 65-byte notary key in the order's terms,
+    under the trailer the ledger would write for it."""
+    ledger, args = bank_ledger()
+    digest, buyer, budget, price, (terms,) = args(ledger.journal[1])
+    # Written by hand: the rule's encode would sort the terms by their address,
+    # which a 65-byte key does not have.
+    payload = bytearray()
+    for value in (digest, buyer.bytes, encode_uint(budget), encode_uint(price), encode_uint(1)):
+        write_field(payload, value)
+    write_field(payload, replace(terms, notary_pk=terms.notary_pk + b"\x00").encode())
+    ledger.journal[1] = LedgerEvent(EventKind.ORDER_CREATED, bytes(payload))
+    return ledger_mod.journal_bytes(ledger), 1
+
+
 def empty_event_frame():
     """An empty frame, with no kind byte, in place of event 3."""
     data, frame_start = settled_journal()
@@ -158,6 +208,8 @@ CRAFTED = [
     notary_terms_out_of_order,
     unknown_event_kind,
     empty_event_frame,
+    short_seller_key,
+    long_notary_key,
 ]
 
 

@@ -105,10 +105,11 @@ def make_buyer():
     return Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
 
 
-def upload(buyer, data):
-    """Hand `data` to the buyer's upload URL; the refusals this recorded."""
+def upload(buyer, data, sender=None):
+    """Hand `data` from `sender` to the buyer's upload URL; the refusals
+    this recorded."""
     before = len(buyer.rejected_submissions)
-    buyer.handle(Envelope(None, buyer.upload_url, data, 0))
+    buyer.handle(Envelope(sender, buyer.upload_url, data, 0))
     return buyer.rejected_submissions[before:]
 
 
@@ -137,10 +138,11 @@ def test_endpoint_accepts_payload_after_response():
     market = make_market()
     response, _, _ = make_response(market)
     buyer = make_buyer()
-    upload(buyer, response.encode())
+    seller = response.payment_address
+    upload(buyer, response.encode(), seller)
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
-    assert upload(buyer, delivery.encode()) == []
-    assert upload(buyer, delivery.encode()) == []  # idempotent
+    assert upload(buyer, delivery.encode(), seller) == []
+    assert upload(buyer, delivery.encode(), seller) == []  # idempotent
     assert buyer._deliveries == [delivery]
 
 
@@ -157,10 +159,11 @@ def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
 def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives():
     response, _, _ = make_response(make_market())
     buyer = make_buyer()
+    seller = response.payment_address
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
-    assert upload(buyer, delivery.encode()) == ["upload: unknown-response"]
-    assert upload(buyer, response.encode()) == []
-    assert upload(buyer, delivery.encode()) == []
+    assert upload(buyer, delivery.encode(), seller) == ["upload: unknown-response"]
+    assert upload(buyer, response.encode(), seller) == []
+    assert upload(buyer, delivery.encode(), seller) == []
     assert buyer._deliveries == [delivery]
 
 
