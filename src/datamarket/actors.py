@@ -484,8 +484,9 @@ class Buyer:
 
     def _select(self, contract: OrderContract) -> None:
         offers = self._offers_by_order.get(contract.order_digest, ())
-        # The same checks the ledger's selection makes.
-        valid = [r for r in offers if r.verify_signature() and not validate_response(r, contract)]
+        # The same checks the ledger's selection makes, the cheap rules first;
+        # a signature is checked only while the selection rule takes offers.
+        valid = (r for r in offers if not validate_response(r, contract) and r.verify_signature())
         chosen = self.spec.selection.select(valid, contract.price)
         balance = self.ledger.balance(self.address)
         # Drop the last chosen response until the buyer can pay, audit top-up included.

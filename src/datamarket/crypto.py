@@ -25,6 +25,7 @@ Tampering or a wrong key raises DecryptionError.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -49,6 +50,9 @@ SALT_LEN = 32
 ADDRESS_LEN = 20
 PUBLIC_KEY_LEN = 64
 DIGEST_LEN = 32
+# How many recent keys `derive_address` remembers: more than the ~170 keys
+# one 160 x 40 ladder journal names, so a replay derives each address once.
+ADDRESS_MEMO = 256
 
 _ENC_SEED_INFO = b"datamarket-enc-key-v1"
 _ENVELOPE_INFO = b"datamarket-envelope-v1"
@@ -117,6 +121,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(public, SecretKey(seed, sign_sk, enc_sk, enc_pub))
 
 
+@functools.lru_cache(maxsize=ADDRESS_MEMO)
 def derive_address(public_key: bytes) -> Address:
     if len(public_key) != PUBLIC_KEY_LEN:
         raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")

@@ -480,11 +480,11 @@ def parse_journal(data: bytes):
     while r.remaining():
         start = len(data) - r.remaining()
         try:
-            frame = r.read_field()
+            (frame,) = r.read((RAW,))
             if frame[:1] == bytes([TRAILER_KIND]):
                 if r.remaining():
                     raise ReplayError(len(events), "frames after the digest trailer")
-                return events, frame[1:], crypto.sha256(data[:start])
+                return events, frame[1:], crypto.sha256(memoryview(data)[:start])
             events.append(LedgerEvent.decode(frame))
         except EncodingError as exc:
             raise ReplayError(len(events), f"journal framing error: {exc}") from exc

@@ -3,16 +3,19 @@ constructors/validators each participant uses.
 
 Each type's layout is its dataclass field list: `_layout` derives `encode`
 and `decode` from the fields in order, each written by the codec of
-`encoding` that its annotation names, after the type's tag byte. Decoding
-is total and canonical: it raises only `EncodingError`, and whatever
-decodes re-encodes to its input.
+`encoding` that its annotation names, after the type's tag byte; `decode`
+reads the fields with `Reader.read`, the one decoder of every layout.
+Decoding is total and canonical: it raises only `EncodingError`, and
+whatever decodes re-encodes to its input.
 
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
 signature field). They are frozen, so each instance computes its encodings,
 digest, signer address and signature check once and keeps them (see
-`_memoized`). No field repeats a fact another fixes: a signer's address is
-derived from its key, and a response names its order only by digest.
+`_memoized`). A decoded signed message is built without its constructor:
+its fields and its input, as its encoding, are set in its `__dict__` in one
+step. No field repeats a fact another fixes: a signer's address is derived
+from its key, and a response names its order only by digest.
 
 The seller's offer deliberately has no plaintext-data field and no salt
 field: only the salted commitment is signed and published, and the salt is
@@ -109,28 +112,28 @@ def _memoized(method):
 class Message:
     """Base of every message type; `_layout` sets a type's layout."""
 
-    _TAG: Optional[int] = None
-    _CODECS: tuple = ()  # (field name, codec) in field order
-    _READERS: tuple = ()  # each codec's bound `read`, in field order
+    _PREFIX = b""  # the type's tag byte, if it has one
+    _NAMES: tuple = ()  # the field names, in field order
+    _CODECS: tuple = ()  # each field's codec, in field order
     _SIGNER: Optional[str] = None  # the name of the one `PublicKey` field, if any
 
-    def _write(self, codecs) -> bytes:
-        out = bytearray() if self._TAG is None else bytearray([self._TAG])
-        for name, codec in codecs:
+    def _write(self, names) -> bytes:
+        out = bytearray(self._PREFIX)
+        for name, codec in zip(names, self._CODECS):
             codec.write(out, getattr(self, name))
         return bytes(out)
 
     def encode(self) -> bytes:
-        return self._write(self._CODECS)
+        return self._write(self._NAMES)
 
     @classmethod
     def decode(cls, data: bytes):
         """The `cls` that `data` encodes; raises EncodingError unless `data`
         is exactly what some `cls` encodes to."""
-        r = Reader(data)
-        if cls._TAG is not None and r.read_byte() != cls._TAG:
+        if not data.startswith(cls._PREFIX):
             raise EncodingError(f"expected a {cls.__name__}")
-        values = [read(r) for read in cls._READERS]
+        r = Reader(data, len(cls._PREFIX))
+        values = r.read(cls._CODECS)
         r.expect_end()
         return cls._build(data, values)
 
@@ -149,11 +152,11 @@ class _Signed(Message):
 
     @property
     def signature(self) -> bytes:
-        return getattr(self, self._CODECS[-1][0])
+        return getattr(self, self._NAMES[-1])
 
     @_memoized
     def signing_bytes(self) -> bytes:
-        return self._write(self._CODECS[:-1])
+        return self._write(self._NAMES[:-1])
 
     @_memoized
     def encode(self) -> bytes:
@@ -175,11 +178,14 @@ class _Signed(Message):
 
     @classmethod
     def _build(cls, data: bytes, values: list):
-        # No signed type has a __post_init__ that could reject `values`.
-        msg = cls(*values)
-        # Decoding is canonical, so `data` is the message's own encoding.
-        signature_field = 4 + len(values[-1])
-        msg.__dict__.update(_memo_encode=data, _memo_signing_bytes=data[:-signature_field])
+        # No signed type has a __post_init__, so the fields are set directly,
+        # without the generated __init__. Decoding is canonical, so `data` is
+        # the message's own encoding.
+        msg = object.__new__(cls)
+        signing_bytes = data[: -4 - len(values[-1])]
+        msg.__dict__.update(
+            zip(cls._NAMES, values), _memo_encode=data, _memo_signing_bytes=signing_bytes
+        )
         return msg
 
 
@@ -206,10 +212,10 @@ def _layout(tag: Optional[int] = None):
     def wrap(cls):
         cls = dataclass(frozen=True)(cls)
         hints = get_type_hints(cls, include_extras=True)
-        cls._TAG = tag
-        cls._CODECS = tuple((f.name, _codec(hints[f.name])) for f in dataclass_fields(cls))
-        cls._READERS = tuple(codec.read for _, codec in cls._CODECS)
-        cls._SIGNER = next((name for name, codec in cls._CODECS if codec is PUBLIC_KEY), None)
+        cls._PREFIX = b"" if tag is None else bytes([tag])
+        cls._NAMES = tuple(f.name for f in dataclass_fields(cls))
+        cls._CODECS = tuple(_codec(hints[name]) for name in cls._NAMES)
+        cls._SIGNER = next((n for n, c in zip(cls._NAMES, cls._CODECS) if c is PUBLIC_KEY), None)
         if tag is not None:
             _BY_TAG[tag] = cls
         return cls
@@ -243,7 +249,7 @@ def _predicate_value(data: bytes) -> PredicateValue:
     if kind == b"S":
         r, items = Reader(body), []
         while r.remaining():
-            items.append(UTF8.read(r))
+            items += r.read((UTF8,))
         require_ascending(items)
         return frozenset(items)
     raise EncodingError(f"unknown predicate value kind {kind!r}")
@@ -400,7 +406,7 @@ def signed(keys: crypto.KeyPair, message: _Signed) -> _Signed:
     """A copy of `message` carrying `keys`' signature over its signing bytes."""
     signing_bytes = message.signing_bytes()
     sig = crypto.sign(keys.secret_key, signing_bytes)
-    copy = replace(message, **{message._CODECS[-1][0]: sig})
+    copy = replace(message, **{message._NAMES[-1]: sig})
     copy.__dict__["_memo_signing_bytes"] = signing_bytes
     return copy
 

@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import yaml
 
@@ -247,14 +248,14 @@ class SelectionPolicy:
     k: int = _kind(AMOUNT, 0)
     max_tokens: int = _kind(AMOUNT, 0)
 
-    def select(self, responses: Sequence[DataResponse], price: int) -> List[DataResponse]:
-        responses = list(responses)
+    def select(self, responses: Iterable[DataResponse], price: int) -> List[DataResponse]:
+        """Takes from `responses` only as many as the rule can select."""
         if self.rule == "ALL_VALID":
-            return responses
+            return list(responses)
         if self.rule == "FIRST_K":
-            return responses[: self.k]
+            return list(itertools.islice(responses, self.k))
         # BUDGET_CAP; `PRICE` makes every order's price at least 1.
-        return responses[: self.max_tokens // price]
+        return list(itertools.islice(responses, self.max_tokens // price))
 
 
 @_spec
@@ -328,8 +329,9 @@ class Scenario:
 
     def profile_secrets(self) -> List[bytes]:
         """Attribute values and seller identities that must never reach the
-        journal bytes. Values under 3 bytes are skipped: they are
-        indistinguishable from random digest/signature bytes."""
+        journal bytes, each listed once, in first-seen order. Values under 3
+        bytes are skipped: they are indistinguishable from random
+        digest/signature bytes."""
         out = []
         for seller in self.sellers:
             out.append(seller.name.encode())
@@ -337,7 +339,7 @@ class Scenario:
                 out.append(str(value).encode())
         for extra in self.secrets:
             out.append(extra.encode())
-        return [s for s in out if len(s) >= 3]
+        return list(dict.fromkeys(s for s in out if len(s) >= 3))
 
     def data_secrets(self) -> List[bytes]:
         """Plaintext data values that may travel only inside ciphertext."""

@@ -33,7 +33,7 @@ class NetworkConfig:
             raise TransportError("drop_rate must be in [0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     sender: Address
     endpoint: str

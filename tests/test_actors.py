@@ -206,6 +206,22 @@ def test_selection_policies():
     assert SelectionPolicy(rule="BUDGET_CAP", max_tokens=12).select(responses, 5) == responses[:2]
 
 
+def test_a_first_k_buyer_checks_signatures_only_until_its_selection_is_full(monkeypatch):
+    """A FIRST_K(1) buyer holding three valid offers, as decoded from the
+    network, verifies one signature and selects the first offer."""
+    market = make_market()
+    offers = [make_response(market, seller_seed=100 + i)[0] for i in range(3)]
+    spec = BuyerSpec(name="b", seed=1, selection=SelectionPolicy(rule="FIRST_K", k=1))
+    buyer = Buyer(spec, market.ledger, Network(NetworkConfig()), {})
+    buyer._offers_by_order[market.order_id] = [messages.decode(r.encode()) for r in offers]
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    buyer._select(market.ledger.contract(market.order_id))
+    assert len(calls) == 1
+    selected = market.ledger.contract(market.order_id).responses
+    assert [state.response for state in selected.values()] == offers[:1]
+
+
 def test_sample_policy_reproducible():
     """Two notaries built from one SAMPLE spec audit the same unforced
     requests."""

@@ -68,6 +68,16 @@ def test_address_deterministic_and_length():
     assert len(a1.bytes) == 20
 
 
+def test_address_memo_is_bounded_by_the_module_constant():
+    assert crypto.derive_address.cache_info().maxsize == crypto.ADDRESS_MEMO
+    keys = [crypto.generate_keypair(bytes([i]) * 32).public_key for i in range(3)]
+    first = [crypto.derive_address(key) for key in keys]
+    hits = crypto.derive_address.cache_info().hits
+    # An equal key in other bytes gives the remembered address, not a new derivation.
+    assert [crypto.derive_address(key[:32] + key[32:]) for key in keys] == first
+    assert crypto.derive_address.cache_info().hits == hits + 3
+
+
 def test_address_no_collisions_10k():
     seen = set()
     for i in range(10_000):
@@ -77,8 +87,10 @@ def test_address_no_collisions_10k():
 
 
 def test_address_malformed_key():
-    with pytest.raises(CryptoError):
-        crypto.derive_address(b"\x00" * 10)
+    # An exception is not remembered: every call with the key raises.
+    for _ in range(3):
+        with pytest.raises(CryptoError):
+            crypto.derive_address(b"\x00" * 10)
 
 
 def test_commit_empty_known_answer():

@@ -5,7 +5,8 @@ kind's payload decoder return a value or raise `EncodingError`, nothing
 else, and a decoded signed message has a signer address. Canonical:
 whatever decodes re-encodes to its input. The re-encoding is taken from a
 fresh copy (`dataclasses.replace`), because a decoded signed message keeps
-its input as its encoding.
+its input as its encoding; that copy, made by the constructor, also equals
+and hashes as the decoded message, which is built without it.
 
 The inputs are mutations of the messages a `bank.yaml` run sends and of the
 frames its journal holds, plus a table of hand-made malformed inputs.
@@ -63,7 +64,10 @@ def check_message(data):
         message = messages.decode(data)
     except EncodingError:
         return False
-    assert fresh(message).encode() == data
+    constructed = fresh(message)
+    assert constructed.encode() == data
+    # A decoded message, built without its constructor, equals the constructed one.
+    assert constructed == message and hash(constructed) == hash(message)
     if hasattr(message, "signer_address"):
         message.signer_address()  # every key that decodes has an address
     return True

@@ -268,7 +268,7 @@ def test_buyer_screen_passes_exactly_what_the_selection_accepts(
         signature[corrupt_at] ^= 0x01
         candidate = replace(candidate, seller_signature=bytes(signature))
     contract = market.ledger.contract(market.order_id)
-    screened = candidate.verify_signature() and not messages.validate_response(candidate, contract)
+    screened = not messages.validate_response(candidate, contract) and candidate.verify_signature()
     try:
         market.ledger.select_sellers(market.order_id, [candidate])
         accepted = True

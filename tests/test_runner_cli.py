@@ -708,8 +708,10 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
     monkeypatch.setattr(runner, "_ONE_PASS_MIN_BYTES", 0 if one_pass else 1 << 62)
     doc = base_doc(secrets=["confidential-x"])
     # s1's data is a prefix of s2's; s3 never matches the audience but its
-    # data is still a secret.
+    # data is still a secret. s1 and s2 share one attribute value, reported once.
     doc["sellers"][1]["data"] = {"records": "row-s1-aaaa-plus"}
+    for seller in doc["sellers"]:
+        seller["attributes"]["tier"] = "gold"
     doc["sellers"].append(
         {"name": "s3", "seed": 12, "attributes": {"country": "UY"}, "data": {"records": "zz-s3-cccc"}}
     )
@@ -724,12 +726,13 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
         ("ub:b", b"row-s1-aaa zz-s3-ccc confidential-x"),
     ]:
         network.send(sender, endpoint, message)
-    journal = ledger_mod.journal_bytes(market) + b"confidential-x|row-s1-aaaa-plus"
+    journal = ledger_mod.journal_bytes(market) + b"confidential-x|row-s1-aaaa-plus|gold"
     failures = runner.run_invariants(
         result.scenario, journal, network, result.report.quiescent, result.report.unsettled
     )
     assert failures == [
         "journal replay failed: replay aborted at event 6: frames after the digest trailer",
+        "journal leaks profile value b'gold'",
         "journal leaks profile value b'confidential-x'",
         "journal leaks plaintext data b'row-s1-aaaa'",
         "journal leaks plaintext data b'row-s1-aaaa-plus'",
