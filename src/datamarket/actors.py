@@ -1,11 +1,11 @@
 """Buyer, seller, and notary agents.
 
 Each actor is a sequential process: the runner hands it the envelopes
-delivered this tick and then calls `step`. Actors share no mutable state;
-they interact only through the network and the ledger. Endpoint naming
-convention: the buyer's control endpoint is ``buyer:<name>``, its public
-upload endpoint is ``ub:<name>`` (this string is the order's upload URL),
-and a notary listens on ``notary:<name>``.
+delivered this tick (a notary, all in one call) and then calls `step`.
+Actors share no mutable state; they interact only through the network and
+the ledger. Endpoint naming convention: the buyer's control endpoint is
+``buyer:<name>``, its public upload endpoint is ``ub:<name>`` (this string
+is the order's upload URL), and a notary listens on ``notary:<name>``.
 """
 
 from __future__ import annotations
@@ -234,48 +234,57 @@ class Notary:
         self.endpoint = f"notary:{spec.name}"
         self._openers: Dict[bytes, crypto.Opener] = {}  # by the envelopes' ephemeral key
 
-    def handle(self, envelope: Envelope) -> None:
-        try:
-            msg = messages.decode(envelope.message)
-        except EncodingError:
-            return
-        if isinstance(msg, DataOrder):
-            self._handle_countersign_request(msg)
-        elif isinstance(msg, NotarizationRequest):
-            self._handle_notarization_request(msg, envelope.sender)
+    def handle(self, envelopes: Sequence[Envelope]) -> None:
+        """Answer one tick's envelopes in arrival order, with the certificates
+        signed in batches (`messages.issue_certificates`)."""
+        answers = []  # (endpoint, encoded terms or the claim a certificate is issued for)
+        for envelope in envelopes:
+            try:
+                msg = messages.decode(envelope.message)
+            except EncodingError:
+                continue
+            if isinstance(msg, DataOrder):
+                answers.append(self._countersign(msg))
+            elif isinstance(msg, NotarizationRequest):
+                answers.append(self._notarize(msg, envelope.sender))
+        answers = [answer for answer in answers if answer]
+        claims = [claim for _, claim in answers if isinstance(claim, tuple)]
+        certs = iter(messages.issue_certificates(self.keys, claims))
+        for endpoint, answer in answers:
+            message = next(certs).encode() if isinstance(answer, tuple) else answer
+            try:
+                self.network.send(self.address, endpoint, message)
+            except TransportError:
+                pass
 
-    def _handle_countersign_request(self, order: DataOrder) -> None:
-        """Countersign and answer a well-formed order; one whose upload URL
-        names no buyer, or no registered one, is dropped."""
+    def _countersign(self, order: DataOrder) -> Optional[tuple]:
+        """Countersign a well-formed order whose upload URL names a buyer;
+        the terms for one naming no registered buyer are not sent."""
         endpoint = _control_endpoint(order.upload_url)
         if self.spec.declines or endpoint is None:
-            return
+            return None
         try:
             terms = messages.countersign_order(self.keys, order, self.spec.fee, self.service_terms)
         except MarketError:
-            return
-        try:
-            self.network.send(self.address, endpoint, terms.encode())
-        except TransportError:
-            pass
+            return None
+        return endpoint, terms.encode()
 
-    def _handle_notarization_request(self, request: NotarizationRequest, sender: Address) -> None:
-        """Audit the response that the order's contract records under the
-        request's digest. The request is dropped unless it is from the order's
-        buyer and that response is selected, unsettled, and names this notary."""
+    def _notarize(self, request: NotarizationRequest, sender: Address) -> Optional[tuple]:
+        """The claim to certify for the response that the order's contract
+        records under the request's digest, audited; none unless the request
+        is from the order's buyer and that response is selected, unsettled,
+        and names this notary."""
         contract = self.ledger.contracts.get(request.order_ref)
         if contract is None or sender != contract.buyer_address:
-            return
+            return None
         state = contract.responses.get(request.response_digest)
         if state is None or state.settlement is not None:
-            return
+            return None
         response = state.response
         if response.chosen_notary != self.address:
-            return
+            return None
         verdict = self.decide_verdict(request, response, contract.order.request.schema_id)
-        cert = messages.issue_certificate(self.keys, request.order_ref, response, verdict)
-        upload_url = contract.order.upload_url
-        self.network.send(self.address, _control_endpoint(upload_url), cert.encode())
+        return _control_endpoint(contract.order.upload_url), (request.order_ref, response, verdict)
 
     def decide_verdict(
         self, request: NotarizationRequest, response: DataResponse, schema_id: str

@@ -21,6 +21,10 @@ audit copies to one notary; the shared ephemeral key reveals nothing new, as
 offers and transport envelopes name their sender. The one-shot `encrypt_for`
 and `decrypt` serve tests and the benchmark's micro-benchmarks and traces.
 Tampering or a wrong key raises DecryptionError.
+
+Merkle trees hash as RFC 6962 does: a leaf is SHA-256 over 0x00 || data, a
+node over 0x01 || left || right, and n > 1 leaves split at the largest power
+of two below n. An audit path is the siblings' hashes from the leaf up.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature as _InvalidSignature
 from cryptography.exceptions import InvalidTag as _InvalidTag
@@ -220,3 +225,33 @@ def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:
 
 def decrypt(secret_key: SecretKey, envelope: bytes) -> bytes:
     return Opener(secret_key, envelope[:32]).open(envelope)
+
+
+def merkle_tree(leaves: Sequence[bytes]) -> Tuple[bytes, List[bytes]]:
+    """The root over one or more leaves, and each leaf's audit path."""
+    if len(leaves) == 1:
+        return sha256(b"\x00" + leaves[0]), [b""]
+    k = 1 << ((len(leaves) - 1).bit_length() - 1)
+    (left, left_paths), (right, right_paths) = merkle_tree(leaves[:k]), merkle_tree(leaves[k:])
+    paths = [path + right for path in left_paths] + [path + left for path in right_paths]
+    return sha256(b"\x01" + left + right), paths
+
+
+def merkle_path_length(index: int, size: int) -> int:
+    """Hashes in the audit path of leaf `index` < `size`, as Trillian counts
+    them: levels below where it parts from the last leaf's, and left turns above."""
+    inner = (index ^ (size - 1)).bit_length()
+    return inner + bin(index >> inner).count("1")
+
+
+def merkle_fold(leaf: bytes, index: int, size: int, path: bytes) -> Optional[bytes]:
+    """The root that `path` proves `leaf` at `index` of `size` leaves under,
+    or None if the path does not fit that place."""
+    if not 0 <= index < size or len(path) != DIGEST_LEN * merkle_path_length(index, size):
+        return None
+    inner, root = (index ^ (size - 1)).bit_length(), sha256(b"\x00" + leaf)
+    for level in range(len(path) // DIGEST_LEN):
+        sibling = path[level * DIGEST_LEN : (level + 1) * DIGEST_LEN]
+        on_left = level >= inner or index >> level & 1
+        root = sha256(b"\x01" + (sibling + root if on_left else root + sibling))
+    return root

@@ -117,13 +117,11 @@ def _decode_flag(data: bytes) -> bool:
     return value == 1
 
 
-def _decode_enum(cls, data: bytes):
-    if len(data) != 1:
-        raise EncodingError(f"{cls.__name__} must be 1 byte, got {len(data)}")
-    try:
-        return cls(data[0])
-    except ValueError:
-        raise EncodingError(f"unknown {cls.__name__} {data[0]}") from None
+def _decode_enum(name: str, members: dict, data: bytes):
+    member = members.get(data)
+    if member is None:
+        raise EncodingError(f"no {name} is encoded as {data.hex() or 'no bytes'}")
+    return member
 
 
 def _decode_fixed(cls, size: int, data: bytes):
@@ -139,8 +137,10 @@ def _decode_public_key(data: bytes) -> bytes:
 
 
 def enum_byte(cls) -> Codec:
-    """A member of the enum `cls` as its one-byte value."""
-    return Codec(lambda member: bytes([member.value]), functools.partial(_decode_enum, cls))
+    """A member of the enum `cls` as its one-byte value, read back by table."""
+    members = {bytes([member.value]): member for member in cls}
+    decode = functools.partial(_decode_enum, cls.__name__, members)
+    return Codec(lambda member: bytes([member.value]), decode)
 
 
 def nested(cls) -> Codec:

@@ -13,14 +13,15 @@ event is its certificate alone: the certificate names its order. `contracts`
 is in registration order, the feed sellers read.
 
 Each event kind has one check, which reads the ledger and raises before
-anything changes, and one apply (`_RULES`). Live operations and `replay`
-both run them through `Ledger._commit`, so replay accepts exactly the
-events the live ledger would accept in the same state. Only the signature
-checks of orders, notary terms, responses and certificates stay live-only,
-each made by the operation where its message enters the ledger: their
-re-verification would cost several times the rest of a replay. A selected
-response is judged by `messages.validate_response`, the rule list that the
-buyer's screen applies too, live and on replay alike.
+anything changes, and one apply (`_RULES`), which takes what the check
+derived (a selection's top-up, a close's notary fee). Live operations and
+`replay` both run them through `Ledger._commit`, so replay accepts exactly
+the events the live ledger would accept in the same state. Only the
+signature checks of orders, notary terms, responses and certificates stay
+live-only, each made by the operation where its message enters the ledger:
+their re-verification would cost several times the rest of a replay. A
+selected response is judged by `messages.validate_response`, the rule list
+that the buyer's screen applies too, live and on replay alike.
 
 The journal deliberately stores a blinded order record (digest, buyer
 address, amounts, notary terms) instead of the full order: audience
@@ -46,6 +47,7 @@ from .encoding import (
     Reader,
     SetOf,
     encode_uint,
+    enum_byte,
     nested,
     write_field,
     write_uint_field,
@@ -79,6 +81,7 @@ class EventKind(enum.IntEnum):
 # An event frame is its kind byte and its payload; the trailer is the frame
 # of kind 255. An event's sequence is its index in the journal.
 TRAILER_KIND = 255
+_EVENT_KIND = enum_byte(EventKind)
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,7 @@ class LedgerEvent:
 
     @classmethod
     def decode(cls, frame: bytes) -> "LedgerEvent":
-        if not frame:
-            raise EncodingError("empty event frame")
-        try:
-            return cls(EventKind(frame[0]), frame[1:])
-        except ValueError:
-            raise EncodingError(f"unknown event kind {frame[0]}") from None
+        return cls(_EVENT_KIND.from_bytes(frame[:1]), frame[1:])
 
 
 class Outcome(enum.IntEnum):
@@ -214,12 +212,13 @@ class Ledger:
 
     def _commit(self, kind: EventKind, args: tuple, event: Optional[LedgerEvent] = None):
         """Check, apply and journal one event: built from `args` on a live
-        ledger, or `event` read from a journal, whose payload decoded to `args`."""
+        ledger, or `event` read from a journal, whose payload decoded to `args`.
+        What a check derives on the way, its apply takes after `args`."""
         rule = _RULES[kind]
-        rule.check(self, *args)
+        derived = rule.check(self, *args) or ()
         if event is None:
             event = LedgerEvent(kind, rule.encode(*args))
-        result = rule.apply(self, *args)
+        result = rule.apply(self, *args, *derived)
         self.journal.append(event)
         if self.balance_sum + self.escrow_sum != self.total_supply:
             raise LedgerError("internal error: token conservation violated")
@@ -258,7 +257,7 @@ class Ledger:
         self.contracts[digest] = OrderContract(digest, buyer, min_audit_budget, price, terms)
         self._escrow(self.contracts[digest], audit=min_audit_budget)
 
-    def _check_selection(self, order_digest: bytes, responses) -> None:
+    def _check_selection(self, order_digest: bytes, responses) -> tuple:
         contract = self._open_contract(order_digest)
         if not responses:
             raise LedgerError("selection names no response")
@@ -272,19 +271,20 @@ class Ledger:
             if failed:
                 raise LedgerError(f"invalid response {digest.hex()}: {', '.join(failed)}")
         # Derived only now: every response names a listed notary.
-        total = contract.price * len(responses) + self.audit_topup(contract, responses)
+        topup = self.audit_topup(contract, responses)
+        total = contract.price * len(responses) + topup
         self._check_funds(contract.buyer_address, total, "selection payment and audit top-up")
+        return (topup,)
 
-    def _apply_selection(self, order_digest: bytes, responses) -> None:
+    def _apply_selection(self, order_digest: bytes, responses, topup: int) -> None:
         contract = self.contracts[order_digest]
         payment = contract.price * len(responses)
-        topup = self.audit_topup(contract, responses)
         self._credit(contract.buyer_address, -(payment + topup))
         self._escrow(contract, audit=topup, payment=payment)
         for response in responses:
             contract.responses[response.digest()] = ResponseState(response)
 
-    def _check_close(self, cert: NotaryCertificate) -> None:
+    def _check_close(self, cert: NotaryCertificate) -> tuple:
         contract = self._open_contract(cert.order_ref)
         state = contract.responses.get(cert.response_digest)
         if state is None:
@@ -294,17 +294,18 @@ class Ledger:
         notary = state.response.chosen_notary
         if cert.signer_address() != notary:
             raise InvalidSignature("certificate is not from the response's chosen notary")
-        fee = _notary_fee(contract, state.response, cert.verdict)
+        # Audited verdicts (b and c) pay the chosen notary's fee from audit escrow.
+        fee = 0 if cert.verdict is Verdict.NOT_NOTARIZED else contract.notary_terms[notary].fee
         if fee > contract.audit_escrow:
             raise AuditEscrowDepleted(
                 f"notary fee {fee} exceeds audit escrow {contract.audit_escrow}"
             )
+        return (fee,)
 
-    def _apply_close(self, cert: NotaryCertificate) -> Settlement:
+    def _apply_close(self, cert: NotaryCertificate, fee: int) -> Settlement:
         contract = self.contracts[cert.order_ref]
         state = contract.responses[cert.response_digest]
         response, price = state.response, contract.price
-        fee = _notary_fee(contract, response, cert.verdict)
         if cert.verdict is Verdict.NOTARIZED_INVALID:
             settlement = Settlement(Outcome.BUYER_REFUNDED, cert.verdict, 0, price, fee)
         else:
@@ -359,13 +360,6 @@ class Ledger:
         for order_digest in sorted(self.contracts):
             write_field(out, _contract_state_bytes(self.contracts[order_digest]))
         return crypto.sha256(bytes(out))
-
-
-def _notary_fee(contract: OrderContract, response: DataResponse, verdict: Verdict) -> int:
-    """Audited verdicts (b and c) pay the chosen notary's fee from audit escrow."""
-    if verdict is Verdict.NOT_NOTARIZED:
-        return 0
-    return contract.notary_terms[response.chosen_notary].fee
 
 
 def _contract_state_bytes(c: OrderContract) -> bytes:

@@ -17,6 +17,10 @@ its fields and its input, as its encoding, are set in its `__dict__` in one
 step. No field repeats a fact another fixes: a signer's address is derived
 from its key, and a response names its order only by digest.
 
+A notary signs certificates in batches of at most `CERTIFICATE_BATCH`: one
+signature covers a tag byte no message has, the batch size and the RFC 6962
+Merkle root over the certificates' leaves (`NotaryCertificate`).
+
 The seller's offer deliberately has no plaintext-data field and no salt
 field: only the salted commitment is signed and published, and the salt is
 revealed off-chain at delivery time inside the encrypted payload.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Sequence, Union
 from typing import get_origin, get_type_hints
 
 from . import crypto
@@ -65,6 +69,9 @@ TAG_DATA_RESPONSE = 5
 TAG_CERTIFICATE = 6
 TAG_PAYLOAD_DELIVERY = 7
 TAG_NOTARIZATION_REQUEST = 8
+TAG_CERTIFICATE_ROOT = 9  # what a certificate's signature covers; no message has this tag
+CERTIFICATE_BATCH = 16  # certificates per signed root, so an audit path holds at most 4 hashes
+ROOT_MEMO = 256  # root signature checks remembered: more than a ladder tick has in flight
 
 PredicateValue = Union[int, str, frozenset]
 PublicKey = Annotated[bytes, PUBLIC_KEY]
@@ -148,7 +155,7 @@ class Message:
 class _Signed(Message):
     """Base of the signed types. The last field is the signature, by the
     key in the type's one `PublicKey` field, over the encoding of the fields
-    before it."""
+    before it (a certificate's is over its batch's root instead)."""
 
     @property
     def signature(self) -> bytes:
@@ -359,13 +366,46 @@ class DataResponse(_Signed):
 
 @_layout(TAG_CERTIFICATE)
 class NotaryCertificate(_Signed):
-    """Notary-signed verdict binding one (order, response) pair."""
+    """Notary-signed verdict binding one (order, response) pair. Its leaf is
+    its order, response and verdict fields, and `audit_path` proves it leaf
+    `leaf_index` of `batch_size` under the signed root; a lone certificate
+    is leaf 0 of 1. Each distinct root signature is checked once."""
 
     notary_pk: PublicKey
     order_ref: bytes
     response_digest: bytes
     verdict: Verdict
+    leaf_index: int = 0
+    batch_size: int = 1
+    audit_path: bytes = b""
     notary_signature: bytes = b""
+
+    _LEAF = Fields(RAW, RAW, enum_byte(Verdict))  # a leaf: its order, response and verdict
+
+    @staticmethod
+    def _root_message(batch_size: int, root: bytes) -> bytes:
+        return bytes([TAG_CERTIFICATE_ROOT]) + encode_uint(batch_size) + root
+
+    @_memoized
+    def verify_signature(self) -> bool:
+        leaf = self._LEAF.encode(self.order_ref, self.response_digest, self.verdict)
+        root = crypto.merkle_fold(leaf, self.leaf_index, self.batch_size, self.audit_path)
+        return root is not None and _root_verifies(
+            self.notary_pk, self._root_message(self.batch_size, root), self.notary_signature
+        )
+
+    @classmethod
+    def _build(cls, data: bytes, values: list):
+        index, size, path = values[4:7]
+        in_batch = index < size <= CERTIFICATE_BATCH
+        if not in_batch or len(path) != crypto.DIGEST_LEN * crypto.merkle_path_length(index, size):
+            raise EncodingError(f"no leaf {index} of {size} has a {len(path)}-byte audit path")
+        return super()._build(data, values)
+
+
+@functools.lru_cache(maxsize=ROOT_MEMO)
+def _root_verifies(notary_pk: bytes, message: bytes, signature: bytes) -> bool:
+    return crypto.verify(notary_pk, message, signature)
 
 
 @_layout(TAG_PAYLOAD_DELIVERY)
@@ -511,16 +551,23 @@ def validate_response(response: DataResponse, contract: OrderContract) -> tuple:
     return tuple(name for name, passed in checks if not passed)
 
 
+def issue_certificates(notary_keys: crypto.KeyPair, claims: Sequence[tuple]) -> list:
+    """One certificate per (order digest, response, verdict) claim, in
+    order, with one signed root per `CERTIFICATE_BATCH` claims."""
+    certs, key = [], notary_keys.public_key
+    for start in range(0, len(claims), CERTIFICATE_BATCH):
+        batch = [(ref, r.digest(), v) for ref, r, v in claims[start : start + CERTIFICATE_BATCH]]
+        root, paths = crypto.merkle_tree([NotaryCertificate._LEAF.encode(*c) for c in batch])
+        message = NotaryCertificate._root_message(len(batch), root)
+        signature = crypto.sign(notary_keys.secret_key, message)
+        for index, (claim, path) in enumerate(zip(batch, paths)):
+            certs.append(NotaryCertificate(key, *claim, index, len(batch), path, signature))
+    return certs
+
+
 def issue_certificate(
-    notary_keys: crypto.KeyPair,
-    order_ref: bytes,
-    response: DataResponse,
-    verdict: Verdict,
+    notary_keys: crypto.KeyPair, order_ref: bytes, response: DataResponse, verdict: Verdict
 ) -> NotaryCertificate:
-    cert = NotaryCertificate(
-        notary_pk=notary_keys.public_key,
-        order_ref=order_ref,
-        response_digest=response.digest(),
-        verdict=verdict,
-    )
-    return signed(notary_keys, cert)
+    """A certificate that is the only leaf of its batch."""
+    (cert,) = issue_certificates(notary_keys, [(order_ref, response, verdict)])
+    return cert

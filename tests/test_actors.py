@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from datamarket import crypto, ledger as ledger_mod, messages, transport
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
+from datamarket.errors import InvalidSignature
 from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
@@ -22,6 +26,7 @@ from datamarket.transport import Envelope, Network, NetworkConfig
 from market_helpers import TERMS, ladder_10x10, make_market, make_order, make_response
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
+TELCO = BANK.parent / "telco.yaml"
 
 DATA = b"seller-data-0123"
 SCHEMA = "records"
@@ -447,7 +452,7 @@ def test_notary_drops_orders_it_cannot_answer():
 
     def send_order(upload_url):
         order = make_order(keys, upload_url=upload_url)
-        notary.handle(Envelope(None, notary.endpoint, order.encode(), 0))
+        notary.handle([Envelope(None, notary.endpoint, order.encode(), 0)])
 
     send_order("no-colon")
     send_order("ub:nobody")
@@ -482,9 +487,9 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
     assert not buyer.done
 
 
-def run_bank_with(monkeypatch, extra):
-    """A `bank.yaml` run in which `extra(network, delivered)` adds envelopes
-    to each tick's deliveries."""
+def run_bank_with(monkeypatch, extra, path=BANK):
+    """A `bank.yaml` run (or one of the scenario at `path`) in which
+    `extra(network, delivered)` adds envelopes to each tick's deliveries."""
     tick = transport.Network.tick
 
     def tick_with_extra(network):
@@ -493,7 +498,7 @@ def run_bank_with(monkeypatch, extra):
         return delivered
 
     monkeypatch.setattr(transport.Network, "tick", tick_with_extra)
-    return run_scenario(load_scenario(BANK))
+    return run_scenario(load_scenario(path))
 
 
 def add_at_tick(at, sender, endpoint, message):
@@ -618,4 +623,81 @@ def test_buyer_takes_a_delivery_only_from_the_responses_seller(monkeypatch):
     buyer = result.buyers[0]
     assert buyer.rejected_submissions == ["upload: not-from-seller"]
     assert delivery not in buyer._accepted_uploads
+    assert result.report.render() == undisturbed.report.render()
+
+
+# -- certificates signed in batches ------------------------------------------
+
+
+def requests_to_certify(n):
+    """A notary that never audits, its market with `n` selected responses
+    naming it, and the buyer's request for each response's certificate."""
+    market = make_market(balance=1000)
+    responses = [make_response(market, seller_seed=10 + i)[0] for i in range(n)]
+    market.ledger.select_sellers(market.order_id, responses)
+    notary = make_notary(market, mode="NEVER")
+    notary.network.register("buyer:test-buyer")
+    requests = [
+        NotarizationRequest(market.order.digest(), r.digest(), False, b"").encode()
+        for r in responses
+    ]
+    requests = [Envelope(market.buyer, notary.endpoint, request, 0) for request in requests]
+    return notary, market, requests
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+def test_a_notary_signs_one_root_per_sixteen_certificates(monkeypatch, n):
+    notary, _, requests = requests_to_certify(n)
+    signed, sign = [], crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda key, msg: signed.append(msg) or sign(key, msg))
+    notary.handle(requests)
+    assert len(signed) == math.ceil(n / messages.CERTIFICATE_BATCH)
+    certs = [messages.decode(e.message) for e in notary.network.transcript]
+    assert [c.response_digest for c in certs] == [
+        messages.decode(e.message).response_digest for e in requests
+    ]
+    assert all(c.verify_signature() for c in certs)
+
+
+def test_a_notary_answers_a_mixed_tick_in_arrival_order():
+    """Orders and notarization requests interleaved in one tick: each gets
+    its answer, terms or a certificate, in the order they came."""
+    notary, _, requests = requests_to_certify(3)
+    orders = [
+        Envelope(None, notary.endpoint, make_order(keys_from_seed(70 + i)).encode(), 0)
+        for i in range(3)
+    ]
+    envelopes = [orders[0], requests[0], requests[1], orders[1], orders[2], requests[2]]
+    notary.handle(envelopes)
+    sent = [messages.decode(e.message) for e in notary.network.transcript]
+    answered = [messages.decode(e.message) for e in envelopes]
+    assert [
+        m.order_digest if isinstance(m, NotaryTerms) else m.response_digest for m in sent
+    ] == [m.digest() if isinstance(m, messages.DataOrder) else m.response_digest for m in answered]
+    certs = [m for m in sent if isinstance(m, NotaryCertificate)]
+    assert [(c.leaf_index, c.batch_size) for c in certs] == [(0, 3), (1, 3), (2, 3)]
+
+
+def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledger(monkeypatch):
+    """`telco.yaml`'s notary certifies three responses under one root at
+    tick 13. The second certificate, with its verdict changed, reaches the
+    buyer at tick 14, before the genuine one: the ledger refuses it, the
+    buyer records the refusal, and the run ends as it would without it."""
+    undisturbed = run_scenario(load_scenario(TELCO))
+    sent = [
+        (e, messages.decode(e.message))
+        for e in undisturbed.network.transcript
+        if isinstance(messages.decode(e.message), NotaryCertificate)
+    ]
+    envelope, cert = next((e, c) for e, c in sent if (c.leaf_index, c.batch_size) == (1, 3))
+    assert envelope.delivery_tick == 15
+    forged = dataclasses.replace(cert, verdict=Verdict.NOT_NOTARIZED).encode()
+    with pytest.raises(InvalidSignature):
+        ledger_mod.Ledger().close_response(messages.decode(forged))
+
+    extra = add_at_tick(14, envelope.sender, envelope.endpoint, forged)
+    result = run_bank_with(monkeypatch, extra, TELCO)
+    before = collections.Counter(undisturbed.buyers[0].rejected_submissions)
+    after = collections.Counter(result.buyers[0].rejected_submissions)
+    assert after - before == {"certificate: certificate signature does not verify": 1}
     assert result.report.render() == undisturbed.report.render()

@@ -284,3 +284,57 @@ def test_commitment_property(salt, data):
     c = crypto.commit(salt, data)
     assert crypto.verify_commitment(salt, data, c)
     assert c.digest == sha256_ref(salt + data)
+
+
+# -- RFC 6962 Merkle trees ---------------------------------------------------
+
+# The leaves and tree heads of the Certificate Transparency reference tests.
+CT_LEAVES = [
+    b"", b"\x00", b"\x10", b"\x20\x21", b"\x30\x31", b"\x40\x41\x42\x43",
+    bytes(range(0x50, 0x58)), bytes(range(0x60, 0x70)),
+]
+CT_ROOTS = [
+    "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "fac54203e7cc696cf0dfcb42c92a1d9dbaf70ad9e621f4bd8d98662f00e3c125",
+    "aeb6bcfe274b70a14fb067a5e5578264db0fa9b51af5e0ba159158f329e06e77",
+    "d37ee418976dd95753c1c73862b9398fa2a2cf9b4ff0fdfe8b30cd95209614b7",
+    "4e3bbb1f7b478dcfe71fb631631519a3bca12c9aefca1612bfce4c13a86264d4",
+    "76e67dadbcdf1e10e1b74ddc608abd2f98dfb16fbce75277b5232a127f2087ef",
+    "ddb89be403809e325750d3d263cd78929c2942b7942a34b77e122c9594a74c8c",
+    "5dc9da79a70659a9ad559cb701ded9a2ab9d823aad2f4960cfe370eff4604328",
+]
+CT_PATH_OF_LEAF_0 = [
+    "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    "5f083f0a1a33ca076a95279832580db3e0ef4584bdff1f54c8a360f50de3031e",
+    "6b47aaf29ee3c2af9af889bc1fb9254dabd31177f16232dd6aab035ca39bf6e4",
+]
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_merkle_root_matches_the_reference_tree_heads(size):
+    root, _ = crypto.merkle_tree(CT_LEAVES[:size])
+    assert root.hex() == CT_ROOTS[size - 1]
+
+
+def test_merkle_path_matches_the_reference_proof():
+    _, paths = crypto.merkle_tree(CT_LEAVES)
+    assert paths[0].hex() == "".join(CT_PATH_OF_LEAF_0)
+
+
+@given(st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_every_leaf_folds_back_to_the_root_only_from_its_own_place(size):
+    leaves = [i.to_bytes(2, "big") for i in range(size)]
+    root, paths = crypto.merkle_tree(leaves)
+    for index, (leaf, path) in enumerate(zip(leaves, paths)):
+        assert len(path) == 32 * crypto.merkle_path_length(index, size)
+        assert crypto.merkle_fold(leaf, index, size, path) == root
+        if path:
+            assert crypto.merkle_fold(leaf, index, size, path[:-32]) is None
+        assert crypto.merkle_fold(leaf, index, size, path + root) is None
+        assert crypto.merkle_fold(leaf, index, size, path + b"\x00") is None
+        for other in range(size):
+            if other != index and len(paths[other]) == len(path):
+                assert crypto.merkle_fold(leaf, other, size, path) != root
+    assert crypto.merkle_fold(leaves[0], size, size, paths[0]) is None
+    assert crypto.merkle_fold(leaves[0], -1, size, paths[0]) is None

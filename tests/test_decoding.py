@@ -8,8 +8,9 @@ fresh copy (`dataclasses.replace`), because a decoded signed message keeps
 its input as its encoding; that copy, made by the constructor, also equals
 and hashes as the decoded message, which is built without it.
 
-The inputs are mutations of the messages a `bank.yaml` run sends and of the
-frames its journal holds, plus a table of hand-made malformed inputs.
+The inputs are mutations of the messages a `bank.yaml` run sends, of the
+frames its journal holds and of one batch of certificates, plus a table of
+hand-made malformed inputs.
 """
 
 import dataclasses
@@ -25,10 +26,12 @@ from datamarket.actors import Buyer
 from datamarket.encoding import Reader, encode_uint, write_field
 from datamarket.errors import EncodingError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
-from datamarket.messages import DataResponse
+from datamarket.messages import DataResponse, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import BuyerSpec, load_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
+
+from market_helpers import make_market, make_response
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 
@@ -150,6 +153,25 @@ def test_mutated_journal_frames(index, edits, payload_only):
 
 
 @functools.lru_cache(maxsize=None)
+def batched_certificates():
+    """The encoded certificates of one batch of 11, whose audit paths hold
+    2 to 4 hashes."""
+    market = make_market(balance=1000)
+    claims = [
+        (market.order_id, make_response(market, seller_seed=10 + i)[0], Verdict(i % 3))
+        for i in range(11)
+    ]
+    return [cert.encode() for cert in messages.issue_certificates(market.notary_keys, claims)]
+
+
+@given(st.integers(0, 2**16), EDITS)
+@settings(max_examples=1000, deadline=None)
+def test_mutated_batched_certificates(index, edits):
+    certs = batched_certificates()
+    check_message(mutate(certs[index % len(certs)], edits))
+
+
+@functools.lru_cache(maxsize=None)
 def bank_offers():
     sent, _ = bank()
     return [data for data in sent if isinstance(messages.decode(data), DataResponse)]
@@ -202,8 +224,11 @@ def string_set(*items):
     return b"S" + fields(*items)
 
 
-def certificate(verdict, notary_pk=bytes(64)):
-    return fields(notary_pk, bytes(32), bytes(32), verdict, bytes(64), tag=messages.TAG_CERTIFICATE)
+def certificate(verdict, notary_pk=bytes(64), index=0, size=1, path=b""):
+    return fields(
+        notary_pk, bytes(32), bytes(32), verdict, index, size, path, bytes(64),
+        tag=messages.TAG_CERTIFICATE,
+    )
 
 
 def notary_terms(notary_pk=bytes(64)):
@@ -256,6 +281,12 @@ MALFORMED = {
     "65-byte notary key in terms": notary_terms(bytes(65)),
     "63-byte notary key in a certificate": certificate(b"\x01", bytes(63)),
     "empty notary key in a certificate": certificate(b"\x01", b""),
+    "certificate leaf 1 of 1": certificate(b"\x01", index=1),
+    "certificate leaf 0 of 0": certificate(b"\x01", size=0),
+    "certificate batch of 17": certificate(b"\x01", index=16, size=17, path=bytes(32 * 5)),
+    "certificate path one hash short": certificate(b"\x01", index=2, size=5, path=bytes(32 * 2)),
+    "certificate path one hash long": certificate(b"\x01", index=4, size=5, path=bytes(32 * 2)),
+    "certificate path of a partial hash": certificate(b"\x01", size=2, path=bytes(31)),
 }
 
 
@@ -274,6 +305,8 @@ def test_a_public_key_of_any_other_length_is_named_in_the_error(length):
 def test_hand_made_inputs_are_well_formed_otherwise():
     for data in (audience(LOW, HIGH), certificate(b"\x01"), notarization_request(1)):
         assert check_message(data)
+    for index, size, hashes in [(2, 5, 3), (4, 5, 1), (15, 16, 4), (0, 2, 1)]:
+        assert check_message(certificate(b"\x01", index=index, size=size, path=bytes(32 * hashes)))
     assert check_message(notary_terms())
     assert check_message(audience(predicate(IN, string_set(b"AR", b"UY"))))
     assert check_message(response()) and check_message(order(b"ub:b"))

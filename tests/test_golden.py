@@ -24,27 +24,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "0a4c4a57040398d94c2724dc6396105538288ea34bf8e5c2ff16c39d5e56d55a",
+        "c791f08f36e8dfc36907d963ec6a6453497750cda95d4a3ccef3ad59c8c9b7db",
         "8e6d41cac0eeee397c671fb43edbc5843b894cdba831e63c61ae39bd35600596",
     ),
     "telco.yaml": (
-        "c2ae7f7524592c8f58dfa7c91a7309dd055844fb4ff7564790021c6813da347e",
+        "9a2515f4301730d95dab5355049521293dfea96126262c4745c7913a8243406f",
         "9f584906f375de01ba3c7003e0b8eaaa08d9fea2a2a4d4f491db6752de14849f",
     ),
 }
 RANDOM_SEEDS = range(1000)
-RANDOM_COMBINED = "45998d2a6548ccdce5e367353708c0ae01ea01785e0aeece16e0d35c2bb48091"
+RANDOM_COMBINED = "b1a6b92e6030ee01ca2dcaf4dd0285157f107301038d072d480bd1806d4bea45"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "73879fcec0331b90dd54e7b1ae4f6f39e85888c2c3a790520be0a6734b953b7a",
+        "d79aa9fe8173c1c04366ad016df1184090f287e2c97a39f934ecc51b3aae9bae",
         "5fdcd16bc98d6bd676421dfb46b42f49ffef8c49582fd71cb20bdbdc6ceeb80a",
         100,
         134,
     ),
     0.05: (
-        "ea91792054331a659401a2344f10e134160c2c255a990f0c50f5c8d29fa23b66",
+        "313f9d73cc236e416958f4e95b91c07c9f997b90f1bfe9a8bc744376d10542a8",
         "1870df758fc1513fd75a8627a2816008024143bfb255b6dbb06f8f1853b57cba",
         100,
         134,

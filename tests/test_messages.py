@@ -1,11 +1,14 @@
+import functools
 import random
 from dataclasses import fields as dataclass_fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
-from datamarket.errors import MessageError
+from datamarket.errors import EncodingError, MessageError
 from datamarket.messages import (
     Audience,
     Comparator,
@@ -267,11 +270,12 @@ def test_payload_plaintext_roundtrip():
 
 
 def signed_messages():
+    """One signed message of each type; the certificate is leaf 0 of 2."""
     market = make_market()
     response, _, _ = make_response(market)
-    cert = messages.issue_certificate(
-        market.notary_keys, response.order_ref, response, Verdict.NOTARIZED_VALID
-    )
+    other, _, _ = make_response(market, seller_seed=11)
+    claims = [(response.order_ref, r, Verdict.NOTARIZED_VALID) for r in (response, other)]
+    cert, _ = messages.issue_certificates(market.notary_keys, claims)
     return [market.order, market.terms[0], response, cert]
 
 
@@ -330,3 +334,94 @@ def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
     market.ledger.select_sellers(market.order_id, [response])
     ledger_mod.replay(market.ledger.journal)
     assert calls == [response.signing_bytes()]
+
+
+# -- certificates under one signed Merkle root -----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def certified_market():
+    """A market and 40 of its responses, each with a verdict."""
+    market = make_market(balance=1000)
+    responses = [make_response(market, seller_seed=10 + i)[0] for i in range(40)]
+    return market, [(market.order_id, r, Verdict(i % 3)) for i, r in enumerate(responses)]
+
+
+def field_span(data, name):
+    """Where the bytes of the certificate field `name` lie in its encoding `data`."""
+    pos = 1  # after the tag byte
+    for field_name in messages.NotaryCertificate._NAMES:
+        start = pos + 4
+        pos = start + int.from_bytes(data[pos:start], "big")
+        if field_name == name:
+            return start, pos
+    raise KeyError(name)
+
+
+CERTIFIED_FIELDS = [
+    "order_ref", "response_digest", "verdict", "leaf_index", "batch_size", "audit_path",
+    "notary_signature",
+]
+
+
+def refused(data):
+    """Whether the certificate `data` fails to decode or to verify."""
+    try:
+        return not messages.decode(data).verify_signature()
+    except EncodingError:
+        return True
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_byte_of_a_batched_certificate_is_bound(n, data):
+    """Up to 40 claims, across the batch cap: every certificate verifies;
+    a change to any byte of one's certified fields is refused; and two
+    certificates with their paths swapped both fail."""
+    market, claims = certified_market()
+    certs = messages.issue_certificates(market.notary_keys, claims[:n])
+    assert [(c.leaf_index, c.batch_size) for c in certs] == [
+        (i % 16, min(16, n - i // 16 * 16)) for i in range(n)
+    ]
+    assert all(messages.decode(c.encode()).verify_signature() for c in certs)
+    encoded = certs[data.draw(st.integers(0, n - 1))].encode()
+    mask = data.draw(st.integers(1, 255))
+    for name in CERTIFIED_FIELDS:
+        start, end = field_span(encoded, name)
+        for at in range(start, end):
+            changed = bytearray(encoded)
+            changed[at] ^= mask
+            assert refused(bytes(changed)), (name, at - start)
+    if n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a, b = certs[i], certs[j]
+        assert not replace(a, audit_path=b.audit_path).verify_signature()
+        assert not replace(b, audit_path=a.audit_path).verify_signature()
+
+
+def test_a_batch_root_is_verified_once(monkeypatch):
+    """Sixteen certificates decoded apart, as the buyer gets them, cost one
+    signature check; the memo of such checks is bounded by the module constant."""
+    assert messages._root_verifies.cache_info().maxsize == messages.ROOT_MEMO
+    market, claims = certified_market()
+    certs = [c.encode() for c in messages.issue_certificates(market.notary_keys, claims[:16])]
+    messages._root_verifies.cache_clear()  # another test may have checked this root
+    checked = []
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: checked.append(args) or verify(*args))
+    assert all(messages.decode(c).verify_signature() for c in certs)
+    assert len(checked) == 1
+
+
+def test_a_certificate_moved_to_a_batch_of_another_size_fails():
+    """Leaf 0 folds to the same root in a batch of 3 and of 4 with the same
+    path, so the signature covers the batch size too."""
+    market, claims = certified_market()
+    cert = messages.issue_certificates(market.notary_keys, claims[:3])[0]
+    assert cert.verify_signature()
+    moved = messages.decode(replace(cert, batch_size=4).encode())
+    leaf = moved._LEAF.encode(moved.order_ref, moved.response_digest, moved.verdict)
+    assert crypto.merkle_fold(leaf, 0, 4, moved.audit_path) == crypto.merkle_fold(
+        leaf, 0, 3, cert.audit_path
+    )
+    assert not moved.verify_signature()

@@ -28,6 +28,20 @@ from datamarket.scenario import load_scenario
 from market_helpers import TERMS, make_market, make_order, make_response
 
 
+def derived(ledger, kind, args):
+    """What the apply of `kind` takes after `args`, derived as its check
+    derives it: a selection's audit top-up, a close's notary fee."""
+    if kind is EventKind.SELLERS_SELECTED:
+        order_digest, responses = args
+        return (ledger.audit_topup(ledger.contracts[order_digest], responses),)
+    if kind is EventKind.RESPONSE_CLOSED:
+        (cert,) = args
+        contract = ledger.contracts[cert.order_ref]
+        notary = contract.responses[cert.response_digest].response.chosen_notary
+        return (0 if cert.verdict is Verdict.NOT_NOTARIZED else contract.notary_terms[notary].fee,)
+    return ()
+
+
 def forge(ledger, kind, *args, payload=None):
     """Journal bytes of `ledger` plus one event built from `args`, applied
     without its check as a writer that skips the rules would, under a
@@ -41,7 +55,7 @@ def forge(ledger, kind, *args, payload=None):
     for event in ledger.journal:
         write_field(frames, event.encode())
     try:
-        rule.apply(ledger, *args)
+        rule.apply(ledger, *args, *derived(ledger, kind, args))
         state = ledger.state_digest()
     except (KeyError, EncodingError):  # no contract to apply to, or a negative escrow
         state = bytes(32)
