@@ -4,9 +4,12 @@ hybrid encryption envelope for payload delivery.
 Each identity carries two keys derived from one 32-byte seed: an Ed25519
 signing key and an X25519 encryption key. Public key bytes are the
 concatenation signing-pub (32) || encryption-pub (32). The secret key is a
-`SecretKey` that holds the seed and both private keys, parsed once when the
-pair is derived; it compares by seed and prints none of them. Addresses are
-the first 20 bytes of SHA-256 over the public key bytes.
+`SecretKey` that holds the seed, libsodium's 64-byte Ed25519 secret (seed ||
+signing-pub) and the parsed X25519 key, derived once with the pair; it
+compares by seed and prints none of them. Addresses are the first 20 bytes
+of SHA-256 over the public key bytes. Ed25519 runs on the system libsodium,
+opened through `ctypes` on first use: signatures are RFC 8032's, byte for
+byte OpenSSL's, and verification refuses small-order keys and small-order R.
 
 Envelopes are ECIES-style, shaped like an RFC 9180 (HPKE) context: a
 `Sealer` runs one ephemeral X25519 agreement and HKDF-SHA256 derivation,
@@ -29,18 +32,14 @@ of two below n. An audit path is the siblings' hashes from the leaf up.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from cryptography.exceptions import InvalidSignature as _InvalidSignature
 from cryptography.exceptions import InvalidTag as _InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -54,6 +53,7 @@ SEED_LEN = 32
 SALT_LEN = 32
 ADDRESS_LEN = 20
 PUBLIC_KEY_LEN = 64
+SIGNATURE_LEN = 64
 DIGEST_LEN = 32
 # How many recent keys `derive_address` remembers: more than the ~170 keys
 # one 160 x 40 ladder journal names, so a replay derives each address once.
@@ -64,14 +64,46 @@ _ENVELOPE_INFO = b"datamarket-envelope-v1"
 _NONCE_PAD = bytes(4)  # a nonce is these || the envelope's sequence
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
+# Tried in order; `ctypes.util.find_library` would run `ldconfig` in a subprocess.
+_SODIUM_NAMES = ("libsodium.so.23", "libsodium.so", "libsodium.23.dylib", "libsodium.dylib")
+_P, _LEN = ctypes.c_char_p, ctypes.c_ulonglong
+_SODIUM_ARGTYPES = {
+    "sodium_init": [],
+    "crypto_sign_seed_keypair": [_P, _P, _P],  # pk, sk, seed
+    "crypto_sign_detached": [_P, ctypes.c_void_p, _P, _LEN, _P],  # sig, siglen, m, mlen, sk
+    "crypto_sign_verify_detached": [_P, _P, _LEN, _P],  # sig, m, mlen, pk
+}
+
+
+@functools.cache
+def _sodium() -> ctypes.CDLL:
+    """The system libsodium, opened and initialised on first use."""
+    for name in _SODIUM_NAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            break
+        except OSError:
+            continue
+    else:
+        raise CryptoError(f"Ed25519 needs the libsodium library; none of {_SODIUM_NAMES} loads")
+    for function, argtypes in _SODIUM_ARGTYPES.items():
+        getattr(lib, function).argtypes = argtypes
+        getattr(lib, function).restype = ctypes.c_int
+    if lib.sodium_init() < 0:
+        raise CryptoError("libsodium failed to initialise")
+    return lib
 
 
 @dataclass(frozen=True)
 class SecretKey:
     seed: bytes = field(repr=False)
-    signing: Ed25519PrivateKey = field(compare=False, repr=False)
+    signing: bytes = field(compare=False, repr=False)  # libsodium's seed || signing-pub
     decryption: X25519PrivateKey = field(compare=False, repr=False)
     encryption_public: bytes = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.signing, bytes) or len(self.signing) != 64:
+            raise CryptoError("an Ed25519 secret must be 64 bytes")
 
 
 @dataclass(frozen=True)
@@ -118,12 +150,11 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise CryptoError(f"seed must be {SEED_LEN} bytes")
     seed = bytes(seed)
-    sign_sk = Ed25519PrivateKey.from_private_bytes(seed)
-    enc_seed = sha256(seed + _ENC_SEED_INFO)
-    enc_sk = X25519PrivateKey.from_private_bytes(enc_seed)
+    sign_pub, sign_sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _sodium().crypto_sign_seed_keypair(sign_pub, sign_sk, seed)
+    enc_sk = X25519PrivateKey.from_private_bytes(sha256(seed + _ENC_SEED_INFO))
     enc_pub = enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)
-    public = sign_sk.public_key().public_bytes(_RAW, _RAW_PUB) + enc_pub
-    return KeyPair(public, SecretKey(seed, sign_sk, enc_sk, enc_pub))
+    return KeyPair(sign_pub.raw + enc_pub, SecretKey(seed, sign_sk.raw, enc_sk, enc_pub))
 
 
 @functools.lru_cache(maxsize=ADDRESS_MEMO)
@@ -147,17 +178,19 @@ def verify_commitment(salt: bytes, data: bytes, commitment: Commitment) -> bool:
 
 
 def sign(secret_key: SecretKey, message: bytes) -> bytes:
-    return secret_key.signing.sign(message)
+    message, signature = bytes(message), ctypes.create_string_buffer(SIGNATURE_LEN)
+    _sodium().crypto_sign_detached(signature, None, message, len(message), secret_key.signing)
+    return signature.raw
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    if len(public_key) != PUBLIC_KEY_LEN:
+    """False for a key or signature that is not `bytes` of its length."""
+    if not (isinstance(public_key, bytes) and len(public_key) == PUBLIC_KEY_LEN):
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, message)
-        return True
-    except (_InvalidSignature, ValueError, TypeError):
+    if not (isinstance(signature, bytes) and len(signature) == SIGNATURE_LEN):
         return False
+    message, lib = bytes(message), _sodium()
+    return lib.crypto_sign_verify_detached(signature, message, len(message), public_key[:32]) == 0
 
 
 def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:

@@ -1,7 +1,15 @@
+import dataclasses
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,11 +238,25 @@ def count_parses(monkeypatch, name):
     return parsed
 
 
+def count_ed25519_derivations(monkeypatch):
+    """The seeds libsodium derives an Ed25519 key pair from, from now on."""
+    lib, seeds = crypto._sodium(), []
+    real = lib.crypto_sign_seed_keypair
+
+    def counting(public, secret, seed):
+        seeds.append(seed)
+        return real(public, secret, seed)
+
+    monkeypatch.setattr(lib, "crypto_sign_seed_keypair", counting)
+    return seeds
+
+
 def test_a_run_parses_each_identity_key_once(monkeypatch):
-    """bank.yaml: one buyer, three sellers and one notary. Beyond their keys,
-    only the ephemeral key of each delivering (seller, buyer) context and of
-    each (order, notary) request context is parsed."""
-    ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
+    """bank.yaml: one buyer, three sellers and one notary. Each identity's
+    Ed25519 pair is derived once; beyond their X25519 keys, only the
+    ephemeral key of each delivering (seller, buyer) context and of each
+    (order, notary) request context is parsed."""
+    ed25519 = count_ed25519_derivations(monkeypatch)
     x25519 = count_parses(monkeypatch, "X25519PrivateKey")
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
     result = run_scenario(scenario)
@@ -255,7 +277,7 @@ def test_a_run_parses_each_identity_key_once(monkeypatch):
 
 
 def test_signing_with_many_keys_parses_each_once(monkeypatch):
-    ed25519 = count_parses(monkeypatch, "Ed25519PrivateKey")
+    ed25519 = count_ed25519_derivations(monkeypatch)
     pairs = [crypto.generate_keypair(i.to_bytes(32, "big")) for i in range(600)]
     for _ in range(2):
         for kp in pairs:
@@ -268,6 +290,107 @@ def test_signing_with_many_keys_parses_each_once(monkeypatch):
 def test_sign_verify_property(seed, message):
     kp = crypto.generate_keypair(seed)
     assert crypto.verify(kp.public_key, message, crypto.sign(kp.secret_key, message))
+
+
+# -- Ed25519 against the `cryptography` (OpenSSL) reference -----------------
+
+# The group order of Curve25519's prime-order subgroup.
+ED25519_L = 2**252 + 27742317777372353535851937790883648493
+
+
+def reference_verifies(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+def flip(data: bytes, index: int, mask: int) -> bytes:
+    return data[:index] + bytes([data[index] ^ mask]) + data[index + 1 :]
+
+
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(min_size=0, max_size=1024),
+    flips=st.tuples(st.integers(0, 31), st.integers(0, 1023), st.integers(0, 63)),
+    mask=st.integers(1, 255),
+)
+@settings(max_examples=150)
+def test_ed25519_matches_the_reference_byte_for_byte(seed, message, flips, mask):
+    kp = crypto.generate_keypair(seed)
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    assert kp.public_key[:32] == reference.public_key().public_bytes_raw()
+    signature = crypto.sign(kp.secret_key, message)
+    assert signature == reference.sign(message)
+    key_at, message_at, signature_at = flips
+    cases = [
+        (kp.public_key, message, signature),
+        (flip(kp.public_key, key_at, mask), message, signature),
+        (kp.public_key, message, flip(signature, signature_at, mask)),
+    ]
+    if message:
+        cases.append((kp.public_key, flip(message, message_at % len(message), mask), signature))
+    verdicts = [crypto.verify(*case) for case in cases]
+    assert verdicts == [reference_verifies(*case) for case in cases]
+    assert verdicts == [True] + [False] * (len(cases) - 1)
+
+
+def test_the_small_order_identity_key_and_signature_are_refused():
+    identity = b"\x01" + bytes(31)  # the neutral point, y = 1
+    public_key = identity + FUZZ_KEYS.public_key[32:]
+    # (R, S) = (identity, 0) satisfies the verification equation for every
+    # message under this key; the `cryptography` 48.0.0 reference accepts it.
+    for message in (b"", b"m", bytes(100)):
+        assert not crypto.verify(public_key, message, identity + bytes(32))
+
+
+def test_a_signature_with_s_plus_l_is_refused():
+    signature = crypto.sign(FUZZ_KEYS.secret_key, b"m")
+    s = int.from_bytes(signature[32:], "little")
+    assert s < ED25519_L and crypto.verify(FUZZ_KEYS.public_key, b"m", signature)
+    malleated = signature[:32] + (s + ED25519_L).to_bytes(32, "little")
+    assert not crypto.verify(FUZZ_KEYS.public_key, b"m", malleated)
+
+
+def test_verify_refuses_a_signature_of_any_other_length():
+    signature = crypto.sign(FUZZ_KEYS.secret_key, b"m")
+    for length in range(129):
+        if length != crypto.SIGNATURE_LEN:
+            assert crypto.verify(FUZZ_KEYS.public_key, b"m", (signature * 2)[:length]) is False
+
+
+def test_verify_refuses_a_key_or_signature_that_is_not_bytes():
+    key, signature = FUZZ_KEYS.public_key, crypto.sign(FUZZ_KEYS.secret_key, b"m")
+    assert crypto.verify(key, b"m", signature) is True
+    for convert in (bytearray, memoryview, lambda b: b.decode("latin-1")):
+        assert crypto.verify(key, b"m", convert(signature)) is False
+        assert crypto.verify(convert(key), b"m", signature) is False
+
+
+def test_a_secret_key_holds_a_64_byte_libsodium_secret():
+    secret = FUZZ_KEYS.secret_key
+    assert secret.signing == secret.seed + FUZZ_KEYS.public_key[:32]
+    for signing in (secret.signing[:63], bytearray(secret.signing), None):
+        with pytest.raises(CryptoError):
+            dataclasses.replace(secret, signing=signing)
+
+
+def test_without_libsodium_signing_raises_crypto_error(monkeypatch):
+    monkeypatch.setattr(crypto, "_SODIUM_NAMES", ("libsodium-absent.so.0",))
+    crypto._sodium.cache_clear()
+    try:
+        with pytest.raises(CryptoError, match="libsodium"):
+            crypto.sign(FUZZ_KEYS.secret_key, b"m")
+    finally:
+        crypto._sodium.cache_clear()
+
+
+def test_importing_the_package_opens_no_library():
+    code = "import datamarket; print(datamarket.crypto._sodium.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert out.stdout == b"0\n"
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=256))

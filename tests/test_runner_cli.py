@@ -744,6 +744,43 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
     ]
 
 
+# A few bytes, regex metacharacters among them, so that needles often share
+# their first byte and often do not, and often occur by chance.
+_SCAN_BYTE = st.sampled_from(b"ab(|.\x00")
+
+
+@given(
+    needles=st.lists(st.lists(_SCAN_BYTE, min_size=1, max_size=6).map(bytes), min_size=1, max_size=8),
+    filler=st.lists(_SCAN_BYTE, max_size=40).map(bytes),
+    place=st.sampled_from(["start", "end", "inside", "nowhere"]),
+    which=st.integers(0, 7),
+    one_pass=st.booleans(),
+)
+@settings(max_examples=300)
+def test_the_leak_prefilter_passes_every_haystack_a_needle_occurs_in(
+    needles, filler, place, which, one_pass
+):
+    needle = needles[which % len(needles)]
+    middle = len(filler) // 2
+    haystack = {
+        "start": needle + filler,
+        "end": filler + needle,
+        "inside": filler[:middle] + needle + filler[middle:],
+        "nowhere": filler,
+    }[place]
+    # Just below the threshold of needle x haystack bytes the prefilter
+    # passes every haystack on; from it on, it is the one-pass scan, which
+    # must be exact.
+    threshold = runner._ONE_PASS_MIN_BYTES
+    haystack_bytes = -(-threshold // len(needles)) if one_pass else (threshold - 1) // len(needles)
+    scan = runner._prefilter(needles, haystack_bytes)
+    occurs = any(n in haystack for n in needles)
+    if occurs:
+        assert scan(haystack)
+    if one_pass:
+        assert scan(haystack) == occurs
+
+
 def test_an_event_that_does_not_decode_fails_the_journal_invariant():
     """Each event of a finished bank.yaml run in turn is replaced by a frame
     of the same kind whose payload does not decode: the invariant suite's
