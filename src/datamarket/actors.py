@@ -3,7 +3,9 @@
 Each actor is a sequential process: the runner hands it the envelopes
 delivered this tick (a notary, all in one call) and then calls `step`.
 Actors share no mutable state; they interact only through the network and
-the ledger. Endpoint naming convention: the buyer's control endpoint is
+the ledger. A notary settles each response it certifies on the ledger
+itself, and the buyer closes an order once its contract shows every selected
+response settled. Endpoint naming convention: the buyer's control endpoint is
 ``buyer:<name>``, its public upload endpoint is ``ub:<name>`` (this string
 is the order's upload URL), and a notary listens on ``notary:<name>``.
 """
@@ -33,7 +35,6 @@ from .messages import (
     DataRequest,
     DataResponse,
     NotarizationRequest,
-    NotaryCertificate,
     NotaryTerms,
     PayloadDelivery,
     Verdict,
@@ -53,8 +54,8 @@ class Mutation(enum.Enum):
     BIT_FLIP = "bit_flip"
     WRONG_NOTARY = "wrong_notary"
     PRICE_MISMATCH = "price_mismatch"
-    CERTIFICATE_REPLAY = "certificate_replay"
-    FORGED_CERTIFICATE = "forged_certificate"
+    CERTIFICATE_REPLAY = "certificate_replay"  # re-submits its order's certificates at close
+    FORGED_CERTIFICATE = "forged_certificate"  # submits a self-signed refund with each request
 
 
 SELLER_MUTATIONS = {
@@ -235,39 +236,36 @@ class Notary:
         self._openers: Dict[bytes, crypto.Opener] = {}  # by the envelopes' ephemeral key
 
     def handle(self, envelopes: Sequence[Envelope]) -> None:
-        """Answer one tick's envelopes in arrival order, with the certificates
-        signed in batches (`messages.issue_certificates`)."""
-        answers = []  # (endpoint, encoded terms or the claim a certificate is issued for)
+        """Answer one tick's envelopes in arrival order: send each order's
+        terms to its buyer, then settle the responses certified this tick,
+        one certificate per response, signed in batches
+        (`messages.issue_certificates`), on the ledger."""
+        claims: Dict[bytes, tuple] = {}  # response digest -> the claim certified for it
         for envelope in envelopes:
             try:
                 msg = messages.decode(envelope.message)
             except EncodingError:
                 continue
             if isinstance(msg, DataOrder):
-                answers.append(self._countersign(msg))
-            elif isinstance(msg, NotarizationRequest):
-                answers.append(self._notarize(msg, envelope.sender))
-        answers = [answer for answer in answers if answer]
-        claims = [claim for _, claim in answers if isinstance(claim, tuple)]
-        certs = iter(messages.issue_certificates(self.keys, claims))
-        for endpoint, answer in answers:
-            message = next(certs).encode() if isinstance(answer, tuple) else answer
-            try:
-                self.network.send(self.address, endpoint, message)
-            except TransportError:
-                pass
+                self._countersign(msg)
+            elif isinstance(msg, NotarizationRequest) and msg.response_digest not in claims:
+                claim = self._notarize(msg, envelope.sender)
+                if claim:
+                    claims[msg.response_digest] = claim
+        for cert in messages.issue_certificates(self.keys, list(claims.values())):
+            self.ledger.close_response(cert)
 
-    def _countersign(self, order: DataOrder) -> Optional[tuple]:
-        """Countersign a well-formed order whose upload URL names a buyer;
-        the terms for one naming no registered buyer are not sent."""
+    def _countersign(self, order: DataOrder) -> None:
+        """Countersign a well-formed order whose upload URL names a buyer,
+        and send that buyer the terms; none are sent to an unregistered one."""
         endpoint = _control_endpoint(order.upload_url)
         if self.spec.declines or endpoint is None:
-            return None
+            return
         try:
             terms = messages.countersign_order(self.keys, order, self.spec.fee, self.service_terms)
-        except MarketError:
-            return None
-        return endpoint, terms.encode()
+            self.network.send(self.address, endpoint, terms.encode())
+        except (MarketError, TransportError):
+            pass
 
     def _notarize(self, request: NotarizationRequest, sender: Address) -> Optional[tuple]:
         """The claim to certify for the response that the order's contract
@@ -284,7 +282,7 @@ class Notary:
         if response.chosen_notary != self.address:
             return None
         verdict = self.decide_verdict(request, response, contract.order.request.schema_id)
-        return _control_endpoint(contract.order.upload_url), (request.order_ref, response, verdict)
+        return request.order_ref, response, verdict
 
     def decide_verdict(
         self, request: NotarizationRequest, response: DataResponse, schema_id: str
@@ -328,7 +326,7 @@ class _PendingOrder:
     """The buyer's own progress through one order: its notary terms,
     deadlines and audit requests. The order's stage is read from its
     contract: none while gathering terms, no selected response while
-    collecting responses, selected ones while awaiting certificates."""
+    collecting responses, selected ones while awaiting settlement."""
 
     spec: "OrderSpec"
     order: DataOrder
@@ -408,8 +406,6 @@ class Buyer:
             listed = pending and self.notary_names.get(msg.notary_address) in pending.spec.notaries
             if listed and msg.order_digest not in self.ledger.contracts and msg.verify_signature():
                 pending.terms.setdefault(msg.notary_address, msg)
-        elif isinstance(msg, NotaryCertificate):
-            self._settle(msg)
 
     def _upload(self, sender: Address, data: bytes) -> None:
         """Keep a new offer, and queue a delivery from an offer's seller. A
@@ -422,9 +418,9 @@ class Buyer:
         except EncodingError as exc:
             self.rejected_submissions.append(f"upload: parse: {exc}")
             return
-        if isinstance(msg, DataResponse):
-            if self._offers.setdefault(msg.digest(), msg) is msg:  # a new offer
-                self._offers_by_order.setdefault(msg.order_ref, []).append(msg)
+        if isinstance(msg, DataResponse):  # new: a known digest means bytes accepted before
+            self._offers[msg.digest()] = msg
+            self._offers_by_order.setdefault(msg.order_ref, []).append(msg)
         elif not isinstance(msg, PayloadDelivery):
             kind = type(msg).__name__
             self.rejected_submissions.append(f"upload: unsupported message type {kind}")
@@ -447,10 +443,13 @@ class Buyer:
                     del self._pending[digest]
                 continue
             if contract.status is Status.OPEN:
-                if contract.responses:  # awaiting certificates
+                if not contract.responses:  # collecting responses
+                    if tick >= pending.select_deadline:
+                        self._select(contract)
+                elif contract.payment_escrow == 0:  # each unsettled response escrows price >= 1
+                    self._close(contract)
+                else:  # awaiting settlement
                     self._retry_audit_requests(contract, pending, tick)
-                elif tick >= pending.select_deadline:  # collecting responses
-                    self._select(contract)
             if contract.status is Status.CLOSED:
                 del self._pending[digest]
         for delivery in self._deliveries:
@@ -460,8 +459,8 @@ class Buyer:
     def _retry_audit_requests(
         self, contract: OrderContract, pending: _PendingOrder, tick: int
     ) -> None:
-        # A dropped request or certificate would stall settlement forever;
-        # re-ask the notary until the ledger shows the response settled.
+        # A dropped request would stall settlement forever; re-ask the
+        # notary until the ledger shows the response settled.
         for digest, entry in pending.audit_requests.items():
             if contract.responses[digest].settlement is not None:
                 continue
@@ -546,32 +545,21 @@ class Buyer:
         endpoint = f"notary:{self.notary_names[notary_terms.notary_address]}"
         pending.audit_requests[digest] = [endpoint, request, self.network.tick_now]
         self.network.send(self.address, endpoint, request)
-
-    def _settle(self, cert: NotaryCertificate) -> None:
-        """Submit a certificate for one of this buyer's unsettled responses.
-        One the ledger refuses is recorded and dropped."""
-        contract = self.ledger.contracts.get(cert.order_ref)
-        state = contract and contract.responses.get(cert.response_digest)
-        if cert.order_ref not in self._pending or state is None or state.settlement is not None:
-            return
-        if self.spec.mutation is Mutation.FORGED_CERTIFICATE:
+        if self.spec.mutation is Mutation.FORGED_CERTIFICATE:  # a refund on its own signature
             forged = messages.issue_certificate(
-                self.keys, cert.order_ref, state.response, cert.verdict
+                self.keys, contract.order_digest, response, Verdict.NOTARIZED_INVALID
             )
             try:
                 self.ledger.close_response(forged)
             except InvalidSignature as exc:
                 self.rejected_submissions.append(f"forged-certificate: {exc}")
-        try:
-            self.ledger.close_response(cert)
-        except LedgerError as exc:
-            self.rejected_submissions.append(f"certificate: {exc}")
-            return
+
+    def _close(self, contract: OrderContract) -> None:
+        """Close an order whose selected responses are all settled."""
         if self.spec.mutation is Mutation.CERTIFICATE_REPLAY:
-            try:
-                self.ledger.close_response(cert)
-            except AlreadySettled as exc:
-                self.rejected_submissions.append(f"certificate-replay: {exc}")
-        # The escrow holds `price` (at least 1) for each unsettled selected response.
-        if contract.payment_escrow == 0:
-            self.ledger.close_order(cert.order_ref)
+            for cert in self.ledger.certificates(contract.order_digest):
+                try:
+                    self.ledger.close_response(cert)
+                except AlreadySettled as exc:
+                    self.rejected_submissions.append(f"certificate-replay: {exc}")
+        self.ledger.close_order(contract.order_digest)

@@ -169,6 +169,14 @@ class Ledger:
     def conservation_holds(self) -> bool:
         return sum(self.accounts.values()) + self.escrow_total() == self.total_supply
 
+    def certificates(self, order_digest: bytes) -> List[NotaryCertificate]:
+        """The certificates that settled the order's responses, read from the
+        public journal in journal order."""
+        decode = _RULES[EventKind.RESPONSE_CLOSED].decode
+        closes = (e for e in self.journal if e.kind is EventKind.RESPONSE_CLOSED)
+        certs = (cert for e in closes for cert in decode(Reader(e.payload)))
+        return [cert for cert in certs if cert.order_ref == order_digest]
+
     def audit_topup(self, contract: OrderContract, responses: Sequence[DataResponse]) -> int:
         """What selecting `responses` moves into audit escrow: enough to pay the
         chosen notary's fee of every unsettled response, `responses` included."""

@@ -1,8 +1,11 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
-one countersigned order, and signed seller responses; and the benchmark's
-smallest ladder market."""
+one countersigned order, and signed seller responses; the benchmark's
+smallest ladder market; and the decisions a run is pinned by."""
 
+import collections
 import importlib.util
+import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,6 +25,7 @@ from datamarket.messages import (
 
 TERMS = messages.terms_link("test terms")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+HEX = re.compile("[0-9a-f]{24,}")
 
 
 def make_order(buyer_keys, m_a=10, upload_url="ub:test-buyer"):
@@ -92,3 +96,27 @@ def ladder_10x10(drop_rate=0.0):
     spec.loader.exec_module(module)
     (scenario,) = module.WORKLOADS["ladder-10x10"].scenarios(0)
     return replace(scenario, network=replace(scenario.network, drop_rate=drop_rate))
+
+
+def decisions(result) -> bytes:
+    """The decisions of one run, digests left out: a failure text has each
+    long hex string blanked, and a settlement names its order by position."""
+    report, ledger = result.report, result.ledger
+    position = {digest.hex(): i for i, digest in enumerate(ledger.contracts)}
+    rows = sorted(
+        [position[r.order_id], r.seller_name, r.seller_address, r.verdict, r.outcome,
+         r.seller_amount, r.buyer_refund, r.notary_fee]
+        for r in report.rows
+    )
+    kinds = collections.Counter(event.kind.name for event in ledger.journal)
+    decided = {
+        "ticks": report.ticks_used,
+        "quiescent": report.quiescent,
+        "invariant_failures": [HEX.sub("<hex>", f) for f in report.invariant_failures],
+        "oracle_failures": report.oracle_failures,
+        "rows": rows,
+        "balances": report.balances,
+        "events": dict(kinds),
+        "sends": len(result.network.transcript),
+    }
+    return json.dumps(decided, sort_keys=True).encode()

@@ -1,14 +1,14 @@
-import collections
 import dataclasses
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from datamarket import crypto, ledger as ledger_mod, messages, transport
+from datamarket import crypto, ledger as ledger_mod, messages, runner, transport
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
-from datamarket.errors import InvalidSignature
+from datamarket.errors import InvalidSignature, LedgerError
 from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
@@ -287,10 +287,28 @@ def test_no_top_up_follows_a_selection():
     assert top_ups > 0
 
 
-def test_each_offer_and_delivery_is_sent_once():
-    """Lossless bank.yaml: no offer is posted twice in one tick, and every
-    re-sent delivery repeats the bytes of the first one for its response."""
+def drop_first(monkeypatch, kind):
+    """Make the network drop the first message of type `kind` sent: it
+    enters the transcript undelivered, as a lost envelope does."""
+    send, dropped = transport.Network.send, []
+
+    def send_or_drop(network, sender, endpoint, message):
+        if dropped or not isinstance(messages.decode(message), kind):
+            return send(network, sender, endpoint, message)
+        dropped.append(message)
+        network.transcript.append(Envelope(sender, endpoint, message, network.tick_now))
+
+    monkeypatch.setattr(transport.Network, "send", send_or_drop)
+    return dropped
+
+
+def test_each_offer_and_delivery_is_sent_once(monkeypatch):
+    """Lossless bank.yaml with its first delivery dropped: no offer is posted
+    twice in one tick, and every re-sent delivery repeats the bytes of the
+    first one for its response."""
+    dropped = drop_first(monkeypatch, messages.PayloadDelivery)
     transcript = run_scenario(load_scenario(BANK)).network.transcript
+    assert len(dropped) == 1
     offers, deliveries = set(), {}
     for envelope in transcript:
         message = messages.decode(envelope.message)
@@ -330,10 +348,13 @@ def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
 
 
 @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
-def test_no_key_and_nonce_seal_two_audit_plaintexts(drop_rate):
+def test_no_key_and_nonce_seal_two_audit_plaintexts(monkeypatch, drop_rate):
     """Audit envelopes grouped by ephemeral key: one group per (order,
     notary) pair, and within a group one envelope per sequence number, so a
-    re-sent request repeats the bytes it was first sent with."""
+    re-sent request repeats the bytes it was first sent with. The lossy run
+    also loses its first request, so that one is re-sent."""
+    if drop_rate:
+        drop_first(monkeypatch, NotarizationRequest)
     groups = {}  # ephemeral key -> {(order, notary endpoint)}, {sequence: {envelope}}
     sends = 0
     for envelope in run_scenario(ladder_10x10(drop_rate)).network.transcript:
@@ -463,8 +484,9 @@ def test_notary_drops_orders_it_cannot_answer():
 
 def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract():
     """While the buyer gathers notary terms, its order has no contract: a
-    certificate naming that order is dropped, and a payload delivery for
-    it is refused as one whose response is not selected."""
+    certificate naming that order is dropped (notaries submit certificates
+    to the ledger, not to the buyer), and a payload delivery for it is
+    refused as one whose response is not selected."""
     ledger, network = Ledger(), Network(NetworkConfig())
     buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {})
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=()), 0)
@@ -516,10 +538,27 @@ def address_of(seed):
     return crypto.derive_address(keys_from_seed(seed).public_key)
 
 
+def submit_at_tick(monkeypatch, at, certificate):
+    """An `extra` for `run_bank_with` that submits `certificate` to the run's
+    ledger at tick `at`, as a third party would, and the list that the
+    ledger's refusals of it are appended to."""
+    ledgers, refusals = [], []
+    monkeypatch.setattr(runner, "Ledger", lambda: ledgers.append(Ledger()) or ledgers[-1])
+
+    def extra(network, delivered):
+        if network.tick_now == at:
+            try:
+                ledgers[-1].close_response(messages.decode(certificate))
+            except LedgerError as exc:
+                refusals.append(str(exc))
+
+    return extra, refusals
+
+
 def test_bad_certificate_does_not_end_the_run(monkeypatch):
     """A zero-signature certificate for a selected, still unsettled response
-    of `bank.yaml`, delivered to the buyer at tick 12: the buyer records the
-    ledger's refusal, drops it, and the run ends as it would without it."""
+    of `bank.yaml`, submitted to the ledger at tick 12: the ledger refuses
+    it, and the run ends as it would without it."""
     scenario = load_scenario(BANK)
     undisturbed = run_scenario(scenario)
     (contract,) = undisturbed.ledger.contracts.values()
@@ -530,11 +569,10 @@ def test_bad_certificate_does_not_end_the_run(monkeypatch):
         verdict=Verdict.NOTARIZED_VALID,
         notary_signature=bytes(64),
     ).encode()
-    notary = address_of(scenario.notaries[0].seed)
-    result = run_bank_with(monkeypatch, add_at_tick(12, notary, "buyer:modelcorp", bad))
-    assert result.buyers[0].rejected_submissions == [
-        "certificate: certificate signature does not verify"
-    ]
+    extra, refusals = submit_at_tick(monkeypatch, 12, bad)
+    result = run_bank_with(monkeypatch, extra)
+    assert refusals == ["certificate signature does not verify"]
+    assert not result.buyers[0].rejected_submissions
     assert result.report.render() == undisturbed.report.render()
 
 
@@ -629,14 +667,15 @@ def test_buyer_takes_a_delivery_only_from_the_responses_seller(monkeypatch):
 # -- certificates signed in batches ------------------------------------------
 
 
-def requests_to_certify(n):
-    """A notary that never audits, its market with `n` selected responses
-    naming it, and the buyer's request for each response's certificate."""
+def requests_to_certify(n, mode="NEVER"):
+    """A notary in `mode` (by default, one that never audits), its market
+    with `n` selected responses naming it, and the buyer's request for each
+    response's certificate."""
     market = make_market(balance=1000)
     responses = [make_response(market, seller_seed=10 + i)[0] for i in range(n)]
     market.ledger.select_sellers(market.order_id, responses)
-    notary = make_notary(market, mode="NEVER")
-    notary.network.register("buyer:test-buyer")
+    notary = make_notary(market, mode=mode)
+    notary.network.register("buyer:test-buyer")  # where terms for `make_order`'s orders go
     requests = [
         NotarizationRequest(market.order.digest(), r.digest(), False, b"").encode()
         for r in responses
@@ -645,24 +684,38 @@ def requests_to_certify(n):
     return notary, market, requests
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
-def test_a_notary_signs_one_root_per_sixteen_certificates(monkeypatch, n):
-    notary, _, requests = requests_to_certify(n)
+def count_signatures(monkeypatch):
     signed, sign = [], crypto.sign
     monkeypatch.setattr(crypto, "sign", lambda key, msg: signed.append(msg) or sign(key, msg))
+    return signed
+
+
+def closes(ledger):
+    return [event for event in ledger.journal if event.kind is EventKind.RESPONSE_CLOSED]
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+def test_a_notary_signs_one_root_per_sixteen_certificates(monkeypatch, n):
+    """The notary settles each response on the ledger in request order,
+    sends no certificate, and signs one root per sixteen certificates."""
+    notary, market, requests = requests_to_certify(n)
+    signed = count_signatures(monkeypatch)
     notary.handle(requests)
     assert len(signed) == math.ceil(n / messages.CERTIFICATE_BATCH)
-    certs = [messages.decode(e.message) for e in notary.network.transcript]
+    certs = market.ledger.certificates(market.order_id)
     assert [c.response_digest for c in certs] == [
         messages.decode(e.message).response_digest for e in requests
     ]
     assert all(c.verify_signature() for c in certs)
+    assert notary.network.transcript == []
+    assert market.ledger.contract(market.order_id).payment_escrow == 0
 
 
 def test_a_notary_answers_a_mixed_tick_in_arrival_order():
-    """Orders and notarization requests interleaved in one tick: each gets
-    its answer, terms or a certificate, in the order they came."""
-    notary, _, requests = requests_to_certify(3)
+    """Orders and notarization requests interleaved in one tick: each order's
+    terms are sent, and each request's certificate is settled, in the order
+    they came."""
+    notary, market, requests = requests_to_certify(3)
     orders = [
         Envelope(None, notary.endpoint, make_order(keys_from_seed(70 + i)).encode(), 0)
         for i in range(3)
@@ -670,34 +723,86 @@ def test_a_notary_answers_a_mixed_tick_in_arrival_order():
     envelopes = [orders[0], requests[0], requests[1], orders[1], orders[2], requests[2]]
     notary.handle(envelopes)
     sent = [messages.decode(e.message) for e in notary.network.transcript]
-    answered = [messages.decode(e.message) for e in envelopes]
-    assert [
-        m.order_digest if isinstance(m, NotaryTerms) else m.response_digest for m in sent
-    ] == [m.digest() if isinstance(m, messages.DataOrder) else m.response_digest for m in answered]
-    certs = [m for m in sent if isinstance(m, NotaryCertificate)]
+    assert [terms.order_digest for terms in sent] == [
+        messages.decode(e.message).digest() for e in orders
+    ]
+    certs = market.ledger.certificates(market.order_id)
+    assert [c.response_digest for c in certs] == [
+        messages.decode(e.message).response_digest for e in requests
+    ]
     assert [(c.leaf_index, c.batch_size) for c in certs] == [(0, 3), (1, 3), (2, 3)]
+
+
+def test_two_requests_for_one_response_in_one_tick_give_one_certificate(monkeypatch):
+    """A request and its re-send reach a SAMPLE notary in the same tick:
+    one audit draw, one leaf, one signature and one settlement."""
+    notary, market, (request,) = requests_to_certify(1, mode="SAMPLE")
+    one_draw = random.Random()
+    one_draw.setstate(notary._rng.getstate())
+    one_draw.random()
+    signed = count_signatures(monkeypatch)
+    notary.handle([request, request])
+    assert notary._rng.getstate() == one_draw.getstate()
+    (cert,) = market.ledger.certificates(market.order_id)
+    assert (cert.leaf_index, cert.batch_size) == (0, 1)
+    assert len(signed) == 1
+    assert len(closes(market.ledger)) == 1
+
+
+def test_a_request_after_settlement_makes_no_audit_draw_and_no_certificate(monkeypatch):
+    """A SAMPLE notary settles a response; the same request, reaching it
+    again in a later tick, draws nothing from its RNG and is not certified."""
+    notary, market, (request,) = requests_to_certify(1, mode="SAMPLE")
+    notary.handle([request])
+    assert len(closes(market.ledger)) == 1
+    state = notary._rng.getstate()
+    signed = count_signatures(monkeypatch)
+    notary.handle([request])
+    assert notary._rng.getstate() == state
+    assert signed == [] and len(closes(market.ledger)) == 1
+
+
+@pytest.mark.parametrize(
+    "market", ["bank.yaml", "telco.yaml", "ladder-10x10 drop 0.0", "ladder-10x10 drop 0.05"]
+)
+def test_no_certificate_is_sent(market):
+    """Notaries settle what they certify on the ledger: no certificate is
+    sent on the network, and every selected response settles."""
+    if market.startswith("ladder"):
+        scenario = ladder_10x10(float(market.rpartition(" ")[2]))
+    else:
+        scenario = load_scenario(BANK.parent / market)
+    result = run_scenario(scenario)
+    sent = {type(messages.decode(e.message)) for e in result.network.transcript}
+    assert NotarizationRequest in sent and NotaryCertificate not in sent
+    assert result.report.ok and result.report.rows and not result.report.unsettled
 
 
 def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledger(monkeypatch):
     """`telco.yaml`'s notary certifies three responses under one root at
-    tick 13. The second certificate, with its verdict changed, reaches the
-    buyer at tick 14, before the genuine one: the ledger refuses it, the
-    buyer records the refusal, and the run ends as it would without it."""
+    tick 13. The second certificate, read from the journal with its verdict
+    changed, reaches the ledger at tick 13 before the genuine one: the ledger
+    refuses it, and the run ends as it would without it."""
     undisturbed = run_scenario(load_scenario(TELCO))
-    sent = [
-        (e, messages.decode(e.message))
+    (contract,) = undisturbed.ledger.contracts.values()
+    cert = next(
+        c
+        for c in undisturbed.ledger.certificates(contract.order_digest)
+        if (c.leaf_index, c.batch_size) == (1, 3)
+    )
+    (request,) = [
+        e
         for e in undisturbed.network.transcript
-        if isinstance(messages.decode(e.message), NotaryCertificate)
+        if e.message[0] == messages.TAG_NOTARIZATION_REQUEST
+        and messages.decode(e.message).response_digest == cert.response_digest
     ]
-    envelope, cert = next((e, c) for e, c in sent if (c.leaf_index, c.batch_size) == (1, 3))
-    assert envelope.delivery_tick == 15
+    assert request.delivery_tick == 13
     forged = dataclasses.replace(cert, verdict=Verdict.NOT_NOTARIZED).encode()
     with pytest.raises(InvalidSignature):
         ledger_mod.Ledger().close_response(messages.decode(forged))
 
-    extra = add_at_tick(14, envelope.sender, envelope.endpoint, forged)
+    extra, refusals = submit_at_tick(monkeypatch, 13, forged)
     result = run_bank_with(monkeypatch, extra, TELCO)
-    before = collections.Counter(undisturbed.buyers[0].rejected_submissions)
-    after = collections.Counter(result.buyers[0].rejected_submissions)
-    assert after - before == {"certificate: certificate signature does not verify": 1}
+    assert refusals == ["certificate signature does not verify"]
+    assert result.buyers[0].rejected_submissions == undisturbed.buyers[0].rejected_submissions
     assert result.report.render() == undisturbed.report.render()

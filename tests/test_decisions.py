@@ -9,66 +9,37 @@ purpose (a shorter message, a new encoding) re-pins the golden digests and
 must leave these values as they are.
 """
 
-import collections
 import hashlib
-import json
-import re
 from pathlib import Path
 
 import pytest
 
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario, random_scenario
+from datamarket.scenario import load_scenario
 
-from market_helpers import ladder_10x10
+from market_helpers import decisions, ladder_10x10
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-HEX = re.compile("[0-9a-f]{24,}")
 
 DECISIONS = {
-    "bank.yaml": "259ce76b78aed906e88d58261b0d2d93a377eca4f089cadea693eb9039700958",
-    "telco.yaml": "a9c58c7a07c8d056b27fba6e0492ec71d4bfb7615e4964ce6fdecb3b31fa807e",
-    "random 0..999": "9024ed3baa22b8cf6b715d0d58dfbea4658317fe45812b6fc0fa391052ae273d",
-    "ladder-10x10 drop 0.0": "f2b3a9d786650b16494f663306fe1b79ebb9a32020ff13d05346317deee4a397",
-    "ladder-10x10 drop 0.05": "8f9fc1fe3b35fb09bf3e70c0ed28221be1bbb06e20282f5f81ede4124800bcd0",
+    "bank.yaml": "83d668d9cb4764c497637b35c30a2d2fb614eb0fd2f41bb482fd25a0a472b0e1",
+    "telco.yaml": "442b392aa48cda906e6f4d17b49ac1c6e0e8ef34ff36a1d40ae55b5b65123ebc",
+    "random 0..999": "b910e64bb45c49e55701d4c8035c2ed1ba18b89424591d13eb97f401f4ff1604",
+    "ladder-10x10 drop 0.0": "60767e3afa8818863fcec3556bf231060a73c4bb16a9f6dbed69440bb2a5847c",
+    "ladder-10x10 drop 0.05": "bfb2619c5994b35e59b46931bb692b7494d2283d0a47dff2da14296325135221",
 }
 
 
-def decisions(result) -> bytes:
-    """The decisions of one run, digests left out: a failure text has each
-    long hex string blanked, and a settlement names its order by position."""
-    report, ledger = result.report, result.ledger
-    position = {digest.hex(): i for i, digest in enumerate(ledger.contracts)}
-    rows = sorted(
-        [position[r.order_id], r.seller_name, r.seller_address, r.verdict, r.outcome,
-         r.seller_amount, r.buyer_refund, r.notary_fee]
-        for r in report.rows
-    )
-    kinds = collections.Counter(event.kind.name for event in ledger.journal)
-    decided = {
-        "ticks": report.ticks_used,
-        "quiescent": report.quiescent,
-        "invariant_failures": [HEX.sub("<hex>", f) for f in report.invariant_failures],
-        "oracle_failures": report.oracle_failures,
-        "rows": rows,
-        "balances": report.balances,
-        "events": dict(kinds),
-        "sends": len(result.network.transcript),
-    }
-    return json.dumps(decided, sort_keys=True).encode()
-
-
 def _scenarios(market):
-    if market == "random 0..999":
-        return (random_scenario(seed) for seed in range(1000))
     if market.startswith("ladder-10x10"):
         return [ladder_10x10(float(market.rpartition(" ")[2]))]
     return [load_scenario(SCENARIOS / market)]
 
 
 @pytest.mark.parametrize("market", sorted(DECISIONS))
-def test_decisions_are_pinned(market):
-    combined = hashlib.sha256()
-    for scenario in _scenarios(market):
-        combined.update(hashlib.sha256(decisions(run_scenario(scenario))).digest())
-    assert combined.hexdigest() == DECISIONS[market]
+def test_decisions_are_pinned(market, request):
+    if market == "random 0..999":  # the sweep's one pass, shared with the golden pin
+        digests = [digest for _, _, digest in request.getfixturevalue("random_sweep_digests")]
+    else:
+        digests = [hashlib.sha256(decisions(run_scenario(s))).digest() for s in _scenarios(market)]
+    assert hashlib.sha256(b"".join(digests)).hexdigest() == DECISIONS[market]
