@@ -254,30 +254,24 @@ def run_invariants(
     except ReplayError as exc:
         failures.append(f"journal replay failed: {exc}")
 
-    # Each scan may first look for every secret at once (`_prefilter`); only
-    # a hit runs the per-secret loop that words the failures.
+    # Each scan may first look for every secret at once (`_prefilter`), in
+    # the journal and in the transcript's messages joined into one haystack;
+    # only a hit runs the per-secret loop that words the failures. Joining
+    # keeps every message whole, so it can only add hits, which the loop drops.
     profile_secrets = [s for s in scenario.profile_secrets() if s]
     data_secrets = [d for d in scenario.data_secrets() if d]
-    journal_scan = _prefilter(profile_secrets + data_secrets, len(journal))
-    if journal_scan(journal):
-        for secret in profile_secrets:
-            if secret in journal:
-                failures.append(f"journal leaks profile value {secret!r}")
-        for secret in data_secrets:
-            if secret in journal:
-                failures.append(f"journal leaks plaintext data {secret!r}")
+    if _prefilter(profile_secrets + data_secrets, len(journal))(journal):
+        failures += [f"journal leaks profile value {s!r}" for s in profile_secrets if s in journal]
+        failures += [f"journal leaks plaintext data {d!r}" for d in data_secrets if d in journal]
 
-    transcript_scan = _prefilter(
-        data_secrets, sum(len(envelope.message) for envelope in network.transcript)
-    )
-    for envelope in network.transcript:
-        if not transcript_scan(envelope.message):
-            continue
-        for secret in data_secrets:
-            if secret in envelope.message:
-                failures.append(
-                    f"plaintext data left an actor unencrypted (to {envelope.endpoint})"
-                )
+    transcript = b"\n".join(envelope.message for envelope in network.transcript)
+    if _prefilter(data_secrets, len(transcript))(transcript):
+        for envelope in network.transcript:
+            for secret in data_secrets:
+                if secret in envelope.message:
+                    failures.append(
+                        f"plaintext data left an actor unencrypted (to {envelope.endpoint})"
+                    )
 
     if unsettled and not quiescent:
         failures.append(
@@ -296,12 +290,12 @@ _ONE_PASS_MIN_BYTES = 1 << 20
 
 def _prefilter(needles: List[bytes], haystack_bytes: int) -> Callable[[bytes], bool]:
     """A test that is true for every haystack in which one of the non-empty
-    `needles` occurs. When the per-needle scan of `haystack_bytes` would
-    cost more than compiling, it is one alternation of the escaped needles
-    per first byte, a multi-pattern scan in the spirit of Aho & Corasick
-    (CACM 1975), so that `re` searches for each one's literal prefix rather
-    than trying every branch at every byte; otherwise it passes every
-    haystack on to that scan."""
+    `needles` occurs, and perhaps for others, which the caller's exact scan
+    drops. When that scan of `haystack_bytes` would cost more than
+    compiling, it is one alternation of the escaped needles per first byte, a
+    multi-pattern scan in the spirit of Aho & Corasick (CACM 1975), so that
+    `re` searches for each one's literal prefix rather than trying every
+    branch at every byte; otherwise it passes every haystack on to that scan."""
     if not needles:
         return lambda haystack: False
     if len(needles) * haystack_bytes < _ONE_PASS_MIN_BYTES:

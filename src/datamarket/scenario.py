@@ -248,14 +248,18 @@ class SelectionPolicy:
     k: int = _kind(AMOUNT, 0)
     max_tokens: int = _kind(AMOUNT, 0)
 
+    def limit(self, price: int) -> Optional[int]:
+        """How many responses at `price` the rule can select; None for any number."""
+        if self.rule == "ALL_VALID":
+            return None
+        if self.rule == "FIRST_K":
+            return self.k
+        # BUDGET_CAP; `PRICE` makes every order's price at least 1.
+        return self.max_tokens // price
+
     def select(self, responses: Iterable[DataResponse], price: int) -> List[DataResponse]:
         """Takes from `responses` only as many as the rule can select."""
-        if self.rule == "ALL_VALID":
-            return list(responses)
-        if self.rule == "FIRST_K":
-            return list(itertools.islice(responses, self.k))
-        # BUDGET_CAP; `PRICE` makes every order's price at least 1.
-        return list(itertools.islice(responses, self.max_tokens // price))
+        return list(itertools.islice(responses, self.limit(price)))
 
 
 @_spec

@@ -1,8 +1,10 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
 one countersigned order, and signed seller responses; the benchmark's
-smallest ladder market; and the decisions a run is pinned by."""
+workloads and its smallest ladder market; and the decisions a run is pinned
+by."""
 
 import collections
+import functools
 import importlib.util
 import json
 import re
@@ -85,16 +87,21 @@ def make_response(market: Market, seller_seed=10, data=b"seller-data-0123", salt
     return response, salt, seller_keys
 
 
-def ladder_10x10(drop_rate=0.0):
-    """The benchmark's smallest ladder market at seed 0, at `drop_rate`. The
-    workloads module imports only `datamarket` and the standard library, so
-    it is loaded here by path."""
+@functools.cache
+def workloads():
+    """The benchmark's workloads module. It imports only `datamarket` and
+    the standard library, so it is loaded here by path."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     # Registered first: its dataclasses look their module up while built.
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    (scenario,) = module.WORKLOADS["ladder-10x10"].scenarios(0)
+    return module
+
+
+def ladder_10x10(drop_rate=0.0):
+    """The benchmark's smallest ladder market at seed 0, at `drop_rate`."""
+    (scenario,) = workloads().WORKLOADS["ladder-10x10"].scenarios(0)
     return replace(scenario, network=replace(scenario.network, drop_rate=drop_rate))
 
 

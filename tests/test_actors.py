@@ -1,9 +1,15 @@
 import dataclasses
+import functools
 import math
 import random
+import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datamarket import crypto, ledger as ledger_mod, messages, runner, transport
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
@@ -23,7 +29,14 @@ from datamarket.scenario import (
 )
 from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import TERMS, ladder_10x10, make_market, make_order, make_response
+from market_helpers import (
+    TERMS,
+    ladder_10x10,
+    make_market,
+    make_order,
+    make_response,
+    workloads,
+)
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 TELCO = BANK.parent / "telco.yaml"
@@ -209,6 +222,9 @@ def test_selection_policies():
     assert SelectionPolicy().select(responses, 5) == responses
     assert SelectionPolicy(rule="FIRST_K", k=2).select(responses, 5) == responses[:2]
     assert SelectionPolicy(rule="BUDGET_CAP", max_tokens=12).select(responses, 5) == responses[:2]
+    assert SelectionPolicy().limit(5) is None
+    assert SelectionPolicy(rule="FIRST_K", k=2).limit(5) == 2
+    assert SelectionPolicy(rule="BUDGET_CAP", max_tokens=14).limit(5) == 2
 
 
 def test_a_first_k_buyer_checks_signatures_only_until_its_selection_is_full(monkeypatch):
@@ -225,6 +241,150 @@ def test_a_first_k_buyer_checks_signatures_only_until_its_selection_is_full(monk
     assert len(calls) == 1
     selected = market.ledger.contract(market.order_id).responses
     assert [state.response for state in selected.values()] == offers[:1]
+
+
+# Offers from 60 sellers on `make_market`'s order, as sent: each honest, with
+# a flipped signature byte, or honestly signed at a price the order does not
+# take. An offer's signature is its last field.
+SCREEN_SELLERS = 60
+
+
+@functools.cache
+def screen_offers() -> dict:
+    market, offers = make_market(), {"good": [], "bad-signature": [], "wrong-price": []}
+    wrong = dataclasses.replace(market, price=market.price + 1)
+    for i in range(SCREEN_SELLERS):
+        good = make_response(market, seller_seed=100 + i)[0].encode()
+        offers["good"].append(good)
+        offers["bad-signature"].append(good[:-1] + bytes([good[-1] ^ 1]))
+        offers["wrong-price"].append(make_response(wrong, seller_seed=100 + i)[0].encode())
+    return offers
+
+
+def counting_thread_starts(starts):
+    start = threading.Thread.start
+    return mock.patch.object(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+
+
+def screen(kinds, policy, parallel_min):
+    """Run one buyer's selection over fresh decoded offers of `kinds`, with
+    `PARALLEL_MIN` at `parallel_min`: the offers selected, the number of
+    signature checks and the number of threads started."""
+    market = make_market(balance=100_000)
+    offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
+    spec = BuyerSpec(name="b", seed=1, selection=policy)
+    buyer = Buyer(spec, market.ledger, Network(NetworkConfig()), {})
+    buyer._offers_by_order[market.order_id] = offers
+    checks, starts, verify = [], [], crypto.verify
+    with (
+        mock.patch.object(crypto, "verify", lambda *a: checks.append(a) or verify(*a)),
+        counting_thread_starts(starts),
+        mock.patch.object(messages, "PARALLEL_MIN", parallel_min),
+    ):
+        buyer._select(market.ledger.contract(market.order_id))
+    selected = market.ledger.contract(market.order_id).responses.values()
+    return [offers.index(state.response) for state in selected], len(checks), len(starts)
+
+
+@given(
+    kinds=st.lists(
+        st.sampled_from(["good"] * 4 + ["bad-signature", "wrong-price"]),
+        min_size=16,
+        max_size=SCREEN_SELLERS,
+    ),
+    rule=st.sampled_from(["ALL_VALID", "FIRST_K", "BUDGET_CAP"]),
+    k=st.integers(0, SCREEN_SELLERS),
+    budget=st.integers(0, SCREEN_SELLERS + 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_threaded_screen_selects_and_checks_as_the_one_at_a_time_screen(kinds, rule, k, budget):
+    """Whatever the offers and the rule, checking the first `limit` valid
+    offers' signatures at once, on two threads from `PARALLEL_MIN`, selects
+    the same offers in the same order with the same number of checks as
+    checking each only when the rule asks for it."""
+    price = make_market().price
+    policy = SelectionPolicy(rule=rule, k=k, max_tokens=budget * price)
+    threaded = screen(kinds, policy, messages.PARALLEL_MIN)
+    one_at_a_time = screen(kinds, policy, len(kinds) + 1)
+    assert threaded[:2] == one_at_a_time[:2]
+    screened = [kind for kind in kinds if kind != "wrong-price"][: policy.limit(price)]
+    assert (threaded[2], one_at_a_time[2]) == (int(len(screened) >= messages.PARALLEL_MIN), 0)
+
+
+@pytest.mark.parametrize("failing", [3, 15], ids=["earlier-half", "later-half"])
+def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
+    monkeypatch, failing
+):
+    """The check fails once only, so the exception reaches the caller from
+    the half that raised it, not from a later check of the same offer."""
+    market = make_market(balance=100_000)
+    offers = [messages.decode(good) for good in screen_offers()["good"][:20]]
+    buyer = Buyer(BuyerSpec(name="b", seed=1), market.ledger, Network(NetworkConfig()), {})
+    buyer._offers_by_order[market.order_id] = offers
+    verify, threads, failed = crypto.verify, threading.active_count(), []
+
+    def verify_or_fail(public_key, message, signature):
+        if message == offers[failing].signing_bytes() and not failed:
+            failed.append(message)
+            raise RuntimeError("check failed")
+        return verify(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", verify_or_fail)
+    with pytest.raises(RuntimeError, match="check failed"):
+        buyer._select(market.ledger.contract(market.order_id))
+    assert threading.active_count() == threads
+    assert not market.ledger.contract(market.order_id).responses
+
+
+def test_two_threads_check_each_offer_once_under_frequent_thread_switches(monkeypatch):
+    """With the interpreter switching threads every microsecond, each of 60
+    offers, one in six badly signed, is checked once and keeps its verdict."""
+    kinds = ["bad-signature" if i % 6 == 0 else "good" for i in range(SCREEN_SELLERS)]
+    checks, verify, interval = [], crypto.verify, sys.getswitchinterval()
+    monkeypatch.setattr(crypto, "verify", lambda *a: checks.append(a) or verify(*a))
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
+            messages.verify_signatures(offers)
+            assert [offer.verify_signature() for offer in offers] == [k == "good" for k in kinds]
+            assert len(checks) == len(offers)
+            checks.clear()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worked_and_random_scenarios_start_no_thread(monkeypatch):
+    """No order in them has `PARALLEL_MIN` offers to screen."""
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for scenario in [load_scenario(BANK), load_scenario(TELCO)]:
+        assert run_scenario(scenario).report.ok
+    for seed in range(50):
+        assert run_scenario(random_scenario(seed)).report.ok
+
+
+def test_a_ladder_screened_on_two_threads_gives_the_same_bytes():
+    """`ladder_market(24, 2, 0)` has 24 offers per order: its selections
+    check signatures on two threads, and its journal and report are those of
+    a run that checks them one at a time."""
+
+    def outputs(parallel_min):
+        starts = []
+        with (
+            counting_thread_starts(starts),
+            mock.patch.object(messages, "PARALLEL_MIN", parallel_min),
+        ):
+            result = run_scenario(workloads().ladder_market(24, 2, 0))
+        assert result.report.ok
+        return ledger_mod.journal_bytes(result.ledger), result.report.render(), len(starts)
+
+    threaded, one_at_a_time = outputs(messages.PARALLEL_MIN), outputs(25)
+    assert threaded[2] > 0 and one_at_a_time[2] == 0
+    assert threaded[:2] == one_at_a_time[:2]
 
 
 def test_sample_policy_reproducible():

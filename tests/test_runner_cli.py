@@ -744,6 +744,39 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
     ]
 
 
+@pytest.mark.parametrize(
+    "sent, leaks",
+    [
+        ([b"..row-s1", b"aaaa.."], 0),
+        ([b"row-s1\naaaa", b"..row-s1\naaaa.."], 2),
+    ],
+    ids=["split-across-two", "inside-two"],
+)
+def test_the_joined_transcript_scan_words_one_failure_per_leaking_envelope(sent, leaks):
+    """The transcript is scanned once, its messages joined by newlines. A
+    secret that only the joining puts together is no leak; a secret inside
+    two messages is two. A transcript of `_ONE_PASS_MIN_BYTES` makes the
+    scan one pass."""
+    doc = base_doc()
+    doc["sellers"][0]["data"] = {"records": "row-s1\naaaa"}
+    result = run_doc(doc)
+    assert result.report.ok
+    network = result.network
+    sender = network.transcript[0].sender
+    network.send(sender, "ub:b", bytes(runner._ONE_PASS_MIN_BYTES))
+    for message in sent:
+        network.send(sender, "ub:b", message)
+    assert b"row-s1\naaaa" in b"\n".join(envelope.message for envelope in network.transcript)
+    failures = runner.run_invariants(
+        result.scenario,
+        ledger_mod.journal_bytes(result.ledger),
+        network,
+        result.report.quiescent,
+        result.report.unsettled,
+    )
+    assert failures == ["plaintext data left an actor unencrypted (to ub:b)"] * leaks
+
+
 # A few bytes, regex metacharacters among them, so that needles often share
 # their first byte and often do not, and often occur by chance.
 _SCAN_BYTE = st.sampled_from(b"ab(|.\x00")
