@@ -1,13 +1,13 @@
 """Buyer, seller, and notary agents.
 
 Each actor is a sequential process: the runner hands it the envelopes
-delivered this tick (a notary, all in one call) and then calls `step`.
-Actors share no mutable state; they interact only through the network and
-the ledger. A notary settles each response it certifies on the ledger
-itself, and the buyer closes an order once its contract shows every selected
-response settled. Endpoint naming convention: the buyer's control endpoint is
-``buyer:<name>``, its public upload endpoint is ``ub:<name>`` (this string
-is the order's upload URL), and a notary listens on ``notary:<name>``.
+delivered this tick in one `handle` call and then calls `step`. Actors
+share no mutable state; they interact only through the network and the
+ledger. A notary settles each response it certifies on the ledger itself,
+and the buyer closes an order once its contract shows every selected
+response settled. Endpoint naming convention: a buyer has one endpoint,
+``ub:<name>``, the upload URL its orders carry, where notaries send terms and
+sellers upload; a notary listens on ``notary:<name>``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     InvalidSignature,
     LedgerError,
     MarketError,
-    TransportError,
 )
 from .ledger import Ledger, OrderContract, Status
 from .messages import (
@@ -237,7 +236,7 @@ class Notary:
 
     def handle(self, envelopes: Sequence[Envelope]) -> None:
         """Answer one tick's envelopes in arrival order: send each order's
-        terms to its buyer, then settle the responses certified this tick,
+        terms to its upload URL, then settle the responses certified this tick,
         one certificate per response, signed in batches
         (`messages.issue_certificates`), on the ledger."""
         claims: Dict[bytes, tuple] = {}  # response digest -> the claim certified for it
@@ -256,15 +255,14 @@ class Notary:
             self.ledger.close_response(cert)
 
     def _countersign(self, order: DataOrder) -> None:
-        """Countersign a well-formed order whose upload URL names a buyer,
-        and send that buyer the terms; none are sent to an unregistered one."""
-        endpoint = _control_endpoint(order.upload_url)
-        if self.spec.declines or endpoint is None:
+        """Countersign a well-formed order and send the terms to its upload
+        URL; the network refuses an unregistered one."""
+        if self.spec.declines:
             return
         try:
             terms = messages.countersign_order(self.keys, order, self.spec.fee, self.service_terms)
-            self.network.send(self.address, endpoint, terms.encode())
-        except (MarketError, TransportError):
+            self.network.send(self.address, order.upload_url, terms.encode())
+        except MarketError:
             pass
 
     def _notarize(self, request: NotarizationRequest, sender: Address) -> Optional[tuple]:
@@ -315,12 +313,6 @@ class Notary:
         return self.spec.mode == "ALWAYS"
 
 
-def _control_endpoint(upload_url: str) -> Optional[str]:
-    # ub:<name> -> buyer:<name>; None for a URL with no name.
-    _, colon, name = upload_url.partition(":")
-    return "buyer:" + name if colon else None
-
-
 @dataclass
 class _PendingOrder:
     """The buyer's own progress through one order: its notary terms,
@@ -357,7 +349,6 @@ class Buyer:
         self.ledger = ledger
         self.network = network
         self.notary_names = notary_names
-        self.control_endpoint = f"buyer:{spec.name}"
         self.upload_url = f"ub:{spec.name}"
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[bytes] = []  # order digests
@@ -393,30 +384,29 @@ class Buyer:
             self.network.send(self.address, f"notary:{name}", order.encode())
         return order
 
-    def handle(self, envelope: Envelope) -> None:
-        if envelope.endpoint == self.upload_url:
+    def handle(self, envelopes: Sequence[Envelope]) -> None:
+        """Take one tick's envelopes at the upload URL, in arrival order."""
+        for envelope in envelopes:
             self._upload(envelope.sender, envelope.message)
-            return
-        try:
-            msg = messages.decode(envelope.message)
-        except EncodingError:
-            return
-        if isinstance(msg, NotaryTerms):
-            pending = self._pending.get(msg.order_digest)
-            listed = pending and self.notary_names.get(msg.notary_address) in pending.spec.notaries
-            if listed and msg.order_digest not in self.ledger.contracts and msg.verify_signature():
-                pending.terms.setdefault(msg.notary_address, msg)
 
     def _upload(self, sender: Address, data: bytes) -> None:
-        """Keep a new offer, and queue a delivery from an offer's seller. A
-        byte-identical repeat of an accepted upload is skipped undecoded; a
-        refused upload is recorded, and judged again each time it comes."""
+        """Keep terms from a notary the pending order lists, keep a new
+        offer, and queue a delivery from an offer's seller for `step`. A
+        byte-identical repeat of an accepted upload is skipped undecoded; any
+        other refused upload is recorded, and judged again each time it
+        comes. Terms are never recorded as refused."""
         if data in self._accepted_uploads:
             return
         try:
             msg = messages.decode(data)
         except EncodingError as exc:
             self.rejected_submissions.append(f"upload: parse: {exc}")
+            return
+        if isinstance(msg, NotaryTerms):
+            pending = self._pending.get(msg.order_digest)
+            listed = pending and self.notary_names.get(msg.notary_address) in pending.spec.notaries
+            if listed and msg.order_digest not in self.ledger.contracts and msg.verify_signature():
+                pending.terms.setdefault(msg.notary_address, msg)
             return
         if isinstance(msg, DataResponse):  # new: a known digest means bytes accepted before
             self._offers[msg.digest()] = msg

@@ -141,9 +141,7 @@ def run_scenario(
     last_start = max(starts, default=0)
 
     endpoint_owner = {notary.endpoint: notary for notary in notaries}
-    for buyer in buyers:
-        endpoint_owner[buyer.control_endpoint] = buyer
-        endpoint_owner[buyer.upload_url] = buyer
+    endpoint_owner.update((buyer.upload_url, buyer) for buyer in buyers)
     for endpoint in endpoint_owner:
         network.register(endpoint)
 
@@ -154,12 +152,7 @@ def run_scenario(
             buyer_by_name[order.buyer].start_order(order, t)
         delivered = network.tick()
         for endpoint in sorted(delivered):
-            owner = endpoint_owner[endpoint]
-            if isinstance(owner, Notary):  # a notary signs one tick's certificates in batches
-                owner.handle(delivered[endpoint])
-                continue
-            for envelope in delivered[endpoint]:
-                owner.handle(envelope)
+            endpoint_owner[endpoint].handle(delivered[endpoint])
         now = network.tick_now
         for buyer in buyers:
             buyer.step(now)

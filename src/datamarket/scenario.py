@@ -49,6 +49,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import reprlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import yaml
@@ -69,6 +70,12 @@ NetworkSpec = NetworkConfig
 # -- field kinds ----------------------------------------------------------
 
 
+# Error text shows a value cut short: YAML aliases can nest a list whose
+# full text is gigabytes in a file of ten lines.
+_shown = reprlib.Repr()
+_shown.maxlevel = 2
+
+
 def _kind_of(test: Callable, expected: str) -> Callable:
     """A kind that takes the values `test` accepts, as they are. Every run
     validates its scenario, so error text is built only on failure."""
@@ -76,7 +83,7 @@ def _kind_of(test: Callable, expected: str) -> Callable:
     def kind(value):
         if test(value):
             return value
-        raise ScenarioError(f"must be {expected}, not {value!r}")
+        raise ScenarioError(f"must be {expected}, not {_shown.repr(value)}")
 
     return kind
 
@@ -91,6 +98,7 @@ INTEGER = _kind_of(lambda v: type(v) is int, "an integer")
 RATE = _kind_of(lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number from 0 to 1")
 FLAG = _kind_of(lambda v: type(v) is bool, "true or false")
 TEXT = _kind_of(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+ATTRIBUTE = _kind_of(lambda v: type(v) in (str, int), "a string or an integer")
 PAIR = _kind_of(lambda v: isinstance(v, list) and len(v) == 2, "a [min, max] pair")
 
 
@@ -103,7 +111,8 @@ def _choice(options: dict) -> Callable:
         member = options.get(value, value) if type(value).__hash__ else None
         if member in values:
             return member
-        raise ScenarioError(f"must be one of {', '.join(sorted(options))}, not {value!r}")
+        shown = _shown.repr(value)
+        raise ScenarioError(f"must be one of {', '.join(sorted(options))}, not {shown}")
 
     return kind
 
@@ -276,7 +285,7 @@ class BuyerSpec:
 class SellerSpec:
     name: str = _kind(TEXT)
     seed: int = _kind(SEED)
-    attributes: Dict[str, object] = _kind(_mapping, factory=dict)
+    attributes: Dict[str, object] = _kind(_dict_of(ATTRIBUTE), factory=dict)
     dataset: Dict[str, bytes] = _kind(DATASET, key="data", factory=dict)
     mutation: Mutation = _kind(SELLER_MUTATION, Mutation.NONE)
     min_price: int = _kind(AMOUNT, 0)
@@ -329,7 +338,6 @@ class Scenario:
         key="expected_settlements",
     )
     secrets: Tuple[str, ...] = _kind(TEXTS, ())
-    absent_schemas: Tuple[str, ...] = _kind(TEXTS, ())
 
     def profile_secrets(self) -> List[bytes]:
         """Attribute values and seller identities that must never reach the
@@ -372,7 +380,7 @@ class Scenario:
             seeds.add(spec.seed)
         if sum(buyer.balance for buyer in self.buyers) > UINT_MAX:
             raise ScenarioError("buyer balances total more than 2**64 - 1")  # total supply
-        known_schemas = set(self.absent_schemas)
+        known_schemas = set()
         for seller in self.sellers:
             known_schemas.update(seller.dataset)
         for notary in self.notaries:
@@ -395,8 +403,8 @@ class Scenario:
                 raise ScenarioError("order names a notary twice")
             if order.schema_id not in known_schemas:
                 raise ScenarioError(
-                    f"schema {order.schema_id!r} is neither held by any seller, "
-                    "present in ground truth, nor declared absent"
+                    f"schema {order.schema_id!r} is neither held by any seller "
+                    "nor present in ground truth"
                 )
         for expected in self.expected or []:
             if expected.seller not in names["sellers"]:
@@ -415,7 +423,8 @@ def load_scenario(path) -> Scenario:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except (yaml.YAMLError, RecursionError) as exc:
+    # An integer of more than 4,300 digits raises ValueError.
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ScenarioError(f"scenario does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a mapping")

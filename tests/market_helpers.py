@@ -1,7 +1,8 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
 one countersigned order, and signed seller responses; the benchmark's
-workloads and its smallest ladder market; and the decisions a run is pinned
-by."""
+workloads and its smallest ladder market; the decisions a run is pinned
+by; and runs of a worked scenario on a network that drops, adds or submits
+messages as a third party would."""
 
 import collections
 import functools
@@ -13,8 +14,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List
 
-from datamarket import crypto, messages
+from datamarket import crypto, messages, runner, transport
 from datamarket.actors import keys_from_seed
+from datamarket.errors import LedgerError
 from datamarket.ledger import Ledger
 from datamarket.messages import (
     Audience,
@@ -24,9 +26,14 @@ from datamarket.messages import (
     NotaryTerms,
     Predicate,
 )
+from datamarket.runner import run_scenario
+from datamarket.scenario import load_scenario
+from datamarket.transport import Envelope
 
 TERMS = messages.terms_link("test terms")
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+BANK = ROOT / "scenarios" / "bank.yaml"
 HEX = re.compile("[0-9a-f]{24,}")
 
 
@@ -127,3 +134,60 @@ def decisions(result) -> bytes:
         "sends": len(result.network.transcript),
     }
     return json.dumps(decided, sort_keys=True).encode()
+
+
+def drop_first(monkeypatch, kind):
+    """Make the network drop the first message of type `kind` sent: it
+    enters the transcript undelivered, as a lost envelope does."""
+    send, dropped = transport.Network.send, []
+
+    def send_or_drop(network, sender, endpoint, message):
+        if dropped or not isinstance(messages.decode(message), kind):
+            return send(network, sender, endpoint, message)
+        dropped.append(message)
+        network.transcript.append(Envelope(sender, endpoint, message, network.tick_now))
+
+    monkeypatch.setattr(transport.Network, "send", send_or_drop)
+    return dropped
+
+
+def run_bank_with(monkeypatch, extra, path=BANK):
+    """A `bank.yaml` run (or one of the scenario at `path`) in which
+    `extra(network, delivered)` adds envelopes to each tick's deliveries."""
+    tick = transport.Network.tick
+
+    def tick_with_extra(network):
+        delivered = tick(network)
+        extra(network, delivered)
+        return delivered
+
+    monkeypatch.setattr(transport.Network, "tick", tick_with_extra)
+    return run_scenario(load_scenario(path))
+
+
+def add_at_tick(at, sender, endpoint, message):
+    """An `extra` for `run_bank_with` that delivers `message` from `sender`
+    to `endpoint` at tick `at`."""
+
+    def extra(network, delivered):
+        if network.tick_now == at:
+            delivered.setdefault(endpoint, []).append(Envelope(sender, endpoint, message, at, at))
+
+    return extra
+
+
+def submit_at_tick(monkeypatch, at, certificate):
+    """An `extra` for `run_bank_with` that submits `certificate` to the run's
+    ledger at tick `at`, as a third party would, and the list that the
+    ledger's refusals of it are appended to."""
+    ledgers, refusals = [], []
+    monkeypatch.setattr(runner, "Ledger", lambda: ledgers.append(Ledger()) or ledgers[-1])
+
+    def extra(network, delivered):
+        if network.tick_now == at:
+            try:
+                ledgers[-1].close_response(messages.decode(certificate))
+            except LedgerError as exc:
+                refusals.append(str(exc))
+
+    return extra, refusals

@@ -4,17 +4,16 @@ import math
 import random
 import sys
 import threading
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import crypto, ledger as ledger_mod, messages, runner, transport
+from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.encoding import Reader
-from datamarket.errors import InvalidSignature, LedgerError
+from datamarket.errors import InvalidSignature
 from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
@@ -30,15 +29,19 @@ from datamarket.scenario import (
 from datamarket.transport import Envelope, Network, NetworkConfig
 
 from market_helpers import (
+    BANK,
     TERMS,
+    add_at_tick,
+    drop_first,
     ladder_10x10,
     make_market,
     make_order,
     make_response,
+    run_bank_with,
+    submit_at_tick,
     workloads,
 )
 
-BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 TELCO = BANK.parent / "telco.yaml"
 
 DATA = b"seller-data-0123"
@@ -447,21 +450,6 @@ def test_no_top_up_follows_a_selection():
     assert top_ups > 0
 
 
-def drop_first(monkeypatch, kind):
-    """Make the network drop the first message of type `kind` sent: it
-    enters the transcript undelivered, as a lost envelope does."""
-    send, dropped = transport.Network.send, []
-
-    def send_or_drop(network, sender, endpoint, message):
-        if dropped or not isinstance(messages.decode(message), kind):
-            return send(network, sender, endpoint, message)
-        dropped.append(message)
-        network.transcript.append(Envelope(sender, endpoint, message, network.tick_now))
-
-    monkeypatch.setattr(transport.Network, "send", send_or_drop)
-    return dropped
-
-
 def test_each_offer_and_delivery_is_sent_once(monkeypatch):
     """Lossless bank.yaml with its first delivery dropped: no offer is posted
     twice in one tick, and every re-sent delivery repeats the bytes of the
@@ -568,12 +556,12 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
     market = make_market()  # only for the notary's keys and address
     notary_keys = market.notary_keys
     buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {market.notary: "n"})
-    for endpoint in (buyer.control_endpoint, buyer.upload_url, "notary:n"):
+    for endpoint in (buyer.upload_url, "notary:n"):
         network.register(endpoint)
     ledger.mint(buyer.address, 100)
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=("n",)), 0)
     terms = messages.countersign_order(notary_keys, order, 2, TERMS)
-    buyer.handle(Envelope(market.notary, buyer.control_endpoint, terms.encode(), 1))
+    buyer.handle([Envelope(market.notary, buyer.upload_url, terms.encode(), 1)])
     buyer.step(4)  # the countersign window closes: the order is registered
     offers = []
     for seed in (10, 11):
@@ -582,7 +570,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
             keys_from_seed(seed), order, 5, DATA, market.notary, salt
         )
         offers.append((response, messages.encode_payload_plaintext(salt, DATA)))
-        buyer.handle(Envelope(response.payment_address, buyer.upload_url, response.encode(), 5))
+        buyer.handle([Envelope(response.payment_address, buyer.upload_url, response.encode(), 5)])
     buyer.step(10)  # the response window closes: both responses are selected
     notary = make_notary(
         market,
@@ -602,7 +590,8 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         zip(offers, [bad, sealer.seal(offers[1][1])]), start=11
     ):
         delivery = messages.PayloadDelivery(response.digest(), ciphertext)
-        buyer.handle(Envelope(response.payment_address, buyer.upload_url, delivery.encode(), tick))
+        sent = Envelope(response.payment_address, buyer.upload_url, delivery.encode(), tick)
+        buyer.handle([sent])
         buyer.step(tick)
         request = messages.decode(network.transcript[-1].message)
         assert isinstance(request, NotarizationRequest)
@@ -625,10 +614,10 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
 
 def test_notary_drops_orders_it_cannot_answer():
     """Two correctly signed orders the notary cannot answer: an upload URL
-    with no colon, and one naming a buyer the network does not know. The
-    order to a registered buyer is the control."""
+    with no colon, and one naming a buyer the network does not know; the
+    network refuses both. The order to a registered buyer is the control."""
     notary = make_notary(make_market())
-    notary.network.register("buyer:known")
+    notary.network.register("ub:known")
     keys = keys_from_seed(77)
 
     def send_order(upload_url):
@@ -639,14 +628,15 @@ def test_notary_drops_orders_it_cannot_answer():
     send_order("ub:nobody")
     assert notary.network.transcript == []
     send_order("ub:known")
-    assert [e.endpoint for e in notary.network.transcript] == ["buyer:known"]
+    assert [e.endpoint for e in notary.network.transcript] == ["ub:known"]
 
 
 def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract():
     """While the buyer gathers notary terms, its order has no contract: a
-    certificate naming that order is dropped (notaries submit certificates
-    to the ledger, not to the buyer), and a payload delivery for it is
-    refused as one whose response is not selected."""
+    certificate naming that order is refused as an upload of an unsupported
+    type (notaries submit certificates to the ledger, not to the buyer), and
+    a payload delivery for it is refused as one whose response is not
+    selected."""
     ledger, network = Ledger(), Network(NetworkConfig())
     buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {})
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=()), 0)
@@ -655,64 +645,29 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
     response = messages.build_data_response(keys_from_seed(10), order, 5, DATA, notary, b"s" * 32)
     cert = messages.issue_certificate(notary_keys, order.digest(), response, Verdict.NOT_NOTARIZED)
     delivery = messages.PayloadDelivery(response.digest(), b"ciphertext")
-    for sender, endpoint, message in [
-        (response.payment_address, buyer.upload_url, response),
-        (response.payment_address, buyer.upload_url, delivery),
-        (notary, buyer.control_endpoint, cert),
-    ]:
-        buyer.handle(Envelope(sender, endpoint, message.encode(), 0))
+    buyer.handle(
+        [
+            Envelope(sender, buyer.upload_url, message.encode(), 0)
+            for sender, message in [
+                (response.payment_address, response),
+                (response.payment_address, delivery),
+                (notary, cert),
+            ]
+        ]
+    )
     assert buyer._deliveries == [delivery]  # accepted: the buyer holds its offer
     buyer.step(1)
     assert buyer._deliveries == []
-    assert buyer.rejected_submissions == ["upload: unselected-response"]
+    assert buyer.rejected_submissions == [
+        "upload: unsupported message type NotaryCertificate",
+        "upload: unselected-response",
+    ]
     assert not ledger.contracts and not network.transcript
     assert not buyer.done
 
 
-def run_bank_with(monkeypatch, extra, path=BANK):
-    """A `bank.yaml` run (or one of the scenario at `path`) in which
-    `extra(network, delivered)` adds envelopes to each tick's deliveries."""
-    tick = transport.Network.tick
-
-    def tick_with_extra(network):
-        delivered = tick(network)
-        extra(network, delivered)
-        return delivered
-
-    monkeypatch.setattr(transport.Network, "tick", tick_with_extra)
-    return run_scenario(load_scenario(path))
-
-
-def add_at_tick(at, sender, endpoint, message):
-    """An `extra` for `run_bank_with` that delivers `message` from `sender`
-    to `endpoint` at tick `at`."""
-
-    def extra(network, delivered):
-        if network.tick_now == at:
-            delivered.setdefault(endpoint, []).append(Envelope(sender, endpoint, message, at, at))
-
-    return extra
-
-
 def address_of(seed):
     return crypto.derive_address(keys_from_seed(seed).public_key)
-
-
-def submit_at_tick(monkeypatch, at, certificate):
-    """An `extra` for `run_bank_with` that submits `certificate` to the run's
-    ledger at tick `at`, as a third party would, and the list that the
-    ledger's refusals of it are appended to."""
-    ledgers, refusals = [], []
-    monkeypatch.setattr(runner, "Ledger", lambda: ledgers.append(Ledger()) or ledgers[-1])
-
-    def extra(network, delivered):
-        if network.tick_now == at:
-            try:
-                ledgers[-1].close_response(messages.decode(certificate))
-            except LedgerError as exc:
-                refusals.append(str(exc))
-
-    return extra, refusals
 
 
 def test_bad_certificate_does_not_end_the_run(monkeypatch):
@@ -763,7 +718,7 @@ def test_buyer_takes_notary_terms_only_from_a_notary_the_order_lists(monkeypatch
     undisturbed = run_scenario(load_scenario(BANK))
     (contract,) = undisturbed.ledger.contracts.values()
     stranger = messages.countersign_order(keys_from_seed(999), contract.order, 0, TERMS)
-    terms = add_at_tick(1, address_of(999), "buyer:modelcorp", stranger.encode())
+    terms = add_at_tick(1, address_of(999), "ub:modelcorp", stranger.encode())
     result = run_bank_with(monkeypatch, terms)
     assert not result.buyers[0].rejected_submissions
     assert result.report.render() == undisturbed.report.render()
@@ -777,7 +732,7 @@ def test_buyer_keeps_one_terms_message_per_notary(monkeypatch):
     repeated = []
 
     def repeat_terms(network, delivered):
-        envelopes = delivered.get("buyer:modelcorp", [])
+        envelopes = delivered.get("ub:modelcorp", [])
         for envelope in list(envelopes):
             if isinstance(messages.decode(envelope.message), NotaryTerms):
                 envelopes.append(envelope)
@@ -835,7 +790,7 @@ def requests_to_certify(n, mode="NEVER"):
     responses = [make_response(market, seller_seed=10 + i)[0] for i in range(n)]
     market.ledger.select_sellers(market.order_id, responses)
     notary = make_notary(market, mode=mode)
-    notary.network.register("buyer:test-buyer")  # where terms for `make_order`'s orders go
+    notary.network.register("ub:test-buyer")  # where terms for `make_order`'s orders go
     requests = [
         NotarizationRequest(market.order.digest(), r.digest(), False, b"").encode()
         for r in responses

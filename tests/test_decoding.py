@@ -26,7 +26,7 @@ from datamarket.actors import Buyer
 from datamarket.encoding import Reader, encode_uint, write_field
 from datamarket.errors import EncodingError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
-from datamarket.messages import DataResponse, Verdict
+from datamarket.messages import DataResponse, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import BuyerSpec, load_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
@@ -182,19 +182,21 @@ def bank_offers():
 def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
     """A buyer holding every offer of the run takes a mutated message, from
     the original's sender, on its upload URL, then steps: the message is an
-    offer or a delivery it accepts, or it adds exactly one `upload:` refusal.
-    Nothing raises."""
+    offer or a delivery it accepts, notary terms, which it never records as
+    an upload, accepted or refused, or it adds exactly one `upload:`
+    refusal. Nothing raises."""
     (sent, _), (senders, _) = bank(), bank_run()
     buyer = Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
-    for data in bank_offers():
-        buyer.handle(Envelope(senders[data], buyer.upload_url, data, 0))
+    buyer.handle([Envelope(senders[data], buyer.upload_url, data, 0) for data in bank_offers()])
     original = sent[index % len(sent)]
     data = mutate(original, edits)
-    buyer.handle(Envelope(senders[original], buyer.upload_url, data, 0))
+    buyer.handle([Envelope(senders[original], buyer.upload_url, data, 0)])
     buyer.step(1)
     if buyer.rejected_submissions:
         (reason,) = buyer.rejected_submissions
         assert reason.startswith("upload: ") and data not in buyer._accepted_uploads
+    elif isinstance(messages.decode(data), NotaryTerms):
+        assert data not in buyer._accepted_uploads
     else:
         assert data in buyer._accepted_uploads
 

@@ -323,6 +323,7 @@ UNKNOWN_BANK_KEYS = {
     "order key": (("orders", 0, "audit_budjet"), 3),
     "predicate key": (("orders", 0, "audience", 0, "vlaue"), "Argentina"),
     "expected settlement key": (("expected_settlements", 0, "verdikt"), "b"),
+    "absent schemas": (("absent_schemas",), ["loan_history"]),
 }
 
 
@@ -340,6 +341,7 @@ def test_cli_unknown_scenario_key_is_input_error(tmp_path, capsys, path, value):
 UNREADABLE_FILES = {
     "not UTF-8": b"name: caf\xe9\n",
     "nested 2,000 levels deep": b"[" * 2000 + b"]" * 2000,
+    "an integer of 5,000 digits": b"name: " + b"1" * 5000 + b"\n",
 }
 
 
@@ -424,6 +426,52 @@ def test_cli_bad_scenario_value_is_input_error(tmp_path, capsys, path, value):
     assert cli.main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_cli_order_for_a_schema_no_one_holds_is_input_error(tmp_path, capsys):
+    """An order's schema must be held by a seller or named in a notary's
+    ground truth."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(edited_bank([(("orders", 0, "schema"), "loan_history")])))
+    assert cli.main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: schema 'loan_history' is neither held by any seller"
+        " nor present in ground truth\n"
+    )
+
+
+def nested_list(levels):
+    """Ten copies of the list one level down, `levels` deep. YAML writes
+    each level once and then refers to it by alias, so the file stays short."""
+    value = ["x"] * 10
+    for _ in range(levels - 1):
+        value = [value] * 10
+    return value
+
+
+# Seller attributes outside "text keys, string or integer values".
+BAD_ATTRIBUTES = {
+    "list value": {"country": ["Argentina"]},
+    "mapping value": {"country": {"name": "Argentina"}},
+    "null value": {"country": None},
+    "float value": {"age": 34.5},
+    "boolean value": {"age": True},
+    "integer key": {7: "Argentina"},
+    "aliased list 5 levels deep": {"country": nested_list(5)},
+}
+
+
+@pytest.mark.parametrize("attributes", BAD_ATTRIBUTES.values(), ids=BAD_ATTRIBUTES.keys())
+def test_cli_seller_attribute_outside_its_kind_is_input_error(tmp_path, capsys, attributes):
+    """An attribute is a string or an integer under a text key; any other is
+    an input error, whose text stays short however large the value."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(edited_bank([(("sellers", 0, "attributes"), attributes)])))
+    assert bad.stat().st_size < 4000
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: sellers: item 0: attributes: must be ")
+    assert len(err) < 500
 
 
 # (scenario list, changes to its first spec) for a scenario built in code.
@@ -722,7 +770,7 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
     for endpoint, message in [
         ("ub:b", b"\x00row-s1-aaaa\x00"),
         ("notary:n", b"..row-s1-aaaa-plus.."),
-        ("buyer:b", b"zz-s3-cccc and row-s1-aaaa"),
+        ("ub:b", b"zz-s3-cccc and row-s1-aaaa"),
         ("ub:b", b"row-s1-aaa zz-s3-ccc confidential-x"),
     ]:
         network.send(sender, endpoint, message)
@@ -739,8 +787,8 @@ def test_leak_scans_report_every_secret_in_every_envelope(monkeypatch, one_pass)
         "plaintext data left an actor unencrypted (to ub:b)",
         "plaintext data left an actor unencrypted (to notary:n)",
         "plaintext data left an actor unencrypted (to notary:n)",
-        "plaintext data left an actor unencrypted (to buyer:b)",
-        "plaintext data left an actor unencrypted (to buyer:b)",
+        "plaintext data left an actor unencrypted (to ub:b)",
+        "plaintext data left an actor unencrypted (to ub:b)",
     ]
 
 

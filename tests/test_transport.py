@@ -8,7 +8,7 @@ from datamarket.actors import Buyer
 from datamarket.crypto import Address
 from datamarket.errors import TransportError
 from datamarket.ledger import Ledger
-from datamarket.messages import PayloadDelivery
+from datamarket.messages import NotarizationRequest, PayloadDelivery, Verdict
 from datamarket.scenario import BuyerSpec
 from datamarket.transport import Envelope, Network, NetworkConfig
 
@@ -109,7 +109,7 @@ def upload(buyer, data, sender=None):
     """Hand `data` from `sender` to the buyer's upload URL; the refusals
     this recorded."""
     before = len(buyer.rejected_submissions)
-    buyer.handle(Envelope(sender, buyer.upload_url, data, 0))
+    buyer.handle([Envelope(sender, buyer.upload_url, data, 0)])
     return buyer.rejected_submissions[before:]
 
 
@@ -175,10 +175,19 @@ def test_endpoint_refuses_a_garbled_message_every_time():
     assert len(buyer.rejected_submissions) == 3
 
 
-def test_endpoint_rejects_unsupported_type():
+@pytest.mark.parametrize("kind", ["DataOrder", "NotarizationRequest", "NotaryCertificate"])
+def test_endpoint_rejects_unsupported_type(kind):
     market = make_market()
+    response, _, _ = make_response(market)
+    message = {
+        "DataOrder": market.order,
+        "NotarizationRequest": NotarizationRequest(market.order_id, response.digest(), True, b""),
+        "NotaryCertificate": messages.issue_certificate(
+            market.notary_keys, market.order_id, response, Verdict.NOTARIZED_VALID
+        ),
+    }[kind]
     buyer = make_buyer()
-    assert upload(buyer, market.order.encode()) == ["upload: unsupported message type DataOrder"]
+    assert upload(buyer, message.encode()) == [f"upload: unsupported message type {kind}"]
     assert buyer._offers == {} and buyer._deliveries == []
 
 
