@@ -5,27 +5,33 @@ type tag followed by each field in declared order as a 4-byte big-endian
 length prefix plus the field bytes. Integers are 8-byte big-endian inside
 their field; sets are written in ascending order.
 
-Each codec writes one kind of value and reads it back. Every layout, of
-messages, lists and journal payloads alike, is read by `Reader.read`: it
-splits each field off with one bounds check and converts its bytes only
-if its codec has a `from_bytes`. Every read raises only `EncodingError`
-and accepts only the bytes its write produces, so whatever decodes
-re-encodes to its input.
+Each codec writes one kind of value and reads it back. A `Layout` is a fixed
+sequence of codecs: a message type's fields, an event kind's payload, the
+payload plaintext. On first use it compiles, as `dataclasses` generates an
+`__init__`, one straight-line reader and one writer from its codecs alone.
+The reader splits each field off with one `unpack_from`, one bounds check
+and one slice, converts its bytes only if its codec has a `from_bytes`, and
+reads a counted list's items in one loop; the writer appends each field's
+length prefix and bytes to one buffer. Every read raises only
+`EncodingError` and accepts only the bytes its write produces, so whatever
+decodes re-encodes to its input.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import struct
 from typing import Callable, Optional
 
 from .crypto import ADDRESS_LEN, DIGEST_LEN, PUBLIC_KEY_LEN, Address, Commitment
 from .errors import EncodingError
 
-_LEN = struct.Struct(">I")
+LENGTH = struct.Struct(">I")  # every field's length prefix
+_unpack, _pack = LENGTH.unpack_from, LENGTH.pack
 _U64 = struct.Struct(">Q")
 UINT_MAX = 2**64 - 1  # the largest integer a field can hold
+_NO_PREFIX = "truncated stream: expected length prefix"
+_SHORT_FIELD = "truncated stream: field shorter than prefix"
 
 
 def encode_uint(value: int) -> bytes:
@@ -41,7 +47,7 @@ def decode_uint(data: bytes) -> int:
 
 
 def write_field(out: bytearray, data: bytes) -> None:
-    out += _LEN.pack(len(data))
+    out += _pack(len(data))
     out += data
 
 
@@ -49,46 +55,16 @@ def write_uint_field(out: bytearray, value: int) -> None:
     write_field(out, encode_uint(value))
 
 
-class Reader:
-    """Sequential reader over a canonical byte stream."""
-
-    __slots__ = ("_data", "_pos", "_end")
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self._data = data
-        self._pos = pos
-        self._end = len(data)
-
-    def read(self, codecs) -> list:
-        """One value per codec, in order: the decoder of every layout. A
-        `Codec` takes one field, split off with one bounds check, and converts
-        its bytes by `from_bytes` if it has one; a `ListOf` reads itself."""
-        data, pos, end = self._data, self._pos, self._end
-        values = []
-        try:
-            for codec in codecs:
-                if codec.__class__ is not Codec:
-                    self._pos = pos
-                    values.append(codec.read(self))
-                    pos = self._pos
-                    continue
-                start = pos + 4
-                pos = start + _LEN.unpack_from(data, start - 4)[0]
-                if pos > end:
-                    raise EncodingError("truncated stream: field shorter than prefix")
-                convert = codec.from_bytes
-                values.append(data[start:pos] if convert is None else convert(data[start:pos]))
-        except struct.error:
-            raise EncodingError("truncated stream: expected length prefix") from None
-        self._pos = pos
-        return values
-
-    def remaining(self) -> int:
-        return self._end - self._pos
-
-    def expect_end(self) -> None:
-        if self._pos != self._end:
-            raise EncodingError(f"{self.remaining()} trailing bytes after message")
+def read_field(data: bytes, pos: int) -> tuple:
+    """The field at `pos` of `data`, and the position after it."""
+    start = pos + 4
+    try:
+        pos = start + _unpack(data, pos)[0]
+    except struct.error:
+        raise EncodingError(_NO_PREFIX) from None
+    if pos > len(data):
+        raise EncodingError(_SHORT_FIELD)
+    return data[start:pos], pos
 
 
 class Codec:
@@ -99,8 +75,110 @@ class Codec:
     def __init__(self, to_bytes: Callable, from_bytes: Optional[Callable] = None):
         self.to_bytes, self.from_bytes = to_bytes, from_bytes
 
-    def write(self, out: bytearray, value) -> None:
-        write_field(out, self.to_bytes(value))
+
+class ListOf:
+    """A u64 count field, then one `item` field per value."""
+
+    def __init__(self, item: Codec):
+        self.item = item
+
+
+class SetOf(ListOf):
+    """A list written in ascending `key` order; a read rejects items that
+    are out of order or repeated."""
+
+    def __init__(self, item: Codec, key: Callable):
+        super().__init__(item)
+        self.key = key
+
+
+def require_ascending(keys: list) -> None:
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise EncodingError("set items are not in strictly ascending order")
+
+
+class Layout:
+    """A fixed sequence of codecs, one per value, written back to back. The
+    values are a tuple, by position, or with `names` one object's
+    attributes. `read(data, pos=0)` gives the values encoded from `pos` to
+    the end of `data`; `write(out, values)` appends their encoding to the
+    bytearray `out`. Each is generated on first use."""
+
+    def __init__(self, codecs, names: Optional[tuple] = None):
+        self.codecs, self.names = tuple(codecs), names
+
+    def __getattr__(self, name: str):
+        # Reached only while `read` or `write` is not yet an instance attribute.
+        # Two threads may both compile one; either result does the same.
+        if name not in ("read", "write"):
+            raise AttributeError(name)
+        namespace = dict(globals())  # and codec i's functions as c<i>, t<i> and k<i>
+        for i, codec in enumerate(self.codecs):
+            item = getattr(codec, "item", codec)
+            namespace.update({f"c{i}": item.from_bytes, f"t{i}": item.to_bytes})
+            namespace[f"k{i}"] = getattr(codec, "key", None)
+        lines = _read_source(self) if name == "read" else _write_source(self)
+        code = compile("\n".join(lines), f"<{name} layout of {len(self.codecs)} fields>", "exec")
+        exec(code, namespace)
+        setattr(self, name, namespace[name])
+        return namespace[name]
+
+    def encode(self, values, prefix: bytes = b"") -> bytes:
+        out = bytearray(prefix)
+        self.write(out, values)
+        return bytes(out)
+
+
+# How a generated reader splits off the field at `pos`.
+_SPLIT = ["start = pos + 4", "pos = start + _unpack(data, pos)[0]"]
+_SPLIT += ["if pos > end:", "    raise EncodingError(_SHORT_FIELD)"]
+
+
+def _read_source(layout: Layout) -> list:
+    body = []
+    for i, codec in enumerate(layout.codecs):
+        item = getattr(codec, "item", codec)
+        field = "data[start:pos]" if item.from_bytes is None else f"c{i}(data[start:pos])"
+        if item is codec:
+            body += [*_SPLIT, f"v{i} = {field}"]
+            continue
+        body += _SPLIT + [
+            "count = decode_uint(data[start:pos])",
+            "if count > (end - pos) // 4:  # each item takes at least its length prefix",
+            '    raise EncodingError(f"truncated stream: {count} items announced")',
+            f"v{i} = []",
+            "for _ in range(count):",
+            *("    " + line for line in _SPLIT),
+            f"    v{i}.append({field})",
+        ]
+        if isinstance(codec, SetOf):
+            body.append(f"require_ascending([k{i}(item) for item in v{i}])")
+    return [
+        "def read(data, pos=0):",
+        "    end = len(data)",
+        "    try:",
+        *("        " + line for line in body),
+        "    except struct.error:",
+        "        raise EncodingError(_NO_PREFIX) from None",
+        "    if pos != end:",
+        '        raise EncodingError(f"{end - pos} trailing bytes after message")',
+        f"    return [{', '.join(f'v{i}' for i in range(len(layout.codecs)))}]",
+    ]
+
+
+def _write_source(layout: Layout) -> list:
+    body = []
+    for i, codec in enumerate(layout.codecs):
+        value = f"v[{i}]" if layout.names is None else f"v.{layout.names[i]}"
+        item, indent = getattr(codec, "item", codec), ""
+        if item is not codec:
+            value = f"sorted({value}, key=k{i})" if isinstance(codec, SetOf) else value
+            body += [f"items = {value}", "out += _pack(8)", "out += encode_uint(len(items))"]
+            body.append("for item in items:")
+            value, indent = "item", "    "
+        data = value if item.to_bytes is _same else f"t{i}({value})"
+        body += [indent + line for line in (f"data = {data}", "out += _pack(len(data))", "out += data")]
+    return ["def write(out, v):", *("    " + line for line in body)]
 
 
 def _decode_utf8(data: bytes) -> str:
@@ -124,10 +202,14 @@ def _decode_enum(name: str, members: dict, data: bytes):
     return member
 
 
-def _decode_fixed(cls, size: int, data: bytes):
+def _decode_fixed(cls, field: str, size: int, data: bytes):
+    # Built without the frozen dataclass's __init__, whose check is this one;
+    # set as __init__ sets it, which keeps the instance as small.
     if len(data) != size:
         raise EncodingError(f"{cls.__name__} must be {size} bytes, got {len(data)}")
-    return cls(data)
+    value = object.__new__(cls)
+    object.__setattr__(value, field, data)
+    return value
 
 
 def _decode_public_key(data: bytes) -> bytes:
@@ -148,62 +230,6 @@ def nested(cls) -> Codec:
     return Codec(cls.encode, cls.decode)
 
 
-class ListOf:
-    """A u64 count field, then one `item` per value."""
-
-    def __init__(self, item: Codec):
-        self.item = item
-
-    def write(self, out: bytearray, values) -> None:
-        write_uint_field(out, len(values))
-        for value in values:
-            self.item.write(out, value)
-
-    def read(self, r: Reader) -> list:
-        (count,) = r.read((U64,))
-        if count > r.remaining() // 4:  # each item takes at least its length prefix
-            raise EncodingError(f"truncated stream: {count} items announced")
-        return r.read(itertools.repeat(self.item, count))
-
-
-class SetOf(ListOf):
-    """A list written in ascending `key` order; a read rejects items that
-    are out of order or repeated."""
-
-    def __init__(self, item: Codec, key: Callable):
-        super().__init__(item)
-        self.key = key
-
-    def write(self, out: bytearray, values) -> None:
-        super().write(out, sorted(values, key=self.key))
-
-    def read(self, r: Reader) -> list:
-        items = super().read(r)
-        require_ascending([self.key(item) for item in items])
-        return items
-
-
-def require_ascending(keys: list) -> None:
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise EncodingError("set items are not in strictly ascending order")
-
-
-class Fields:
-    """A fixed sequence of codecs, one per value, written back to back."""
-
-    def __init__(self, *codecs: Codec):
-        self.codecs = codecs
-
-    def encode(self, *values) -> bytes:
-        out = bytearray()
-        for codec, value in zip(self.codecs, values):
-            codec.write(out, value)
-        return bytes(out)
-
-    def decode(self, r: Reader) -> list:
-        return r.read(self.codecs)
-
-
 def _same(data: bytes) -> bytes:
     return data
 
@@ -212,6 +238,8 @@ RAW = Codec(_same)
 U64 = Codec(encode_uint, decode_uint)
 UTF8 = Codec(str.encode, _decode_utf8)
 FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
-ADDRESS = Codec(lambda a: a.bytes, functools.partial(_decode_fixed, Address, ADDRESS_LEN))
-COMMITMENT = Codec(lambda c: c.digest, functools.partial(_decode_fixed, Commitment, DIGEST_LEN))
+ADDRESS = Codec(lambda a: a.bytes, functools.partial(_decode_fixed, Address, "bytes", ADDRESS_LEN))
+COMMITMENT = Codec(
+    lambda c: c.digest, functools.partial(_decode_fixed, Commitment, "digest", DIGEST_LEN)
+)
 PUBLIC_KEY = Codec(_same, _decode_public_key)  # as `crypto.generate_keypair` writes a key

@@ -39,16 +39,17 @@ from . import crypto, messages
 from .crypto import Address
 from .encoding import (
     ADDRESS,
+    LENGTH,
     RAW,
     U64,
     UINT_MAX,
-    Fields,
+    Layout,
     ListOf,
-    Reader,
     SetOf,
     encode_uint,
     enum_byte,
     nested,
+    read_field,
     write_field,
     write_uint_field,
 )
@@ -172,9 +173,9 @@ class Ledger:
     def certificates(self, order_digest: bytes) -> List[NotaryCertificate]:
         """The certificates that settled the order's responses, read from the
         public journal in journal order."""
-        decode = _RULES[EventKind.RESPONSE_CLOSED].decode
+        layout = _RULES[EventKind.RESPONSE_CLOSED].layout
         closes = (e for e in self.journal if e.kind is EventKind.RESPONSE_CLOSED)
-        certs = (cert for e in closes for cert in decode(Reader(e.payload)))
+        certs = (cert for e in closes for cert in layout.read(e.payload))
         return [cert for cert in certs if cert.order_ref == order_digest]
 
     def audit_topup(self, contract: OrderContract, responses: Sequence[DataResponse]) -> int:
@@ -225,7 +226,7 @@ class Ledger:
         rule = _RULES[kind]
         derived = rule.check(self, *args) or ()
         if event is None:
-            event = LedgerEvent(kind, rule.encode(*args))
+            event = LedgerEvent(kind, rule.layout.encode(args))
         result = rule.apply(self, *args, *derived)
         self.journal.append(event)
         if self.balance_sum + self.escrow_sum != self.total_supply:
@@ -398,15 +399,13 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
 # -- event rules -----------------------------------------------------------
 
 
-_Rule = collections.namedtuple("_Rule", "check apply encode decode")
+_Rule = collections.namedtuple("_Rule", "check apply layout")
 
 
 def _rule(check, apply, *payload) -> _Rule:
     """An event kind's check and apply, and its payload layout: one codec
-    per argument they take. `decode` reads the arguments back from a Reader
-    that the caller then checks is exhausted."""
-    layout = Fields(*payload)
-    return _Rule(check, apply, layout.encode, layout.decode)
+    per argument they take, in order."""
+    return _Rule(check, apply, Layout(payload))
 
 
 _NOTARY_TERMS = SetOf(nested(NotaryTerms), key=lambda nt: nt.notary_address.bytes)
@@ -441,9 +440,7 @@ def replay(events: Iterable[LedgerEvent]) -> Ledger:
     ledger = Ledger()
     for sequence, event in enumerate(events):
         try:
-            r = Reader(event.payload)
-            args = _RULES[event.kind].decode(r)
-            r.expect_end()
+            args = _RULES[event.kind].layout.read(event.payload)
             ledger._commit(event.kind, args, event)
         except Exception as exc:
             raise ReplayError(sequence, str(exc)) from exc
@@ -462,7 +459,9 @@ def journal_bytes(ledger: Ledger) -> bytes:
     included)."""
     out = bytearray()
     for event in ledger.journal:
-        write_field(out, event.encode())
+        out += LENGTH.pack(1 + len(event.payload))
+        out.append(event.kind)
+        out += event.payload
     write_field(out, bytes([TRAILER_KIND]) + ledger.state_digest() + crypto.sha256(out))
     return bytes(out)
 
@@ -477,14 +476,14 @@ def parse_journal(data: bytes):
     is None when absent, and `frames_hash` is taken over the event frames as
     read, which is exact because every frame re-encodes to itself. A frame
     that does not decode fails at its own sequence."""
-    r = Reader(data)
     events: List[LedgerEvent] = []
-    while r.remaining():
-        start = len(data) - r.remaining()
+    pos = 0
+    while pos < len(data):
+        start = pos
         try:
-            (frame,) = r.read((RAW,))
+            frame, pos = read_field(data, pos)
             if frame[:1] == bytes([TRAILER_KIND]):
-                if r.remaining():
+                if pos < len(data):
                     raise ReplayError(len(events), "frames after the digest trailer")
                 return events, frame[1:], crypto.sha256(memoryview(data)[:start])
             events.append(LedgerEvent.decode(frame))

@@ -1,12 +1,13 @@
 """Protocol message types, their canonical byte encoding, and the
 constructors/validators each participant uses.
 
-Each type's layout is its dataclass field list: `_layout` derives `encode`
-and `decode` from the fields in order, each written by the codec of
-`encoding` that its annotation names, after the type's tag byte; `decode`
-reads the fields with `Reader.read`, the one decoder of every layout.
-Decoding is total and canonical: it raises only `EncodingError`, and
-whatever decodes re-encodes to its input.
+Each type's layout is its dataclass field list: `_layout` attaches an
+`encoding.Layout` of the fields in order, each written by the codec of
+`encoding` that its annotation names, after the type's tag byte. `decode`
+is a tag check, the layout's generated reader and `_build`; `encode` and
+`signing_bytes` are the layout's generated writer. Decoding is total and
+canonical: it raises only `EncodingError`, and whatever decodes re-encodes
+to its input.
 
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
@@ -46,14 +47,14 @@ from .encoding import (
     U64,
     UTF8,
     Codec,
-    Fields,
+    Layout,
     ListOf,
-    Reader,
     SetOf,
     decode_uint,
     encode_uint,
     enum_byte,
     nested,
+    read_field,
     require_ascending,
     write_field,
 )
@@ -125,17 +126,11 @@ class Message:
 
     _PREFIX = b""  # the type's tag byte, if it has one
     _NAMES: tuple = ()  # the field names, in field order
-    _CODECS: tuple = ()  # each field's codec, in field order
+    _LAYOUT: Layout  # every field, by name
     _SIGNER: Optional[str] = None  # the name of the one `PublicKey` field, if any
 
-    def _write(self, names) -> bytes:
-        out = bytearray(self._PREFIX)
-        for name, codec in zip(names, self._CODECS):
-            codec.write(out, getattr(self, name))
-        return bytes(out)
-
     def encode(self) -> bytes:
-        return self._write(self._NAMES)
+        return self._LAYOUT.encode(self, self._PREFIX)
 
     @classmethod
     def decode(cls, data: bytes):
@@ -143,10 +138,7 @@ class Message:
         is exactly what some `cls` encodes to."""
         if not data.startswith(cls._PREFIX):
             raise EncodingError(f"expected a {cls.__name__}")
-        r = Reader(data, len(cls._PREFIX))
-        values = r.read(cls._CODECS)
-        r.expect_end()
-        return cls._build(data, values)
+        return cls._build(data, cls._LAYOUT.read(data, len(cls._PREFIX)))
 
     @classmethod
     def _build(cls, data: bytes, values: list):
@@ -161,13 +153,15 @@ class _Signed(Message):
     key in the type's one `PublicKey` field, over the encoding of the fields
     before it (a certificate's is over its batch's root instead)."""
 
+    _SIGNING: Layout  # every field before the signature, by name
+
     @property
     def signature(self) -> bytes:
         return getattr(self, self._NAMES[-1])
 
     @_memoized
     def signing_bytes(self) -> bytes:
-        return self._write(self._NAMES[:-1])
+        return self._SIGNING.encode(self, self._PREFIX)
 
     @_memoized
     def encode(self) -> bytes:
@@ -224,9 +218,12 @@ def _layout(tag: Optional[int] = None):
         cls = dataclass(frozen=True)(cls)
         hints = get_type_hints(cls, include_extras=True)
         cls._PREFIX = b"" if tag is None else bytes([tag])
-        cls._NAMES = tuple(f.name for f in dataclass_fields(cls))
-        cls._CODECS = tuple(_codec(hints[name]) for name in cls._NAMES)
-        cls._SIGNER = next((n for n, c in zip(cls._NAMES, cls._CODECS) if c is PUBLIC_KEY), None)
+        cls._NAMES = names = tuple(f.name for f in dataclass_fields(cls))
+        codecs = tuple(_codec(hints[name]) for name in names)
+        cls._LAYOUT = Layout(codecs, names)
+        if issubclass(cls, _Signed):
+            cls._SIGNING = Layout(codecs[:-1], names[:-1])
+        cls._SIGNER = next((n for n, c in zip(names, codecs) if c is PUBLIC_KEY), None)
         if tag is not None:
             _BY_TAG[tag] = cls
         return cls
@@ -246,7 +243,7 @@ def _predicate_value_bytes(value: PredicateValue) -> bytes:
     if isinstance(value, frozenset):
         out = bytearray(b"S")
         for item in sorted(str(item) for item in value):
-            UTF8.write(out, item)
+            write_field(out, item.encode())
         return bytes(out)
     raise MessageError(f"unsupported predicate value type: {type(value).__name__}")
 
@@ -258,9 +255,10 @@ def _predicate_value(data: bytes) -> PredicateValue:
     if kind == b"s":
         return UTF8.from_bytes(body)
     if kind == b"S":
-        r, items = Reader(body), []
-        while r.remaining():
-            items += r.read((UTF8,))
+        items, pos = [], 1
+        while pos < len(data):
+            item, pos = read_field(data, pos)
+            items.append(UTF8.from_bytes(item))
         require_ascending(items)
         return frozenset(items)
     raise EncodingError(f"unknown predicate value kind {kind!r}")
@@ -384,7 +382,7 @@ class NotaryCertificate(_Signed):
     audit_path: bytes = b""
     notary_signature: bytes = b""
 
-    _LEAF = Fields(RAW, RAW, enum_byte(Verdict))  # a leaf: its order, response and verdict
+    _LEAF = Layout((RAW, RAW, enum_byte(Verdict)))  # a leaf: its order, response and verdict
 
     @staticmethod
     def _root_message(batch_size: int, root: bytes) -> bytes:
@@ -392,7 +390,7 @@ class NotaryCertificate(_Signed):
 
     @_memoized
     def verify_signature(self) -> bool:
-        leaf = self._LEAF.encode(self.order_ref, self.response_digest, self.verdict)
+        leaf = self._LEAF.encode((self.order_ref, self.response_digest, self.verdict))
         root = crypto.merkle_fold(leaf, self.leaf_index, self.batch_size, self.audit_path)
         return root is not None and _root_verifies(
             self.notary_pk, self._root_message(self.batch_size, root), self.notary_signature
@@ -487,17 +485,15 @@ def terms_link(text: Union[str, bytes]) -> bytes:
     return crypto.sha256(text)
 
 
-_PAYLOAD_PLAINTEXT = Fields(RAW, RAW)
+_PAYLOAD_PLAINTEXT = Layout((RAW, RAW))
 
 
 def encode_payload_plaintext(salt: bytes, data: bytes) -> bytes:
-    return _PAYLOAD_PLAINTEXT.encode(salt, data)
+    return _PAYLOAD_PLAINTEXT.encode((salt, data))
 
 
 def parse_payload_plaintext(plaintext: bytes):
-    r = Reader(plaintext)
-    salt, data = _PAYLOAD_PLAINTEXT.decode(r)
-    r.expect_end()
+    salt, data = _PAYLOAD_PLAINTEXT.read(plaintext)
     return salt, data
 
 
@@ -586,7 +582,7 @@ def issue_certificates(notary_keys: crypto.KeyPair, claims: Sequence[tuple]) -> 
     certs, key = [], notary_keys.public_key
     for start in range(0, len(claims), CERTIFICATE_BATCH):
         batch = [(ref, r.digest(), v) for ref, r, v in claims[start : start + CERTIFICATE_BATCH]]
-        root, paths = crypto.merkle_tree([NotaryCertificate._LEAF.encode(*c) for c in batch])
+        root, paths = crypto.merkle_tree([NotaryCertificate._LEAF.encode(c) for c in batch])
         message = NotaryCertificate._root_message(len(batch), root)
         signature = crypto.sign(notary_keys.secret_key, message)
         for index, (claim, path) in enumerate(zip(batch, paths)):

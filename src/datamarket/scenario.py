@@ -70,9 +70,19 @@ NetworkSpec = NetworkConfig
 # -- field kinds ----------------------------------------------------------
 
 
-# Error text shows a value cut short: YAML aliases can nest a list whose
-# full text is gigabytes in a file of ten lines.
-_shown = reprlib.Repr()
+class _Shown(reprlib.Repr):
+    """Error text shows a value cut short: YAML aliases can nest a list whose
+    full text is gigabytes in a file of ten lines, and a spec built in code
+    can hold an integer with more digits than `repr` converts."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<an integer of {x.bit_length()} bits>"
+
+
+_shown = _Shown()
 _shown.maxlevel = 2
 
 
@@ -98,7 +108,11 @@ INTEGER = _kind_of(lambda v: type(v) is int, "an integer")
 RATE = _kind_of(lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number from 0 to 1")
 FLAG = _kind_of(lambda v: type(v) is bool, "true or false")
 TEXT = _kind_of(lambda v: isinstance(v, str) and v != "", "a non-empty string")
-ATTRIBUTE = _kind_of(lambda v: type(v) in (str, int), "a string or an integer")
+# An integer attribute is bounded as the amounts predicates compare it with are.
+ATTRIBUTE = _kind_of(
+    lambda v: type(v) is str or (type(v) is int and abs(v) <= UINT_MAX),
+    "a string or an integer in (-2**64, 2**64)",
+)
 PAIR = _kind_of(lambda v: isinstance(v, list) and len(v) == 2, "a [min, max] pair")
 
 

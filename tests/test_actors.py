@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
-from datamarket.encoding import Reader
 from datamarket.errors import InvalidSignature
 from datamarket.ledger import EventKind, Ledger
 from datamarket.messages import NotarizationRequest, NotaryCertificate, NotaryTerms, Verdict
@@ -433,12 +432,12 @@ def test_no_top_up_follows_a_selection():
     needed. Some selections top up: their fees exceed the audit budget."""
     scenarios = [random_scenario(seed) for seed in range(200)]
     scenarios += [ladder_10x10(drop_rate) for drop_rate in (0.0, 0.05)]
-    layout = ledger_mod._RULES[EventKind.SELLERS_SELECTED]
+    layout = ledger_mod._RULES[EventKind.SELLERS_SELECTED].layout
     top_ups = 0
     for scenario in scenarios:
         ledger = run_scenario(scenario).ledger
         selected = [
-            layout.decode(Reader(event.payload))[0]
+            layout.read(event.payload)[0]
             for event in ledger.journal
             if event.kind is EventKind.SELLERS_SELECTED
         ]

@@ -6,7 +6,9 @@ else, and a decoded signed message has a signer address. Canonical:
 whatever decodes re-encodes to its input. The re-encoding is taken from a
 fresh copy (`dataclasses.replace`), because a decoded signed message keeps
 its input as its encoding; that copy, made by the constructor, also equals
-and hashes as the decoded message, which is built without it.
+and hashes as the decoded message, which is built without it. Each
+layout's generated reader also agrees with the generic loop it replaced,
+kept in `reference_decoder.py`, on values and on error texts.
 
 The inputs are mutations of the messages a `bank.yaml` run sends, of the
 frames its journal holds and of one batch of certificates, plus a table of
@@ -15,6 +17,9 @@ hand-made malformed inputs.
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,14 +28,15 @@ from hypothesis import strategies as st
 
 from datamarket import ledger as ledger_mod, messages, transport
 from datamarket.actors import Buyer
-from datamarket.encoding import Reader, encode_uint, write_field
+from datamarket.encoding import encode_uint, write_field
 from datamarket.errors import EncodingError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
-from datamarket.messages import DataResponse, NotaryTerms, Verdict
+from datamarket.messages import DataOrder, DataResponse, NotaryTerms, Verdict
 from datamarket.runner import run_scenario
 from datamarket.scenario import BuyerSpec, load_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
+import reference_decoder
 from market_helpers import make_market, make_response
 
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
@@ -77,14 +83,12 @@ def check_message(data):
 
 
 def check_payload(kind, payload):
-    rule = ledger_mod._RULES[kind]
-    r = Reader(payload)
+    layout = ledger_mod._RULES[kind].layout
     try:
-        args = rule.decode(r)
-        r.expect_end()
+        args = layout.read(payload)
     except EncodingError:
         return False
-    assert rule.encode(*fresh(args)) == payload
+    assert layout.encode(fresh(args)) == payload
     return True
 
 
@@ -115,15 +119,12 @@ def mutate(data, edits):
     return bytes(data)
 
 
-EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["flip", "flip", "set", "set", "insert", "delete", "truncate"]),
-        st.integers(0, 2**16),
-        st.integers(0, 255),
-    ),
-    min_size=1,
-    max_size=4,
+EDIT = st.tuples(
+    st.sampled_from(["flip", "flip", "set", "set", "insert", "delete", "truncate"]),
+    st.integers(0, 2**16),
+    st.integers(0, 255),
 )
+EDITS = st.lists(EDIT, min_size=1, max_size=4)
 
 
 def test_unmutated_inputs_decode():
@@ -199,6 +200,60 @@ def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
         assert data not in buyer._accepted_uploads
     else:
         assert data in buyer._accepted_uploads
+
+
+# -- generated readers against the reference decoder -----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def genuine_layouts():
+    """(layout, where its fields start, a genuine encoding) for every message
+    type, every event kind and the payload plaintext."""
+    sent, journal = bank()
+    found = [messages.decode(data) for data in sent + batched_certificates()]
+    orders = [m for m in found if isinstance(m, DataOrder)]
+    found += [o.audience for o in orders] + [o.request for o in orders]
+    found += [p for o in orders for p in o.audience.predicates]
+    cases = {m.encode(): (type(m)._LAYOUT, len(type(m)._PREFIX)) for m in found}
+    assert {type(m) for m in found} == {*messages._BY_TAG.values(), messages.Predicate}
+    cases.update({e.payload: (ledger_mod._RULES[e.kind].layout, 0) for e in journal})
+    assert {e.kind for e in journal} == set(EventKind)
+    plaintext = messages.encode_payload_plaintext(bytes(32), b"records")
+    cases[plaintext] = (messages._PAYLOAD_PLAINTEXT, 0)
+    return [(layout, pos, data) for data, (layout, pos) in cases.items()]
+
+
+def outcome(read, *args):
+    """What `read(*args)` returns, or the text of the EncodingError it raises."""
+    try:
+        return read(*args)
+    except EncodingError as exc:
+        return f"EncodingError: {exc}"
+
+
+@given(st.integers(0, 2**16), st.lists(EDIT, max_size=3), st.binary(max_size=8))
+@settings(max_examples=1500, deadline=None)
+def test_generated_readers_agree_with_the_reference_decoder(index, edits, extension):
+    """On genuine encodings, and on byte edits, truncations and extensions
+    of them, a layout's generated reader and the generic reference loop
+    return equal values or raise EncodingError with the same text."""
+    layout, pos, genuine = genuine_layouts()[index % len(genuine_layouts())]
+    data = mutate(genuine, edits) + extension
+    expected = outcome(reference_decoder.read, layout.codecs, data, pos)
+    assert outcome(layout.read, data, pos) == expected
+
+
+def test_importing_the_package_compiles_no_layout():
+    code = (
+        "import gc, datamarket\n"
+        "from datamarket.encoding import Layout\n"
+        "layouts = [o for o in gc.get_objects() if isinstance(o, Layout)]\n"
+        "print(len(layouts), sum(bool({'read', 'write'} & set(vars(o))) for o in layouts))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(messages.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    layouts, compiled = map(int, out.stdout.split())
+    assert layouts >= len(messages._BY_TAG) + len(EventKind) and compiled == 0
 
 
 # -- hand-made malformed inputs --------------------------------------------

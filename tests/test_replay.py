@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from datamarket import cli, crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
-from datamarket.encoding import Reader, encode_uint, write_field
+from datamarket.encoding import encode_uint, write_field
 from datamarket.errors import EncodingError, LedgerError, ReplayError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
 from datamarket.messages import Verdict
@@ -49,7 +49,7 @@ def forge(ledger, kind, *args, payload=None):
     `args`. Returns (journal bytes, the event's sequence)."""
     rule = ledger_mod._RULES[kind]
     sequence = len(ledger.journal)
-    payload = rule.encode(*args) if payload is None else payload
+    payload = rule.layout.encode(args) if payload is None else payload
     ledger.journal.append(LedgerEvent(kind, payload))
     frames = bytearray()
     for event in ledger.journal:
@@ -164,7 +164,7 @@ BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 def bank_ledger():
     """The live ledger of a `bank.yaml` run and a decoder of its events' arguments."""
     ledger = run_scenario(load_scenario(BANK)).ledger
-    return ledger, lambda event: ledger_mod._RULES[event.kind].decode(Reader(event.payload))
+    return ledger, lambda event: ledger_mod._RULES[event.kind].layout.read(event.payload)
 
 
 def short_seller_key():
@@ -178,11 +178,11 @@ def short_seller_key():
     genuine = responses[0]
     responses[0] = replace(genuine, seller_pk=genuine.seller_pk[:63])
     old, new = genuine.digest(), responses[0].digest()
-    ledger.journal[2] = LedgerEvent(kind, ledger_mod._RULES[kind].encode(order_digest, responses))
+    ledger.journal[2] = LedgerEvent(kind, ledger_mod._RULES[kind].layout.encode((order_digest, responses)))
     for sequence, event in enumerate(ledger.journal):
         if event.kind is EventKind.RESPONSE_CLOSED and args(event)[0].response_digest == old:
             cert = replace(args(event)[0], response_digest=new)
-            payload = ledger_mod._RULES[event.kind].encode(cert)
+            payload = ledger_mod._RULES[event.kind].layout.encode((cert,))
             ledger.journal[sequence] = LedgerEvent(event.kind, payload)
     contract = ledger.contracts[order_digest]
     contract.responses = {new if d == old else d: s for d, s in contract.responses.items()}
@@ -398,7 +398,7 @@ def check_live_against_replay(calls):
             accepted = True
         except LedgerError:
             accepted = False
-        event = LedgerEvent(kind, ledger_mod._RULES[kind].encode(*args))
+        event = LedgerEvent(kind, ledger_mod._RULES[kind].layout.encode(args))
         candidate = before + [event]
         try:
             replayed = ledger_mod.replay(candidate)

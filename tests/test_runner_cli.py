@@ -456,6 +456,8 @@ BAD_ATTRIBUTES = {
     "null value": {"country": None},
     "float value": {"age": 34.5},
     "boolean value": {"age": True},
+    "integer of 2**64": {"age": 2**64},
+    "integer of -2**64": {"age": -(2**64)},
     "integer key": {7: "Argentina"},
     "aliased list 5 levels deep": {"country": nested_list(5)},
 }
@@ -481,7 +483,20 @@ BAD_SPECS = {
     "unknown selection rule": ("buyers", {"selection": SelectionPolicy(rule="NOPE")}),
     "negative FIRST_K k": ("buyers", {"selection": SelectionPolicy(rule="FIRST_K", k=-1)}),
     "unknown notarization mode": ("notaries", {"mode": "NOPE"}),
+    "attribute of 2**64": ("sellers", {"attributes": {"age": 2**64}}),
+    "attribute of 5,001 digits": ("sellers", {"attributes": {"age": 10**5000}}),
+    "balance of 5,001 digits": ("buyers", {"balance": -(10**5000)}),
 }
+
+
+@pytest.mark.parametrize("score", [2**64 - 1, -(2**64 - 1)])
+def test_an_integer_attribute_below_2_64_in_magnitude_runs(score):
+    """The attributes of largest magnitude a predicate can compare with are taken."""
+    scenario = load_scenario(SCENARIOS / "bank.yaml")
+    seller = scenario.sellers[0]
+    attributes = {**seller.attributes, "score": score}
+    scenario.sellers[0] = dataclasses.replace(seller, attributes=attributes)
+    assert run_scenario(scenario).report.ok
 
 
 @pytest.mark.parametrize("where, changes", BAD_SPECS.values(), ids=BAD_SPECS.keys())
