@@ -5,11 +5,19 @@ Each identity carries two keys derived from one 32-byte seed: an Ed25519
 signing key and an X25519 encryption key. Public key bytes are the
 concatenation signing-pub (32) || encryption-pub (32). The secret key is a
 `SecretKey` that holds the seed, libsodium's 64-byte Ed25519 secret (seed ||
-signing-pub) and the parsed X25519 key, derived once with the pair; it
+signing-pub) and the 32-byte X25519 scalar, derived once with the pair; it
 compares by seed and prints none of them. Addresses are the first 20 bytes
-of SHA-256 over the public key bytes. Ed25519 runs on the system libsodium,
-opened through `ctypes` on first use: signatures are RFC 8032's, byte for
-byte OpenSSL's, and verification refuses small-order keys and small-order R.
+of SHA-256 over the public key bytes.
+
+Every primitive but SHA-256 and HMAC runs on the system libsodium, opened
+through `ctypes` on first use, so importing the package opens nothing.
+Ed25519 signatures are RFC 8032's, byte for byte OpenSSL's, and verification
+refuses small-order keys and small-order R. X25519 and ChaCha20-Poly1305 are
+RFC 7748's and RFC 8439's; HKDF-SHA256 (RFC 5869) runs on stdlib `hmac`.
+Every envelope is byte for byte what the `cryptography` (OpenSSL) versions
+of the same primitives make. Lengths from the network are checked before
+any C call, and libsodium's refusals raise `CryptoError` or
+`DecryptionError`.
 
 Envelopes are ECIES-style, shaped like an RFC 9180 (HPKE) context: a
 `Sealer` runs one ephemeral X25519 agreement and HKDF-SHA256 derivation,
@@ -18,11 +26,13 @@ then seals any number of plaintexts with ChaCha20-Poly1305. An envelope is
 sealed under the nonce `4 zero bytes || sequence`. The sequence starts at 0
 and is never reused, so each (key, nonce) pair seals one plaintext, and it
 is authenticated because it is the nonce. An `Opener` is the recipient's
-side of one agreement. Both keep the derived key, not a 2.4 KB AEAD object.
+side of one agreement. Both keep only the 32-byte derived key.
 A seller's deliveries to one buyer share one agreement, as do one order's
 audit copies to one notary; the shared ephemeral key reveals nothing new, as
-offers and transport envelopes name their sender. The one-shot `encrypt_for`
-and `decrypt` serve tests and the benchmark's micro-benchmarks and traces.
+offers and transport envelopes name their sender. Nothing can be sealed to a
+key whose X25519 half has small order (`sealable`): its shared secret would
+be all zero, and libsodium refuses it. The one-shot `encrypt_for` and
+`decrypt` serve tests and the benchmark's micro-benchmarks and traces.
 Tampering or a wrong key raises DecryptionError.
 
 Merkle trees hash as RFC 6962 does: a leaf is SHA-256 over 0x00 || data, a
@@ -35,17 +45,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
-
-from cryptography.exceptions import InvalidTag as _InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import CryptoError, DecryptionError
 
@@ -62,16 +64,43 @@ ADDRESS_MEMO = 256
 _ENC_SEED_INFO = b"datamarket-enc-key-v1"
 _ENVELOPE_INFO = b"datamarket-envelope-v1"
 _NONCE_PAD = bytes(4)  # a nonce is these || the envelope's sequence
-_RAW = serialization.Encoding.Raw
-_RAW_PUB = serialization.PublicFormat.Raw
+_TAG_LEN = 16  # ChaCha20-Poly1305's
+_OPENABLE_LEN = 32 + 8 + _TAG_LEN  # the shortest envelope: ephemeral, sequence, tag
+_HKDF_SALT = bytes(32)  # RFC 5869's default: one SHA-256 output of zeros
+# The encodings libsodium's X25519 refuses: those of the points of order
+# dividing 8 on Curve25519 and its twist (u = 0, 1, p - 1 and the two points
+# of order 8), whose product with any clamped scalar is 0. X25519 ignores the
+# top bit and reads u mod p = 2**255 - 19, so each u has two or four
+# encodings: 14 in all.
+_P25519 = 2**255 - 19
+_SMALL_ORDER_U = (0, 1, _P25519 - 1) + tuple(
+    int.from_bytes(bytes.fromhex(u), "little")
+    for u in (
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    )
+)
+_SMALL_ORDER = frozenset(
+    (v | top).to_bytes(32, "little")
+    for u in _SMALL_ORDER_U
+    for v in (u, u + _P25519)
+    if v < 2**255
+    for top in (0, 1 << 255)
+)
 # Tried in order; `ctypes.util.find_library` would run `ldconfig` in a subprocess.
 _SODIUM_NAMES = ("libsodium.so.23", "libsodium.so", "libsodium.23.dylib", "libsodium.dylib")
-_P, _LEN = ctypes.c_char_p, ctypes.c_ulonglong
+_P, _LEN, _NULL = ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_void_p
 _SODIUM_ARGTYPES = {
     "sodium_init": [],
     "crypto_sign_seed_keypair": [_P, _P, _P],  # pk, sk, seed
-    "crypto_sign_detached": [_P, ctypes.c_void_p, _P, _LEN, _P],  # sig, siglen, m, mlen, sk
+    "crypto_sign_detached": [_P, _NULL, _P, _LEN, _P],  # sig, siglen, m, mlen, sk
     "crypto_sign_verify_detached": [_P, _P, _LEN, _P],  # sig, m, mlen, pk
+    "crypto_scalarmult_base": [_P, _P],  # q, n
+    "crypto_scalarmult": [_P, _P, _P],  # q, n, p
+    # c, clen, m, mlen, ad, adlen, nsec, npub, k
+    "crypto_aead_chacha20poly1305_ietf_encrypt": [_P, _NULL, _P, _LEN, _P, _LEN, _NULL, _P, _P],
+    # m, mlen, nsec, c, clen, ad, adlen, npub, k
+    "crypto_aead_chacha20poly1305_ietf_decrypt": [_P, _NULL, _NULL, _P, _LEN, _P, _LEN, _P, _P],
 }
 
 
@@ -85,7 +114,7 @@ def _sodium() -> ctypes.CDLL:
         except OSError:
             continue
     else:
-        raise CryptoError(f"Ed25519 needs the libsodium library; none of {_SODIUM_NAMES} loads")
+        raise CryptoError(f"crypto needs the libsodium library; none of {_SODIUM_NAMES} loads")
     for function, argtypes in _SODIUM_ARGTYPES.items():
         getattr(lib, function).argtypes = argtypes
         getattr(lib, function).restype = ctypes.c_int
@@ -98,12 +127,14 @@ def _sodium() -> ctypes.CDLL:
 class SecretKey:
     seed: bytes = field(repr=False)
     signing: bytes = field(compare=False, repr=False)  # libsodium's seed || signing-pub
-    decryption: X25519PrivateKey = field(compare=False, repr=False)
+    decryption: bytes = field(compare=False, repr=False)  # the X25519 scalar
     encryption_public: bytes = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.signing, bytes) or len(self.signing) != 64:
             raise CryptoError("an Ed25519 secret must be 64 bytes")
+        if not isinstance(self.decryption, bytes) or len(self.decryption) != 32:
+            raise CryptoError("an X25519 secret must be 32 bytes")
 
 
 @dataclass(frozen=True)
@@ -152,8 +183,8 @@ def generate_keypair(seed: bytes) -> KeyPair:
     seed = bytes(seed)
     sign_pub, sign_sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
     _sodium().crypto_sign_seed_keypair(sign_pub, sign_sk, seed)
-    enc_sk = X25519PrivateKey.from_private_bytes(sha256(seed + _ENC_SEED_INFO))
-    enc_pub = enc_sk.public_key().public_bytes(_RAW, _RAW_PUB)
+    enc_sk = sha256(seed + _ENC_SEED_INFO)
+    enc_pub = _x25519_base(enc_sk)
     return KeyPair(sign_pub.raw + enc_pub, SecretKey(seed, sign_sk.raw, enc_sk, enc_pub))
 
 
@@ -193,9 +224,31 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return lib.crypto_sign_verify_detached(signature, message, len(message), public_key[:32]) == 0
 
 
+def _x25519_base(scalar: bytes) -> bytes:
+    public = ctypes.create_string_buffer(32)
+    _sodium().crypto_scalarmult_base(public, scalar)
+    return public.raw
+
+
+def _x25519(scalar: bytes, point: bytes, error: type) -> bytes:
+    """The shared secret of a 32-byte scalar and point; `error` if libsodium
+    refuses the point, whose shared secret would be all zero."""
+    shared = ctypes.create_string_buffer(32)
+    if _sodium().crypto_scalarmult(shared, scalar, point) != 0:
+        raise error("X25519 agreement with a small-order point")
+    return shared.raw
+
+
+def sealable(public_key: bytes) -> bool:
+    """Whether a `Sealer` can agree with the holder of `public_key`: it is 64
+    bytes and its X25519 half is not a small-order point."""
+    return len(public_key) == PUBLIC_KEY_LEN and public_key[32:] not in _SMALL_ORDER
+
+
 def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
-    hkdf = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_ENVELOPE_INFO)
-    return hkdf.derive(shared + eph_pub + recipient_pub)
+    """HKDF-SHA256 with no salt: one extract, then one expand block."""
+    prk = hmac.digest(_HKDF_SALT, shared + eph_pub + recipient_pub, "sha256")
+    return hmac.digest(prk, _ENVELOPE_INFO + b"\x01", "sha256")
 
 
 class Sealer:
@@ -203,13 +256,15 @@ class Sealer:
     bytes, seeds the ephemeral key, so transcripts are reproducible."""
 
     def __init__(self, public_key: bytes, entropy: bytes):
-        if len(public_key) != PUBLIC_KEY_LEN:
-            raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
+        if not sealable(public_key):
+            raise CryptoError(
+                f"nothing seals to a key that is not {PUBLIC_KEY_LEN} bytes or whose"
+                " X25519 half has small order"
+            )
         if len(entropy) != 32:
             raise CryptoError("entropy must be 32 bytes")
-        eph_sk = X25519PrivateKey.from_private_bytes(entropy)
-        self.ephemeral_public = eph_sk.public_key().public_bytes(_RAW, _RAW_PUB)
-        shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(public_key[32:]))
+        self.ephemeral_public = _x25519_base(entropy)
+        shared = _x25519(entropy, public_key[32:], CryptoError)
         self._key = _envelope_key(shared, self.ephemeral_public, public_key[32:])
         self._sequence = 0
 
@@ -218,28 +273,34 @@ class Sealer:
             raise CryptoError("plaintext must be non-empty")
         sequence = self._sequence.to_bytes(8, "big")
         self._sequence += 1
-        ciphertext = ChaCha20Poly1305(self._key).encrypt(_NONCE_PAD + sequence, plaintext, None)
-        return self.ephemeral_public + sequence + ciphertext
+        ciphertext = ctypes.create_string_buffer(len(plaintext) + _TAG_LEN)
+        nonce = _NONCE_PAD + sequence
+        _sodium().crypto_aead_chacha20poly1305_ietf_encrypt(
+            ciphertext, None, plaintext, len(plaintext), None, 0, None, nonce, self._key
+        )
+        return self.ephemeral_public + sequence + ciphertext.raw
 
 
 class Opener:
     """The recipient's side of the agreement that `ephemeral_public` names."""
 
     def __init__(self, secret_key: SecretKey, ephemeral_public: bytes):
-        try:
-            peer = X25519PublicKey.from_public_bytes(ephemeral_public)
-            shared = secret_key.decryption.exchange(peer)
-        except ValueError as exc:
-            raise DecryptionError("envelope names no usable ephemeral key") from exc
+        if len(ephemeral_public) != 32:
+            raise DecryptionError("envelope names no usable ephemeral key")
+        shared = _x25519(secret_key.decryption, ephemeral_public, DecryptionError)
         self._key = _envelope_key(shared, ephemeral_public, secret_key.encryption_public)
 
     def open(self, envelope: bytes) -> bytes:
         """An envelope sealed under another agreement fails to authenticate."""
-        nonce = _NONCE_PAD + envelope[32:40]
-        try:
-            return ChaCha20Poly1305(self._key).decrypt(nonce, envelope[40:], None)
-        except (_InvalidTag, ValueError) as exc:  # ValueError: a nonce under 12 bytes
-            raise DecryptionError("envelope failed to authenticate") from exc
+        if len(envelope) < _OPENABLE_LEN:
+            raise DecryptionError("envelope failed to authenticate")
+        nonce, ciphertext = _NONCE_PAD + envelope[32:40], envelope[40:]
+        plaintext = ctypes.create_string_buffer(len(ciphertext) - _TAG_LEN)
+        if _sodium().crypto_aead_chacha20poly1305_ietf_decrypt(
+            plaintext, None, None, ciphertext, len(ciphertext), None, 0, nonce, self._key
+        ):
+            raise DecryptionError("envelope failed to authenticate")
+        return plaintext.raw
 
 
 def open_kept(openers: dict[bytes, Opener], secret_key: SecretKey, envelope: bytes) -> bytes:

@@ -19,7 +19,10 @@ derived (a selection's top-up, a close's notary fee). Live operations and
 the events the live ledger would accept in the same state. Only the
 signature checks of orders, notary terms, responses and certificates stay
 live-only, each made by the operation where its message enters the ledger:
-their re-verification would cost several times the rest of a replay. A
+their re-verification would cost several times the rest of a replay. So
+does the check that an order's buyer and notaries have keys something can
+be sealed to (`crypto.sealable`); the journal's blinded order record holds
+no buyer key. A
 selected response is judged by `messages.validate_response`, the rule list
 that the buyer's screen applies too, live and on replay alike.
 
@@ -199,6 +202,9 @@ class Ledger:
             raise InvalidSignature("order buyer signature does not verify")
         if not all(nt.verify_signature() for nt in notary_list):
             raise InvalidSignature("notary countersignature does not verify")
+        # Sellers seal deliveries to the buyer, and the buyer seals audit copies to notaries.
+        if not all(map(crypto.sealable, [order.buyer_pk] + [nt.notary_pk for nt in notary_list])):
+            raise LedgerError("a buyer or notary key has a small-order X25519 half")
         digest = order.digest()
         args = (digest, order.signer_address(), order.min_audit_budget, price, notary_list)
         self._commit(EventKind.ORDER_CREATED, args)

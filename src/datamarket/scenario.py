@@ -52,8 +52,6 @@ import random
 import reprlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import yaml
-
 from . import actors
 from .actors import Mutation
 from .crypto import SEED_LEN
@@ -431,6 +429,8 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import yaml  # here, not at the top: only a file read needs it
+
     try:
         # As bytes: YAML detects the encoding, and bytes it cannot decode raise a YAMLError.
         with open(path, "rb") as fh:

@@ -5,11 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +210,19 @@ def test_an_opener_refuses_another_agreement():
         opener.open(envelope[:32] + other[32:])
 
 
+@pytest.mark.parametrize("length", [0, 31, 32, 39, 40, 55, 56])
+def test_an_envelope_at_a_length_boundary_raises_only_decryption_error(length):
+    """Short of the ephemeral key (32), of the sequence (40), of the tag
+    (56), or just a tag: each fails before or inside libsodium alike."""
+    genuine = crypto.encrypt_for(FUZZ_KEYS.public_key, b"secret payload", b"\x01" * 32)
+    opener = crypto.Opener(FUZZ_KEYS.secret_key, genuine[:32])
+    for envelope in (genuine[:length], bytes(length), b"\xff" * length):
+        with pytest.raises(DecryptionError):
+            crypto.decrypt(FUZZ_KEYS.secret_key, envelope)
+        with pytest.raises(DecryptionError):
+            opener.open(envelope)
+
+
 @given(st.binary(min_size=0, max_size=120))
 @settings(max_examples=300)
 def test_decrypt_of_arbitrary_bytes_raises_only_decryption_error(data):
@@ -223,41 +240,27 @@ def test_encrypt_deterministic_with_entropy():
     )
 
 
-def count_parses(monkeypatch, name):
-    """The private keys of class `crypto.<name>` parsed from now on."""
-    real = getattr(crypto, name)
-    parsed = []
+def count_sodium_calls(monkeypatch, function):
+    """The second argument (a seed or scalar) of each call to libsodium's
+    `function` from now on."""
+    lib, calls = crypto._sodium(), []
+    real = getattr(lib, function)
 
-    class Counting:
-        @staticmethod
-        def from_private_bytes(data):
-            parsed.append(data)
-            return real.from_private_bytes(data)
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
 
-    monkeypatch.setattr(crypto, name, Counting)
-    return parsed
-
-
-def count_ed25519_derivations(monkeypatch):
-    """The seeds libsodium derives an Ed25519 key pair from, from now on."""
-    lib, seeds = crypto._sodium(), []
-    real = lib.crypto_sign_seed_keypair
-
-    def counting(public, secret, seed):
-        seeds.append(seed)
-        return real(public, secret, seed)
-
-    monkeypatch.setattr(lib, "crypto_sign_seed_keypair", counting)
-    return seeds
+    monkeypatch.setattr(lib, function, counting)
+    return calls
 
 
 def test_a_run_parses_each_identity_key_once(monkeypatch):
     """bank.yaml: one buyer, three sellers and one notary. Each identity's
-    Ed25519 pair is derived once; beyond their X25519 keys, only the
-    ephemeral key of each delivering (seller, buyer) context and of each
-    (order, notary) request context is parsed."""
-    ed25519 = count_ed25519_derivations(monkeypatch)
-    x25519 = count_parses(monkeypatch, "X25519PrivateKey")
+    Ed25519 pair and X25519 public key are derived once; beyond those, only
+    the ephemeral public key of each delivering (seller, buyer) context and
+    of each (order, notary) request context is derived."""
+    ed25519 = count_sodium_calls(monkeypatch, "crypto_sign_seed_keypair")
+    x25519 = count_sodium_calls(monkeypatch, "crypto_scalarmult_base")
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
     result = run_scenario(scenario)
     assert result.report.ok
@@ -277,7 +280,7 @@ def test_a_run_parses_each_identity_key_once(monkeypatch):
 
 
 def test_signing_with_many_keys_parses_each_once(monkeypatch):
-    ed25519 = count_ed25519_derivations(monkeypatch)
+    ed25519 = count_sodium_calls(monkeypatch, "crypto_sign_seed_keypair")
     pairs = [crypto.generate_keypair(i.to_bytes(32, "big")) for i in range(600)]
     for _ in range(2):
         for kp in pairs:
@@ -376,21 +379,171 @@ def test_a_secret_key_holds_a_64_byte_libsodium_secret():
             dataclasses.replace(secret, signing=signing)
 
 
+# -- X25519, HKDF and ChaCha20-Poly1305 against the `cryptography` reference --
+
+# The encodings of the points of order dividing 8 on Curve25519 and its
+# twist, as RFC 7748 reads them (top bit ignored, u taken mod 2**255 - 19).
+P25519 = 2**255 - 19
+ORDER_8 = [
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+]
+SMALL_ORDER_U = [0, 1, P25519 - 1] + [int.from_bytes(bytes.fromhex(u), "little") for u in ORDER_8]
+SMALL_ORDER_POINTS = [
+    (v + top).to_bytes(32, "little")
+    for u in SMALL_ORDER_U
+    for v in (u, u + P25519)
+    if v < 2**255
+    for top in (0, 2**255)
+]
+
+
+def reference_x25519_secret(seed: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(crypto.sha256(seed + b"datamarket-enc-key-v1"))
+
+
+def reference_shared(scalar: bytes, point: bytes):
+    """The shared secret, or None where the reference refuses the point."""
+    try:
+        return X25519PrivateKey.from_private_bytes(scalar).exchange(
+            X25519PublicKey.from_public_bytes(point)
+        )
+    except ValueError:
+        return None
+
+
+def reference_aead(shared: bytes, ephemeral: bytes, recipient: bytes) -> ChaCha20Poly1305:
+    hkdf = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=b"datamarket-envelope-v1")
+    return ChaCha20Poly1305(hkdf.derive(shared + ephemeral + recipient))
+
+
+def reference_encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:
+    ephemeral = X25519PrivateKey.from_private_bytes(entropy).public_key().public_bytes_raw()
+    shared = reference_shared(entropy, public_key[32:])
+    aead = reference_aead(shared, ephemeral, public_key[32:])
+    return ephemeral + bytes(8) + aead.encrypt(bytes(12), plaintext, None)
+
+
+def reference_decrypt(seed: bytes, envelope: bytes):
+    """The plaintext, or None where the reference refuses the envelope."""
+    secret = reference_x25519_secret(seed)
+    shared = reference_shared(secret.private_bytes_raw(), envelope[:32])
+    if shared is None:
+        return None
+    aead = reference_aead(shared, envelope[:32], secret.public_key().public_bytes_raw())
+    try:
+        return aead.decrypt(bytes(4) + envelope[32:40], envelope[40:], None)
+    except InvalidTag:
+        return None
+
+
+def opened(secret_key: crypto.SecretKey, envelope: bytes):
+    try:
+        return crypto.decrypt(secret_key, envelope)
+    except DecryptionError:
+        return None
+
+
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    entropy=st.binary(min_size=32, max_size=32),
+    plaintext=st.binary(min_size=1, max_size=512),
+    flips=st.tuples(st.integers(0, 15), st.integers(0, 10**6)),
+    mask=st.integers(1, 255),
+)
+@settings(max_examples=150)
+def test_x25519_and_envelopes_match_the_reference_byte_for_byte(
+    seed, entropy, plaintext, flips, mask
+):
+    kp = crypto.generate_keypair(seed)
+    reference = reference_x25519_secret(seed)
+    assert kp.public_key[32:] == reference.public_key().public_bytes_raw()
+    assert kp.secret_key.decryption == reference.private_bytes_raw()
+    shared = crypto._x25519(entropy, kp.public_key[32:], CryptoError)
+    assert shared == reference_shared(entropy, kp.public_key[32:])
+    envelope = crypto.encrypt_for(kp.public_key, plaintext, entropy)
+    assert envelope == reference_encrypt_for(kp.public_key, plaintext, entropy)
+    tag_at, anywhere = flips
+    cases = [
+        envelope,
+        flip(envelope, len(envelope) - 16 + tag_at, mask),
+        flip(envelope, anywhere % len(envelope), mask),
+    ]
+    plaintexts = [opened(kp.secret_key, case) for case in cases]
+    assert plaintexts == [reference_decrypt(seed, case) for case in cases]
+    assert plaintexts == [plaintext, None, None]
+
+
+def test_both_backends_refuse_the_same_small_order_points():
+    """libsodium and the reference refuse exactly the small-order encodings:
+    each of the 14, and none of their one-bit neighbours below the top bit."""
+    assert len(set(SMALL_ORDER_POINTS)) == 14
+    scalar = crypto.generate_keypair(SEED).secret_key.decryption
+    for point in SMALL_ORDER_POINTS:
+        assert reference_shared(scalar, point) is None
+        with pytest.raises(CryptoError):
+            crypto._x25519(scalar, point, CryptoError)
+        key = FUZZ_KEYS.public_key[:32] + point
+        assert not crypto.sealable(key)
+        with pytest.raises(CryptoError, match="small order"):
+            crypto.Sealer(key, b"\x01" * 32)
+        with pytest.raises(DecryptionError):
+            crypto.Opener(FUZZ_KEYS.secret_key, point)
+        for bit in range(255):
+            neighbour = (int.from_bytes(point, "little") ^ 1 << bit).to_bytes(32, "little")
+            if neighbour not in SMALL_ORDER_POINTS:
+                assert reference_shared(scalar, neighbour) is not None
+                assert crypto.sealable(FUZZ_KEYS.public_key[:32] + neighbour)
+                assert crypto._x25519(scalar, neighbour, CryptoError) == reference_shared(
+                    scalar, neighbour
+                )
+
+
+def test_sealable_needs_a_64_byte_key():
+    assert crypto.sealable(FUZZ_KEYS.public_key)
+    for length in (0, 32, 63, 65):
+        assert not crypto.sealable((FUZZ_KEYS.public_key * 2)[:length])
+
+
 def test_without_libsodium_signing_raises_crypto_error(monkeypatch):
+    """Signing, sealing and opening all need libsodium: without it each
+    raises CryptoError, not a DecryptionError that blames the envelope."""
+    sealer = crypto.Sealer(FUZZ_KEYS.public_key, b"\x01" * 32)
+    envelope = sealer.seal(b"m")
+    opener = crypto.Opener(FUZZ_KEYS.secret_key, envelope[:32])
     monkeypatch.setattr(crypto, "_SODIUM_NAMES", ("libsodium-absent.so.0",))
     crypto._sodium.cache_clear()
     try:
-        with pytest.raises(CryptoError, match="libsodium"):
-            crypto.sign(FUZZ_KEYS.secret_key, b"m")
+        for call in (
+            lambda: crypto.sign(FUZZ_KEYS.secret_key, b"m"),
+            lambda: crypto.Sealer(FUZZ_KEYS.public_key, b"\x01" * 32),
+            lambda: sealer.seal(b"m"),
+            lambda: crypto.decrypt(FUZZ_KEYS.secret_key, envelope),
+            lambda: opener.open(envelope),
+        ):
+            with pytest.raises(CryptoError, match="libsodium") as raised:
+                call()
+            assert type(raised.value) is CryptoError
     finally:
         crypto._sodium.cache_clear()
 
 
+def python_output(code: str, *args: str) -> bytes:
+    """What `code`, run with `args`, prints in a new interpreter that
+    imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+
+
 def test_importing_the_package_opens_no_library():
     code = "import datamarket; print(datamarket.crypto._sodium.cache_info().currsize)"
-    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-    assert out.stdout == b"0\n"
+    assert python_output(code) == b"0\n"
+
+
+def test_importing_the_package_loads_neither_cryptography_nor_yaml():
+    code = "import datamarket, sys; print(sorted({'cryptography', 'yaml'} & set(sys.modules)))"
+    assert python_output(code) == b"[]\n"
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=256))

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import cli, ledger as ledger_mod, runner
+from datamarket import actors, cli, ledger as ledger_mod, runner
 from datamarket.actors import Mutation
 from datamarket.errors import ScenarioError
 from datamarket.ledger import LedgerEvent
@@ -25,6 +25,7 @@ from datamarket.scenario import (
     scenario_from_dict,
 )
 
+from test_crypto import python_output
 from test_golden import GOLDEN
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -281,6 +282,16 @@ def test_cli_verify_reports_event_count(tmp_path, capsys):
 def test_verified_journal_reserializes_to_the_same_bytes(name):
     data = ledger_mod.journal_bytes(run_scenario(load_scenario(SCENARIOS / name)).ledger)
     assert ledger_mod.journal_bytes(ledger_mod.verify_journal(data)) == data
+
+
+def test_cli_verify_loads_no_yaml(tmp_path):
+    journal = tmp_path / "bank.journal"
+    journal.write_bytes(run_scenario(load_scenario(SCENARIOS / "bank.yaml")).report.journal)
+    code = (
+        "import sys; from datamarket import cli; code = cli.main(['verify', sys.argv[1]]);"
+        " print(code, 'yaml' in sys.modules)"
+    )
+    assert python_output(code, str(journal)).endswith(b"\n0 False\n")
 
 
 def test_cli_verify_rejects_tampered_journal(tmp_path, capsys):
@@ -564,6 +575,41 @@ def test_refused_registration_aborts_the_order():
     assert len(buyer.rejected_submissions) == 1
     assert buyer.rejected_submissions[0].startswith("register: ")
     assert len(buyer.aborted_orders) == 1
+
+
+# X25519 halves nothing can be sealed to: u = 0, u = 1 and a point of order 8.
+SMALL_ORDER_HALVES = {
+    "u=0": bytes(32),
+    "u=1": b"\x01" + bytes(31),
+    "order-8": bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+}
+
+
+@pytest.mark.parametrize("point", SMALL_ORDER_HALVES.values(), ids=SMALL_ORDER_HALVES.keys())
+@pytest.mark.parametrize("seed", [101, 301], ids=["buyer", "notary"])
+def test_a_small_order_encryption_key_is_refused_at_registration(monkeypatch, seed, point):
+    """bank.yaml with the X25519 half of the buyer's (or the notary's) key
+    replaced by a small-order point. Every signature still verifies, but
+    nothing can be sealed to the key: the ledger refuses the order, the
+    buyer records why and aborts it, and the run ends on the oracle table
+    with its invariants passing."""
+    real = actors.keys_from_seed
+
+    def keys_from_seed(s):
+        keys = real(s)
+        if s == seed:
+            keys = dataclasses.replace(keys, public_key=keys.public_key[:32] + point)
+        return keys
+
+    monkeypatch.setattr(actors, "keys_from_seed", keys_from_seed)
+    assert run_cli(edited_bank([])) == (1, "")
+    result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
+    buyer = result.buyers[0]
+    refusal = "register: a buyer or notary key has a small-order X25519 half"
+    assert buyer.rejected_submissions == [refusal]
+    assert len(buyer.aborted_orders) == 1 and not result.ledger.contracts
+    report = result.report
+    assert not report.invariant_failures and not report.rows and report.oracle_failures
 
 
 def test_two_identical_orders_from_one_buyer_both_settle():
