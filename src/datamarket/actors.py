@@ -72,7 +72,11 @@ BUYER_RETRY_INTERVAL = 4
 
 
 def keys_from_seed(seed: int) -> KeyPair:
-    return crypto.generate_keypair(seed.to_bytes(crypto.SEED_LEN, "big"))
+    return keys_from_seeds([seed])[0]
+
+
+def keys_from_seeds(seeds: Sequence[int]) -> List[KeyPair]:
+    return crypto.generate_keypairs([seed.to_bytes(crypto.SEED_LEN, "big") for seed in seeds])
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,10 @@ class _SellerOffer:
 
 
 class Seller:
-    def __init__(self, spec: "SellerSpec", ledger: Ledger, network: Network):
+    def __init__(self, spec: "SellerSpec", keys: KeyPair, ledger: Ledger, network: Network):
         self.spec = spec
         self.name = spec.name
-        self.keys = keys_from_seed(spec.seed)
+        self.keys = keys
         self.address = crypto.derive_address(self.keys.public_key)
         self.ledger = ledger
         self.network = network
@@ -210,6 +214,7 @@ class Notary:
     def __init__(
         self,
         spec: "NotarySpec",
+        keys: KeyPair,
         ledger: Ledger,
         network: Network,
         records: Dict[Tuple[str, str], bytes],
@@ -220,7 +225,7 @@ class Notary:
         seller's payment address to its name."""
         self.spec = spec
         self.name = spec.name
-        self.keys = keys_from_seed(spec.seed)
+        self.keys = keys
         self.address = crypto.derive_address(self.keys.public_key)
         self._rng = random.Random(spec.seed)
         self.ledger = ledger
@@ -336,6 +341,7 @@ class Buyer:
     def __init__(
         self,
         spec: "BuyerSpec",
+        keys: KeyPair,
         ledger: Ledger,
         network: Network,
         notary_names: Dict[Address, str],
@@ -344,7 +350,7 @@ class Buyer:
         endpoint is registered under."""
         self.spec = spec
         self.name = spec.name
-        self.keys = keys_from_seed(spec.seed)
+        self.keys = keys
         self.address = crypto.derive_address(self.keys.public_key)
         self.ledger = ledger
         self.network = network

@@ -12,11 +12,12 @@ to its input.
 Signed types expose `signing_bytes()` (the canonical encoding of every
 field before the signature) and `encode()` (signing bytes plus the
 signature field). They are frozen, so each instance computes its encodings,
-digest, signer address and signature check once and keeps them (see
-`_memoized`). A decoded signed message is built without its constructor:
-its fields and its input, as its encoding, are set in its `__dict__` in one
-step. No field repeats a fact another fixes: a signer's address is derived
-from its key, and a response names its order only by digest.
+digest, signer address and signature check once (see `_memoized`), and all
+copies of one message share one check through a memo (`_verifies`). A
+decoded signed message is built without its constructor: its fields and its
+input, as its encoding, are set in its `__dict__` in one step. No field
+repeats a fact another fixes: a signer's address is derived from its key,
+and a response names its order only by digest.
 
 A notary signs certificates in batches of at most `CERTIFICATE_BATCH`: one
 signature covers a tag byte no message has, the batch size and the RFC 6962
@@ -73,7 +74,7 @@ TAG_PAYLOAD_DELIVERY = 7
 TAG_NOTARIZATION_REQUEST = 8
 TAG_CERTIFICATE_ROOT = 9  # what a certificate's signature covers; no message has this tag
 CERTIFICATE_BATCH = 16  # certificates per signed root, so an audit path holds at most 4 hashes
-ROOT_MEMO = 256  # root signature checks remembered: more than a ladder tick has in flight
+VERIFY_MEMO = 256  # signature checks remembered: more than a ladder tick has in flight
 # From this many messages `verify_signatures` uses two threads: a thread takes 130 us to start and
 # join, and on 2 x86_64 vCPUs two check 2/8/16/160 signatures 0.6-0.7/1.2/1.4/1.8-2.1x as fast.
 PARALLEL_MIN = 16
@@ -148,6 +149,12 @@ class Message:
             raise EncodingError(f"invalid {cls.__name__}: {exc}") from None
 
 
+@functools.lru_cache(maxsize=VERIFY_MEMO)
+def _verifies(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """`crypto.verify`, remembered for copies of one message and a batch root's certificates."""
+    return crypto.verify(public_key, message, signature)
+
+
 class _Signed(Message):
     """Base of the signed types. The last field is the signature, by the
     key in the type's one `PublicKey` field, over the encoding of the fields
@@ -179,7 +186,7 @@ class _Signed(Message):
 
     @_memoized
     def verify_signature(self) -> bool:
-        return crypto.verify(getattr(self, self._SIGNER), self.signing_bytes(), self.signature)
+        return _verifies(getattr(self, self._SIGNER), self.signing_bytes(), self.signature)
 
     @classmethod
     def _build(cls, data: bytes, values: list):
@@ -392,7 +399,7 @@ class NotaryCertificate(_Signed):
     def verify_signature(self) -> bool:
         leaf = self._LEAF.encode((self.order_ref, self.response_digest, self.verdict))
         root = crypto.merkle_fold(leaf, self.leaf_index, self.batch_size, self.audit_path)
-        return root is not None and _root_verifies(
+        return root is not None and _verifies(
             self.notary_pk, self._root_message(self.batch_size, root), self.notary_signature
         )
 
@@ -403,11 +410,6 @@ class NotaryCertificate(_Signed):
         if not in_batch or len(path) != crypto.DIGEST_LEN * crypto.merkle_path_length(index, size):
             raise EncodingError(f"no leaf {index} of {size} has a {len(path)}-byte audit path")
         return super()._build(data, values)
-
-
-@functools.lru_cache(maxsize=ROOT_MEMO)
-def _root_verifies(notary_pk: bytes, message: bytes, signature: bytes) -> bool:
-    return crypto.verify(notary_pk, message, signature)
 
 
 @_layout(TAG_PAYLOAD_DELIVERY)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from . import ledger as ledger_mod
-from .actors import Buyer, Notary, Seller
+from .actors import Buyer, Notary, Seller, keys_from_seeds
 from .ledger import Ledger, ReplayError
 from .scenario import OrderSpec, Scenario
 from .transport import Network
@@ -122,14 +122,18 @@ def run_scenario(
     network = Network(config if seed is None else dataclasses.replace(config, seed=seed))
     market = Ledger()
 
-    sellers = [Seller(spec, market, network) for spec in scenario.sellers]
+    seeds = [spec.seed for spec in scenario.buyers + scenario.sellers + scenario.notaries]
+    keys = dict(zip(seeds, keys_from_seeds(seeds)))  # `validate` made each seed one identity's
+    sellers = [Seller(s, keys[s.seed], market, network) for s in scenario.sellers]
     enrollment = {seller.address: seller.name for seller in sellers}
     records = {
         (s.name, schema): data for s in scenario.sellers for schema, data in s.dataset.items()
     }
-    notaries = [Notary(spec, market, network, records, enrollment) for spec in scenario.notaries]
+    notaries = [
+        Notary(s, keys[s.seed], market, network, records, enrollment) for s in scenario.notaries
+    ]
     notary_names = {notary.address: notary.name for notary in notaries}
-    buyers = [Buyer(spec, market, network, notary_names) for spec in scenario.buyers]
+    buyers = [Buyer(s, keys[s.seed], market, network, notary_names) for s in scenario.buyers]
     buyer_by_name = {buyer.name: buyer for buyer in buyers}
     for buyer in buyers:
         if buyer.spec.balance > 0:

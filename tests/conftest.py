@@ -1,16 +1,23 @@
-"""Session fixtures shared between test modules."""
+"""Fixtures shared between test modules."""
 
 import hashlib
 
 import pytest
 
-from datamarket import ledger as ledger_mod
+from datamarket import ledger as ledger_mod, messages
 from datamarket.runner import run_scenario
 from datamarket.scenario import random_scenario
 
 from market_helpers import decisions
 
 RANDOM_SEEDS = range(1000)
+
+
+@pytest.fixture(autouse=True)
+def fresh_signature_memo():
+    """Each test starts with no signature check remembered, so a test that
+    counts checks counts its own, whatever ran before it."""
+    messages._verifies.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from datamarket import crypto, ledger as ledger_mod, messages
-from datamarket.actors import Notary
+from datamarket.actors import Notary, keys_from_seed
 from datamarket.errors import ReplayError
 from datamarket.ledger import Outcome
 from datamarket.messages import NotarizationRequest, Verdict
@@ -98,6 +98,7 @@ def test_acceptance_1_settlement_truth_table():
             market.ledger.select_sellers(market.order_id, [response])
             notary = Notary(
                 NotarySpec(name="n", seed=2, fee=2, mode=mode),
+                keys_from_seed(2),
                 market.ledger,
                 Network(NetworkConfig()),
                 records={("s", "records"): truth},

@@ -50,6 +50,7 @@ SCHEMA = "records"
 def make_notary(market, ground_truth=None, enrollment=None, mode="ALWAYS"):
     return Notary(
         NotarySpec(name="n", seed=2, fee=2, mode=mode),  # seed 2: the market's notary keys
+        keys_from_seed(2),
         market.ledger,
         Network(NetworkConfig()),
         records=ground_truth or {},
@@ -235,7 +236,7 @@ def test_a_first_k_buyer_checks_signatures_only_until_its_selection_is_full(monk
     market = make_market()
     offers = [make_response(market, seller_seed=100 + i)[0] for i in range(3)]
     spec = BuyerSpec(name="b", seed=1, selection=SelectionPolicy(rule="FIRST_K", k=1))
-    buyer = Buyer(spec, market.ledger, Network(NetworkConfig()), {})
+    buyer = Buyer(spec, keys_from_seed(spec.seed), market.ledger, Network(NetworkConfig()), {})
     buyer._offers_by_order[market.order_id] = [messages.decode(r.encode()) for r in offers]
     calls, verify = [], crypto.verify
     monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
@@ -275,8 +276,9 @@ def screen(kinds, policy, parallel_min):
     market = make_market(balance=100_000)
     offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
     spec = BuyerSpec(name="b", seed=1, selection=policy)
-    buyer = Buyer(spec, market.ledger, Network(NetworkConfig()), {})
+    buyer = Buyer(spec, keys_from_seed(spec.seed), market.ledger, Network(NetworkConfig()), {})
     buyer._offers_by_order[market.order_id] = offers
+    messages._verifies.cache_clear()  # the last screen checked the same offers
     checks, starts, verify = [], [], crypto.verify
     with (
         mock.patch.object(crypto, "verify", lambda *a: checks.append(a) or verify(*a)),
@@ -321,7 +323,8 @@ def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
     the half that raised it, not from a later check of the same offer."""
     market = make_market(balance=100_000)
     offers = [messages.decode(good) for good in screen_offers()["good"][:20]]
-    buyer = Buyer(BuyerSpec(name="b", seed=1), market.ledger, Network(NetworkConfig()), {})
+    spec = BuyerSpec(name="b", seed=1)
+    buyer = Buyer(spec, keys_from_seed(spec.seed), market.ledger, Network(NetworkConfig()), {})
     buyer._offers_by_order[market.order_id] = offers
     verify, threads, failed = crypto.verify, threading.active_count(), []
 
@@ -348,6 +351,7 @@ def test_two_threads_check_each_offer_once_under_frequent_thread_switches(monkey
     try:
         for _ in range(5):
             offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
+            messages._verifies.cache_clear()  # the last round checked the same offers
             messages.verify_signatures(offers)
             assert [offer.verify_signature() for offer in offers] == [k == "good" for k in kinds]
             assert len(checks) == len(offers)
@@ -398,7 +402,12 @@ def test_sample_policy_reproducible():
     verdicts = []
     for _ in range(2):
         notary = Notary(
-            spec, market.ledger, Network(NetworkConfig()), {("s10", SCHEMA): DATA}, enrollment
+            spec,
+            keys_from_seed(spec.seed),
+            market.ledger,
+            Network(NetworkConfig()),
+            {("s10", SCHEMA): DATA},
+            enrollment,
         )
         verdicts.append([notary.decide_verdict(request, response, SCHEMA) for _ in range(50)])
     assert verdicts[0] == verdicts[1]
@@ -414,7 +423,7 @@ def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
     buyer_keys, notary_keys = keys_from_seed(1), keys_from_seed(2)
     ledger.mint(crypto.derive_address(buyer_keys.public_key), 100)
     spec = SellerSpec(name="s", seed=5, attributes={"country": "AR"}, dataset={SCHEMA: DATA})
-    seller = Seller(spec, ledger, network)
+    seller = Seller(spec, keys_from_seed(spec.seed), ledger, network)
     seller.step(1)
     orders = [make_order(buyer_keys, m_a=m_a) for m_a in (1, 2, 3)]
     orders.sort(key=lambda order: order.digest(), reverse=True)
@@ -554,7 +563,8 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
     ledger, network = Ledger(), Network(NetworkConfig())
     market = make_market()  # only for the notary's keys and address
     notary_keys = market.notary_keys
-    buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {market.notary: "n"})
+    spec = BuyerSpec(name="b", seed=1)
+    buyer = Buyer(spec, keys_from_seed(spec.seed), ledger, network, {market.notary: "n"})
     for endpoint in (buyer.upload_url, "notary:n"):
         network.register(endpoint)
     ledger.mint(buyer.address, 100)
@@ -637,7 +647,8 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
     a payload delivery for it is refused as one whose response is not
     selected."""
     ledger, network = Ledger(), Network(NetworkConfig())
-    buyer = Buyer(BuyerSpec(name="b", seed=1), ledger, network, {})
+    spec = BuyerSpec(name="b", seed=1)
+    buyer = Buyer(spec, keys_from_seed(spec.seed), ledger, network, {})
     order = buyer.start_order(OrderSpec(buyer="b", schema_id=SCHEMA, price=5, notaries=()), 0)
     notary_keys = keys_from_seed(2)
     notary = crypto.derive_address(notary_keys.public_key)

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import os
 import subprocess
@@ -14,10 +15,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datamarket import crypto, messages
+from datamarket.actors import keys_from_seed
 from datamarket.errors import CryptoError, DecryptionError
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario
@@ -25,6 +27,7 @@ from datamarket.scenario import load_scenario
 from sha256_ref import sha256_ref
 
 SEED = bytes(range(32))
+BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 FUZZ_KEYS = crypto.generate_keypair(SEED)
 
 
@@ -258,9 +261,11 @@ def test_a_run_parses_each_identity_key_once(monkeypatch):
     """bank.yaml: one buyer, three sellers and one notary. Each identity's
     Ed25519 pair and X25519 public key are derived once; beyond those, only
     the ephemeral public key of each delivering (seller, buyer) context and
-    of each (order, notary) request context is derived."""
+    of each (order, notary) request context is derived. Every X25519 public
+    key comes from the Ed25519 comb, none from libsodium's X25519 ladder."""
     ed25519 = count_sodium_calls(monkeypatch, "crypto_sign_seed_keypair")
-    x25519 = count_sodium_calls(monkeypatch, "crypto_scalarmult_base")
+    x25519 = count_sodium_calls(monkeypatch, "crypto_scalarmult_ed25519_base")
+    ladder = count_sodium_calls(monkeypatch, "crypto_scalarmult_base")
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
     result = run_scenario(scenario)
     assert result.report.ok
@@ -277,6 +282,22 @@ def test_a_run_parses_each_identity_key_once(monkeypatch):
     assert identities == 5 and deliveries and contexts
     assert len(ed25519) == identities
     assert len(x25519) == identities + len(deliveries) + len(contexts)
+    assert not ladder
+
+
+def test_a_run_derives_every_identity_key_in_one_batch(monkeypatch):
+    """bank.yaml's buyer, sellers and notary get their key pairs from one
+    `generate_keypairs` call, equal to each one's `keys_from_seed`."""
+    batches, real = [], crypto.generate_keypairs
+    monkeypatch.setattr(crypto, "generate_keypairs", lambda s: batches.append(s) or real(s))
+    result = run_scenario(load_scenario(BANK))
+    actors = [*result.buyers, *result.sellers, *result.notaries]
+    assert result.report.ok and len(batches) == 1 and len(batches[0]) == len(actors) == 5
+    assert sorted(batches[0]) == sorted(a.spec.seed.to_bytes(32, "big") for a in actors)
+    for actor in actors:
+        alone = keys_from_seed(actor.spec.seed)
+        assert actor.keys.public_key == alone.public_key
+        assert actor.keys.secret_key.decryption == alone.secret_key.decryption
 
 
 def test_signing_with_many_keys_parses_each_once(monkeypatch):
@@ -472,6 +493,88 @@ def test_x25519_and_envelopes_match_the_reference_byte_for_byte(
     plaintexts = [opened(kp.secret_key, case) for case in cases]
     assert plaintexts == [reference_decrypt(seed, case) for case in cases]
     assert plaintexts == [plaintext, None, None]
+
+
+# Scalars at the edges of X25519's clamp: all zero (valid for X25519, but the
+# Ed25519 comb refuses a zero scalar it is handed), all ones, and one bit set
+# at the top, at bit 254 that the clamp forces on, and below the clamp's low 3 bits.
+EDGE_SCALARS = [
+    bytes(32),
+    b"\xff" * 32,
+    bytes(31) + b"\x80",
+    bytes(31) + b"\x40",
+    b"\x01" + bytes(31),
+    b"\x07" + bytes(31),
+    b"\x08" + bytes(31),
+]
+
+
+def libsodium_ladder(scalar: bytes) -> bytes:
+    """libsodium's own X25519 base point multiplication (a Montgomery
+    ladder), which the package does not call."""
+    public = ctypes.create_string_buffer(32)
+    assert crypto._sodium().crypto_scalarmult_base(public, scalar) == 0
+    return public.raw
+
+
+SCALARS = st.one_of(st.sampled_from(EDGE_SCALARS), st.binary(min_size=32, max_size=32))
+
+
+def reference_public(scalar: bytes) -> bytes:
+    return X25519PrivateKey.from_private_bytes(scalar).public_key().public_bytes_raw()
+
+
+@given(st.lists(SCALARS, min_size=1, max_size=20))
+@example(EDGE_SCALARS)
+@example(EDGE_SCALARS[::-1])
+@settings(max_examples=150)
+def test_x25519_public_keys_match_both_references(scalars):
+    """The comb-and-map kernel gives `cryptography`'s and libsodium's X25519
+    public key for every scalar, and a batch equals its elements one at a time."""
+    publics = crypto._x25519_publics(scalars)
+    assert publics == [reference_public(s) for s in scalars]
+    assert publics == [libsodium_ladder(s) for s in scalars]
+    assert publics == [crypto._x25519_publics([s])[0] for s in scalars]
+
+
+def test_generate_keypairs_checks_every_seed_before_any_call(monkeypatch):
+    """A bad seed anywhere in a batch raises CryptoError before libsodium
+    derives any key, and an empty batch gives an empty list."""
+    calls = count_sodium_calls(monkeypatch, "crypto_sign_seed_keypair")
+    combs = count_sodium_calls(monkeypatch, "crypto_scalarmult_ed25519_base")
+    for bad in (b"short", SEED + b"!", "x" * 32, None):
+        with pytest.raises(CryptoError):
+            crypto.generate_keypairs([SEED, bytes(32), bad])
+    assert not calls and not combs
+    assert crypto.generate_keypairs([]) == []
+    assert crypto.generate_keypairs([SEED, bytearray(SEED)]) == [crypto.generate_keypair(SEED)] * 2
+
+
+def test_a_refusal_by_the_comb_or_a_neutral_point_raises_crypto_error(monkeypatch):
+    """A nonzero return from libsodium, and a point whose y is 1 (so 1 - y
+    has no inverse), raise CryptoError, not a traceback from the arithmetic."""
+    lib, real = crypto._sodium(), crypto._sodium().crypto_scalarmult_ed25519_base
+    monkeypatch.setattr(lib, "crypto_scalarmult_ed25519_base", lambda q, n: -1)
+    with pytest.raises(CryptoError, match="refused"):
+        crypto.generate_keypairs([SEED])
+
+    def neutral(q, n):
+        ctypes.memmove(q, b"\x01" + bytes(31), 32)
+        return 0
+
+    monkeypatch.setattr(lib, "crypto_scalarmult_ed25519_base", neutral)
+    with pytest.raises(CryptoError, match="neutral"):
+        crypto._x25519_publics([SEED, bytes(32)])
+    monkeypatch.setattr(lib, "crypto_scalarmult_ed25519_base", real)
+    assert crypto._x25519_publics([SEED]) == [libsodium_ladder(SEED)]
+
+
+def test_a_sealer_with_all_zero_entropy_matches_the_reference():
+    """Zero entropy is a valid X25519 scalar: the clamp, not the comb's
+    refusal of a zero scalar, decides its ephemeral key."""
+    envelope = crypto.encrypt_for(FUZZ_KEYS.public_key, b"plaintext", bytes(32))
+    assert envelope == reference_encrypt_for(FUZZ_KEYS.public_key, b"plaintext", bytes(32))
+    assert crypto.decrypt(FUZZ_KEYS.secret_key, envelope) == b"plaintext"
 
 
 def test_both_backends_refuse_the_same_small_order_points():

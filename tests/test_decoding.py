@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datamarket import ledger as ledger_mod, messages, transport
-from datamarket.actors import Buyer
+from datamarket.actors import Buyer, keys_from_seed
 from datamarket.encoding import encode_uint, write_field
 from datamarket.errors import EncodingError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
@@ -187,7 +187,8 @@ def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
     an upload, accepted or refused, or it adds exactly one `upload:`
     refusal. Nothing raises."""
     (sent, _), (senders, _) = bank(), bank_run()
-    buyer = Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
+    spec = BuyerSpec(name="b", seed=1)
+    buyer = Buyer(spec, keys_from_seed(spec.seed), Ledger(), Network(NetworkConfig()), {})
     buyer.handle([Envelope(senders[data], buyer.upload_url, data, 0) for data in bank_offers()])
     original = sent[index % len(sent)]
     data = mutate(original, edits)

@@ -428,16 +428,36 @@ def test_every_byte_of_a_batched_certificate_is_bound(n, data):
 
 def test_a_batch_root_is_verified_once(monkeypatch):
     """Sixteen certificates decoded apart, as the buyer gets them, cost one
-    signature check; the memo of such checks is bounded by the module constant."""
-    assert messages._root_verifies.cache_info().maxsize == messages.ROOT_MEMO
+    signature check; the memo of signature checks is bounded by the module constant."""
+    assert messages._verifies.cache_info().maxsize == messages.VERIFY_MEMO
     market, claims = certified_market()
     certs = [c.encode() for c in messages.issue_certificates(market.notary_keys, claims[:16])]
-    messages._root_verifies.cache_clear()  # another test may have checked this root
+    messages._verifies.cache_clear()  # another test may have checked this root
     checked = []
     verify = crypto.verify
     monkeypatch.setattr(crypto, "verify", lambda *args: checked.append(args) or verify(*args))
     assert all(messages.decode(c).verify_signature() for c in certs)
     assert len(checked) == 1
+
+
+def test_an_order_checked_by_two_notaries_and_the_ledger_costs_one_check(monkeypatch):
+    """Each notary decodes its own copy of an order and checks it before
+    countersigning, and the ledger checks the buyer's copy at registration:
+    one libsodium check in all, through the shared memo."""
+    buyer_keys = keys_from_seed(1)
+    order = make_order(buyer_keys)
+    checked, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: checked.append(args) or verify(*args))
+    terms = [
+        messages.countersign_order(keys_from_seed(seed), messages.decode(order.encode()), 2, TERMS)
+        for seed in (2, 3)
+    ]
+    market = ledger_mod.Ledger()
+    market.mint(crypto.derive_address(buyer_keys.public_key), 100)
+    market.register_order(order, terms, 5)
+    order_checks = [args for args in checked if args[1] == order.signing_bytes()]
+    assert len(order_checks) == 1
+    assert len(checked) == 3  # the order once, and each notary's terms
 
 
 def test_a_certificate_moved_to_a_batch_of_another_size_fails():

@@ -593,15 +593,16 @@ def test_a_small_order_encryption_key_is_refused_at_registration(monkeypatch, se
     nothing can be sealed to the key: the ledger refuses the order, the
     buyer records why and aborts it, and the run ends on the oracle table
     with its invariants passing."""
-    real = actors.keys_from_seed
+    real = actors.keys_from_seeds
 
-    def keys_from_seed(s):
-        keys = real(s)
-        if s == seed:
-            keys = dataclasses.replace(keys, public_key=keys.public_key[:32] + point)
+    def keys_from_seeds(seeds):
+        keys = real(seeds)
+        for i, s in enumerate(seeds):
+            if s == seed:
+                keys[i] = dataclasses.replace(keys[i], public_key=keys[i].public_key[:32] + point)
         return keys
 
-    monkeypatch.setattr(actors, "keys_from_seed", keys_from_seed)
+    monkeypatch.setattr(runner, "keys_from_seeds", keys_from_seeds)
     assert run_cli(edited_bank([])) == (1, "")
     result = run_scenario(load_scenario(SCENARIOS / "bank.yaml"))
     buyer = result.buyers[0]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from datamarket import messages, transport
-from datamarket.actors import Buyer
+from datamarket.actors import Buyer, keys_from_seed
 from datamarket.crypto import Address
 from datamarket.errors import TransportError
 from datamarket.ledger import Ledger
@@ -102,7 +102,8 @@ def test_transport_neutrality():
 
 
 def make_buyer():
-    return Buyer(BuyerSpec(name="b", seed=1), Ledger(), Network(NetworkConfig()), {})
+    spec = BuyerSpec(name="b", seed=1)
+    return Buyer(spec, keys_from_seed(spec.seed), Ledger(), Network(NetworkConfig()), {})
 
 
 def upload(buyer, data, sender=None):
