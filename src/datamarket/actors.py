@@ -190,12 +190,9 @@ class Seller:
         offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
         order = contract.order
         if offer.delivery is None:
-            plaintext = messages.encode_payload_plaintext(offer.salt, self._delivery_data(offer))
-            entropy = self._rng.randbytes(32)  # drawn for every delivery, keeping the RNG stream
-            if order.buyer_pk not in self._sealers:
-                self._sealers[order.buyer_pk] = crypto.Sealer(order.buyer_pk, entropy)
-            ciphertext = self._sealers[order.buyer_pk].seal(plaintext)
-            offer.delivery = PayloadDelivery(offer.response.digest(), ciphertext).encode()
+            payload = messages.encode_payload_plaintext(offer.salt, self._delivery_data(offer))
+            sealed = crypto.seal_kept(self._sealers, self.keys.secret_key, order.buyer_pk, payload)
+            offer.delivery = PayloadDelivery(offer.response.digest(), sealed).encode()
         self.network.send(self.address, order.upload_url, offer.delivery)
         return True
 
@@ -237,7 +234,7 @@ class Notary:
         self.enrollment = enrollment
         self.service_terms = messages.terms_link(f"service terms of {spec.name}")
         self.endpoint = f"notary:{spec.name}"
-        self._openers: Dict[bytes, crypto.Opener] = {}  # by the envelopes' ephemeral key
+        self._openers: Dict[bytes, crypto.Opener] = {}  # by the sender's key
 
     def handle(self, envelopes: Sequence[Envelope]) -> None:
         """Answer one tick's envelopes in arrival order: send each order's
@@ -333,8 +330,6 @@ class _PendingOrder:
     # response digest -> (notary endpoint, request bytes, last send tick);
     # re-sent on a timer while the response stays unsettled.
     audit_requests: Dict[bytes, List] = field(default_factory=dict)
-    # notary address -> the one key agreement this order's requests to it are sealed under
-    sealers: Dict[Address, crypto.Sealer] = field(default_factory=dict)
 
 
 class Buyer:
@@ -358,7 +353,6 @@ class Buyer:
         self.upload_url = f"ub:{spec.name}"
         self.rejected_submissions: List[str] = []
         self.aborted_orders: List[bytes] = []  # order digests
-        self._rng = random.Random(spec.seed)
         self._orders_started = 0
         # Order digest -> the buyer's progress on it, until the order closes or aborts.
         self._pending: Dict[bytes, _PendingOrder] = {}
@@ -368,7 +362,8 @@ class Buyer:
         self._offers_by_order: Dict[bytes, List[DataResponse]] = {}
         self._accepted_uploads: set = set()
         self._deliveries: List[PayloadDelivery] = []
-        self._openers: Dict[bytes, crypto.Opener] = {}  # by the deliveries' ephemeral key
+        self._openers: Dict[bytes, crypto.Opener] = {}  # by the sender's key
+        self._sealers: Dict[bytes, crypto.Sealer] = {}  # by notary key, for all orders' audits
 
     # -- protocol steps --------------------------------------------------
 
@@ -529,11 +524,9 @@ class Buyer:
             # which the notary can only judge invalid.
             forced = True
         else:
-            sealer = pending.sealers.get(notary_terms.notary_address)
-            if sealer is None:
-                sealer = crypto.Sealer(notary_terms.notary_pk, self._rng.randbytes(32))
-                pending.sealers[notary_terms.notary_address] = sealer
-            audit_ciphertext = sealer.seal(plaintext)
+            audit_ciphertext = crypto.seal_kept(
+                self._sealers, self.keys.secret_key, notary_terms.notary_pk, plaintext
+            )
         request = NotarizationRequest(
             order_ref=contract.order_digest,
             response_digest=digest,

@@ -25,21 +25,21 @@ on; twice as fast as its ladder), the point's y mapped to u = (1 + y) /
 (1 - y) mod 2**255 - 19 (RFC 7748 section 4.1). A batch shares one field
 inversion, and only y, which is public, enters Python integer arithmetic.
 
-Envelopes are ECIES-style, shaped like an RFC 9180 (HPKE) context: a
-`Sealer` runs one ephemeral X25519 agreement and HKDF-SHA256 derivation,
-then seals any number of plaintexts with ChaCha20-Poly1305. An envelope is
-`ephemeral public (32) || sequence (u64, big-endian) || ciphertext + tag`,
-sealed under the nonce `4 zero bytes || sequence`. The sequence starts at 0
-and is never reused, so each (key, nonce) pair seals one plaintext, and it
-is authenticated because it is the nonce. An `Opener` is the recipient's
-side of one agreement. Both keep only the 32-byte derived key.
-A seller's deliveries to one buyer share one agreement, as do one order's
-audit copies to one notary; the shared ephemeral key reveals nothing new, as
-offers and transport envelopes name their sender. Nothing can be sealed to a
-key whose X25519 half has small order (`sealable`): its shared secret would
-be all zero, and libsodium refuses it. The one-shot `encrypt_for` and
-`decrypt` serve tests and the benchmark's micro-benchmarks and traces.
-Tampering or a wrong key raises DecryptionError.
+Envelopes are sealed as NaCl's `crypto_box` seals them, under a static
+agreement: a `Sealer` runs one X25519 agreement of the sender's identity key
+with the recipient's, then one HKDF-SHA256 derivation over the shared secret,
+the sender's key and the recipient's, in that order, so a pair's two
+directions differ; it seals any number of plaintexts with ChaCha20-Poly1305.
+An envelope is `sender public (32) || sequence (u64, big-endian) ||
+ciphertext + tag`, sealed under the nonce `4 zero bytes || sequence`. The
+sequence starts at 0 and is never reused, so each (key, nonce) pair seals one
+plaintext; as the nonce, it is authenticated. An `Opener` is the recipient's
+side. An actor keeps one of each per peer key (`seal_kept`, `open_kept`). An
+envelope that opens was sealed by the sender or by the recipient. Nothing
+seals to a key whose X25519 half has small order (`sealable`): libsodium
+refuses its all-zero shared secret. The one-shot `encrypt_for` seals from a
+one-off scalar, its entropy, through a `Sealer`; it and `decrypt` serve tests
+and the benchmark. Tampering or a wrong key raises DecryptionError.
 
 Merkle trees hash as RFC 6962 does: a leaf is SHA-256 over 0x00 || data, a
 node over 0x01 || left || right, and n > 1 leaves split at the largest power
@@ -71,7 +71,7 @@ _ENC_SEED_INFO = b"datamarket-enc-key-v1"
 _ENVELOPE_INFO = b"datamarket-envelope-v1"
 _NONCE_PAD = bytes(4)  # a nonce is these || the envelope's sequence
 _TAG_LEN = 16  # ChaCha20-Poly1305's
-_OPENABLE_LEN = 32 + 8 + _TAG_LEN  # the shortest envelope: ephemeral, sequence, tag
+_OPENABLE_LEN = 32 + 8 + _TAG_LEN  # the shortest envelope: sender, sequence, tag
 _HKDF_SALT = bytes(32)  # RFC 5869's default: one SHA-256 output of zeros
 # The encodings libsodium's X25519 refuses: those of the points of order
 # dividing 8 on Curve25519 and its twist (u = 0, 1, p - 1 and the two points
@@ -273,27 +273,22 @@ def sealable(public_key: bytes) -> bool:
     return len(public_key) == PUBLIC_KEY_LEN and public_key[32:] not in _SMALL_ORDER
 
 
-def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
+def _envelope_key(shared: bytes, sender_pub: bytes, recipient_pub: bytes) -> bytes:
     """HKDF-SHA256 with no salt: one extract, then one expand block."""
-    prk = hmac.digest(_HKDF_SALT, shared + eph_pub + recipient_pub, "sha256")
+    prk = hmac.digest(_HKDF_SALT, shared + sender_pub + recipient_pub, "sha256")
     return hmac.digest(prk, _ENVELOPE_INFO + b"\x01", "sha256")
 
 
 class Sealer:
-    """One key agreement with the holder of `public_key`. `entropy`, 32
-    bytes, seeds the ephemeral key, so transcripts are reproducible."""
+    """One key agreement between the holder of the X25519 `scalar`, whose
+    public key is `sender_public`, and the holder of `public_key`."""
 
-    def __init__(self, public_key: bytes, entropy: bytes):
+    def __init__(self, scalar: bytes, sender_public: bytes, public_key: bytes):
         if not sealable(public_key):
-            raise CryptoError(
-                f"nothing seals to a key that is not {PUBLIC_KEY_LEN} bytes or whose"
-                " X25519 half has small order"
-            )
-        if len(entropy) != 32:
-            raise CryptoError("entropy must be 32 bytes")
-        (self.ephemeral_public,) = _x25519_publics([entropy])
-        shared = _x25519(entropy, public_key[32:], CryptoError)
-        self._key = _envelope_key(shared, self.ephemeral_public, public_key[32:])
+            raise CryptoError("nothing seals to a key of the wrong length or of small order")
+        shared = _x25519(scalar, public_key[32:], CryptoError)
+        self.sender_public = sender_public
+        self._key = _envelope_key(shared, sender_public, public_key[32:])
         self._sequence = 0
 
     def seal(self, plaintext: bytes) -> bytes:
@@ -306,17 +301,17 @@ class Sealer:
         _sodium().crypto_aead_chacha20poly1305_ietf_encrypt(
             ciphertext, None, plaintext, len(plaintext), None, 0, None, nonce, self._key
         )
-        return self.ephemeral_public + sequence + ciphertext.raw
+        return self.sender_public + sequence + ciphertext.raw
 
 
 class Opener:
-    """The recipient's side of the agreement that `ephemeral_public` names."""
+    """The recipient's side of its agreement with the holder of `sender_public`."""
 
-    def __init__(self, secret_key: SecretKey, ephemeral_public: bytes):
-        if len(ephemeral_public) != 32:
-            raise DecryptionError("envelope names no usable ephemeral key")
-        shared = _x25519(secret_key.decryption, ephemeral_public, DecryptionError)
-        self._key = _envelope_key(shared, ephemeral_public, secret_key.encryption_public)
+    def __init__(self, secret_key: SecretKey, sender_public: bytes):
+        if len(sender_public) != 32:
+            raise DecryptionError("envelope names no usable sender key")
+        shared = _x25519(secret_key.decryption, sender_public, DecryptionError)
+        self._key = _envelope_key(shared, sender_public, secret_key.encryption_public)
 
     def open(self, envelope: bytes) -> bytes:
         """An envelope sealed under another agreement fails to authenticate."""
@@ -331,8 +326,17 @@ class Opener:
         return plaintext.raw
 
 
+def seal_kept(
+    sealers: dict[bytes, Sealer], sender: SecretKey, public_key: bytes, plaintext: bytes
+) -> bytes:
+    """Seal `plaintext` from `sender` to `public_key` with the sealer `sealers` keeps for it."""
+    if public_key not in sealers:
+        sealers[public_key] = Sealer(sender.decryption, sender.encryption_public, public_key)
+    return sealers[public_key].seal(plaintext)
+
+
 def open_kept(openers: dict[bytes, Opener], secret_key: SecretKey, envelope: bytes) -> bytes:
-    """Open `envelope` with the opener `openers` holds for its ephemeral key,
+    """Open `envelope` with the opener `openers` holds for its sender's key,
     or with a new one, kept only once the envelope authenticates."""
     opener = openers.get(envelope[:32]) or Opener(secret_key, envelope[:32])
     plaintext = opener.open(envelope)
@@ -341,8 +345,10 @@ def open_kept(openers: dict[bytes, Opener], secret_key: SecretKey, envelope: byt
 
 
 def encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -> bytes:
-    """Seal one plaintext under a key agreement of its own."""
-    return Sealer(public_key, entropy).seal(plaintext)
+    """Seal one plaintext from the one-off 32-byte scalar `entropy`."""
+    if len(entropy) != 32:
+        raise CryptoError("entropy must be 32 bytes")
+    return Sealer(entropy, *_x25519_publics([entropy]), public_key).seal(plaintext)
 
 
 def decrypt(secret_key: SecretKey, envelope: bytes) -> bytes:

@@ -1,8 +1,8 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
-one countersigned order, and signed seller responses; the benchmark's
-workloads and its smallest ladder market; the decisions a run is pinned
-by; and runs of a worked scenario on a network that drops, adds or submits
-messages as a third party would."""
+one countersigned order, signed seller responses, and the sealer from one
+identity to another; the benchmark's workloads and its smallest ladder
+market; the decisions a run is pinned by; and runs of a worked scenario on a
+network that drops, adds or submits messages as a third party would."""
 
 import collections
 import functools
@@ -35,6 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 BANK = ROOT / "scenarios" / "bank.yaml"
 HEX = re.compile("[0-9a-f]{24,}")
+
+
+def sealer(sender_keys: crypto.KeyPair, public_key: bytes) -> crypto.Sealer:
+    """The agreement the holder of `sender_keys` seals to `public_key` under."""
+    secret = sender_keys.secret_key
+    return crypto.Sealer(secret.decryption, secret.encryption_public, public_key)
 
 
 def make_order(buyer_keys, m_a=10, upload_url="ub:test-buyer"):

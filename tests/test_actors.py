@@ -37,6 +37,7 @@ from market_helpers import (
     make_order,
     make_response,
     run_bank_with,
+    sealer,
     submit_at_tick,
     workloads,
 )
@@ -204,16 +205,18 @@ def test_an_audit_envelope_that_does_not_open_is_invalid_and_not_kept(case):
 
 
 def test_a_notary_keeps_one_opener_per_agreement():
+    """Three audit copies sealed by the buyer open under one opener, kept
+    by the buyer's X25519 key."""
     market, response, salt, enrollment = selected_market()
     notary = make_notary(market, {("s10", SCHEMA): DATA}, enrollment)
-    sealer = crypto.Sealer(market.notary_keys.public_key, b"\x01" * 32)
+    to_notary = sealer(market.buyer_keys, market.notary_keys.public_key)
     plaintext = messages.encode_payload_plaintext(salt, DATA)
     for _ in range(3):
         request = NotarizationRequest(
-            market.order.digest(), response.digest(), True, sealer.seal(plaintext)
+            market.order.digest(), response.digest(), True, to_notary.seal(plaintext)
         )
         assert notary.decide_verdict(request, response, SCHEMA) is Verdict.NOTARIZED_VALID
-    assert list(notary._openers) == [sealer.ephemeral_public]
+    assert list(notary._openers) == [market.buyer_keys.public_key[32:]]
 
 
 # -- policies -------------------------------------------------------------
@@ -480,8 +483,9 @@ def test_each_offer_and_delivery_is_sent_once(monkeypatch):
 def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
     """100 settlements: 100 deliveries, each sealed once under the one
     `Sealer` of its (seller, buyer) pair, and 100 notarization requests,
-    each sealed once under the one `Sealer` of its (order, notary) pair; the
-    ladder has 40 and 10 such pairs. No envelope has an agreement of its own."""
+    each sealed once under the one `Sealer` of its (buyer, notary) pair,
+    which serves all of that buyer's orders; the ladder has 40 and 4 such
+    pairs. No envelope has an agreement of its own."""
     one_shots, encrypt_for = [], crypto.encrypt_for
     monkeypatch.setattr(crypto, "encrypt_for", lambda *a: one_shots.append(a) or encrypt_for(*a))
     sealers, init = [], crypto.Sealer.__init__
@@ -490,8 +494,9 @@ def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
     monkeypatch.setattr(crypto.Sealer, "seal", lambda *a: seals.append(a) or seal(*a))
     result = run_scenario(ladder_10x10(0.0))
     sent = [(messages.decode(e.message), e) for e in result.network.transcript]
-    requests = [(m, e.endpoint) for m, e in sent if isinstance(m, NotarizationRequest)]
-    pairs = {(request.order_ref, endpoint) for request, endpoint in requests}
+    requests = [(m, e) for m, e in sent if isinstance(m, NotarizationRequest)]
+    pairs = {(e.sender, e.endpoint) for _, e in requests}
+    order_pairs = {(request.order_ref, e.endpoint) for request, e in requests}
     deliveries = [(m, e) for m, e in sent if isinstance(m, messages.PayloadDelivery)]
     delivery_pairs = {(e.sender, e.endpoint) for _, e in deliveries}
     assert len(result.report.rows) == 100
@@ -499,67 +504,84 @@ def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
     assert len({delivery.response_digest for delivery, _ in deliveries}) == 100
     assert len({request.response_digest for request, _ in requests}) == 100
     assert len(seals) == 100 + 100
-    assert len(delivery_pairs) == 40 and len(pairs) == 10
-    assert len(sealers) == 40 + 10
+    assert len(delivery_pairs) == 40 and len(pairs) == 4 and len(order_pairs) == 10
+    assert len(sealers) == len({(sender, public_key) for _, _, sender, public_key in sealers})
+    assert len(sealers) == 40 + 4
+
+
+def sealed_groups(transcript, kind, sealed_of, keys):
+    """The envelopes of each `kind` message in `transcript`, grouped by
+    (envelope header, endpoint) and then by sequence number. Every header is
+    the X25519 key that `keys` gives the network sender, and every group
+    holds one envelope for each sequence number from 0 up."""
+    groups = {}  # (header, endpoint) -> {sequence: {envelope}}
+    for envelope in transcript:
+        message = messages.decode(envelope.message)
+        if isinstance(message, kind):
+            sealed = sealed_of(message)
+            assert sealed[:32] == keys[envelope.sender].public_key[32:]
+            by_sequence = groups.setdefault((sealed[:32], envelope.endpoint), {})
+            by_sequence.setdefault(sealed[32:40], set()).add(sealed)
+    for by_sequence in groups.values():
+        assert sorted(by_sequence) == [i.to_bytes(8, "big") for i in range(len(by_sequence))]
+        assert all(len(sent) == 1 for sent in by_sequence.values())
+    return groups
 
 
 @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
 def test_no_key_and_nonce_seal_two_audit_plaintexts(monkeypatch, drop_rate):
-    """Audit envelopes grouped by ephemeral key: one group per (order,
-    notary) pair, and within a group one envelope per sequence number, so a
-    re-sent request repeats the bytes it was first sent with. The lossy run
+    """Audit envelopes name their buyer's key and are grouped by (that key,
+    notary endpoint): one group per (buyer, notary) pair, across all of the
+    buyer's orders, and within a group one envelope per sequence number, so
+    a re-sent request repeats the bytes it was first sent with. The lossy run
     also loses its first request, so that one is re-sent."""
     if drop_rate:
         drop_first(monkeypatch, NotarizationRequest)
-    groups = {}  # ephemeral key -> {(order, notary endpoint)}, {sequence: {envelope}}
-    sends = 0
-    for envelope in run_scenario(ladder_10x10(drop_rate)).network.transcript:
-        request = messages.decode(envelope.message)
-        if isinstance(request, NotarizationRequest):
-            sends += 1
-            sealed = request.audit_ciphertext
-            pairs, by_sequence = groups.setdefault(sealed[:32], (set(), {}))
-            pairs.add((request.order_ref, envelope.endpoint))
-            by_sequence.setdefault(sealed[32:40], set()).add(sealed)
-    all_pairs = set().union(*(pairs for pairs, _ in groups.values()))
-    assert len(groups) == len(all_pairs) == 10
-    assert all(len(pairs) == 1 for pairs, _ in groups.values())
-    assert sum(len(by_sequence) for _, by_sequence in groups.values()) == 100
-    assert (sends > 100) == (drop_rate > 0)  # the lossy run re-sends some requests
-    for _, by_sequence in groups.values():
-        assert all(len(sent) == 1 for sent in by_sequence.values())
+    result = run_scenario(ladder_10x10(drop_rate))
+    transcript = result.network.transcript
+    requests = [(messages.decode(e.message), e) for e in transcript]
+    requests = [(r, e) for r, e in requests if isinstance(r, NotarizationRequest)]
+    pairs = {(e.sender, e.endpoint) for _, e in requests}
+    order_pairs = {(r.order_ref, e.endpoint) for r, e in requests}
+    keys = {buyer.address: buyer.keys for buyer in result.buyers}
+    groups = sealed_groups(transcript, NotarizationRequest, lambda r: r.audit_ciphertext, keys)
+    assert len(groups) == len(pairs) < len(order_pairs) == 10
+    assert sum(len(by_sequence) for by_sequence in groups.values()) == 100
+    assert (len(requests) > 100) == (drop_rate > 0)  # the lossy run re-sends some requests
 
 
 @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
 def test_no_key_and_nonce_seal_two_deliveries(drop_rate):
-    """Delivery envelopes grouped by ephemeral key: one group per (seller,
-    buyer) pair, and within a group one envelope per sequence number, so a
-    re-sent delivery repeats the bytes it was first sent with."""
-    groups = {}  # ephemeral key -> {(seller, upload URL)}, {sequence: {envelope}}
+    """Delivery envelopes name their seller's key and are grouped by (that
+    key, upload URL): one group per (seller, buyer) pair, and within a group
+    one envelope per sequence number, so a re-sent delivery repeats the bytes
+    it was first sent with."""
+    result = run_scenario(ladder_10x10(drop_rate))
     sent = {}  # response digest -> {delivery bytes}
-    for envelope in run_scenario(ladder_10x10(drop_rate)).network.transcript:
+    for envelope in result.network.transcript:
         delivery = messages.decode(envelope.message)
         if isinstance(delivery, messages.PayloadDelivery):
             sent.setdefault(delivery.response_digest, set()).add(envelope.message)
-            sealed = delivery.ciphertext
-            pairs, by_sequence = groups.setdefault(sealed[:32], (set(), {}))
-            pairs.add((envelope.sender, envelope.endpoint))
-            by_sequence.setdefault(sealed[32:40], set()).add(sealed)
-    all_pairs = set().union(*(pairs for pairs, _ in groups.values()))
-    assert len(groups) == len(all_pairs) == 40
-    assert all(len(pairs) == 1 for pairs, _ in groups.values())
-    assert sum(len(by_sequence) for _, by_sequence in groups.values()) == len(sent)
-    for _, by_sequence in groups.values():
-        assert all(len(envelopes) == 1 for envelopes in by_sequence.values())
+    keys = {seller.address: seller.keys for seller in result.sellers}
+    groups = sealed_groups(
+        result.network.transcript, messages.PayloadDelivery, lambda d: d.ciphertext, keys
+    )
+    assert len(groups) == 40
+    assert sum(len(by_sequence) for by_sequence in groups.values()) == len(sent)
     assert all(len(resent) == 1 for resent in sent.values())
 
 
-@pytest.mark.parametrize("case", ["too short", "another agreement", "flipped tag"])
+@pytest.mark.parametrize(
+    "case",
+    ["too short", "another agreement", "flipped tag", "third identity", "small-order header"],
+)
 def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(case):
     """Two selected responses. The first one's delivery does not open: the
     buyer forces an audit with an empty payload, which the notary judges
     invalid, and keeps no opener. The second one's delivery, sealed under the
-    same agreement, still opens, and its audit is valid."""
+    same agreement (the first seller's key with the buyer's), still opens, and
+    its audit is valid. A header may name a third identity's key, or a
+    small-order point that no agreement can use."""
     ledger, network = Ledger(), Network(NetworkConfig())
     market = make_market()  # only for the notary's keys and address
     notary_keys = market.notary_keys
@@ -586,17 +608,19 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         {("s10", SCHEMA): DATA, ("s11", SCHEMA): DATA},
         {r.payment_address: f"s{seed}" for (r, _), seed in zip(offers, (10, 11))},
     )
-    sealer = crypto.Sealer(order.buyer_pk, b"\x01" * 32)
-    sealed = sealer.seal(offers[0][1])
+    to_buyer = sealer(keys_from_seed(10), order.buyer_pk)
+    sealed = to_buyer.seal(offers[0][1])
     bad = {
         "too short": sealed[:39],
         "another agreement": sealed[:32]
         + crypto.encrypt_for(order.buyer_pk, offers[0][1], b"\x02" * 32)[32:],
         "flipped tag": sealed[:-1] + bytes([sealed[-1] ^ 1]),
+        "third identity": keys_from_seed(12).public_key[32:] + sealed[32:],
+        "small-order header": bytes(32) + sealed[32:],
     }[case]
     verdicts = []
     for tick, ((response, _), ciphertext) in enumerate(
-        zip(offers, [bad, sealer.seal(offers[1][1])]), start=11
+        zip(offers, [bad, to_buyer.seal(offers[1][1])]), start=11
     ):
         delivery = messages.PayloadDelivery(response.digest(), ciphertext)
         sent = Envelope(response.payment_address, buyer.upload_url, delivery.encode(), tick)
@@ -615,7 +639,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         (False, False),
         Verdict.NOTARIZED_VALID,
     ]
-    assert list(buyer._openers) == [sealer.ephemeral_public]
+    assert list(buyer._openers) == [keys_from_seed(10).public_key[32:]]
 
 
 # -- inputs an actor must drop ---------------------------------------------

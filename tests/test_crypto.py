@@ -24,11 +24,13 @@ from datamarket.errors import CryptoError, DecryptionError
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario
 
+from market_helpers import sealer
 from sha256_ref import sha256_ref
 
 SEED = bytes(range(32))
 BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
 FUZZ_KEYS = crypto.generate_keypair(SEED)
+SENDER = crypto.generate_keypair(bytes([9]) * 32)
 
 
 def test_keypair_deterministic():
@@ -177,9 +179,9 @@ def test_every_sequence_and_ciphertext_byte_is_authenticated():
     """Bytes 32-39 hold the sequence, which is the nonce; the rest is
     ciphertext and tag. Flipping any one of them fails to open."""
     kp = crypto.generate_keypair(SEED)
-    sealer = crypto.Sealer(kp.public_key, b"\x01" * 32)
-    sealer.seal(b"first")
-    envelope = sealer.seal(b"secret payload")
+    to_kp = sealer(SENDER, kp.public_key)
+    to_kp.seal(b"first")
+    envelope = to_kp.seal(b"secret payload")
     assert envelope[32:40] == (1).to_bytes(8, "big")
     for offset in range(32, len(envelope)):
         flipped = bytearray(envelope)
@@ -190,9 +192,9 @@ def test_every_sequence_and_ciphertext_byte_is_authenticated():
 
 def test_one_sealer_seals_each_plaintext_under_its_own_nonce():
     kp = crypto.generate_keypair(SEED)
-    sealer = crypto.Sealer(kp.public_key, b"\x01" * 32)
-    first, second = sealer.seal(b"same"), sealer.seal(b"same")
-    assert first != second and first[:32] == second[:32] == sealer.ephemeral_public
+    to_kp = sealer(SENDER, kp.public_key)
+    first, second = to_kp.seal(b"same"), to_kp.seal(b"same")
+    assert first != second and first[:32] == second[:32] == SENDER.public_key[32:]
     assert [e[32:40] for e in (first, second)] == [bytes(8), (1).to_bytes(8, "big")]
     for order in ([first, second], [second, first]):
         opener = crypto.Opener(kp.secret_key, first[:32])
@@ -215,7 +217,7 @@ def test_an_opener_refuses_another_agreement():
 
 @pytest.mark.parametrize("length", [0, 31, 32, 39, 40, 55, 56])
 def test_an_envelope_at_a_length_boundary_raises_only_decryption_error(length):
-    """Short of the ephemeral key (32), of the sequence (40), of the tag
+    """Short of the sender's key (32), of the sequence (40), of the tag
     (56), or just a tag: each fails before or inside libsodium alike."""
     genuine = crypto.encrypt_for(FUZZ_KEYS.public_key, b"secret payload", b"\x01" * 32)
     opener = crypto.Opener(FUZZ_KEYS.secret_key, genuine[:32])
@@ -259,13 +261,15 @@ def count_sodium_calls(monkeypatch, function):
 
 def test_a_run_parses_each_identity_key_once(monkeypatch):
     """bank.yaml: one buyer, three sellers and one notary. Each identity's
-    Ed25519 pair and X25519 public key are derived once; beyond those, only
-    the ephemeral public key of each delivering (seller, buyer) context and
-    of each (order, notary) request context is derived. Every X25519 public
-    key comes from the Ed25519 comb, none from libsodium's X25519 ladder."""
+    Ed25519 pair and X25519 public key are derived once, and no other X25519
+    public key is: every envelope is sealed under its sender's own key. Every
+    X25519 public key comes from the Ed25519 comb, none from libsodium's
+    X25519 ladder. Each (sender, recipient) pair that seals runs one
+    agreement on each side: one per `Sealer` and one per kept `Opener`."""
     ed25519 = count_sodium_calls(monkeypatch, "crypto_sign_seed_keypair")
     x25519 = count_sodium_calls(monkeypatch, "crypto_scalarmult_ed25519_base")
     ladder = count_sodium_calls(monkeypatch, "crypto_scalarmult_base")
+    agreements = count_sodium_calls(monkeypatch, "crypto_scalarmult")
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml")
     result = run_scenario(scenario)
     assert result.report.ok
@@ -273,16 +277,20 @@ def test_a_run_parses_each_identity_key_once(monkeypatch):
     deliveries = {
         (e.sender, e.endpoint) for m, e in sent if isinstance(m, messages.PayloadDelivery)
     }
-    contexts = {
-        (m.order_ref, e.endpoint)
+    requests = {
+        (e.sender, e.endpoint)
         for m, e in sent
         if isinstance(m, messages.NotarizationRequest) and m.audit_ciphertext
     }
+    sealers = [s for actor in (*result.sellers, *result.buyers) for s in actor._sealers.values()]
+    openers = [o for actor in (*result.buyers, *result.notaries) for o in actor._openers.values()]
     identities = len(scenario.buyers) + len(scenario.sellers) + len(scenario.notaries)
-    assert identities == 5 and deliveries and contexts
+    assert identities == 5 and deliveries and requests
     assert len(ed25519) == identities
-    assert len(x25519) == identities + len(deliveries) + len(contexts)
+    assert len(x25519) == identities
     assert not ladder
+    assert len(sealers) == len(openers) == len(deliveries) + len(requests)
+    assert len(agreements) == len(sealers) + len(openers) == 6
 
 
 def test_a_run_derives_every_identity_key_in_one_batch(monkeypatch):
@@ -445,6 +453,37 @@ def reference_encrypt_for(public_key: bytes, plaintext: bytes, entropy: bytes) -
     return ephemeral + bytes(8) + aead.encrypt(bytes(12), plaintext, None)
 
 
+@given(
+    seeds=st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=2, unique=True),
+    plaintexts=st.lists(st.binary(min_size=1, max_size=128), min_size=2, max_size=4),
+)
+@settings(max_examples=60)
+def test_a_sealer_between_two_identities_matches_the_reference(seeds, plaintexts):
+    """A `Sealer` from one identity's X25519 key to another's seals each
+    plaintext as `cryptography` does: the sender's scalar agrees with the
+    recipient's key, HKDF binds the sender's key and then the recipient's,
+    and sequence n is the nonce 4 zero bytes || n. The reverse direction of
+    the pair derives another key, so the same plaintext and sequence seal to
+    other bytes, and each side opens only what was sealed to it."""
+    sender, recipient = map(crypto.generate_keypair, seeds)
+    sender_x, recipient_x = (reference_x25519_secret(seed) for seed in seeds)
+    sender_pub, recipient_pub = sender.public_key[32:], recipient.public_key[32:]
+    shared = sender_x.exchange(recipient_x.public_key())
+    forward, backward = sealer(sender, recipient.public_key), sealer(recipient, sender.public_key)
+    forward_aead = reference_aead(shared, sender_pub, recipient_pub)
+    backward_aead = reference_aead(shared, recipient_pub, sender_pub)
+    for n, plaintext in enumerate(plaintexts):
+        nonce = bytes(4) + n.to_bytes(8, "big")
+        envelope, reply = forward.seal(plaintext), backward.seal(plaintext)
+        assert envelope == sender_pub + nonce[4:] + forward_aead.encrypt(nonce, plaintext, None)
+        assert reply == recipient_pub + nonce[4:] + backward_aead.encrypt(nonce, plaintext, None)
+        assert reply[40:] != envelope[40:]
+        assert crypto.decrypt(recipient.secret_key, envelope) == plaintext
+        assert crypto.decrypt(sender.secret_key, reply) == plaintext
+        assert opened(sender.secret_key, envelope) is None
+        assert opened(recipient.secret_key, reply) is None
+
+
 def reference_decrypt(seed: bytes, envelope: bytes):
     """The plaintext, or None where the reference refuses the envelope."""
     secret = reference_x25519_secret(seed)
@@ -589,7 +628,7 @@ def test_both_backends_refuse_the_same_small_order_points():
         key = FUZZ_KEYS.public_key[:32] + point
         assert not crypto.sealable(key)
         with pytest.raises(CryptoError, match="small order"):
-            crypto.Sealer(key, b"\x01" * 32)
+            sealer(SENDER, key)
         with pytest.raises(DecryptionError):
             crypto.Opener(FUZZ_KEYS.secret_key, point)
         for bit in range(255):
@@ -611,16 +650,16 @@ def test_sealable_needs_a_64_byte_key():
 def test_without_libsodium_signing_raises_crypto_error(monkeypatch):
     """Signing, sealing and opening all need libsodium: without it each
     raises CryptoError, not a DecryptionError that blames the envelope."""
-    sealer = crypto.Sealer(FUZZ_KEYS.public_key, b"\x01" * 32)
-    envelope = sealer.seal(b"m")
+    to_fuzz = sealer(SENDER, FUZZ_KEYS.public_key)
+    envelope = to_fuzz.seal(b"m")
     opener = crypto.Opener(FUZZ_KEYS.secret_key, envelope[:32])
     monkeypatch.setattr(crypto, "_SODIUM_NAMES", ("libsodium-absent.so.0",))
     crypto._sodium.cache_clear()
     try:
         for call in (
             lambda: crypto.sign(FUZZ_KEYS.secret_key, b"m"),
-            lambda: crypto.Sealer(FUZZ_KEYS.public_key, b"\x01" * 32),
-            lambda: sealer.seal(b"m"),
+            lambda: sealer(SENDER, FUZZ_KEYS.public_key),
+            lambda: to_fuzz.seal(b"m"),
             lambda: crypto.decrypt(FUZZ_KEYS.secret_key, envelope),
             lambda: opener.open(envelope),
         ):

@@ -37,14 +37,14 @@ RANDOM_COMBINED = "f17535218f23348adf20f3733d8c4063f5aaca6775e313ecac35d07c3c02b
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "559ba46a52ceded5c6e3a1749ba47570d22f72668b5204f3ab4cd55518930da0",
-        "6052a1913d0ffdf4eb3d74806ae65b4469484f2295400389c57d3cace26eb995",
+        "de97e202ad175ab18252057e9d9c4a5cd89b420616857c03dfe5b8e93c713ee2",
+        "52581da61e6cc51cda897d5f60460adce9993b78c34dc2a1d182081427b7e830",
         100,
         134,
     ),
     0.05: (
-        "d929efcbaf3e7117cb8ba0f62c3fc6af2fe2e027608f5193445f03c653539172",
-        "3fe635b79e78922dfe4b9c9bc85335547b7d6a451d77b088e88eab67370e7b73",
+        "a0f24de9265845344b1d4ba097d44a621b6cea1d84d7f4817017c126613f854b",
+        "1d20adc5f01794e2c547cf0b33a18e2b2390e15782a39ffd16d4bb6e69982032",
         100,
         134,
     ),
