@@ -517,11 +517,13 @@ class Buyer:
         forced = self.spec.force_audit
         audit_ciphertext = b""
         try:
+            if delivery.ciphertext[:32] != response.seller_pk[32:]:
+                raise DecryptionError("delivery is not sealed under its seller's key")
             plaintext = crypto.open_kept(self._openers, self.keys.secret_key, delivery.ciphertext)
             messages.parse_payload_plaintext(plaintext)
         except (DecryptionError, EncodingError):
-            # Garbled delivery: force an audit with an empty audit payload,
-            # which the notary can only judge invalid.
+            # Garbled delivery, or one sealed by another key: force an audit
+            # with an empty audit payload, which the notary can only judge invalid.
             forced = True
         else:
             audit_ciphertext = crypto.seal_kept(

@@ -9,10 +9,12 @@ Each codec writes one kind of value and reads it back. A `Layout` is a fixed
 sequence of codecs: a message type's fields, an event kind's payload, the
 payload plaintext. On first use it compiles, as `dataclasses` generates an
 `__init__`, one straight-line reader and one writer from its codecs alone.
-The reader splits each field off with one `unpack_from`, one bounds check
-and one slice, converts its bytes only if its codec has a `from_bytes`, and
-reads a counted list's items in one loop; the writer appends each field's
-length prefix and bytes to one buffer. Every read raises only
+The reader splits each field off with one `unpack_from` and one bounds
+check, and builds its value in place: fixed-size addresses, commitments and
+keys, enum bytes and integers by inline code, a nested message by reading
+its fields from the same buffer, anything else by the codec's `from_bytes`.
+It reads a counted list's items in one loop. The writer appends each
+field's length prefix and bytes to one buffer. Every read raises only
 `EncodingError` and accepts only the bytes its write produces, so whatever
 decodes re-encodes to its input.
 """
@@ -29,6 +31,7 @@ from .errors import EncodingError
 LENGTH = struct.Struct(">I")  # every field's length prefix
 _unpack, _pack = LENGTH.unpack_from, LENGTH.pack
 _U64 = struct.Struct(">Q")
+_u64, _new, _set = _U64.unpack_from, object.__new__, object.__setattr__  # for inline reads
 UINT_MAX = 2**64 - 1  # the largest integer a field can hold
 _NO_PREFIX = "truncated stream: expected length prefix"
 _SHORT_FIELD = "truncated stream: field shorter than prefix"
@@ -55,25 +58,27 @@ def write_uint_field(out: bytearray, value: int) -> None:
     write_field(out, encode_uint(value))
 
 
-def read_field(data: bytes, pos: int) -> tuple:
-    """The field at `pos` of `data`, and the position after it."""
-    start = pos + 4
+def field_end(data: bytes, pos: int) -> int:
+    """The position after the field at `pos` of `data`."""
     try:
-        pos = start + _unpack(data, pos)[0]
+        end = pos + 4 + _unpack(data, pos)[0]
     except struct.error:
         raise EncodingError(_NO_PREFIX) from None
-    if pos > len(data):
+    if end > len(data):
         raise EncodingError(_SHORT_FIELD)
-    return data[start:pos], pos
+    return end
 
 
 class Codec:
     """One value as one field: `to_bytes` gives the field's bytes for a
     value and `from_bytes` the value back from them; without `from_bytes`
-    the value is the field's bytes."""
+    the value is the field's bytes. A generated reader runs instead the lines
+    `inline`, if any: they set `{v}` to the value of `data[start:pos]`, name
+    `from_bytes` `{c}` and `arg` `{a}`, hold no other brace, and leave to
+    `{c}` any field they do not convert, so they raise as it does."""
 
-    def __init__(self, to_bytes: Callable, from_bytes: Optional[Callable] = None):
-        self.to_bytes, self.from_bytes = to_bytes, from_bytes
+    def __init__(self, to_bytes: Callable, from_bytes=None, inline: tuple = (), arg=None):
+        self.to_bytes, self.from_bytes, self.inline, self.arg = to_bytes, from_bytes, inline, arg
 
 
 class ListOf:
@@ -100,9 +105,11 @@ def require_ascending(keys: list) -> None:
 class Layout:
     """A fixed sequence of codecs, one per value, written back to back. The
     values are a tuple, by position, or with `names` one object's
-    attributes. `read(data, pos=0)` gives the values encoded from `pos` to
-    the end of `data`; `write(out, values)` appends their encoding to the
-    bytearray `out`. Each is generated on first use."""
+    attributes. `read(data, pos=0, end=None, into=None)` gives the values
+    encoded from `pos` to `end`, by default the end of `data`, or with
+    `names` stores them by name in the dict `into`; `write(out, values)`
+    appends their encoding to the bytearray `out`. Each is generated on
+    first use."""
 
     def __init__(self, codecs, names: Optional[tuple] = None):
         self.codecs, self.names = tuple(codecs), names
@@ -112,10 +119,10 @@ class Layout:
         # Two threads may both compile one; either result does the same.
         if name not in ("read", "write"):
             raise AttributeError(name)
-        namespace = dict(globals())  # and codec i's functions as c<i>, t<i> and k<i>
+        namespace = dict(globals())  # and codec i's c<i>, t<i>, a<i> and k<i>
         for i, codec in enumerate(self.codecs):
             item = getattr(codec, "item", codec)
-            namespace.update({f"c{i}": item.from_bytes, f"t{i}": item.to_bytes})
+            namespace.update({f"c{i}": item.from_bytes, f"t{i}": item.to_bytes, f"a{i}": item.arg})
             namespace[f"k{i}"] = getattr(codec, "key", None)
         lines = _read_source(self) if name == "read" else _write_source(self)
         code = compile("\n".join(lines), f"<{name} layout of {len(self.codecs)} fields>", "exec")
@@ -129,18 +136,26 @@ class Layout:
         return bytes(out)
 
 
-# How a generated reader splits off the field at `pos`.
+# How a generated reader splits off the field at `pos`; a prefix that
+# would run past `end` is missing, as it is from the bytes up to `end`.
 _SPLIT = ["start = pos + 4", "pos = start + _unpack(data, pos)[0]"]
-_SPLIT += ["if pos > end:", "    raise EncodingError(_SHORT_FIELD)"]
+_SPLIT += ["if pos > end:", "    raise EncodingError(_SHORT_FIELD if start <= end else _NO_PREFIX)"]
+
+
+def _convert(item: Codec, i: int, target: str) -> list:
+    """How a generated reader sets `target` to codec `item`'s value of `data[start:pos]`."""
+    if item.inline:
+        return [line.format(v=target, c=f"c{i}", a=f"a{i}") for line in item.inline]
+    field = "data[start:pos]" if item.from_bytes is None else f"c{i}(data[start:pos])"
+    return [f"{target} = {field}"]
 
 
 def _read_source(layout: Layout) -> list:
     body = []
     for i, codec in enumerate(layout.codecs):
         item = getattr(codec, "item", codec)
-        field = "data[start:pos]" if item.from_bytes is None else f"c{i}(data[start:pos])"
         if item is codec:
-            body += [*_SPLIT, f"v{i} = {field}"]
+            body += [*_SPLIT, *_convert(item, i, f"v{i}")]
             continue
         body += _SPLIT + [
             "count = decode_uint(data[start:pos])",
@@ -148,21 +163,25 @@ def _read_source(layout: Layout) -> list:
             '    raise EncodingError(f"truncated stream: {count} items announced")',
             f"v{i} = []",
             "for _ in range(count):",
-            *("    " + line for line in _SPLIT),
-            f"    v{i}.append({field})",
+            *("    " + line for line in _SPLIT + _convert(item, i, "item")),
+            f"    v{i}.append(item)",
         ]
         if isinstance(codec, SetOf):
             body.append(f"require_ascending([k{i}(item) for item in v{i}])")
+    tail = [f"return [{', '.join(f'v{i}' for i in range(len(layout.codecs)))}]"]
+    if layout.names is not None:
+        stores = [f"into[{name!r}] = v{i}" for i, name in enumerate(layout.names)]
+        tail = ["if into is None:", "    " + tail[0], *stores, "return into"]
     return [
-        "def read(data, pos=0):",
-        "    end = len(data)",
+        "def read(data, pos=0, end=None, into=None):",
+        "    end = len(data) if end is None else end",
         "    try:",
         *("        " + line for line in body),
         "    except struct.error:",
         "        raise EncodingError(_NO_PREFIX) from None",
         "    if pos != end:",
         '        raise EncodingError(f"{end - pos} trailing bytes after message")',
-        f"    return [{', '.join(f'v{i}' for i in range(len(layout.codecs)))}]",
+        *("    " + line for line in tail),
     ]
 
 
@@ -202,14 +221,26 @@ def _decode_enum(name: str, members: dict, data: bytes):
     return member
 
 
+def _sized(size: int, *convert: str) -> tuple:
+    """Inline lines that run `convert` on a field of `size` bytes and leave any other to `{c}`."""
+    otherwise = ("else:", "    {v} = {c}(data[start:pos])")
+    return (f"if pos - start == {size}:", *("    " + line for line in convert), *otherwise)
+
+
 def _decode_fixed(cls, field: str, size: int, data: bytes):
     # Built without the frozen dataclass's __init__, whose check is this one;
     # set as __init__ sets it, which keeps the instance as small.
     if len(data) != size:
         raise EncodingError(f"{cls.__name__} must be {size} bytes, got {len(data)}")
-    value = object.__new__(cls)
-    object.__setattr__(value, field, data)
+    value = _new(cls)
+    _set(value, field, data)
     return value
+
+
+def _fixed(cls, field: str, size: int, to_bytes: Callable) -> Codec:
+    """An instance of the frozen dataclass `cls` whose one `field` is `size` bytes."""
+    inline = _sized(size, "{v} = _new({a})", f"_set({{v}}, {field!r}, data[start:pos])")
+    return Codec(to_bytes, functools.partial(_decode_fixed, cls, field, size), inline, cls)
 
 
 def _decode_public_key(data: bytes) -> bytes:
@@ -222,12 +253,13 @@ def enum_byte(cls) -> Codec:
     """A member of the enum `cls` as its one-byte value, read back by table."""
     members = {bytes([member.value]): member for member in cls}
     decode = functools.partial(_decode_enum, cls.__name__, members)
-    return Codec(lambda member: bytes([member.value]), decode)
+    inline = ("{v} = {a}.get(data[start:pos])", "if {v} is None:", "    {v} = {c}(data[start:pos])")
+    return Codec(lambda member: bytes([member.value]), decode, inline, members)
 
 
 def nested(cls) -> Codec:
-    """A message written by its `encode` and read back by `cls.decode`."""
-    return Codec(cls.encode, cls.decode)
+    """A message written by its `encode` and read in place by `cls.decode(data, start, end)`."""
+    return Codec(cls.encode, cls.decode, ("{v} = {c}(data, start, pos)",))
 
 
 def _same(data: bytes) -> bytes:
@@ -235,11 +267,10 @@ def _same(data: bytes) -> bytes:
 
 
 RAW = Codec(_same)
-U64 = Codec(encode_uint, decode_uint)
+U64 = Codec(encode_uint, decode_uint, _sized(8, "{v} = _u64(data, start)[0]"))
 UTF8 = Codec(str.encode, _decode_utf8)
 FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
-ADDRESS = Codec(lambda a: a.bytes, functools.partial(_decode_fixed, Address, "bytes", ADDRESS_LEN))
-COMMITMENT = Codec(
-    lambda c: c.digest, functools.partial(_decode_fixed, Commitment, "digest", DIGEST_LEN)
-)
-PUBLIC_KEY = Codec(_same, _decode_public_key)  # as `crypto.generate_keypair` writes a key
+ADDRESS = _fixed(Address, "bytes", ADDRESS_LEN, lambda a: a.bytes)
+COMMITMENT = _fixed(Commitment, "digest", DIGEST_LEN, lambda c: c.digest)
+# A key as `crypto.generate_keypair` writes it.
+PUBLIC_KEY = Codec(_same, _decode_public_key, _sized(PUBLIC_KEY_LEN, "{v} = data[start:pos]"))

@@ -14,17 +14,19 @@ is in registration order, the feed sellers read.
 
 Each event kind has one check, which reads the ledger and raises before
 anything changes, and one apply (`_RULES`), which takes what the check
-derived (a selection's top-up, a close's notary fee). Live operations and
-`replay` both run them through `Ledger._commit`, so replay accepts exactly
-the events the live ledger would accept in the same state. Only the
+looked up and derived (a selection's contract, responses by digest and
+top-up; a close's contract, response state and notary fee), so that each
+event looks its state up once. Live operations and `replay` both run them
+through `Ledger._commit`, so replay accepts exactly the events the live
+ledger would accept in the same state. `parse_journal` slices each frame
+once, as its payload, and replay reads its messages in place. Only the
 signature checks of orders, notary terms, responses and certificates stay
 live-only, each made by the operation where its message enters the ledger:
 their re-verification would cost several times the rest of a replay. So
 does the check that an order's buyer and notaries have keys something can
 be sealed to (`crypto.sealable`); the journal's blinded order record holds
-no buyer key. A
-selected response is judged by `messages.validate_response`, the rule list
-that the buyer's screen applies too, live and on replay alike.
+no buyer key. A selected response is judged by `messages.validate_response`,
+the rule list that the buyer's screen applies too, live and on replay alike.
 
 The journal deliberately stores a blinded order record (digest, buyer
 address, amounts, notary terms) instead of the full order: audience
@@ -51,8 +53,8 @@ from .encoding import (
     SetOf,
     encode_uint,
     enum_byte,
+    field_end,
     nested,
-    read_field,
     write_field,
     write_uint_field,
 )
@@ -85,10 +87,10 @@ class EventKind(enum.IntEnum):
 # An event frame is its kind byte and its payload; the trailer is the frame
 # of kind 255. An event's sequence is its index in the journal.
 TRAILER_KIND = 255
-_EVENT_KIND = enum_byte(EventKind)
+_EVENT_KIND, _TRAILER = enum_byte(EventKind), bytes([TRAILER_KIND])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     kind: EventKind
     payload: bytes
@@ -111,7 +113,7 @@ class Status(enum.IntEnum):
     CLOSED = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Settlement:
     outcome: Outcome
     verdict: Verdict
@@ -120,7 +122,7 @@ class Settlement:
     notary_fee: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseState:
     response: DataResponse
     # What the response's close paid out; None while it is only selected.
@@ -276,12 +278,12 @@ class Ledger:
         contract = self._open_contract(order_digest)
         if not responses:
             raise LedgerError("selection names no response")
-        batch = set()
+        batch = {}  # the responses by digest, in order
         for response in responses:
             digest = response.digest()
             if digest in contract.responses or digest in batch:
                 raise DuplicateResponse(f"response {digest.hex()} already selected")
-            batch.add(digest)
+            batch[digest] = response
             failed = messages.validate_response(response, contract)
             if failed:
                 raise LedgerError(f"invalid response {digest.hex()}: {', '.join(failed)}")
@@ -289,15 +291,14 @@ class Ledger:
         topup = self.audit_topup(contract, responses)
         total = contract.price * len(responses) + topup
         self._check_funds(contract.buyer_address, total, "selection payment and audit top-up")
-        return (topup,)
+        return contract, batch, topup
 
-    def _apply_selection(self, order_digest: bytes, responses, topup: int) -> None:
-        contract = self.contracts[order_digest]
+    def _apply_selection(self, order_digest, responses, contract, batch, topup: int) -> None:
         payment = contract.price * len(responses)
         self._credit(contract.buyer_address, -(payment + topup))
         self._escrow(contract, audit=topup, payment=payment)
-        for response in responses:
-            contract.responses[response.digest()] = ResponseState(response)
+        for digest, response in batch.items():
+            contract.responses[digest] = ResponseState(response)
 
     def _check_close(self, cert: NotaryCertificate) -> tuple:
         contract = self._open_contract(cert.order_ref)
@@ -306,20 +307,19 @@ class Ledger:
             raise UnknownResponse(f"response {cert.response_digest.hex()} is not selected")
         if state.settlement is not None:
             raise AlreadySettled(f"response {cert.response_digest.hex()} is already settled")
-        notary = state.response.chosen_notary
-        if cert.signer_address() != notary:
+        # Selection admits only listed notaries; their terms name their keys.
+        terms = contract.notary_terms[state.response.chosen_notary]
+        if cert.notary_pk != terms.notary_pk:
             raise InvalidSignature("certificate is not from the response's chosen notary")
         # Audited verdicts (b and c) pay the chosen notary's fee from audit escrow.
-        fee = 0 if cert.verdict is Verdict.NOT_NOTARIZED else contract.notary_terms[notary].fee
+        fee = 0 if cert.verdict is Verdict.NOT_NOTARIZED else terms.fee
         if fee > contract.audit_escrow:
             raise AuditEscrowDepleted(
                 f"notary fee {fee} exceeds audit escrow {contract.audit_escrow}"
             )
-        return (fee,)
+        return contract, state, fee
 
-    def _apply_close(self, cert: NotaryCertificate, fee: int) -> Settlement:
-        contract = self.contracts[cert.order_ref]
-        state = contract.responses[cert.response_digest]
+    def _apply_close(self, cert: NotaryCertificate, contract, state, fee: int) -> Settlement:
         response, price = state.response, contract.price
         if cert.verdict is Verdict.NOTARIZED_INVALID:
             settlement = Settlement(Outcome.BUYER_REFUNDED, cert.verdict, 0, price, fee)
@@ -358,7 +358,7 @@ class Ledger:
             raise InsufficientFunds(f"buyer cannot cover {purpose}")
 
     def _credit(self, address: Address, amount: int) -> None:
-        self.accounts[address] = self.balance(address) + amount
+        self.accounts[address] = self.accounts.get(address, 0) + amount
         self.balance_sum += amount
 
     def _escrow(self, contract: OrderContract, audit: int = 0, payment: int = 0) -> None:
@@ -388,17 +388,11 @@ def _contract_state_bytes(c: OrderContract) -> bytes:
     out.append(c.status)
     for addr in sorted(c.notary_terms):
         write_field(out, addr.bytes + encode_uint(c.notary_terms[addr].fee))
-    for digest in sorted(c.responses):
-        s = c.responses[digest]
+    for digest, s in sorted(c.responses.items()):
         # Format constants: 01 ff for a selected response, 02 <outcome> for a settled one.
         stage = b"\x01\xff" if s.settlement is None else bytes([2, s.settlement.outcome])
-        write_field(
-            out,
-            digest
-            + stage
-            + s.response.payment_address.bytes
-            + s.response.chosen_notary.bytes,
-        )
+        addresses = s.response.payment_address.bytes + s.response.chosen_notary.bytes
+        write_field(out, digest + stage + addresses)
     return bytes(out)
 
 
@@ -485,14 +479,15 @@ def parse_journal(data: bytes):
     events: List[LedgerEvent] = []
     pos = 0
     while pos < len(data):
-        start = pos
+        start = pos + 4  # the frame's kind byte, then its payload up to `pos`
         try:
-            frame, pos = read_field(data, pos)
-            if frame[:1] == bytes([TRAILER_KIND]):
+            pos = field_end(data, pos)
+            kind = data[start : start + 1] if pos > start else b""
+            if kind == _TRAILER:
                 if pos < len(data):
                     raise ReplayError(len(events), "frames after the digest trailer")
-                return events, frame[1:], crypto.sha256(memoryview(data)[:start])
-            events.append(LedgerEvent.decode(frame))
+                return events, data[start + 1 : pos], crypto.sha256(memoryview(data)[: start - 4])
+            events.append(LedgerEvent(_EVENT_KIND.from_bytes(kind), data[start + 1 : pos]))
         except EncodingError as exc:
             raise ReplayError(len(events), f"journal framing error: {exc}") from exc
     return events, None, crypto.sha256(data)

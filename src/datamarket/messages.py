@@ -4,8 +4,9 @@ constructors/validators each participant uses.
 Each type's layout is its dataclass field list: `_layout` attaches an
 `encoding.Layout` of the fields in order, each written by the codec of
 `encoding` that its annotation names, after the type's tag byte. `decode`
-is a tag check, the layout's generated reader and `_build`; `encode` and
-`signing_bytes` are the layout's generated writer. Decoding is total and
+is a tag check and `_build`, which runs the layout's generated reader in
+place, over a range of a larger buffer when the message is nested in one;
+`encode` and `signing_bytes` are the layout's generated writer. Decoding is total and
 canonical: it raises only `EncodingError`, and whatever decodes re-encodes
 to its input.
 
@@ -14,10 +15,11 @@ field before the signature) and `encode()` (signing bytes plus the
 signature field). They are frozen, so each instance computes its encodings,
 digest, signer address and signature check once (see `_memoized`), and all
 copies of one message share one check through a memo (`_verifies`). A
-decoded signed message is built without its constructor: its fields and its
-input, as its encoding, are set in its `__dict__` in one step. No field
-repeats a fact another fixes: a signer's address is derived from its key,
-and a response names its order only by digest.
+decoded signed message is built without its constructor and keeps only its
+fields and its input, as its encoding, in its `__dict__`; `signing_bytes()`
+cuts them from that encoding on first use. No field repeats a fact another
+fixes: a signer's address is derived from its key, and a response names its
+order only by digest.
 
 A notary signs certificates in batches of at most `CERTIFICATE_BATCH`: one
 signature covers a tag byte no message has, the batch size and the RFC 6962
@@ -55,7 +57,7 @@ from .encoding import (
     encode_uint,
     enum_byte,
     nested,
-    read_field,
+    field_end,
     require_ascending,
     write_field,
 )
@@ -134,15 +136,16 @@ class Message:
         return self._LAYOUT.encode(self, self._PREFIX)
 
     @classmethod
-    def decode(cls, data: bytes):
-        """The `cls` that `data` encodes; raises EncodingError unless `data`
-        is exactly what some `cls` encodes to."""
-        if not data.startswith(cls._PREFIX):
+    def decode(cls, data: bytes, start: int = 0, end: Optional[int] = None):
+        """The `cls` that `data[start:end]` encodes, read in place; raises
+        EncodingError unless those bytes are exactly what some `cls` encodes to."""
+        if not data.startswith(cls._PREFIX, start, end):
             raise EncodingError(f"expected a {cls.__name__}")
-        return cls._build(data, cls._LAYOUT.read(data, len(cls._PREFIX)))
+        return cls._build(data, start, end)
 
     @classmethod
-    def _build(cls, data: bytes, values: list):
+    def _build(cls, data: bytes, start: int, end: int):
+        values = cls._LAYOUT.read(data, start + len(cls._PREFIX), end)
         try:
             return cls(*values)
         except MessageError as exc:
@@ -168,7 +171,10 @@ class _Signed(Message):
 
     @_memoized
     def signing_bytes(self) -> bytes:
-        return self._SIGNING.encode(self, self._PREFIX)
+        data = self.__dict__.get("_memo_encode")  # a decoded message's input
+        if data is None:
+            return self._SIGNING.encode(self, self._PREFIX)
+        return data[: -4 - len(self.signature)]  # all but the signature field
 
     @_memoized
     def encode(self) -> bytes:
@@ -189,15 +195,13 @@ class _Signed(Message):
         return _verifies(getattr(self, self._SIGNER), self.signing_bytes(), self.signature)
 
     @classmethod
-    def _build(cls, data: bytes, values: list):
-        # No signed type has a __post_init__, so the fields are set directly,
-        # without the generated __init__. Decoding is canonical, so `data` is
-        # the message's own encoding.
+    def _build(cls, data: bytes, start: int, end: int):
+        # No signed type has a __post_init__, so the reader sets the fields
+        # directly, without the generated __init__. Decoding is canonical, so
+        # `data[start:end]` is the message's own encoding.
         msg = object.__new__(cls)
-        signing_bytes = data[: -4 - len(values[-1])]
-        msg.__dict__.update(
-            zip(cls._NAMES, values), _memo_encode=data, _memo_signing_bytes=signing_bytes
-        )
+        fields = cls._LAYOUT.read(data, start + len(cls._PREFIX), end, msg.__dict__)
+        fields["_memo_encode"] = data[start:end]
         return msg
 
 
@@ -264,8 +268,8 @@ def _predicate_value(data: bytes) -> PredicateValue:
     if kind == b"S":
         items, pos = [], 1
         while pos < len(data):
-            item, pos = read_field(data, pos)
-            items.append(UTF8.from_bytes(item))
+            start, pos = pos + 4, field_end(data, pos)
+            items.append(UTF8.from_bytes(data[start:pos]))
         require_ascending(items)
         return frozenset(items)
     raise EncodingError(f"unknown predicate value kind {kind!r}")
@@ -404,12 +408,13 @@ class NotaryCertificate(_Signed):
         )
 
     @classmethod
-    def _build(cls, data: bytes, values: list):
-        index, size, path = values[4:7]
+    def _build(cls, data: bytes, start: int, end: int):
+        cert = super()._build(data, start, end)
+        index, size, path = cert.leaf_index, cert.batch_size, cert.audit_path
         in_batch = index < size <= CERTIFICATE_BATCH
         if not in_batch or len(path) != crypto.DIGEST_LEN * crypto.merkle_path_length(index, size):
             raise EncodingError(f"no leaf {index} of {size} has a {len(path)}-byte audit path")
-        return super()._build(data, values)
+        return cert
 
 
 @_layout(TAG_PAYLOAD_DELIVERY)

@@ -573,15 +573,24 @@ def test_no_key_and_nonce_seal_two_deliveries(drop_rate):
 
 @pytest.mark.parametrize(
     "case",
-    ["too short", "another agreement", "flipped tag", "third identity", "small-order header"],
+    [
+        "too short",
+        "another agreement",
+        "flipped tag",
+        "third identity",
+        "small-order header",
+        "other offer's seller",
+    ],
 )
 def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(case):
     """Two selected responses. The first one's delivery does not open: the
     buyer forces an audit with an empty payload, which the notary judges
-    invalid, and keeps no opener. The second one's delivery, sealed under the
-    same agreement (the first seller's key with the buyer's), still opens, and
-    its audit is valid. A header may name a third identity's key, or a
-    small-order point that no agreement can use."""
+    invalid, and keeps no opener. The second one's delivery, sealed under its
+    own seller's key, opens, and its audit is valid. A header may name a third
+    identity's key, or a small-order point that no agreement can use. A
+    delivery that the other offer's seller sealed, validly, to the buyer is
+    not opened either: it must be sealed under the key of the seller whose
+    offer it answers."""
     ledger, network = Ledger(), Network(NetworkConfig())
     market = make_market()  # only for the notary's keys and address
     notary_keys = market.notary_keys
@@ -609,6 +618,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         {r.payment_address: f"s{seed}" for (r, _), seed in zip(offers, (10, 11))},
     )
     to_buyer = sealer(keys_from_seed(10), order.buyer_pk)
+    from_other = sealer(keys_from_seed(11), order.buyer_pk)  # the second offer's seller
     sealed = to_buyer.seal(offers[0][1])
     bad = {
         "too short": sealed[:39],
@@ -617,10 +627,11 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         "flipped tag": sealed[:-1] + bytes([sealed[-1] ^ 1]),
         "third identity": keys_from_seed(12).public_key[32:] + sealed[32:],
         "small-order header": bytes(32) + sealed[32:],
+        "other offer's seller": from_other.seal(offers[0][1]),
     }[case]
     verdicts = []
     for tick, ((response, _), ciphertext) in enumerate(
-        zip(offers, [bad, to_buyer.seal(offers[1][1])]), start=11
+        zip(offers, [bad, from_other.seal(offers[1][1])]), start=11
     ):
         delivery = messages.PayloadDelivery(response.digest(), ciphertext)
         sent = Envelope(response.payment_address, buyer.upload_url, delivery.encode(), tick)
@@ -639,7 +650,7 @@ def test_a_delivery_that_does_not_open_forces_an_invalid_audit_and_is_not_kept(c
         (False, False),
         Verdict.NOTARIZED_VALID,
     ]
-    assert list(buyer._openers) == [keys_from_seed(10).public_key[32:]]
+    assert list(buyer._openers) == [keys_from_seed(11).public_key[32:]]
 
 
 # -- inputs an actor must drop ---------------------------------------------

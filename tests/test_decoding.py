@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import ledger as ledger_mod, messages, transport
+from datamarket import crypto, ledger as ledger_mod, messages, transport
 from datamarket.actors import Buyer, keys_from_seed
 from datamarket.encoding import encode_uint, write_field
 from datamarket.errors import EncodingError
@@ -203,6 +203,46 @@ def test_mutated_uploads_are_accepted_or_refused_with_a_reason(index, edits):
         assert data in buyer._accepted_uploads
 
 
+@functools.lru_cache(maxsize=None)
+def signed_inputs():
+    """The encoded signed messages a `bank.yaml` run sends, and one batch of certificates."""
+    sent, _ = bank()
+    found = [data for data in sent if isinstance(messages.decode(data), messages._Signed)]
+    found += batched_certificates()
+    assert {type(messages.decode(data)) for data in found} == {
+        messages.DataOrder, messages.NotaryTerms, DataResponse, messages.NotaryCertificate
+    }
+    return found
+
+
+@given(st.integers(0, 2**16), st.lists(EDIT, max_size=4))
+@settings(max_examples=800, deadline=None)
+def test_decoded_signing_bytes_are_cut_from_the_input(index, edits):
+    """A decoded signed message cuts its signing bytes from its input on
+    first use: they equal what its signing layout writes for its fields, and
+    its signature check is `crypto.verify` over them (over its batch's root,
+    for a certificate). The inputs are genuine messages of the four signed
+    types, and every mutation of them that still decodes."""
+    inputs = signed_inputs()
+    data = mutate(inputs[index % len(inputs)], edits)
+    try:
+        msg = messages.decode(data)
+    except EncodingError:
+        return
+    cls = type(msg)
+    assert set(vars(msg)) == {*cls._NAMES, "_memo_encode"}  # no signing bytes cut yet
+    assert msg.signing_bytes() == cls._SIGNING.encode(msg, cls._PREFIX)
+    if isinstance(msg, messages.NotaryCertificate):
+        leaf = msg._LEAF.encode((msg.order_ref, msg.response_digest, msg.verdict))
+        root = crypto.merkle_fold(leaf, msg.leaf_index, msg.batch_size, msg.audit_path)
+        signed_bytes = None if root is None else msg._root_message(msg.batch_size, root)
+    else:
+        signed_bytes = msg.signing_bytes()
+    key = getattr(msg, cls._SIGNER)
+    expected = signed_bytes is not None and crypto.verify(key, signed_bytes, msg.signature)
+    assert msg.verify_signature() == expected
+
+
 # -- generated readers against the reference decoder -----------------------
 
 
@@ -224,6 +264,21 @@ def genuine_layouts():
     return [(layout, pos, data) for data, (layout, pos) in cases.items()]
 
 
+def resize_field(data, pos, at, size):
+    """`data` with one of the fields from `pos` on, counted at their length
+    prefixes (a list's count and items included), cut or padded with zeros
+    to `size` modulo its length + 9, under a prefix that says so: a field of
+    the wrong size in a well-framed message, or a message cut off inside."""
+    spans = []
+    while pos < len(data):
+        spans.append((pos, pos + 4 + int.from_bytes(data[pos : pos + 4], "big")))
+        pos = spans[-1][1]
+    start, end = spans[at % len(spans)]
+    field = data[start + 4 : end]
+    field = (field + bytes(8))[: size % (len(field) + 9)]
+    return data[:start] + len(field).to_bytes(4, "big") + field + data[end:]
+
+
 def outcome(read, *args):
     """What `read(*args)` returns, or the text of the EncodingError it raises."""
     try:
@@ -232,16 +287,27 @@ def outcome(read, *args):
         return f"EncodingError: {exc}"
 
 
-@given(st.integers(0, 2**16), st.lists(EDIT, max_size=3), st.binary(max_size=8))
+RESIZE = st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))
+
+
+@given(st.integers(0, 2**16), RESIZE, st.lists(EDIT, max_size=3), st.binary(max_size=8))
 @settings(max_examples=1500, deadline=None)
-def test_generated_readers_agree_with_the_reference_decoder(index, edits, extension):
-    """On genuine encodings, and on byte edits, truncations and extensions
-    of them, a layout's generated reader and the generic reference loop
-    return equal values or raise EncodingError with the same text."""
+def test_generated_readers_agree_with_the_reference_decoder(index, resize, edits, extension):
+    """On genuine encodings, and on resized fields, byte edits, truncations
+    and extensions of them, a layout's generated reader and the generic
+    reference loop return equal values or raise EncodingError with the
+    same text. A message layout's reader gives the same into a dict, by
+    field name, as it does when it builds a signed message. The layouts hold
+    every inline conversion, and every message nested in another or in an
+    event payload."""
     layout, pos, genuine = genuine_layouts()[index % len(genuine_layouts())]
-    data = mutate(genuine, edits) + extension
+    data = genuine if resize is None else resize_field(genuine, pos, *resize)
+    data = mutate(data, edits) + extension
     expected = outcome(reference_decoder.read, layout.codecs, data, pos)
     assert outcome(layout.read, data, pos) == expected
+    if layout.names is not None:
+        by_name = dict(zip(layout.names, expected)) if isinstance(expected, list) else expected
+        assert outcome(layout.read, data, pos, None, {}) == by_name
 
 
 def test_importing_the_package_compiles_no_layout():

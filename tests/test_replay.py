@@ -23,22 +23,27 @@ from datamarket.errors import EncodingError, LedgerError, ReplayError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
 from datamarket.messages import Verdict
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario
+from datamarket.scenario import load_scenario, random_scenario
 
-from market_helpers import TERMS, make_market, make_order, make_response
+from market_helpers import TERMS, ladder_10x10, make_market, make_order, make_response
 
 
 def derived(ledger, kind, args):
     """What the apply of `kind` takes after `args`, derived as its check
-    derives it: a selection's audit top-up, a close's notary fee."""
+    derives it: a selection's contract, responses by digest and audit
+    top-up, a close's contract, response state and notary fee."""
     if kind is EventKind.SELLERS_SELECTED:
         order_digest, responses = args
-        return (ledger.audit_topup(ledger.contracts[order_digest], responses),)
+        contract = ledger.contracts[order_digest]
+        batch = {r.digest(): r for r in responses}
+        return contract, batch, ledger.audit_topup(contract, responses)
     if kind is EventKind.RESPONSE_CLOSED:
         (cert,) = args
         contract = ledger.contracts[cert.order_ref]
-        notary = contract.responses[cert.response_digest].response.chosen_notary
-        return (0 if cert.verdict is Verdict.NOT_NOTARIZED else contract.notary_terms[notary].fee,)
+        state = contract.responses[cert.response_digest]
+        notary = state.response.chosen_notary
+        fee = 0 if cert.verdict is Verdict.NOT_NOTARIZED else contract.notary_terms[notary].fee
+        return contract, state, fee
     return ()
 
 
@@ -158,7 +163,8 @@ def unknown_event_kind():
     return bytes(data), 3
 
 
-BANK = Path(__file__).resolve().parent.parent / "scenarios" / "bank.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BANK = SCENARIOS / "bank.yaml"
 
 
 def bank_ledger():
@@ -420,3 +426,56 @@ def assert_fees_covered(ledger):
         unsettled = [s.response for s in contract.responses.values() if s.settlement is None]
         fees = sum(contract.notary_terms[r.chosen_notary].fee for r in unsettled)
         assert contract.audit_escrow >= fees
+
+
+# -- replay rebuilds the live state field by field --------------------------
+
+
+def ledger_view(ledger):
+    """Every account, the running totals, and every contract field by
+    field, in registration order: its record, escrows and status, and each
+    response's digest, payment address, chosen notary and settlement."""
+    contracts = [
+        (
+            digest,
+            c.order_digest,
+            c.buyer_address,
+            c.min_audit_budget,
+            c.price,
+            {address: terms.digest() for address, terms in c.notary_terms.items()},  # a set
+            c.audit_escrow,
+            c.payment_escrow,
+            c.status,
+            [
+                (d, s.response.digest(), s.response.payment_address, s.response.chosen_notary)
+                + (s.settlement,)
+                for d, s in c.responses.items()
+            ],
+        )
+        for digest, c in ledger.contracts.items()
+    ]
+    totals = (ledger.total_supply, ledger.balance_sum, ledger.escrow_sum)
+    return dict(ledger.accounts), totals, contracts
+
+
+def live_runs(name):
+    if name.endswith(".yaml"):
+        return [run_scenario(load_scenario(SCENARIOS / name))]
+    if name.startswith("ladder"):
+        return [run_scenario(ladder_10x10(float(name.split()[-1])))]
+    return [run_scenario(random_scenario(seed)) for seed in range(50)]
+
+
+@pytest.mark.parametrize(
+    "name", ["bank.yaml", "telco.yaml", "ladder 0.0", "ladder 0.05", "random 0..49"]
+)
+def test_replay_rebuilds_the_live_ledger_field_by_field(name):
+    """`verify_journal` rebuilds, from the journal bytes alone, every
+    account and every contract field the live ledger holds, not only a
+    state with the same digest. The replayed contracts hold no full order."""
+    for result in live_runs(name):
+        live = result.ledger
+        replayed = ledger_mod.verify_journal(ledger_mod.journal_bytes(live))
+        assert ledger_view(replayed) == ledger_view(live)
+        assert replayed.journal == live.journal
+        assert all(c.order is None for c in replayed.contracts.values())
