@@ -10,8 +10,8 @@ sequence of codecs: a message type's fields, an event kind's payload, the
 payload plaintext. On first use it compiles, as `dataclasses` generates an
 `__init__`, one straight-line reader and one writer from its codecs alone.
 The reader splits each field off with one `unpack_from` and one bounds
-check, and builds its value in place: fixed-size addresses, commitments and
-keys, enum bytes and integers by inline code, a nested message by reading
+check, and builds its value in place: fixed-size addresses and commitments,
+enum bytes and integers by inline code, a nested message by reading
 its fields from the same buffer, anything else by the codec's `from_bytes`.
 It reads a counted list's items in one loop. The writer appends each
 field's length prefix and bytes to one buffer. Every read raises only
@@ -272,5 +272,4 @@ UTF8 = Codec(str.encode, _decode_utf8)
 FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
 ADDRESS = _fixed(Address, "bytes", ADDRESS_LEN, lambda a: a.bytes)
 COMMITMENT = _fixed(Commitment, "digest", DIGEST_LEN, lambda c: c.digest)
-# A key as `crypto.generate_keypair` writes it.
-PUBLIC_KEY = Codec(_same, _decode_public_key, _sized(PUBLIC_KEY_LEN, "{v} = data[start:pos]"))
+PUBLIC_KEY = Codec(_same, _decode_public_key)  # as `crypto.generate_keypair` writes a key

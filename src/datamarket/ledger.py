@@ -99,8 +99,11 @@ class LedgerEvent:
         return bytes([self.kind]) + self.payload
 
     @classmethod
-    def decode(cls, frame: bytes) -> "LedgerEvent":
-        return cls(_EVENT_KIND.from_bytes(frame[:1]), frame[1:])
+    def decode(cls, data: bytes, start: int = 0, end: Optional[int] = None) -> "LedgerEvent":
+        """The event whose frame is `data[start:end]`, read in place."""
+        end = len(data) if end is None else end
+        kind = data[start : start + 1] if end > start else b""
+        return cls(_EVENT_KIND.from_bytes(kind), data[start + 1 : end])
 
 
 class Outcome(enum.IntEnum):
@@ -358,7 +361,7 @@ class Ledger:
             raise InsufficientFunds(f"buyer cannot cover {purpose}")
 
     def _credit(self, address: Address, amount: int) -> None:
-        self.accounts[address] = self.accounts.get(address, 0) + amount
+        self.accounts[address] = self.balance(address) + amount
         self.balance_sum += amount
 
     def _escrow(self, contract: OrderContract, audit: int = 0, payment: int = 0) -> None:
@@ -482,12 +485,11 @@ def parse_journal(data: bytes):
         start = pos + 4  # the frame's kind byte, then its payload up to `pos`
         try:
             pos = field_end(data, pos)
-            kind = data[start : start + 1] if pos > start else b""
-            if kind == _TRAILER:
+            if data.startswith(_TRAILER, start, pos):
                 if pos < len(data):
                     raise ReplayError(len(events), "frames after the digest trailer")
                 return events, data[start + 1 : pos], crypto.sha256(memoryview(data)[: start - 4])
-            events.append(LedgerEvent(_EVENT_KIND.from_bytes(kind), data[start + 1 : pos]))
+            events.append(LedgerEvent.decode(data, start, pos))
         except EncodingError as exc:
             raise ReplayError(len(events), f"journal framing error: {exc}") from exc
     return events, None, crypto.sha256(data)
