@@ -4,8 +4,6 @@ scenario runner that checks the market's economic and privacy invariants.
 """
 
 from .crypto import (
-    Address,
-    Commitment,
     KeyPair,
     commit,
     decrypt,
@@ -36,9 +34,7 @@ from .scenario import Scenario, load_scenario, random_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Address",
     "Audience",
-    "Commitment",
     "Comparator",
     "DataOrder",
     "DataRequest",

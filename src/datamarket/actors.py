@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, messages
-from .crypto import Address, KeyPair
+from .crypto import KeyPair
 from .errors import (
     AlreadySettled,
     DecryptionError,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .ledger import Ledger, OrderContract, Status
 from .messages import (
+    Address,
     Audience,
     DataOrder,
     DataRequest,
@@ -156,7 +157,7 @@ class Seller:
         if spec.mutation is Mutation.PRICE_MISMATCH:
             price += 1
         if spec.mutation is Mutation.WRONG_NOTARY:
-            chosen_notary = Address(b"\xee" * crypto.ADDRESS_LEN)
+            chosen_notary = b"\xee" * crypto.ADDRESS_LEN
         data = spec.dataset[order.request.schema_id]
         salt = self._rng.randbytes(crypto.SALT_LEN)
         response = messages.build_data_response(

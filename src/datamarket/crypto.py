@@ -6,8 +6,10 @@ signing key and an X25519 encryption key. Public key bytes are the
 concatenation signing-pub (32) || encryption-pub (32). The secret key is a
 `SecretKey` that holds the seed, libsodium's 64-byte Ed25519 secret (seed ||
 signing-pub) and the 32-byte X25519 scalar, derived once with the pair; it
-compares by seed and prints none of them. Addresses are the first 20 bytes
-of SHA-256 over the public key bytes.
+compares by seed and prints none of them. An address is the first 20 bytes
+of SHA-256 over the public key bytes, and a commitment the 32-byte SHA-256
+over a 32-byte salt and the data; both are plain `bytes`, as keys,
+digests and signatures are.
 
 Every primitive but SHA-256 and HMAC runs on the system libsodium, opened
 through `ctypes` on first use, so importing the package opens nothing.
@@ -149,35 +151,6 @@ class KeyPair:
     secret_key: SecretKey
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    bytes: bytes
-
-    def __post_init__(self):
-        if len(self.bytes) != ADDRESS_LEN:
-            raise CryptoError(f"address must be {ADDRESS_LEN} bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.bytes.hex()
-
-    def __repr__(self) -> str:
-        return f"Address({self.hex})"
-
-
-@dataclass(frozen=True)
-class Commitment:
-    digest: bytes
-
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_LEN:
-            raise CryptoError(f"commitment digest must be {DIGEST_LEN} bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
-
-
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -204,23 +177,23 @@ def generate_keypairs(seeds: Sequence[bytes]) -> List[KeyPair]:
 
 
 @functools.lru_cache(maxsize=ADDRESS_MEMO)
-def derive_address(public_key: bytes) -> Address:
+def derive_address(public_key: bytes) -> bytes:
     if len(public_key) != PUBLIC_KEY_LEN:
         raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
-    return Address(sha256(public_key)[:ADDRESS_LEN])
+    return sha256(public_key)[:ADDRESS_LEN]
 
 
-def commit(salt: bytes, data: bytes) -> Commitment:
+def commit(salt: bytes, data: bytes) -> bytes:
     """SHA-256 over salt-prepended data: a 32-byte salt and non-empty data."""
     if len(salt) != SALT_LEN:
         raise CryptoError(f"salt must be {SALT_LEN} bytes")
     if len(data) == 0:
         raise CryptoError("data must be non-empty")
-    return Commitment(sha256(salt + data))
+    return sha256(salt + data)
 
 
-def verify_commitment(salt: bytes, data: bytes, commitment: Commitment) -> bool:
-    return sha256(salt + data) == commitment.digest
+def verify_commitment(salt: bytes, data: bytes, commitment: bytes) -> bool:
+    return sha256(salt + data) == commitment
 
 
 def sign(secret_key: SecretKey, message: bytes) -> bytes:

@@ -10,11 +10,13 @@ sequence of codecs: a message type's fields, an event kind's payload, the
 payload plaintext. On first use it compiles, as `dataclasses` generates an
 `__init__`, one straight-line reader and one writer from its codecs alone.
 The reader splits each field off with one `unpack_from` and one bounds
-check, and builds its value in place: fixed-size addresses and commitments,
-enum bytes and integers by inline code, a nested message by reading
-its fields from the same buffer, anything else by the codec's `from_bytes`.
-It reads a counted list's items in one loop. The writer appends each
-field's length prefix and bytes to one buffer. Every read raises only
+check, and builds its value in place: a fixed-size field, an enum byte or
+an integer by inline code, a nested message by reading its fields from the
+same buffer, anything else by the codec's `from_bytes`. It reads a counted
+list's items in one loop. The writer appends each field's length prefix and
+bytes to one buffer. Addresses, commitments and public keys are plain
+`bytes` of a fixed size, which their codec checks on write and on read, so
+nothing of the wrong size is signed or journaled. Every read raises only
 `EncodingError` and accepts only the bytes its write produces, so whatever
 decodes re-encodes to its input.
 """
@@ -25,13 +27,13 @@ import functools
 import struct
 from typing import Callable, Optional
 
-from .crypto import ADDRESS_LEN, DIGEST_LEN, PUBLIC_KEY_LEN, Address, Commitment
+from .crypto import ADDRESS_LEN, DIGEST_LEN, PUBLIC_KEY_LEN
 from .errors import EncodingError
 
 LENGTH = struct.Struct(">I")  # every field's length prefix
 _unpack, _pack = LENGTH.unpack_from, LENGTH.pack
 _U64 = struct.Struct(">Q")
-_u64, _new, _set = _U64.unpack_from, object.__new__, object.__setattr__  # for inline reads
+_u64 = _U64.unpack_from  # for inline reads
 UINT_MAX = 2**64 - 1  # the largest integer a field can hold
 _NO_PREFIX = "truncated stream: expected length prefix"
 _SHORT_FIELD = "truncated stream: field shorter than prefix"
@@ -74,8 +76,9 @@ class Codec:
     value and `from_bytes` the value back from them; without `from_bytes`
     the value is the field's bytes. A generated reader runs instead the lines
     `inline`, if any: they set `{v}` to the value of `data[start:pos]`, name
-    `from_bytes` `{c}` and `arg` `{a}`, hold no other brace, and leave to
-    `{c}` any field they do not convert, so they raise as it does."""
+    `from_bytes` `{c}` and `arg` (an enum's table of members) `{a}`, hold no
+    other brace, and leave to `{c}` any field they do not convert, so they
+    raise as it does."""
 
     def __init__(self, to_bytes: Callable, from_bytes=None, inline: tuple = (), arg=None):
         self.to_bytes, self.from_bytes, self.inline, self.arg = to_bytes, from_bytes, inline, arg
@@ -227,26 +230,15 @@ def _sized(size: int, *convert: str) -> tuple:
     return (f"if pos - start == {size}:", *("    " + line for line in convert), *otherwise)
 
 
-def _decode_fixed(cls, field: str, size: int, data: bytes):
-    # Built without the frozen dataclass's __init__, whose check is this one;
-    # set as __init__ sets it, which keeps the instance as small.
-    if len(data) != size:
-        raise EncodingError(f"{cls.__name__} must be {size} bytes, got {len(data)}")
-    value = _new(cls)
-    _set(value, field, data)
-    return value
+def _fixed(name: str, size: int) -> Codec:
+    """Bytes of exactly `size`, checked on write and on read."""
 
+    def check(data: bytes) -> bytes:
+        if len(data) != size:
+            raise EncodingError(f"{name} must be {size} bytes, got {len(data)}")
+        return data
 
-def _fixed(cls, field: str, size: int, to_bytes: Callable) -> Codec:
-    """An instance of the frozen dataclass `cls` whose one `field` is `size` bytes."""
-    inline = _sized(size, "{v} = _new({a})", f"_set({{v}}, {field!r}, data[start:pos])")
-    return Codec(to_bytes, functools.partial(_decode_fixed, cls, field, size), inline, cls)
-
-
-def _decode_public_key(data: bytes) -> bytes:
-    if len(data) != PUBLIC_KEY_LEN:
-        raise EncodingError(f"public key must be {PUBLIC_KEY_LEN} bytes, got {len(data)}")
-    return data
+    return Codec(check, check, _sized(size, "{v} = data[start:pos]"))
 
 
 def enum_byte(cls) -> Codec:
@@ -270,6 +262,6 @@ RAW = Codec(_same)
 U64 = Codec(encode_uint, decode_uint, _sized(8, "{v} = _u64(data, start)[0]"))
 UTF8 = Codec(str.encode, _decode_utf8)
 FLAG = Codec(lambda value: encode_uint(1 if value else 0), _decode_flag)
-ADDRESS = _fixed(Address, "bytes", ADDRESS_LEN, lambda a: a.bytes)
-COMMITMENT = _fixed(Commitment, "digest", DIGEST_LEN, lambda c: c.digest)
-PUBLIC_KEY = Codec(_same, _decode_public_key)  # as `crypto.generate_keypair` writes a key
+ADDRESS = _fixed("address", ADDRESS_LEN)
+COMMITMENT = _fixed("commitment", DIGEST_LEN)
+PUBLIC_KEY = _fixed("public key", PUBLIC_KEY_LEN)  # as `crypto.generate_keypair` writes a key

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import crypto, messages
-from .crypto import Address
 from .encoding import (
     ADDRESS,
     LENGTH,
@@ -72,7 +71,7 @@ from .errors import (
     UnknownOrder,
     UnknownResponse,
 )
-from .messages import DataOrder, DataResponse, NotaryCertificate, NotaryTerms, Verdict
+from .messages import Address, DataOrder, DataResponse, NotaryCertificate, NotaryTerms, Verdict
 
 
 class EventKind(enum.IntEnum):
@@ -374,7 +373,7 @@ class Ledger:
     def state_digest(self) -> bytes:
         out = bytearray(encode_uint(self.total_supply))
         for address in sorted(self.accounts):
-            write_field(out, address.bytes + encode_uint(self.accounts[address]))
+            write_field(out, address + encode_uint(self.accounts[address]))
         for order_digest in sorted(self.contracts):
             write_field(out, _contract_state_bytes(self.contracts[order_digest]))
         return crypto.sha256(bytes(out))
@@ -383,18 +382,18 @@ class Ledger:
 def _contract_state_bytes(c: OrderContract) -> bytes:
     out = bytearray()
     write_field(out, c.order_digest)
-    write_field(out, c.buyer_address.bytes)
+    write_field(out, c.buyer_address)
     write_uint_field(out, c.min_audit_budget)
     write_uint_field(out, c.price)
     write_uint_field(out, c.audit_escrow)
     write_uint_field(out, c.payment_escrow)
     out.append(c.status)
     for addr in sorted(c.notary_terms):
-        write_field(out, addr.bytes + encode_uint(c.notary_terms[addr].fee))
+        write_field(out, addr + encode_uint(c.notary_terms[addr].fee))
     for digest, s in sorted(c.responses.items()):
         # Format constants: 01 ff for a selected response, 02 <outcome> for a settled one.
         stage = b"\x01\xff" if s.settlement is None else bytes([2, s.settlement.outcome])
-        addresses = s.response.payment_address.bytes + s.response.chosen_notary.bytes
+        addresses = s.response.payment_address + s.response.chosen_notary
         write_field(out, digest + stage + addresses)
     return bytes(out)
 
@@ -411,7 +410,7 @@ def _rule(check, apply, *payload) -> _Rule:
     return _Rule(check, apply, Layout(payload))
 
 
-_NOTARY_TERMS = SetOf(nested(NotaryTerms), key=lambda nt: nt.notary_address.bytes)
+_NOTARY_TERMS = SetOf(nested(NotaryTerms), key=lambda nt: nt.notary_address)
 _RULES = {
     EventKind.MINT: _rule(Ledger._check_mint, Ledger._apply_mint, ADDRESS, U64),
     EventKind.ORDER_CREATED: _rule(

@@ -3,10 +3,13 @@ constructors/validators each participant uses.
 
 Each type's layout is its dataclass field list: `_layout` attaches an
 `encoding.Layout` of the fields in order, each written by the codec of
-`encoding` that its annotation names, after the type's tag byte. `decode`
-is a tag check and `_build`, which runs the layout's generated reader in
-place, over a range of a larger buffer when the message is nested in one;
-`encode` and `signing_bytes` are the layout's generated writer. Decoding is total and
+`encoding` that its annotation names, after the type's tag byte. A
+`PublicKey`, `Address` or `Commitment` field is plain `bytes` whose codec
+checks its size on write and on read: no message that holds one of the
+wrong size is encoded, signed or decoded. `decode` is a tag check and
+`_build`, which runs the layout's generated reader in place, over a range
+of a larger buffer when the message is nested in one; `encode` and
+`signing_bytes` are the layout's generated writer. Decoding is total and
 canonical: it raises only `EncodingError`, and whatever decodes re-encodes
 to its input.
 
@@ -40,7 +43,6 @@ from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Sequence, 
 from typing import get_origin, get_type_hints
 
 from . import crypto
-from .crypto import Address, Commitment
 from .encoding import (
     ADDRESS,
     COMMITMENT,
@@ -83,6 +85,8 @@ PARALLEL_MIN = 16
 
 PredicateValue = Union[int, str, frozenset]
 PublicKey = Annotated[bytes, PUBLIC_KEY]
+Address = Annotated[bytes, ADDRESS]
+Commitment = Annotated[bytes, COMMITMENT]
 
 
 class Comparator(enum.Enum):
@@ -206,7 +210,7 @@ class _Signed(Message):
 
 
 _BY_TAG: Dict[int, type] = {}
-_SCALARS = {bytes: RAW, int: U64, str: UTF8, bool: FLAG, Address: ADDRESS, Commitment: COMMITMENT}
+_SCALARS = {bytes: RAW, int: U64, str: UTF8, bool: FLAG}
 
 
 def _codec(hint) -> Codec:

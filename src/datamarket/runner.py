@@ -201,8 +201,8 @@ def build_report(
                 SettlementRow(
                     order_id=order_id,
                     response_digest=digest.hex(),
-                    seller_name=names.get(seller, seller.hex),
-                    seller_address=seller.hex,
+                    seller_name=names.get(seller, seller.hex()),
+                    seller_address=seller.hex(),
                     verdict=s.verdict.letter,
                     outcome=s.outcome.name,
                     seller_amount=s.seller_amount,
@@ -213,7 +213,7 @@ def build_report(
 
     balances = {}
     for address in sorted(market.accounts):
-        label = names.get(address, address.hex)
+        label = names.get(address, address.hex())
         balances[label] = market.accounts[address]
 
     journal = ledger_mod.journal_bytes(market)

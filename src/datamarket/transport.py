@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from .crypto import Address
 from .errors import TransportError
 
 
@@ -35,7 +34,7 @@ class NetworkConfig:
 
 @dataclass(slots=True)
 class Envelope:
-    sender: Address
+    sender: bytes  # an address
     endpoint: str
     message: bytes
     send_tick: int
@@ -62,7 +61,7 @@ class Network:
             raise TransportError(f"endpoint {endpoint!r} already registered")
         self._endpoints.add(endpoint)
 
-    def send(self, sender: Address, endpoint: str, message: bytes) -> None:
+    def send(self, sender: bytes, endpoint: str, message: bytes) -> None:
         if endpoint not in self._endpoints:
             raise TransportError(f"unknown endpoint {endpoint!r}")
         env = Envelope(sender, endpoint, message, self.tick_now)

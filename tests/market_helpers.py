@@ -53,9 +53,9 @@ def make_order(buyer_keys, m_a=10, upload_url="ub:test-buyer"):
 class Market:
     ledger: Ledger
     buyer_keys: crypto.KeyPair
-    buyer: crypto.Address
+    buyer: bytes  # an address
     notary_keys: crypto.KeyPair
-    notary: crypto.Address
+    notary: bytes  # an address
     order: DataOrder
     order_id: bytes
     terms: List[NotaryTerms]

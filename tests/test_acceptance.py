@@ -182,7 +182,7 @@ def test_acceptance_4_commitment_correctness():
         for _ in range(100):
             salt = rng.randbytes(crypto.SALT_LEN)
             data = rng.randbytes(rng.randint(1, 64))
-            assert crypto.commit(salt, data).digest == sha256_ref(salt + data)
+            assert crypto.commit(salt, data) == sha256_ref(salt + data)
         salt = rng.randbytes(crypto.SALT_LEN)
         payload = b"\xa5" * 8
         commitment = crypto.commit(salt, payload)

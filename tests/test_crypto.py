@@ -82,7 +82,7 @@ def test_address_deterministic_and_length():
     a1 = crypto.derive_address(kp.public_key)
     a2 = crypto.derive_address(kp.public_key)
     assert a1 == a2
-    assert len(a1.bytes) == 20
+    assert type(a1) is bytes and len(a1) == crypto.ADDRESS_LEN == 20
 
 
 def test_address_memo_is_bounded_by_the_module_constant():
@@ -99,7 +99,7 @@ def test_address_no_collisions_10k():
     seen = set()
     for i in range(10_000):
         kp = crypto.generate_keypair(i.to_bytes(32, "big"))
-        seen.add(crypto.derive_address(kp.public_key).bytes)
+        seen.add(crypto.derive_address(kp.public_key))
     assert len(seen) == 10_000
 
 
@@ -121,7 +121,7 @@ def test_commit_empty_known_answer():
 def test_commit_matches_reference_on_random_pairs():
     for _ in range(100):
         salt, data = os.urandom(32), os.urandom(24)
-        assert crypto.commit(salt, data).digest == sha256_ref(salt + data)
+        assert crypto.commit(salt, data) == sha256_ref(salt + data)
 
 
 def test_commit_roundtrip():
@@ -701,7 +701,7 @@ def test_encrypt_decrypt_property(seed, plaintext):
 def test_commitment_property(salt, data):
     c = crypto.commit(salt, data)
     assert crypto.verify_commitment(salt, data, c)
-    assert c.digest == sha256_ref(salt + data)
+    assert c == sha256_ref(salt + data)
 
 
 # -- RFC 6962 Merkle trees ---------------------------------------------------

@@ -57,6 +57,13 @@ def test_mint_nonpositive_rejected():
         lg.mint(addr(1), 0)
 
 
+def test_an_address_of_the_wrong_size_is_not_journaled():
+    lg = Ledger()
+    with pytest.raises(EncodingError, match="address must be 20 bytes, got 19"):
+        lg.mint(b"\x01" * 19, 5)
+    assert lg.journal == [] and lg.accounts == {} and lg.total_supply == 0 == lg.balance_sum
+
+
 # -- register_order ------------------------------------------------------
 
 

@@ -159,6 +159,25 @@ def test_build_response_price_mismatch():
     assert failures == ("price",)
 
 
+@pytest.mark.parametrize("name, size", [("commitment", 31), ("chosen_notary", 19), ("seller_pk", 63)])
+def test_nothing_of_the_wrong_size_is_signed(name, size):
+    """A commitment, an address or a public key is plain bytes, and its
+    codec's writer refuses any of the wrong size: no such response is signed."""
+    market = make_market()
+    seller_keys = keys_from_seed(10)
+    values = dict(
+        seller_pk=seller_keys.public_key,
+        order_ref=market.order.digest(),
+        price=market.price,
+        commitment=crypto.commit(crypto.sha256(b"salt"), b"data"),
+        chosen_notary=market.notary,
+    )
+    assert messages.signed(seller_keys, DataResponse(**values)).verify_signature()
+    wrong = DataResponse(**{**values, name: bytes(size)})
+    with pytest.raises(EncodingError, match=f"must be {size + 1} bytes, got {size}$"):
+        messages.signed(seller_keys, wrong)
+
+
 def test_response_has_no_plaintext_field():
     # Structural field census: the offer cannot carry the data or the salt.
     names = {f.name for f in dataclass_fields(DataResponse)}
@@ -291,8 +310,6 @@ def test_replaced_copy_gets_fresh_digest_and_fails_verification(index):
     changed_value = getattr(msg, changed_field)
     if isinstance(changed_value, Verdict):
         changed_value = Verdict.NOTARIZED_INVALID
-    elif isinstance(changed_value, crypto.Address):
-        changed_value = crypto.Address(bytes(crypto.ADDRESS_LEN))
     else:
         changed_value = bytes(len(changed_value))
     signature = getattr(msg, sig_field)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from datamarket import cli, crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
-from datamarket.encoding import encode_uint, write_field
+from datamarket.encoding import encode_uint, field_end, write_field
 from datamarket.errors import EncodingError, LedgerError, ReplayError
 from datamarket.ledger import EventKind, Ledger, LedgerEvent
 from datamarket.messages import Verdict
@@ -136,7 +136,7 @@ def notary_terms_out_of_order():
     terms.sort(key=lambda nt: nt.notary_address, reverse=True)
     price, digest = 5, order.digest()
     payload = bytearray()
-    for value in (digest, buyer.bytes, encode_uint(order.min_audit_budget), encode_uint(price)):
+    for value in (digest, buyer, encode_uint(order.min_audit_budget), encode_uint(price)):
         write_field(payload, value)
     write_field(payload, encode_uint(len(terms)))
     for nt in terms:
@@ -173,18 +173,30 @@ def bank_ledger():
     return ledger, lambda event: ledger_mod._RULES[event.kind].layout.read(event.payload)
 
 
+def with_key(msg, key: bytes) -> bytes:
+    """The encoding of `msg` with its key field, the first after the tag
+    byte, holding `key`: spliced by hand, as no writer writes a key of the
+    wrong size."""
+    data = msg.encode()
+    out = bytearray(data[:1])
+    write_field(out, key)
+    return bytes(out) + data[field_end(data, 1) :]
+
+
 def short_seller_key():
     """`bank.yaml`'s journal with the first selected response's key cut to
     63 bytes and its certificate pointed at the new digest, under the
     trailer the ledger would write for it. No live ledger could select that
     response: its key has no address, and no signature verifies under it."""
     ledger, args = bank_ledger()
-    kind = EventKind.SELLERS_SELECTED
     order_digest, responses = args(ledger.journal[2])
-    genuine = responses[0]
-    responses[0] = replace(genuine, seller_pk=genuine.seller_pk[:63])
-    old, new = genuine.digest(), responses[0].digest()
-    ledger.journal[2] = LedgerEvent(kind, ledger_mod._RULES[kind].layout.encode((order_digest, responses)))
+    encodings = [response.encode() for response in responses]
+    encodings[0] = with_key(responses[0], responses[0].seller_pk[:63])
+    old, new = responses[0].digest(), crypto.sha256(encodings[0])
+    payload = bytearray()
+    for value in (order_digest, encode_uint(len(encodings)), *encodings):
+        write_field(payload, value)
+    ledger.journal[2] = LedgerEvent(EventKind.SELLERS_SELECTED, bytes(payload))
     for sequence, event in enumerate(ledger.journal):
         if event.kind is EventKind.RESPONSE_CLOSED and args(event)[0].response_digest == old:
             cert = replace(args(event)[0], response_digest=new)
@@ -200,12 +212,10 @@ def long_notary_key():
     under the trailer the ledger would write for it."""
     ledger, args = bank_ledger()
     digest, buyer, budget, price, (terms,) = args(ledger.journal[1])
-    # Written by hand: the rule's encode would sort the terms by their address,
-    # which a 65-byte key does not have.
     payload = bytearray()
-    for value in (digest, buyer.bytes, encode_uint(budget), encode_uint(price), encode_uint(1)):
+    for value in (digest, buyer, encode_uint(budget), encode_uint(price), encode_uint(1)):
         write_field(payload, value)
-    write_field(payload, replace(terms, notary_pk=terms.notary_pk + b"\x00").encode())
+    write_field(payload, with_key(terms, terms.notary_pk + b"\x00"))
     ledger.journal[1] = LedgerEvent(EventKind.ORDER_CREATED, bytes(payload))
     return ledger_mod.journal_bytes(ledger), 1
 
@@ -458,6 +468,20 @@ def ledger_view(ledger):
     return dict(ledger.accounts), totals, contracts
 
 
+def assert_plain_addresses(ledger):
+    """Every address the ledger holds, as an account, a notary terms key, a
+    buyer, a payment address or a chosen notary, is `bytes` of
+    `crypto.ADDRESS_LEN`, and every commitment is `bytes` of 32."""
+    addresses = list(ledger.accounts)
+    for contract in ledger.contracts.values():
+        addresses += [contract.buyer_address, *contract.notary_terms]
+        for state in contract.responses.values():
+            addresses += [state.response.payment_address, state.response.chosen_notary]
+            commitment = state.response.commitment
+            assert type(commitment) is bytes and len(commitment) == crypto.DIGEST_LEN == 32
+    assert all(type(a) is bytes and len(a) == crypto.ADDRESS_LEN for a in addresses)
+
+
 def live_runs(name):
     if name.endswith(".yaml"):
         return [run_scenario(load_scenario(SCENARIOS / name))]
@@ -472,10 +496,13 @@ def live_runs(name):
 def test_replay_rebuilds_the_live_ledger_field_by_field(name):
     """`verify_journal` rebuilds, from the journal bytes alone, every
     account and every contract field the live ledger holds, not only a
-    state with the same digest. The replayed contracts hold no full order."""
+    state with the same digest, and holds each address as the live ledger
+    does: as plain bytes. The replayed contracts hold no full order."""
     for result in live_runs(name):
         live = result.ledger
         replayed = ledger_mod.verify_journal(ledger_mod.journal_bytes(live))
         assert ledger_view(replayed) == ledger_view(live)
+        assert_plain_addresses(live)
+        assert_plain_addresses(replayed)
         assert replayed.journal == live.journal
         assert all(c.order is None for c in replayed.contracts.values())

@@ -5,7 +5,6 @@ import pytest
 
 from datamarket import messages, transport
 from datamarket.actors import Buyer, keys_from_seed
-from datamarket.crypto import Address
 from datamarket.errors import TransportError
 from datamarket.ledger import Ledger
 from datamarket.messages import NotarizationRequest, PayloadDelivery, Verdict
@@ -14,7 +13,7 @@ from datamarket.transport import Envelope, Network, NetworkConfig
 
 from market_helpers import make_market, make_response
 
-A = Address(b"\x01" * 20)
+A = b"\x01" * 20  # an address
 
 
 def run_transcript(config, sends):
