@@ -13,7 +13,6 @@ sellers upload; a notary listens on ``notary:<name>``.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -126,7 +125,6 @@ class Seller:
         self.address = crypto.derive_address(self.keys.public_key)
         self.ledger = ledger
         self.network = network
-        self._rng = random.Random(spec.seed)
         self._contracts_read = 0  # `ledger.contracts` is in registration order
         self._offers: List[_SellerOffer] = []
         self._sealers: Dict[bytes, crypto.Sealer] = {}  # by buyer public key
@@ -159,10 +157,8 @@ class Seller:
         if spec.mutation is Mutation.WRONG_NOTARY:
             chosen_notary = b"\xee" * crypto.ADDRESS_LEN
         data = spec.dataset[order.request.schema_id]
-        salt = self._rng.randbytes(crypto.SALT_LEN)
-        response = messages.build_data_response(
-            self.keys, order, price, data, chosen_notary, salt
-        )
+        salt = crypto.keyed_draw(self.keys.secret_key, b"salt", order_digest)
+        response = messages.build_data_response(self.keys, order, price, data, chosen_notary, salt)
         offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
         self._offers.append(offer)
         self.network.send(self.address, order.upload_url, response.encode())
@@ -198,14 +194,14 @@ class Seller:
         return True
 
     def _delivery_data(self, offer: _SellerOffer) -> bytes:
+        if self.spec.mutation not in (Mutation.SUBSTITUTE_DATA, Mutation.BIT_FLIP):
+            return offer.data
+        draw = crypto.keyed_draw(self.keys.secret_key, b"tamper", offer.response.digest())
         if self.spec.mutation is Mutation.SUBSTITUTE_DATA:
-            return b"forged:" + self._rng.randbytes(max(8, len(offer.data)))
-        if self.spec.mutation is Mutation.BIT_FLIP:
-            data = bytearray(offer.data)
-            pos = self._rng.randrange(len(data))
-            data[pos] ^= 1 << self._rng.randrange(8)
-            return bytes(data)
-        return offer.data
+            return b"forged:" + draw
+        data, bit = bytearray(offer.data), int.from_bytes(draw[:8], "big") % (8 * len(offer.data))
+        data[bit // 8] ^= 1 << bit % 8
+        return bytes(data)
 
 
 class Notary:
@@ -225,7 +221,6 @@ class Notary:
         self.name = spec.name
         self.keys = keys
         self.address = crypto.derive_address(self.keys.public_key)
-        self._rng = random.Random(spec.seed)
         self.ledger = ledger
         self.network = network
         self.ground_truth = dict(records)
@@ -288,10 +283,15 @@ class Notary:
     def decide_verdict(
         self, request: NotarizationRequest, response: DataResponse, schema_id: str
     ) -> Verdict:
-        """Skip the audit unless forced or the spec's mode says otherwise; an
-        audited response is valid only if both the commitment opens and the
-        data matches the notary's own records for the enrolled seller."""
-        if not (request.forced or self._audits()):
+        """Skip the audit unless forced or the mode says otherwise: SAMPLE audits when
+        the keyed draw over the response digest, first 8 bytes big-endian, is below
+        rate * 2**64. An audited response is valid only if the commitment opens and
+        the data matches the notary's own records for the enrolled seller."""
+        audits = request.forced or self.spec.mode == "ALWAYS"
+        if self.spec.mode == "SAMPLE" and not request.forced:
+            draw = crypto.keyed_draw(self.keys.secret_key, b"audit", request.response_digest)
+            audits = int.from_bytes(draw[:8], "big") < self.spec.rate * 2**64
+        if not audits:
             return Verdict.NOT_NOTARIZED
         sealed = request.audit_ciphertext
         try:
@@ -308,12 +308,6 @@ class Notary:
         if truth is None or data != truth:
             return Verdict.NOTARIZED_INVALID
         return Verdict.NOTARIZED_VALID
-
-    def _audits(self) -> bool:
-        """Whether to audit an unforced request; SAMPLE draws once per call."""
-        if self.spec.mode == "SAMPLE":
-            return self._rng.random() < self.spec.rate
-        return self.spec.mode == "ALWAYS"
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Key management, addresses, salted hash commitments, signatures, and the
-hybrid encryption envelope for payload delivery.
+"""Key management, keyed draws, addresses, salted hash commitments,
+signatures, and the hybrid encryption envelope for payload delivery.
 
 Each identity carries two keys derived from one 32-byte seed: an Ed25519
 signing key and an X25519 encryption key. Public key bytes are the
@@ -9,7 +9,9 @@ signing-pub) and the 32-byte X25519 scalar, derived once with the pair; it
 compares by seed and prints none of them. An address is the first 20 bytes
 of SHA-256 over the public key bytes, and a commitment the 32-byte SHA-256
 over a 32-byte salt and the data; both are plain `bytes`, as keys,
-digests and signatures are.
+digests and signatures are. A keyed draw is HMAC-SHA256 under the seed, as
+RFC 6979 derives a nonce, over a label (`audit`, `salt` or `tamper`) and then
+the fixed 32-byte digest it decides, so no two draw sites share an input.
 
 Every primitive but SHA-256 and HMAC runs on the system libsodium, opened
 through `ctypes` on first use, so importing the package opens nothing.
@@ -181,6 +183,10 @@ def derive_address(public_key: bytes) -> bytes:
     if len(public_key) != PUBLIC_KEY_LEN:
         raise CryptoError(f"public key must be {PUBLIC_KEY_LEN} bytes")
     return sha256(public_key)[:ADDRESS_LEN]
+
+
+def keyed_draw(secret_key: SecretKey, label: bytes, digest: bytes) -> bytes:
+    return hmac.digest(secret_key.seed, label + digest, "sha256")
 
 
 def commit(salt: bytes, data: bytes) -> bytes:

@@ -36,11 +36,11 @@ actor keeps the spec and reads its options from it. A buyer's
 
 Notary ground truth defaults to each seller's own dataset; an explicit
 `ground_truth` entry overrides it (modelling a seller whose offered data
-disagrees with the notary's records). Selection rules: ALL_VALID,
-FIRST_K (k), BUDGET_CAP (max_tokens). Notarization modes: ALWAYS, NEVER,
-SAMPLE (rate). Mutations: none, substitute_data, bit_flip, wrong_notary,
-price_mismatch (sellers); none, certificate_replay, forged_certificate
-(buyers).
+disagrees with the notary's records). Selection rules: ALL_VALID, FIRST_K
+(k), BUDGET_CAP (max_tokens). Notarization modes: ALWAYS, NEVER, SAMPLE
+(rate: the notary's keyed draw over each response digest decides its audit).
+Mutations: none, substitute_data, bit_flip, wrong_notary, price_mismatch
+(sellers); none, certificate_replay, forged_certificate (buyers).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hmac
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import crypto, ledger as ledger_mod, messages
+from datamarket import actors, crypto, ledger as ledger_mod, messages
 from datamarket.actors import Buyer, Notary, Seller, keys_from_seed, seller_evaluate_order
 from datamarket.errors import InvalidSignature
 from datamarket.ledger import EventKind, Ledger
@@ -48,10 +49,10 @@ DATA = b"seller-data-0123"
 SCHEMA = "records"
 
 
-def make_notary(market, ground_truth=None, enrollment=None, mode="ALWAYS"):
+def make_notary(market, ground_truth=None, enrollment=None, mode="ALWAYS", rate=0.0):
     return Notary(
-        NotarySpec(name="n", seed=2, fee=2, mode=mode),  # seed 2: the market's notary keys
-        keys_from_seed(2),
+        NotarySpec(name="n", seed=2, fee=2, mode=mode, rate=rate),
+        keys_from_seed(2),  # seed 2: the market's notary keys
         market.ledger,
         Network(NetworkConfig()),
         records=ground_truth or {},
@@ -396,25 +397,51 @@ def test_a_ladder_screened_on_two_threads_gives_the_same_bytes():
     assert threaded[:2] == one_at_a_time[:2]
 
 
+def sample_verdicts(notary, market, requests):
+    """`notary`'s verdict on each unforced request of `requests_to_certify`,
+    by response digest."""
+    contract = market.ledger.contract(market.order_id)
+    requests = [messages.decode(envelope.message) for envelope in requests]
+    return {
+        r.response_digest: notary.decide_verdict(
+            r, contract.responses[r.response_digest].response, SCHEMA
+        )
+        for r in requests
+    }
+
+
 def test_sample_policy_reproducible():
-    """Two notaries built from one SAMPLE spec audit the same unforced
-    requests."""
-    market, response, salt, enrollment = selected_market()
-    spec = NotarySpec(name="n", seed=2, fee=2, mode="SAMPLE", rate=0.5)
-    request = audit_request(market, response, salt, DATA, forced=False)
+    """Two notaries built from one SAMPLE spec agree on each of 50 distinct
+    unforced requests, and both verdicts appear. Asking again, in the
+    opposite order, gives each request the same verdict."""
+    _, market, requests = requests_to_certify(50)
     verdicts = []
     for _ in range(2):
-        notary = Notary(
-            spec,
-            keys_from_seed(spec.seed),
-            market.ledger,
-            Network(NetworkConfig()),
-            {("s10", SCHEMA): DATA},
-            enrollment,
-        )
-        verdicts.append([notary.decide_verdict(request, response, SCHEMA) for _ in range(50)])
-    assert verdicts[0] == verdicts[1]
-    assert set(verdicts[0]) == {Verdict.NOT_NOTARIZED, Verdict.NOTARIZED_VALID}
+        notary = make_notary(market, mode="SAMPLE", rate=0.5)
+        verdicts.append(sample_verdicts(notary, market, requests))
+        verdicts.append(sample_verdicts(notary, market, requests[::-1]))
+    assert verdicts[0] == verdicts[1] == verdicts[2] == verdicts[3]
+    # An audit of an empty audit copy finds it invalid.
+    assert set(verdicts[0].values()) == {Verdict.NOT_NOTARIZED, Verdict.NOTARIZED_INVALID}
+
+
+@pytest.mark.parametrize("rate, audited", [(0.0, 0), (0.5, 30), (1.0, 50)])
+def test_sample_policy_bounds_are_exact(rate, audited):
+    """Over 50 distinct unforced requests, SAMPLE at rate 0 audits none and
+    at rate 1 audits all. At rate 0.5 it audits exactly the responses whose
+    HMAC-SHA256 under the notary's seed over `audit` || digest starts with 8
+    big-endian bytes below 2**63, a count fixed by the keys."""
+    _, market, requests = requests_to_certify(50)
+    notary = make_notary(market, mode="SAMPLE", rate=rate)
+    verdicts = sample_verdicts(notary, market, requests)
+    seed = notary.keys.secret_key.seed
+    expected = {
+        digest
+        for digest in verdicts
+        if int.from_bytes(hmac.digest(seed, b"audit" + digest, "sha256")[:8], "big") < rate * 2**64
+    }
+    assert {d for d, v in verdicts.items() if v is not Verdict.NOT_NOTARIZED} == expected
+    assert len(expected) == audited
 
 
 def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
@@ -893,16 +920,24 @@ def test_a_notary_answers_a_mixed_tick_in_arrival_order():
     assert [(c.leaf_index, c.batch_size) for c in certs] == [(0, 3), (1, 3), (2, 3)]
 
 
+def count_draws(monkeypatch):
+    drawn, draw = [], crypto.keyed_draw
+    monkeypatch.setattr(
+        crypto,
+        "keyed_draw",
+        lambda key, label, digest: drawn.append((label, digest)) or draw(key, label, digest),
+    )
+    return drawn
+
+
 def test_two_requests_for_one_response_in_one_tick_give_one_certificate(monkeypatch):
     """A request and its re-send reach a SAMPLE notary in the same tick:
     one audit draw, one leaf, one signature and one settlement."""
     notary, market, (request,) = requests_to_certify(1, mode="SAMPLE")
-    one_draw = random.Random()
-    one_draw.setstate(notary._rng.getstate())
-    one_draw.random()
+    drawn = count_draws(monkeypatch)
     signed = count_signatures(monkeypatch)
     notary.handle([request, request])
-    assert notary._rng.getstate() == one_draw.getstate()
+    assert drawn == [(b"audit", messages.decode(request.message).response_digest)]
     (cert,) = market.ledger.certificates(market.order_id)
     assert (cert.leaf_index, cert.batch_size) == (0, 1)
     assert len(signed) == 1
@@ -911,14 +946,14 @@ def test_two_requests_for_one_response_in_one_tick_give_one_certificate(monkeypa
 
 def test_a_request_after_settlement_makes_no_audit_draw_and_no_certificate(monkeypatch):
     """A SAMPLE notary settles a response; the same request, reaching it
-    again in a later tick, draws nothing from its RNG and is not certified."""
+    again in a later tick, makes no audit draw and is not certified."""
     notary, market, (request,) = requests_to_certify(1, mode="SAMPLE")
     notary.handle([request])
     assert len(closes(market.ledger)) == 1
-    state = notary._rng.getstate()
+    drawn = count_draws(monkeypatch)
     signed = count_signatures(monkeypatch)
     notary.handle([request])
-    assert notary._rng.getstate() == state
+    assert drawn == []
     assert signed == [] and len(closes(market.ledger)) == 1
 
 
@@ -936,6 +971,48 @@ def test_no_certificate_is_sent(market):
     sent = {type(messages.decode(e.message)) for e in result.network.transcript}
     assert NotarizationRequest in sent and NotaryCertificate not in sent
     assert result.report.ok and result.report.rows and not result.report.unsettled
+
+
+def settled_rows(result):
+    """Each settlement's verdict and response digest, by order position and seller name."""
+    position = {digest.hex(): i for i, digest in enumerate(result.ledger.contracts)}
+    return {
+        (position[r.order_id], r.seller_name): (r.verdict, r.response_digest)
+        for r in result.report.rows
+    }
+
+
+@pytest.mark.parametrize(
+    "market", ["ladder-10x10 drop 0.0", "ladder-10x10 drop 0.05", "random 0..99"]
+)
+def test_a_change_that_only_moves_timing_moves_no_verdict(monkeypatch, market):
+    """Sellers that re-send every 4 ticks instead of 3 change when messages
+    arrive: each row that both runs settle keeps its verdict and its
+    response digest."""
+    if market.startswith("ladder"):
+        scenarios = [ladder_10x10(float(market.rpartition(" ")[2]))]
+    else:
+        scenarios = [random_scenario(seed) for seed in range(100)]
+    before = [settled_rows(run_scenario(s)) for s in scenarios]
+    monkeypatch.setattr(actors, "SELLER_RETRY_INTERVAL", 4)
+    after = [settled_rows(run_scenario(s)) for s in scenarios]
+    both = {
+        (i, key): (b[key], a[key])
+        for i, (b, a) in enumerate(zip(before, after))
+        for key in b.keys() & a.keys()
+    }
+    assert len(both) >= 0.95 * sum(map(len, before))
+    assert {key: pair for key, pair in both.items() if pair[0] != pair[1]} == {}
+
+
+def test_no_actor_holds_a_random_stream():
+    """Every draw an actor makes is keyed by what it decides: no buyer,
+    seller or notary keeps a `random.Random` after a run."""
+    for scenario in (load_scenario(BANK), ladder_10x10()):
+        result = run_scenario(scenario)
+        for actor in result.buyers + result.sellers + result.notaries:
+            streams = [k for k, v in vars(actor).items() if isinstance(v, random.Random)]
+            assert streams == [], (actor.name, streams)
 
 
 def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledger(monkeypatch):

@@ -24,9 +24,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DECISIONS = {
     "bank.yaml": "83d668d9cb4764c497637b35c30a2d2fb614eb0fd2f41bb482fd25a0a472b0e1",
     "telco.yaml": "442b392aa48cda906e6f4d17b49ac1c6e0e8ef34ff36a1d40ae55b5b65123ebc",
-    "random 0..999": "b910e64bb45c49e55701d4c8035c2ed1ba18b89424591d13eb97f401f4ff1604",
-    "ladder-10x10 drop 0.0": "60767e3afa8818863fcec3556bf231060a73c4bb16a9f6dbed69440bb2a5847c",
-    "ladder-10x10 drop 0.05": "bfb2619c5994b35e59b46931bb692b7494d2283d0a47dff2da14296325135221",
+    "random 0..999": "8e63ed67167df8993f8dd33cc64be83c0ffe0a32c7b2395232589b14569ce02f",
+    "ladder-10x10 drop 0.0": "cc9f736c2b6b7ca034f03814a582b7db4df9d4c34c04a0d5a9712c3e48ffc43a",
+    "ladder-10x10 drop 0.05": "e328f9167fadc803e2e9d78f2217074f2f7a7feda3a1bcf49f222ddd39b675fc",
 }
 
 

@@ -24,27 +24,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "c791f08f36e8dfc36907d963ec6a6453497750cda95d4a3ccef3ad59c8c9b7db",
-        "b35dcb0d0295e7390d0822579d703499b5b1fdf3954af437f3d3bdf048e07e7f",
+        "dcc7ebaf3d89d4359a6c0544e8feb4369cb66add35a319e01e8c7d1fc76f60fe",
+        "e58c5060681a57162f79f8ed0a76568246fa8b55e9d9a269ccb82192b7395d32",
     ),
     "telco.yaml": (
-        "9a2515f4301730d95dab5355049521293dfea96126262c4745c7913a8243406f",
-        "d5667000653b8d083f1c63052643891bf5ee603e8e2643cc40565033370ffa20",
+        "0973f96cdd395193ea5c59706d2d2db57cccb34552a97b9f381b0a894e93e72d",
+        "ac56df82e2d1ea09890ef4638cd854898f2173f3707e6cbfd0f4c396005ccaff",
     ),
 }
-RANDOM_COMBINED = "f17535218f23348adf20f3733d8c4063f5aaca6775e313ecac35d07c3c02b86a"
+RANDOM_COMBINED = "f12ac18f62acd4fd4f39f30526faf580cb79871b4a37ec9fa729095db52e22a4"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "de97e202ad175ab18252057e9d9c4a5cd89b420616857c03dfe5b8e93c713ee2",
-        "52581da61e6cc51cda897d5f60460adce9993b78c34dc2a1d182081427b7e830",
+        "1c978dde6c6d3f9eda17c7bf2bc747c4dcec1a98470b2949c3a40e5e6fd436d4",
+        "342c614f60fe8d5abf6dd515569c2b44f80beadbcf3d344969e23aa1204ca5a0",
         100,
         134,
     ),
     0.05: (
-        "a0f24de9265845344b1d4ba097d44a621b6cea1d84d7f4817017c126613f854b",
-        "1d20adc5f01794e2c547cf0b33a18e2b2390e15782a39ffd16d4bb6e69982032",
+        "994c4faac911a5ff1e253f1aacdad086a052701bae6cd73ae2466a3002162d65",
+        "52bfce2260dc86ad73575bd8a1dd3a064697197df5e61e8f083fc94ab987db5a",
         100,
         134,
     ),
