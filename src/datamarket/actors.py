@@ -158,7 +158,9 @@ class Seller:
             chosen_notary = b"\xee" * crypto.ADDRESS_LEN
         data = spec.dataset[order.request.schema_id]
         salt = crypto.keyed_draw(self.keys.secret_key, b"salt", order_digest)
-        response = messages.build_data_response(self.keys, order, price, data, chosen_notary, salt)
+        response = messages.build_data_response(
+            self.keys, order, price, data, chosen_notary, salt
+        )
         offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
         self._offers.append(offer)
         self.network.send(self.address, order.upload_url, response.encode())
@@ -197,9 +199,11 @@ class Seller:
         if self.spec.mutation not in (Mutation.SUBSTITUTE_DATA, Mutation.BIT_FLIP):
             return offer.data
         draw = crypto.keyed_draw(self.keys.secret_key, b"tamper", offer.response.digest())
-        if self.spec.mutation is Mutation.SUBSTITUTE_DATA:
-            return b"forged:" + draw
-        data, bit = bytearray(offer.data), int.from_bytes(draw[:8], "big") % (8 * len(offer.data))
+        if self.spec.mutation is Mutation.SUBSTITUTE_DATA:  # as long as the data, 8 bytes at least
+            size = max(8, len(offer.data))
+            return b"forged:" + (draw * (size // len(draw) + 1))[:size]
+        data = bytearray(offer.data)
+        bit = int.from_bytes(draw[:8], "big") % (8 * len(data))
         data[bit // 8] ^= 1 << bit % 8
         return bytes(data)
 

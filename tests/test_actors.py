@@ -397,11 +397,22 @@ def test_a_ladder_screened_on_two_threads_gives_the_same_bytes():
     assert threaded[:2] == one_at_a_time[:2]
 
 
+def sample_market(n):
+    """A market with `n` selected genuine responses of `DATA`, from sellers
+    s10, s11, ..., the records and enrollment a notary checks them against,
+    and an unforced request carrying a true audit copy for each."""
+    market = make_market(balance=1000)
+    made = [make_response(market, seller_seed=10 + i, data=DATA) for i in range(n)]
+    market.ledger.select_sellers(market.order_id, [response for response, _, _ in made])
+    truth = {(f"s{10 + i}", SCHEMA): DATA for i in range(n)}
+    enrollment = {response.payment_address: f"s{10 + i}" for i, (response, _, _) in enumerate(made)}
+    requests = [audit_request(market, r, salt, DATA, forced=False) for r, salt, _ in made]
+    return market, truth, enrollment, requests
+
+
 def sample_verdicts(notary, market, requests):
-    """`notary`'s verdict on each unforced request of `requests_to_certify`,
-    by response digest."""
+    """`notary`'s verdict on each request, by response digest."""
     contract = market.ledger.contract(market.order_id)
-    requests = [messages.decode(envelope.message) for envelope in requests]
     return {
         r.response_digest: notary.decide_verdict(
             r, contract.responses[r.response_digest].response, SCHEMA
@@ -412,27 +423,28 @@ def sample_verdicts(notary, market, requests):
 
 def test_sample_policy_reproducible():
     """Two notaries built from one SAMPLE spec agree on each of 50 distinct
-    unforced requests, and both verdicts appear. Asking again, in the
-    opposite order, gives each request the same verdict."""
-    _, market, requests = requests_to_certify(50)
+    honest unforced requests: some are not audited, and the rest are audited
+    and found valid. Asking again, in the opposite order, gives each request
+    the same verdict."""
+    market, truth, enrollment, requests = sample_market(50)
     verdicts = []
     for _ in range(2):
-        notary = make_notary(market, mode="SAMPLE", rate=0.5)
+        notary = make_notary(market, truth, enrollment, mode="SAMPLE", rate=0.5)
         verdicts.append(sample_verdicts(notary, market, requests))
         verdicts.append(sample_verdicts(notary, market, requests[::-1]))
     assert verdicts[0] == verdicts[1] == verdicts[2] == verdicts[3]
-    # An audit of an empty audit copy finds it invalid.
-    assert set(verdicts[0].values()) == {Verdict.NOT_NOTARIZED, Verdict.NOTARIZED_INVALID}
+    assert set(verdicts[0].values()) == {Verdict.NOT_NOTARIZED, Verdict.NOTARIZED_VALID}
 
 
 @pytest.mark.parametrize("rate, audited", [(0.0, 0), (0.5, 30), (1.0, 50)])
 def test_sample_policy_bounds_are_exact(rate, audited):
-    """Over 50 distinct unforced requests, SAMPLE at rate 0 audits none and
-    at rate 1 audits all. At rate 0.5 it audits exactly the responses whose
-    HMAC-SHA256 under the notary's seed over `audit` || digest starts with 8
-    big-endian bytes below 2**63, a count fixed by the keys."""
-    _, market, requests = requests_to_certify(50)
-    notary = make_notary(market, mode="SAMPLE", rate=rate)
+    """Over 50 distinct honest unforced requests, SAMPLE at rate 0 audits
+    none and at rate 1 audits all. At rate 0.5 it audits exactly the
+    responses whose HMAC-SHA256 under the notary's seed over `audit` ||
+    digest starts with 8 big-endian bytes below 2**63, a count fixed by the
+    keys. Each audited response is found valid; the rest are not notarized."""
+    market, truth, enrollment, requests = sample_market(50)
+    notary = make_notary(market, truth, enrollment, mode="SAMPLE", rate=rate)
     verdicts = sample_verdicts(notary, market, requests)
     seed = notary.keys.secret_key.seed
     expected = {
@@ -440,8 +452,32 @@ def test_sample_policy_bounds_are_exact(rate, audited):
         for digest in verdicts
         if int.from_bytes(hmac.digest(seed, b"audit" + digest, "sha256")[:8], "big") < rate * 2**64
     }
-    assert {d for d, v in verdicts.items() if v is not Verdict.NOT_NOTARIZED} == expected
+    assert {d for d, v in verdicts.items() if v is Verdict.NOTARIZED_VALID} == expected
+    assert {d for d, v in verdicts.items() if v is Verdict.NOT_NOTARIZED} == verdicts.keys() - expected
     assert len(expected) == audited
+
+
+@pytest.mark.parametrize("size", [1, 16, 32, 70])
+def test_a_tampering_seller_delivers_keyed_bytes_as_long_as_its_data(size):
+    """A substitute_data seller delivers `forged:` and its `tamper` draw
+    over the response digest, repeated to the data's length or to 8 bytes,
+    whichever is more. A bit_flip seller flips the one bit of its data that
+    the first 8 bytes of that draw, big-endian, pick modulo its bit count."""
+    market = make_market()
+    data = bytes(range(size))
+    response, salt, keys = make_response(market, data=data)
+    offer = actors._SellerOffer(market.ledger.contract(market.order_id), response, salt, data, 0)
+    draw = hmac.digest(keys.secret_key.seed, b"tamper" + response.digest(), "sha256")
+    delivered = {}
+    for mutation in (actors.Mutation.SUBSTITUTE_DATA, actors.Mutation.BIT_FLIP):
+        spec = SellerSpec(name="s", seed=10, dataset={SCHEMA: data}, mutation=mutation)
+        seller = Seller(spec, keys, market.ledger, Network(NetworkConfig()))
+        delivered[mutation] = seller._delivery_data(offer)
+    assert delivered[actors.Mutation.SUBSTITUTE_DATA] == b"forged:" + (draw * 3)[: max(8, size)]
+    flipped = delivered[actors.Mutation.BIT_FLIP]
+    bit = int.from_bytes(draw[:8], "big") % (8 * size)
+    assert len(flipped) == size
+    assert int.from_bytes(flipped, "little") ^ int.from_bytes(data, "little") == 1 << bit
 
 
 def test_seller_offers_on_the_open_orders_registered_since_its_last_step():
