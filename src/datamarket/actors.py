@@ -483,10 +483,8 @@ class Buyer:
     def _select(self, contract: OrderContract) -> None:
         offers = self._offers_by_order.get(contract.order_digest, ())
         # The same checks the ledger's selection makes, the cheap rules first.
-        # The rule checks at least its first `limit` signatures, so those are
-        # checked at once; the rest only while the rule takes offers.
+        # Each signature is checked only while the rule takes offers.
         offers = [r for r in offers if not validate_response(r, contract)]
-        messages.verify_signatures(offers[: self.spec.selection.limit(contract.price)])
         valid = (r for r in offers if r.verify_signature())
         chosen = self.spec.selection.select(valid, contract.price)
         balance = self.ledger.balance(self.address)

@@ -119,7 +119,6 @@ class Layout:
 
     def __getattr__(self, name: str):
         # Reached only while `read` or `write` is not yet an instance attribute.
-        # Two threads may both compile one; either result does the same.
         if name not in ("read", "write"):
             raise AttributeError(name)
         namespace = dict(globals())  # and codec i's c<i>, t<i>, a<i> and k<i>

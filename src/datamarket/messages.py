@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Annotated, Dict, Mapping, Optional, Union
 from typing import get_origin, get_type_hints
 
 from . import crypto
@@ -79,9 +78,6 @@ TAG_NOTARIZATION_REQUEST = 8
 TAG_CERTIFICATE_ROOT = 9  # what a certificate's signature covers; no message has this tag
 CERTIFICATE_BATCH = 16  # certificates per signed root, so an audit path holds at most 4 hashes
 VERIFY_MEMO = 256  # signature checks remembered: more than a ladder tick has in flight
-# From this many messages `verify_signatures` uses two threads: a thread takes 130 us to start and
-# join, and on 2 x86_64 vCPUs two check 2/8/16/160 signatures 0.6-0.7/1.2/1.4/1.8-2.1x as fast.
-PARALLEL_MIN = 16
 
 PredicateValue = Union[int, str, frozenset]
 PublicKey = Annotated[bytes, PUBLIC_KEY]
@@ -453,31 +449,6 @@ def decode(data: bytes) -> Message:
     if cls is None:
         raise EncodingError(f"unknown message tag {data[0]}")
     return cls.decode(data)
-
-
-def verify_signatures(msgs: Sequence[_Signed]) -> None:
-    """Check and keep each message's signature, on two threads over the two halves (libsodium
-    runs without the interpreter lock); fewer than `PARALLEL_MIN` messages are left unchecked."""
-    if len(msgs) < PARALLEL_MIN:
-        return
-    half, failed = len(msgs) // 2, []
-
-    def check_later_half():
-        try:
-            for msg in msgs[half:]:
-                msg.verify_signature()
-        except BaseException as exc:  # re-raised in the caller
-            failed.append(exc)
-
-    thread = threading.Thread(target=check_later_half)
-    thread.start()
-    try:
-        for msg in msgs[:half]:
-            msg.verify_signature()
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
 
 
 def signed(keys: crypto.KeyPair, message: _Signed) -> _Signed:

@@ -3,12 +3,11 @@ import functools
 import hmac
 import math
 import random
-import sys
 import threading
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datamarket import actors, crypto, ledger as ledger_mod, messages
@@ -268,63 +267,59 @@ def screen_offers() -> dict:
     return offers
 
 
-def counting_thread_starts(starts):
-    start = threading.Thread.start
-    return mock.patch.object(threading.Thread, "start", lambda t: starts.append(t) or start(t))
-
-
-def screen(kinds, policy, parallel_min):
-    """Run one buyer's selection over fresh decoded offers of `kinds`, with
-    `PARALLEL_MIN` at `parallel_min`: the offers selected, the number of
-    signature checks and the number of threads started."""
+def screen(kinds, policy):
+    """Run one buyer's selection over fresh decoded offers of `kinds`: the
+    offers selected and the number of signature checks."""
     market = make_market(balance=100_000)
     offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
     spec = BuyerSpec(name="b", seed=1, selection=policy)
     buyer = Buyer(spec, keys_from_seed(spec.seed), market.ledger, Network(NetworkConfig()), {})
     buyer._offers_by_order[market.order_id] = offers
     messages._verifies.cache_clear()  # the last screen checked the same offers
-    checks, starts, verify = [], [], crypto.verify
-    with (
-        mock.patch.object(crypto, "verify", lambda *a: checks.append(a) or verify(*a)),
-        counting_thread_starts(starts),
-        mock.patch.object(messages, "PARALLEL_MIN", parallel_min),
-    ):
+    checks, verify = [], crypto.verify
+    with mock.patch.object(crypto, "verify", lambda *a: checks.append(a) or verify(*a)):
         buyer._select(market.ledger.contract(market.order_id))
     selected = market.ledger.contract(market.order_id).responses.values()
-    return [offers.index(state.response) for state in selected], len(checks), len(starts)
+    return [offers.index(state.response) for state in selected], len(checks)
 
 
 @given(
     kinds=st.lists(
         st.sampled_from(["good"] * 4 + ["bad-signature", "wrong-price"]),
-        min_size=16,
         max_size=SCREEN_SELLERS,
     ),
     rule=st.sampled_from(["ALL_VALID", "FIRST_K", "BUDGET_CAP"]),
     k=st.integers(0, SCREEN_SELLERS),
     budget=st.integers(0, SCREEN_SELLERS + 1),
 )
+@example(kinds=["bad-signature", "good", "wrong-price", "good"], rule="FIRST_K", k=1, budget=0)
+@example(kinds=["good", "good", "bad-signature", "good"], rule="BUDGET_CAP", k=0, budget=2)
 @settings(max_examples=40, deadline=None)
-def test_the_threaded_screen_selects_and_checks_as_the_one_at_a_time_screen(kinds, rule, k, budget):
-    """Whatever the offers and the rule, checking the first `limit` valid
-    offers' signatures at once, on two threads from `PARALLEL_MIN`, selects
-    the same offers in the same order with the same number of checks as
-    checking each only when the rule asks for it."""
+def test_the_screen_selects_the_first_valid_offers_and_checks_only_what_it_needs(
+    kinds, rule, k, budget
+):
+    """Whatever the offers and the rule, the buyer selects the first `limit`
+    offers, in arrival order, at the contract's price and validly signed. It
+    checks the signature of each offer at that price up to the last one the
+    rule took, or of every one when the rule never fills."""
     price = make_market().price
     policy = SelectionPolicy(rule=rule, k=k, max_tokens=budget * price)
-    threaded = screen(kinds, policy, messages.PARALLEL_MIN)
-    one_at_a_time = screen(kinds, policy, len(kinds) + 1)
-    assert threaded[:2] == one_at_a_time[:2]
-    screened = [kind for kind in kinds if kind != "wrong-price"][: policy.limit(price)]
-    assert (threaded[2], one_at_a_time[2]) == (int(len(screened) >= messages.PARALLEL_MIN), 0)
+    limit = policy.limit(price)
+    taken = [i for i, kind in enumerate(kinds) if kind == "good"][:limit]
+    priced = [i for i, kind in enumerate(kinds) if kind != "wrong-price"]
+    if limit is not None and len(taken) == limit:  # the rule is full
+        priced = [i for i in priced if taken and i <= taken[-1]]
+    assert screen(kinds, policy) == (taken, len(priced))
 
 
 @pytest.mark.parametrize("failing", [3, 15], ids=["earlier-half", "later-half"])
 def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
     monkeypatch, failing
 ):
-    """The check fails once only, so the exception reaches the caller from
-    the half that raised it, not from a later check of the same offer."""
+    """A check that raises on an offer in the first or the second half of
+    twenty reaches the caller, selects nothing and starts no thread. It
+    raises once only, so the exception comes from the check that failed,
+    not from a later check of the same offer."""
     market = make_market(balance=100_000)
     offers = [messages.decode(good) for good in screen_offers()["good"][:20]]
     spec = BuyerSpec(name="b", seed=1)
@@ -345,56 +340,21 @@ def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
     assert not market.ledger.contract(market.order_id).responses
 
 
-def test_two_threads_check_each_offer_once_under_frequent_thread_switches(monkeypatch):
-    """With the interpreter switching threads every microsecond, each of 60
-    offers, one in six badly signed, is checked once and keeps its verdict."""
-    kinds = ["bad-signature" if i % 6 == 0 else "good" for i in range(SCREEN_SELLERS)]
-    checks, verify, interval = [], crypto.verify, sys.getswitchinterval()
-    monkeypatch.setattr(crypto, "verify", lambda *a: checks.append(a) or verify(*a))
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            offers = [messages.decode(screen_offers()[kind][i]) for i, kind in enumerate(kinds)]
-            messages._verifies.cache_clear()  # the last round checked the same offers
-            messages.verify_signatures(offers)
-            assert [offer.verify_signature() for offer in offers] == [k == "good" for k in kinds]
-            assert len(checks) == len(offers)
-            checks.clear()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_worked_and_random_scenarios_start_no_thread(monkeypatch):
-    """No order in them has `PARALLEL_MIN` offers to screen."""
-
-    def refuse(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    for scenario in [load_scenario(BANK), load_scenario(TELCO)]:
-        assert run_scenario(scenario).report.ok
-    for seed in range(50):
-        assert run_scenario(random_scenario(seed)).report.ok
-
-
-def test_a_ladder_screened_on_two_threads_gives_the_same_bytes():
-    """`ladder_market(24, 2, 0)` has 24 offers per order: its selections
-    check signatures on two threads, and its journal and report are those of
-    a run that checks them one at a time."""
-
-    def outputs(parallel_min):
-        starts = []
-        with (
-            counting_thread_starts(starts),
-            mock.patch.object(messages, "PARALLEL_MIN", parallel_min),
-        ):
-            result = run_scenario(workloads().ladder_market(24, 2, 0))
-        assert result.report.ok
-        return ledger_mod.journal_bytes(result.ledger), result.report.render(), len(starts)
-
-    threaded, one_at_a_time = outputs(messages.PARALLEL_MIN), outputs(25)
-    assert threaded[2] > 0 and one_at_a_time[2] == 0
-    assert threaded[:2] == one_at_a_time[:2]
+@pytest.mark.parametrize(
+    "scenario, checks",
+    [
+        (lambda: workloads().ladder_market(40, 20, 0), 940),
+        (lambda: load_scenario(BANK), 6),
+    ],
+    ids=["ladder-40x20", "bank"],
+)
+def test_a_run_checks_each_distinct_signature_once(monkeypatch, scenario, checks):
+    """Each ladder order gets 40 offers; copies of one message, decoded or
+    not, share one check through the memo."""
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(a) or verify(*a))
+    assert run_scenario(scenario(), tick_limit=3000).report.ok
+    assert len(calls) == len(set(calls)) == checks
 
 
 def sample_market(n):

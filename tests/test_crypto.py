@@ -670,10 +670,10 @@ def test_without_libsodium_signing_raises_crypto_error(monkeypatch):
         crypto._sodium.cache_clear()
 
 
-def python_output(code: str, *args: str) -> bytes:
+def python_output(code: str, *args: str, **env: str) -> bytes:
     """What `code`, run with `args`, prints in a new interpreter that
-    imports this package."""
-    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
+    imports this package, with `env` added to its environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1]), **env}
     argv = [sys.executable, "-c", code, *args]
     return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
 

@@ -1,14 +1,12 @@
 import functools
 import random
-import threading
-import time
 from dataclasses import fields as dataclass_fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datamarket import crypto, encoding, ledger as ledger_mod, messages
+from datamarket import crypto, ledger as ledger_mod, messages
 from datamarket.actors import keys_from_seed
 from datamarket.errors import EncodingError, MessageError
 from datamarket.messages import (
@@ -353,31 +351,6 @@ def test_buyer_then_ledger_validation_verifies_once(monkeypatch):
     market.ledger.select_sellers(market.order_id, [response])
     ledger_mod.replay(market.ledger.journal)
     assert calls == [response.signing_bytes()]
-
-
-def test_two_threads_that_both_compile_a_writer_sign_alike(monkeypatch):
-    """`verify_signatures`' two threads meet DataResponse's signing writer
-    uncompiled, and both compile it (its generation is slowed here so that
-    neither finds the other's). Either result is kept, and each message gets
-    the signing bytes and signature check that one thread gives."""
-    market = make_market()
-    responses = [make_response(market, seller_seed=10 + i)[0] for i in range(32)]
-    copies = [replace(r) for r in responses]  # without memoized encodings
-    layout, generate, compilers = DataResponse._SIGNING, encoding._write_source, []
-
-    def slow_generate(layout):
-        compilers.append(threading.get_ident())
-        time.sleep(0.2)
-        return generate(layout)
-
-    monkeypatch.delattr(layout, "write", raising=False)
-    monkeypatch.setattr(encoding, "_write_source", slow_generate)
-    messages.verify_signatures(copies)
-    assert len(set(compilers)) == 2 and "write" in vars(layout)
-    assert [c.__dict__["_memo_signing_bytes"] for c in copies] == [
-        r.signing_bytes() for r in responses
-    ]
-    assert all(c.__dict__["_memo_verify_signature"] for c in copies)
 
 
 # -- certificates under one signed Merkle root -----------------------------

@@ -760,6 +760,19 @@ def test_cli_seed_reproducibility(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_run_is_the_same_under_two_hash_seeds(tmp_path):
+    """A run's journal, report and output do not depend on the order that
+    Python's per-process hash seed gives sets and dicts of strings."""
+    code = "import sys; from datamarket import cli; sys.exit(cli.main(sys.argv[1:]))"
+    outs = []
+    for hash_seed in ("0", "1"):
+        journal, report = tmp_path / f"{hash_seed}.journal", tmp_path / f"{hash_seed}.report"
+        args = ["run", str(SCENARIOS / "bank.yaml"), "--journal-out", str(journal)]
+        out = python_output(code, *args, "--report-out", str(report), PYTHONHASHSEED=hash_seed)
+        outs.append((out, journal.read_bytes(), report.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_cli_run_serializes_the_journal_once(tmp_path, monkeypatch, capsys):
     """`run --journal-out` writes the bytes the invariant suite verified:
     one `journal_bytes` call, and the file is the pinned bank.yaml journal."""
