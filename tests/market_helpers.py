@@ -1,8 +1,9 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
 one countersigned order, signed seller responses, and the sealer from one
 identity to another; the benchmark's workloads and its smallest ladder
-market; the decisions a run is pinned by; and runs of a worked scenario on a
-network that drops, adds or submits messages as a third party would."""
+market; the decisions a run is pinned by, as JSON and as a table; and runs
+of a worked scenario on a network that drops, adds or submits messages as a
+third party would."""
 
 import collections
 import functools
@@ -118,7 +119,7 @@ def ladder_10x10(drop_rate=0.0):
     return replace(scenario, network=replace(scenario.network, drop_rate=drop_rate))
 
 
-def decisions(result) -> bytes:
+def decided(result) -> dict:
     """The decisions of one run, digests left out: a failure text has each
     long hex string blanked, and a settlement names its order by position."""
     report, ledger = result.report, result.ledger
@@ -129,7 +130,7 @@ def decisions(result) -> bytes:
         for r in report.rows
     )
     kinds = collections.Counter(event.kind.name for event in ledger.journal)
-    decided = {
+    return {
         "ticks": report.ticks_used,
         "quiescent": report.quiescent,
         "invariant_failures": [HEX.sub("<hex>", f) for f in report.invariant_failures],
@@ -139,7 +140,27 @@ def decisions(result) -> bytes:
         "events": dict(kinds),
         "sends": len(result.network.transcript),
     }
-    return json.dumps(decided, sort_keys=True).encode()
+
+
+def decisions(result) -> bytes:
+    """`decided` as canonical JSON, the form the sweep's digest is taken over."""
+    return json.dumps(decided(result), sort_keys=True).encode()
+
+
+def decision_table(result) -> str:
+    """`decided` as text, one fact a line: each settlement row (order
+    position, seller name and address, verdict, outcome, seller amount, buyer
+    refund, notary fee), then the ticks, quiescence, each failure, each
+    balance, each event kind's count and the sends."""
+    d = decided(result)
+    lines = ["row " + " ".join(map(str, row)) for row in d["rows"]]
+    lines += [f"ticks {d['ticks']}", f"quiescent {d['quiescent']}"]
+    lines += [f"invariant failure: {failure}" for failure in d["invariant_failures"]]
+    lines += [f"oracle failure: {failure}" for failure in d["oracle_failures"]]
+    lines += [f"balance {name} {amount}" for name, amount in sorted(d["balances"].items())]
+    lines += [f"events {kind} {count}" for kind, count in sorted(d["events"].items())]
+    lines.append(f"sends {d['sends']}")
+    return "\n".join(lines) + "\n"
 
 
 def drop_first(monkeypatch, kind):

@@ -568,9 +568,10 @@ def test_no_key_and_nonce_seal_two_audit_plaintexts(monkeypatch, drop_rate):
     order_pairs = {(r.order_ref, e.endpoint) for r, e in requests}
     keys = {buyer.address: buyer.keys for buyer in result.buyers}
     groups = sealed_groups(transcript, NotarizationRequest, lambda r: r.audit_ciphertext, keys)
+    selected = sum(len(contract.responses) for contract in result.ledger.contracts.values())
     assert len(groups) == len(pairs) < len(order_pairs) == 10
-    assert sum(len(by_sequence) for by_sequence in groups.values()) == 100
-    assert (len(requests) > 100) == (drop_rate > 0)  # the lossy run re-sends some requests
+    assert sum(len(by_sequence) for by_sequence in groups.values()) == selected
+    assert (len(requests) > selected) == (drop_rate > 0)  # the lossy run re-sends some requests
 
 
 @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
@@ -761,19 +762,24 @@ def test_bad_certificate_does_not_end_the_run(monkeypatch):
 
 @pytest.mark.parametrize("tick", range(5, 10))
 def test_a_delivery_before_its_selection_is_judged_again(monkeypatch, tick):
-    """`bank.yaml`'s first offer arrives at tick 5, and the first delivery
-    is sent at tick 10, once its response is selected. That delivery,
-    replayed to the buyer at any tick between, is refused as unselected and
-    not kept as accepted, so the seller's send is taken when it comes, and
-    the run ends as it would without the replay."""
+    """`bank.yaml`'s first delivery is sent once its response is selected.
+    Replayed to the buyer at any tick from the first offer's arrival up to
+    that send, both read from the undisturbed run, it is refused as
+    unselected and not kept as accepted, so the seller's send is taken when
+    it comes, and the run ends as it would without the replay. Each `tick`
+    is moved into that window, so however latency falls, every case replays
+    within it."""
     undisturbed = run_scenario(load_scenario(BANK))
-    (first,) = [
-        e
-        for e in undisturbed.network.transcript
-        if e.endpoint == "ub:modelcorp"
-        and isinstance(messages.decode(e.message), messages.PayloadDelivery)
-    ][:1]
-    replay = add_at_tick(tick, first.sender, "ub:modelcorp", first.message)
+    transcript = undisturbed.network.transcript
+    arrived = min(
+        e.delivery_tick
+        for e in transcript
+        if e.message[0] == messages.TAG_DATA_RESPONSE and e.delivery_tick is not None
+    )
+    first = next(e for e in transcript if e.message[0] == messages.TAG_PAYLOAD_DELIVERY)
+    assert first.endpoint == "ub:modelcorp" and arrived < first.send_tick
+    at = min(max(tick, arrived), first.send_tick - 1)
+    replay = add_at_tick(at, first.sender, "ub:modelcorp", first.message)
     result = run_bank_with(monkeypatch, replay)
     assert result.buyers[0].rejected_submissions == ["upload: unselected-response"]
     assert result.report.render() == undisturbed.report.render()
@@ -1012,16 +1018,17 @@ def test_no_actor_holds_a_random_stream():
 
 
 def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledger(monkeypatch):
-    """`telco.yaml`'s notary certifies three responses under one root at
-    tick 13. The second certificate, read from the journal with its verdict
-    changed, reaches the ledger at tick 13 before the genuine one: the ledger
-    refuses it, and the run ends as it would without it."""
+    """`telco.yaml`'s notary certifies at least two responses under one
+    root in the undisturbed run. The second certificate, read from the
+    journal with its verdict changed, reaches the ledger at the tick its
+    request reached the notary, before the genuine one: the ledger refuses
+    it, and the run ends as it would without it."""
     undisturbed = run_scenario(load_scenario(TELCO))
     (contract,) = undisturbed.ledger.contracts.values()
     cert = next(
         c
         for c in undisturbed.ledger.certificates(contract.order_digest)
-        if (c.leaf_index, c.batch_size) == (1, 3)
+        if c.leaf_index == 1 and c.batch_size >= 2
     )
     (request,) = [
         e
@@ -1029,12 +1036,11 @@ def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledge
         if e.message[0] == messages.TAG_NOTARIZATION_REQUEST
         and messages.decode(e.message).response_digest == cert.response_digest
     ]
-    assert request.delivery_tick == 13
     forged = dataclasses.replace(cert, verdict=Verdict.NOT_NOTARIZED).encode()
     with pytest.raises(InvalidSignature):
         ledger_mod.Ledger().close_response(messages.decode(forged))
 
-    extra, refusals = submit_at_tick(monkeypatch, 13, forged)
+    extra, refusals = submit_at_tick(monkeypatch, request.delivery_tick, forged)
     result = run_bank_with(monkeypatch, extra, TELCO)
     assert refusals == ["certificate signature does not verify"]
     assert result.buyers[0].rejected_submissions == undisturbed.buyers[0].rejected_submissions
