@@ -1,20 +1,24 @@
 """Simulated off-chain network.
 
 A discrete-tick scheduler routes opaque message bytes between registered
-endpoints with seeded random latency and loss. With drop_rate=0 every
-message is delivered exactly once; per (sender, endpoint) pair FIFO order
-is preserved among delivered messages. The full transcript of sent
-envelopes is retained for the leak-scan invariants. The network never
-reads a message: what an endpoint accepts is its owner's decision (the
-buyer's upload intake is `actors.Buyer.handle`).
+endpoints. A send's fate is the SHA-256 of the network seed (signed,
+big-endian), the send tick (u64), the sender, the endpoint (each but the
+tick length-prefixed) and the message. Its first 8 bytes, big-endian, drop
+the envelope when below drop_rate * 2**64; its next 8 pick the latency. So
+identical sends in one tick share a fate, no send moves another's, raising
+drop_rate only removes envelopes, and without drops every message arrives
+once. Each (sender, endpoint) pair keeps FIFO order. The transcript of sent
+envelopes is kept for the leak-scan invariants. The network never reads a
+message: its owner decides what an endpoint accepts (`actors.Buyer.handle`).
 """
 
 from __future__ import annotations
 
-import random
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from . import crypto
 from .errors import TransportError
 
 
@@ -46,7 +50,8 @@ class Network:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
-        self._rng = random.Random(config.seed)
+        seed = config.seed.to_bytes(config.seed.bit_length() // 8 + 1, "big", signed=True)
+        self._seed = struct.pack(">I", len(seed)) + seed
         self._endpoints: Set[str] = set()
         # Delivery tick -> the envelopes due then, in send order. A send is
         # due `latency_min` >= 1 ticks later or more, and the clock advances
@@ -64,12 +69,13 @@ class Network:
     def send(self, sender: bytes, endpoint: str, message: bytes) -> None:
         if endpoint not in self._endpoints:
             raise TransportError(f"unknown endpoint {endpoint!r}")
+        config, name = self.config, endpoint.encode()
+        head = struct.pack(">QI", self.tick_now, len(sender)) + sender + struct.pack(">I", len(name))
+        drop, pick = struct.unpack_from(">QQ", crypto.sha256(self._seed + head + name + message))
         env = Envelope(sender, endpoint, message, self.tick_now)
-        if self._rng.random() < self.config.drop_rate:
-            env.delivery_tick = None
-        else:
-            latency = self._rng.randint(self.config.latency_min, self.config.latency_max)
-            due = self.tick_now + latency
+        if drop >= config.drop_rate * 2**64:  # else dropped
+            spread = config.latency_max - config.latency_min + 1
+            due = self.tick_now + config.latency_min + pick % spread
             # Clamp so per-pair FIFO order survives variable latency.
             pair = (sender, endpoint)
             due = max(due, self._last_delivery.get(pair, 0))

@@ -343,7 +343,7 @@ def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
 @pytest.mark.parametrize(
     "scenario, checks",
     [
-        (lambda: workloads().ladder_market(40, 20, 0), 940),
+        (lambda: workloads().ladder_market(40, 20, 0), 942),
         (lambda: load_scenario(BANK), 6),
     ],
     ids=["ladder-40x20", "bank"],
@@ -1008,13 +1008,15 @@ def test_a_change_that_only_moves_timing_moves_no_verdict(monkeypatch, market):
 
 
 def test_no_actor_holds_a_random_stream():
-    """Every draw an actor makes is keyed by what it decides: no buyer,
-    seller or notary keeps a `random.Random` after a run."""
+    """Every draw an actor makes is keyed by what it decides, and every
+    envelope's fate is a hash of the envelope: no buyer, seller, notary or
+    network keeps a `random.Random` after a run."""
     for scenario in (load_scenario(BANK), ladder_10x10()):
         result = run_scenario(scenario)
-        for actor in result.buyers + result.sellers + result.notaries:
-            streams = [k for k, v in vars(actor).items() if isinstance(v, random.Random)]
-            assert streams == [], (actor.name, streams)
+        holders = [(actor.name, actor) for actor in result.buyers + result.sellers + result.notaries]
+        for name, holder in holders + [("network", result.network)]:
+            streams = [k for k, v in vars(holder).items() if isinstance(v, random.Random)]
+            assert streams == [], (name, streams)
 
 
 def test_a_batched_certificate_with_another_verdict_is_refused_by_the_live_ledger(monkeypatch):

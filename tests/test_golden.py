@@ -24,27 +24,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "bank.yaml": (
-        "dcc7ebaf3d89d4359a6c0544e8feb4369cb66add35a319e01e8c7d1fc76f60fe",
-        "e58c5060681a57162f79f8ed0a76568246fa8b55e9d9a269ccb82192b7395d32",
+        "cace85ebb32ab73532f12e16812aab136e18f200e6e04cb2b01918a41f7d115b",
+        "326cffeb826975be80d6325c31eff63ca62b324c66569420e3a282ccdf3f5524",
     ),
     "telco.yaml": (
-        "0973f96cdd395193ea5c59706d2d2db57cccb34552a97b9f381b0a894e93e72d",
+        "859e37fb0459d201b81e51a11f16849ebe8047cea6ca72660516cb140f8e4406",
         "ac56df82e2d1ea09890ef4638cd854898f2173f3707e6cbfd0f4c396005ccaff",
     ),
 }
-RANDOM_COMBINED = "f12ac18f62acd4fd4f39f30526faf580cb79871b4a37ec9fa729095db52e22a4"
+RANDOM_COMBINED = "d6ecacedbd82689c9126e410e182c5c9d9a93cf2e2f1fb02c5e4d7dfc67239fb"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "1c978dde6c6d3f9eda17c7bf2bc747c4dcec1a98470b2949c3a40e5e6fd436d4",
+        "d2c0f85f59d94368c8a8c10c9578efb43052b8614584169ec6eb64c94e2c913f",
         "342c614f60fe8d5abf6dd515569c2b44f80beadbcf3d344969e23aa1204ca5a0",
         100,
         134,
     ),
     0.05: (
-        "994c4faac911a5ff1e253f1aacdad086a052701bae6cd73ae2466a3002162d65",
-        "52bfce2260dc86ad73575bd8a1dd3a064697197df5e61e8f083fc94ab987db5a",
+        "48ec1d59b78aeb0c1723c383203aee85e73d7853b2b78f44d56b7ba622883955",
+        "9a0b5899413fa8b6f0299a315483c01ec46196565b2f4ca238555a718459bd5f",
         100,
         134,
     ),

@@ -565,6 +565,12 @@ def run_cli(doc) -> tuple:
     return code, err.getvalue()
 
 
+def test_a_negative_network_seed_runs():
+    """The network seed is any integer: `bank.yaml` with its seed edited
+    to -7 runs, and its run passes."""
+    assert run_cli(edited_bank([(("network", "seed"), -7)])) == (0, "")
+
+
 def test_refused_registration_aborts_the_order():
     """A balance too small for the order's escrow: the ledger refuses the
     registration, the buyer records why and aborts the order, and the run

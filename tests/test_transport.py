@@ -1,19 +1,24 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from datamarket import messages, transport
+from datamarket import ledger as ledger_mod, messages, transport
 from datamarket.actors import Buyer, keys_from_seed
 from datamarket.errors import TransportError
 from datamarket.ledger import Ledger
 from datamarket.messages import NotarizationRequest, PayloadDelivery, Verdict
-from datamarket.scenario import BuyerSpec
+from datamarket.runner import run_scenario
+from datamarket.scenario import BuyerSpec, load_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import make_market, make_response
+from market_helpers import BANK, ladder_10x10, make_market, make_response
 
 A = b"\x01" * 20  # an address
+B = b"\x02" * 20
 
 
 def run_transcript(config, sends):
@@ -78,6 +83,88 @@ def test_exactly_once_without_drops():
         for envs in net.tick().values():
             seen.extend(e.message for e in envs)
     assert sorted(seen) == [bytes([i]) for i in range(30)]
+
+
+def fates(config, schedule):
+    """Each envelope's delivery tick (None if dropped) when `schedule`, one
+    list of (sender, endpoint, message) sends per tick, runs on a network of
+    `config`."""
+    net = Network(config)
+    net.register("x")
+    net.register("y")
+    for sends in schedule:
+        for sender, endpoint, message in sends:
+            net.send(sender, endpoint, message)
+        net.tick()
+    return [env.delivery_tick for env in net.transcript]
+
+
+SCHEDULES = st.lists(
+    st.lists(st.tuples(st.sampled_from([A, B]), st.sampled_from("xy"), st.binary(max_size=3)), max_size=4),
+    max_size=6,
+)
+
+
+@given(
+    rates=st.lists(st.floats(0, 1), min_size=2, max_size=2).map(sorted),
+    latency_min=st.integers(1, 3),
+    spread=st.integers(0, 2),
+    seed=st.integers(),
+    schedule=SCHEDULES,
+)
+@settings(max_examples=200, deadline=None)
+def test_a_higher_drop_rate_only_removes_envelopes(rates, latency_min, spread, seed, schedule):
+    """Every envelope dropped at drop rate p is dropped at q >= p too; with
+    one latency, every envelope delivered at q arrives at the same tick at
+    p. Whether an envelope is dropped depends on no other send."""
+    configs = [NetworkConfig(latency_min, latency_min + spread, rate, seed) for rate in rates]
+    at_p, at_q = (fates(config, schedule) for config in configs)
+    assert all(q is None for p, q in zip(at_p, at_q) if p is None)
+    if not spread:
+        assert all(p == q for p, q in zip(at_p, at_q) if q is not None)
+
+
+def test_removing_repeated_sends_moves_no_other_fate(monkeypatch):
+    """`ladder-10x10` at drop 0.05, run again with every byte-identical
+    repeat (same sender, endpoint and message) swallowed before it reaches
+    the network: each envelope sent in both runs, matched by sender,
+    endpoint, send tick and message, has the same fate in both."""
+    def fates_by_send(result):
+        return {
+            (e.sender, e.endpoint, e.send_tick, e.message): e.delivery_tick
+            for e in result.network.transcript
+        }
+
+    full = fates_by_send(run_scenario(ladder_10x10(0.05)))
+    send, sent = Network.send, set()
+
+    def send_once(network, sender, endpoint, message):
+        if (sender, endpoint, message) not in sent:
+            sent.add((sender, endpoint, message))
+            send(network, sender, endpoint, message)
+
+    monkeypatch.setattr(Network, "send", send_once)
+    once = fates_by_send(run_scenario(ladder_10x10(0.05)))
+    assert len(once) < len(full)
+    both = full.keys() & once.keys()
+    assert len(both) > len(once) // 2
+    moved = [(key[2], key[1], full[key], once[key]) for key in both if full[key] != once[key]]
+    assert moved == []  # (send tick, endpoint, fate in the full run, fate without repeats)
+
+
+@pytest.mark.parametrize("seed", [-7, 2**256, 10**4999], ids=["negative", "2**256", "5000 digits"])
+def test_any_integer_is_a_network_seed(seed):
+    """The network seed is any integer: a negative one, one past 32 bytes
+    and one of 5,000 digits (more than `str` converts) each run `bank.yaml`
+    to the same journal and report every time."""
+    scenario = load_scenario(BANK)
+    scenario = dataclasses.replace(scenario, network=dataclasses.replace(scenario.network, seed=seed))
+    outputs = []
+    for _ in range(2):
+        result = run_scenario(scenario)
+        assert result.report.ok
+        outputs.append((ledger_mod.journal_bytes(result.ledger), result.report.render()))
+    assert outputs[0] == outputs[1]
 
 
 def test_unknown_endpoint_rejected():
@@ -194,9 +281,8 @@ def test_endpoint_rejects_unsupported_type(kind):
 # -- layering ----------------------------------------------------------------
 
 
-def test_transport_imports_no_protocol_module():
-    """The network routes opaque bytes, so it must not import the modules
-    that give them meaning."""
+def transport_imports() -> set:
+    """The last name of every module `transport.py` imports."""
     tree = ast.parse(Path(transport.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -207,4 +293,16 @@ def test_transport_imports_no_protocol_module():
             imported.add(module)
             if not node.module or module == "datamarket":  # `from . import messages`
                 imported.update(alias.name for alias in node.names)
-    assert imported & {"messages", "ledger", "actors"} == set()
+    return imported
+
+
+def test_transport_imports_no_protocol_module():
+    """The network routes opaque bytes, so it must not import the modules
+    that give them meaning."""
+    assert transport_imports() & {"messages", "ledger", "actors"} == set()
+
+
+def test_transport_imports_no_random():
+    """Each send's fate is a hash of the envelope, so the network keeps no
+    random stream."""
+    assert "random" not in transport_imports()
