@@ -1,16 +1,10 @@
 """Fixtures shared between test modules."""
 
-import hashlib
-
 import pytest
 
-from datamarket import ledger as ledger_mod, messages
-from datamarket.runner import run_scenario
-from datamarket.scenario import random_scenario
+from datamarket import messages
 
-from market_helpers import decisions
-
-RANDOM_SEEDS = range(1000)
+from market_helpers import random_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -22,14 +16,6 @@ def fresh_signature_memo():
 
 @pytest.fixture(scope="session")
 def random_sweep_digests():
-    """For each of `random_scenario(0..999)`, in seed order, the SHA-256
-    digests of its journal, its rendered report and its decisions
-    (`market_helpers.decisions`): one pass over the sweep, shared by the
-    golden pin and the decision pin."""
-    digests = []
-    for seed in RANDOM_SEEDS:
-        result = run_scenario(random_scenario(seed))
-        journal = ledger_mod.journal_bytes(result.ledger)
-        outputs = (journal, result.report.render().encode(), decisions(result))
-        digests.append(tuple(hashlib.sha256(data).digest() for data in outputs))
-    return digests
+    """`market_helpers.random_sweep` in one pass, shared by the golden pin
+    and the decision pin."""
+    return list(random_sweep())

@@ -1,12 +1,13 @@
 """Shared builders for ledger- and protocol-level tests: a funded buyer,
 one countersigned order, signed seller responses, and the sealer from one
 identity to another; the benchmark's workloads and its smallest ladder
-market; the decisions a run is pinned by, as JSON and as a table; and runs
-of a worked scenario on a network that drops, adds or submits messages as a
-third party would."""
+market; the decisions a run is pinned by, as a table and as a line of the
+sweep pin; and runs of a worked scenario on a network that drops, adds or
+submits messages as a third party would."""
 
 import collections
 import functools
+import hashlib
 import importlib.util
 import json
 import re
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List
 
-from datamarket import crypto, messages, runner, transport
+from datamarket import crypto, ledger as ledger_mod, messages, runner, transport
 from datamarket.actors import keys_from_seed
 from datamarket.errors import LedgerError
 from datamarket.ledger import Ledger
@@ -28,7 +29,7 @@ from datamarket.messages import (
     Predicate,
 )
 from datamarket.runner import run_scenario
-from datamarket.scenario import load_scenario
+from datamarket.scenario import load_scenario, random_scenario
 from datamarket.transport import Envelope
 
 TERMS = messages.terms_link("test terms")
@@ -142,9 +143,31 @@ def decided(result) -> dict:
     }
 
 
-def decisions(result) -> bytes:
-    """`decided` as canonical JSON, the form the sweep's digest is taken over."""
-    return json.dumps(decided(result), sort_keys=True).encode()
+def sweep_line(seed, result) -> str:
+    """One scenario's line of the sweep pin: its seed, a digest of its
+    settled rows, each keyed by response digest (verdict, outcome, seller
+    amount, buyer refund, notary fee), and a digest of its other decisions
+    (`decided` without the rows). Each digest is the first 16 hex digits of
+    a SHA-256 over canonical JSON."""
+    others = decided(result)
+    del others["rows"]
+    rows = {
+        r.response_digest: [r.verdict, r.outcome, r.seller_amount, r.buyer_refund, r.notary_fee]
+        for r in result.report.rows
+    }
+    digests = [hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16] for d in (rows, others)]
+    return " ".join([str(seed), *digests])
+
+
+def random_sweep():
+    """For each of `random_scenario(0..999)`, in seed order, the SHA-256
+    digests of its journal and its rendered report, and its line of the
+    sweep pin (`sweep_line`)."""
+    for seed in range(1000):
+        result = run_scenario(random_scenario(seed))
+        journal = hashlib.sha256(ledger_mod.journal_bytes(result.ledger)).digest()
+        report = hashlib.sha256(result.report.render().encode()).digest()
+        yield journal, report, sweep_line(seed, result)
 
 
 def decision_table(result) -> str:

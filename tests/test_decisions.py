@@ -10,13 +10,14 @@ must leave these as they are.
 
 Each small market's decisions are a table under `pins/`, one fact a line
 (`market_helpers.decision_table`), so a change that moves a decision fails
-with the lines that moved. The 1,000-scenario sweep is pinned by one digest
-over each scenario's decisions. `python tests/test_decisions.py` rewrites
-the tables from the code as it is.
+with the lines that moved. The 1,000-scenario sweep is pinned one scenario a
+line in `pins/sweep.txt` (`market_helpers.sweep_line`): its seed, a digest of
+its settled rows and a digest of its other decisions, so a change that moves
+a decision fails with the seeds and the digests that moved.
+`python tests/test_decisions.py` rewrites every file from the code as it is.
 """
 
 import difflib
-import hashlib
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ import pytest
 from datamarket.runner import run_scenario
 from datamarket.scenario import load_scenario
 
-from market_helpers import decision_table, ladder_10x10
+from market_helpers import decision_table, ladder_10x10, random_sweep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINS = Path(__file__).resolve().parent / "pins"
@@ -36,7 +37,7 @@ TABLES = {
     "ladder-10x10 drop 0.05": "ladder-10x10-drop-0.05.txt",
 }
 SWEEP = "random 0..999"
-SWEEP_DECISIONS = "5f88717bfab042ea81535661e510920cc66e9d5e63278e43648281e3f78d032e"
+SWEEP_PIN = PINS / "sweep.txt"
 
 
 def table(market) -> str:
@@ -47,11 +48,31 @@ def table(market) -> str:
     return decision_table(run_scenario(scenario))
 
 
+def moved_seeds(pinned, run) -> list:
+    """Each seed whose line differs between the `pinned` and `run` sweep
+    lines, with the digests that moved: "rows", "others", or "line" for a
+    seed that only one side has."""
+    def by_seed(lines):
+        return {seed: digests for seed, *digests in map(str.split, lines)}
+
+    pinned, run = by_seed(pinned), by_seed(run)
+    moved = []
+    for seed in sorted(pinned.keys() | run.keys(), key=int):
+        if seed not in pinned or seed not in run:
+            moved.append(f"seed {seed}: line")
+            continue
+        which = [name for name, p, r in zip(("rows", "others"), pinned[seed], run[seed]) if p != r]
+        if which:
+            moved.append(f"seed {seed}: {', '.join(which)}")
+    return moved
+
+
 @pytest.mark.parametrize("market", sorted([*TABLES, SWEEP]))
 def test_decisions_are_pinned(market, request):
     if market == SWEEP:  # the sweep's one pass, shared with the golden pin
-        digests = [digest for _, _, digest in request.getfixturevalue("random_sweep_digests")]
-        assert hashlib.sha256(b"".join(digests)).hexdigest() == SWEEP_DECISIONS
+        run = [line for _, _, line in request.getfixturevalue("random_sweep_digests")]
+        moved = moved_seeds(SWEEP_PIN.read_text().splitlines(), run)
+        assert not moved, f"{market}: {len(moved)} seeds moved\n" + "\n".join(moved)
         return
     pinned = (PINS / TABLES[market]).read_text().splitlines()
     diff = difflib.unified_diff(pinned, table(market).splitlines(), "pinned", "run", lineterm="", n=0)
@@ -59,7 +80,17 @@ def test_decisions_are_pinned(market, request):
     assert not moved, f"{market}: decisions moved\n{moved}"
 
 
+def test_moved_seeds_names_each_digest_that_moved():
+    pinned = ["0 aa bb", "1 aa bb", "2 aa bb", "3 aa bb"]
+    run = ["0 aa bb", "1 ax bb", "2 ax bx", "4 aa bb"]
+    assert moved_seeds(pinned, run) == [
+        "seed 1: rows", "seed 2: rows, others", "seed 3: line", "seed 4: line"
+    ]
+
+
 if __name__ == "__main__":
     for market, name in TABLES.items():
         (PINS / name).write_text(table(market))
         print(f"wrote {PINS / name}")
+    SWEEP_PIN.write_text("".join(f"{line}\n" for _, _, line in random_sweep()))
+    print(f"wrote {SWEEP_PIN}")
