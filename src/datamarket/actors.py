@@ -483,9 +483,15 @@ class Buyer:
     def _select(self, contract: OrderContract) -> None:
         offers = self._offers_by_order.get(contract.order_digest, ())
         # The same checks the ledger's selection makes, the cheap rules first.
-        # Each signature is checked only while the rule takes offers.
+        # Each signature is checked only while the rule takes offers, and
+        # each seller's first offer whose signature verifies is its only one.
         offers = [r for r in offers if not validate_response(r, contract)]
-        valid = (r for r in offers if r.verify_signature())
+        sellers = set()
+        valid = (
+            r
+            for r in offers
+            if r.seller_pk not in sellers and r.verify_signature() and not sellers.add(r.seller_pk)
+        )
         chosen = self.spec.selection.select(valid, contract.price)
         balance = self.ledger.balance(self.address)
         # Drop the last chosen response until the buyer can pay, audit top-up included.

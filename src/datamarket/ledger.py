@@ -281,10 +281,14 @@ class Ledger:
         if not responses:
             raise LedgerError("selection names no response")
         batch = {}  # the responses by digest, in order
+        sellers = {state.response.seller_pk for state in contract.responses.values()}
         for response in responses:
             digest = response.digest()
             if digest in contract.responses or digest in batch:
                 raise DuplicateResponse(f"response {digest.hex()} already selected")
+            if response.seller_pk in sellers:  # an order takes each seller once
+                raise DuplicateResponse(f"seller of response {digest.hex()} already selected")
+            sellers.add(response.seller_pk)
             batch[digest] = response
             failed = messages.validate_response(response, contract)
             if failed:

@@ -826,6 +826,30 @@ def alices_response(undisturbed):
     return contract, digest
 
 
+def test_a_second_offer_from_a_selected_seller_is_not_selected(monkeypatch):
+    """A second genuine offer from alice, under another salt, reaches
+    `bank.yaml`'s buyer in the tick her first offer arrives. The buyer
+    selects only her first, and the run ends as it would without it."""
+    scenario = load_scenario(BANK)
+    undisturbed = run_scenario(scenario)
+    contract, digest = alices_response(undisturbed)
+    first = contract.responses[digest].response
+    arrived = min(
+        e.delivery_tick
+        for e in undisturbed.network.transcript
+        if e.message == first.encode() and e.delivery_tick is not None
+    )
+    data = scenario.sellers[0].dataset[contract.order.request.schema_id]
+    second = messages.build_data_response(
+        keys_from_seed(201), contract.order, first.price, data, first.chosen_notary,
+        crypto.sha256(b"other salt"),
+    )
+    extra = add_at_tick(arrived, first.payment_address, "ub:modelcorp", second.encode())
+    result = run_bank_with(monkeypatch, extra)
+    assert result.report.ok
+    assert result.report.render() == undisturbed.report.render()
+
+
 def test_notary_takes_a_notarization_request_only_from_the_orders_buyer(monkeypatch):
     """carla asks `bank.yaml`'s notary, at tick 11, for a forced audit of
     alice's selected response with no audit payload. The notary drops the

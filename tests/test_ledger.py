@@ -178,6 +178,21 @@ def test_selection_rejects_duplicates():
         market.ledger.select_sellers(market.order_id, [response, response])
 
 
+def test_selection_takes_each_seller_once():
+    """A seller's second offer, under another salt, is refused in the same
+    selection as its first and in a later one, and the refusal moves
+    nothing."""
+    market = make_market()
+    first, again = (make_response(market, salt=crypto.sha256(s))[0] for s in (b"a", b"b"))
+    with pytest.raises(DuplicateResponse):
+        market.ledger.select_sellers(market.order_id, [first, again])
+    market.ledger.select_sellers(market.order_id, [first])
+    journal = list(market.ledger.journal)
+    with pytest.raises(DuplicateResponse):
+        market.ledger.select_sellers(market.order_id, [again])
+    assert market.ledger.journal == journal
+
+
 def test_selection_insufficient_funds_aborts():
     market = make_market(balance=12, m_a=10, price=5)
     response, _, _ = make_response(market)

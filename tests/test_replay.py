@@ -103,6 +103,20 @@ def selection_on_closed_order():
     return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [late])
 
 
+def one_seller_twice_in_a_selection():
+    """A selection that names two offers of one seller, under two salts."""
+    market = make_market()
+    responses = [make_response(market, salt=crypto.sha256(s))[0] for s in (b"a", b"b")]
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), responses)
+
+
+def a_selected_seller_selected_again():
+    """A second selection that names a seller the first one selected."""
+    market, _ = selected()
+    again, _, _ = make_response(market, salt=crypto.sha256(b"other salt"))
+    return forge(market.ledger, EventKind.SELLERS_SELECTED, market.order.digest(), [again])
+
+
 def certificate_for_another_order():
     """A certificate for a selected response that names an order never
     registered: the certificate alone says which contract it settles."""
@@ -232,6 +246,8 @@ CRAFTED = [
     mint_after_first_order,
     mints_past_the_u64_supply,
     selection_on_closed_order,
+    one_seller_twice_in_a_selection,
+    a_selected_seller_selected_again,
     certificate_for_another_order,
     price_differs_from_posted,
     empty_selection,
