@@ -7,9 +7,10 @@ tick length-prefixed) and the message. Its first 8 bytes, big-endian, drop
 the envelope when below drop_rate * 2**64; its next 8 pick the latency. So
 identical sends in one tick share a fate, no send moves another's, raising
 drop_rate only removes envelopes, and without drops every message arrives
-once. Each (sender, endpoint) pair keeps FIFO order. The transcript of sent
-envelopes is kept for the leak-scan invariants. The network never reads a
-message: its owner decides what an endpoint accepts (`actors.Buyer.handle`).
+once. There is no per-pair order: an envelope can overtake an earlier one
+of the same sender and endpoint. The transcript of sent envelopes is kept
+for the leak-scan invariants. The network never reads a message: its owner
+decides what an endpoint accepts (`actors.Buyer.handle`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class Network:
         self._in_flight: Dict[int, List[Envelope]] = {}
         self.transcript: List[Envelope] = []
         self.tick_now = 0
-        self._last_delivery: Dict[tuple, int] = {}
 
     def register(self, endpoint: str) -> None:
         if endpoint in self._endpoints:
@@ -75,13 +75,8 @@ class Network:
         env = Envelope(sender, endpoint, message, self.tick_now)
         if drop >= config.drop_rate * 2**64:  # else dropped
             spread = config.latency_max - config.latency_min + 1
-            due = self.tick_now + config.latency_min + pick % spread
-            # Clamp so per-pair FIFO order survives variable latency.
-            pair = (sender, endpoint)
-            due = max(due, self._last_delivery.get(pair, 0))
-            self._last_delivery[pair] = due
-            env.delivery_tick = due
-            self._in_flight.setdefault(due, []).append(env)
+            env.delivery_tick = self.tick_now + config.latency_min + pick % spread
+            self._in_flight.setdefault(env.delivery_tick, []).append(env)
         self.transcript.append(env)
 
     def tick(self) -> Dict[str, List[Envelope]]:

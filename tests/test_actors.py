@@ -343,7 +343,7 @@ def test_a_failing_check_in_either_half_reaches_the_caller_and_leaves_no_thread(
 @pytest.mark.parametrize(
     "scenario, checks",
     [
-        (lambda: workloads().ladder_market(40, 20, 0), 942),
+        (lambda: workloads().ladder_market(40, 20, 0), 938),
         (lambda: load_scenario(BANK), 6),
     ],
     ids=["ladder-40x20", "bank"],

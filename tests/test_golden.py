@@ -32,18 +32,18 @@ GOLDEN = {
         "ac56df82e2d1ea09890ef4638cd854898f2173f3707e6cbfd0f4c396005ccaff",
     ),
 }
-RANDOM_COMBINED = "d6ecacedbd82689c9126e410e182c5c9d9a93cf2e2f1fb02c5e4d7dfc67239fb"
+RANDOM_COMBINED = "0cdc94ccdc9c88924718f1edf4eaa52f7edbd7e7241d00242a5feb69e9dc43cb"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
     0.0: (
-        "d2c0f85f59d94368c8a8c10c9578efb43052b8614584169ec6eb64c94e2c913f",
+        "5e943f9b0f17d65115fe0bc2c3e6c7d34fdc2d8629ef3e69592139c21a73c2e6",
         "342c614f60fe8d5abf6dd515569c2b44f80beadbcf3d344969e23aa1204ca5a0",
         100,
         134,
     ),
     0.05: (
-        "48ec1d59b78aeb0c1723c383203aee85e73d7853b2b78f44d56b7ba622883955",
+        "6bb41bb57a6834218a3afdc8a84f33b157d0f4fcee7d8d0fb8fc541a94ae42eb",
         "9a0b5899413fa8b6f0299a315483c01ec46196565b2f4ca238555a718459bd5f",
         100,
         134,

@@ -60,19 +60,6 @@ def test_fixed_seed_identical_transcripts():
     assert run_transcript(config, sends) == run_transcript(config, sends)
 
 
-def test_per_pair_fifo():
-    net = Network(NetworkConfig(latency_min=1, latency_max=8, drop_rate=0.0, seed=3))
-    net.register("x")
-    for i in range(50):
-        net.send(A, "x", i.to_bytes(2, "big"))
-    received = []
-    for _ in range(80):
-        for envs in net.tick().values():
-            received.extend(int.from_bytes(e.message, "big") for e in envs)
-    assert received == sorted(received)
-    assert len(received) == 50
-
-
 def test_exactly_once_without_drops():
     net = Network(NetworkConfig(latency_min=1, latency_max=4, drop_rate=0.0, seed=5))
     net.register("x")
@@ -114,14 +101,33 @@ SCHEDULES = st.lists(
 )
 @settings(max_examples=200, deadline=None)
 def test_a_higher_drop_rate_only_removes_envelopes(rates, latency_min, spread, seed, schedule):
-    """Every envelope dropped at drop rate p is dropped at q >= p too; with
-    one latency, every envelope delivered at q arrives at the same tick at
-    p. Whether an envelope is dropped depends on no other send."""
+    """Every envelope dropped at drop rate p is dropped at q >= p too, and
+    every envelope delivered at q arrives at the same tick at p."""
     configs = [NetworkConfig(latency_min, latency_min + spread, rate, seed) for rate in rates]
     at_p, at_q = (fates(config, schedule) for config in configs)
     assert all(q is None for p, q in zip(at_p, at_q) if p is None)
-    if not spread:
-        assert all(p == q for p, q in zip(at_p, at_q) if q is not None)
+    assert all(p == q for p, q in zip(at_p, at_q) if q is not None)
+
+
+@given(
+    rate=st.floats(0, 1),
+    latency_min=st.integers(1, 3),
+    spread=st.integers(0, 3),
+    seed=st.integers(),
+    schedule=SCHEDULES,
+)
+@settings(max_examples=200, deadline=None)
+def test_each_fate_is_the_fate_of_the_envelope_sent_alone(rate, latency_min, spread, seed, schedule):
+    """Every envelope of a schedule is dropped, or delivered at a tick,
+    exactly as it is when sent alone at the same tick on a fresh network:
+    its fate depends on no other send."""
+    config = NetworkConfig(latency_min, latency_min + spread, rate, seed)
+    alone = [
+        fates(config, [[]] * tick + [[send]])[0]
+        for tick, sends in enumerate(schedule)
+        for send in sends
+    ]
+    assert fates(config, schedule) == alone
 
 
 def test_removing_repeated_sends_moves_no_other_fate(monkeypatch):
