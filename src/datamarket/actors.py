@@ -65,10 +65,8 @@ SELLER_MUTATIONS = {
 }
 BUYER_MUTATIONS = {Mutation.CERTIFICATE_REPLAY, Mutation.FORGED_CERTIFICATE}
 
-# Ticks between re-sends of an unanswered offer or delivery (seller) and of
-# an unanswered notarization request (buyer).
-SELLER_RETRY_INTERVAL = 3
-BUYER_RETRY_INTERVAL = 4
+# Ticks between re-sends of an unanswered offer, delivery or notarization request.
+RETRY_INTERVAL = 3
 
 
 def keys_from_seed(seed: int) -> KeyPair:
@@ -161,7 +159,7 @@ class Seller:
         response = messages.build_data_response(
             self.keys, order, price, data, chosen_notary, salt
         )
-        offer = _SellerOffer(contract, response, salt, data, tick + SELLER_RETRY_INTERVAL)
+        offer = _SellerOffer(contract, response, salt, data, tick + RETRY_INTERVAL)
         self._offers.append(offer)
         self.network.send(self.address, order.upload_url, response.encode())
 
@@ -177,7 +175,7 @@ class Seller:
             # order stays open, in case the network dropped it.
             if offer.resends_left > 0 and tick >= offer.next_send_tick:
                 offer.resends_left -= 1
-                offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
+                offer.next_send_tick = tick + RETRY_INTERVAL
                 self.network.send(self.address, contract.order.upload_url, offer.response.encode())
             return True
         if state.settlement is not None:
@@ -186,7 +184,7 @@ class Seller:
         # agreement with the buyer, and re-send that delivery on a timer until settled.
         if offer.delivery is not None and tick < offer.next_send_tick:
             return True
-        offer.next_send_tick = tick + SELLER_RETRY_INTERVAL
+        offer.next_send_tick = tick + RETRY_INTERVAL
         order = contract.order
         if offer.delivery is None:
             payload = messages.encode_payload_plaintext(offer.salt, self._delivery_data(offer))
@@ -455,7 +453,7 @@ class Buyer:
             if contract.responses[digest].settlement is not None:
                 continue
             endpoint, payload, last_sent = entry
-            if tick - last_sent >= BUYER_RETRY_INTERVAL:
+            if tick - last_sent >= RETRY_INTERVAL:
                 entry[2] = tick
                 self.network.send(self.address, endpoint, payload)
 

@@ -503,6 +503,21 @@ def test_each_offer_and_delivery_is_sent_once(monkeypatch):
     assert all(len(set(sent)) == 1 for sent in deliveries.values())
 
 
+def test_a_lost_request_is_sent_again_after_the_retry_interval(monkeypatch):
+    """`bank.yaml` with its first notarization request lost: the buyer sends
+    the same bytes to the same notary exactly `RETRY_INTERVAL` ticks later,
+    once, and the run settles the rows of the undisturbed run."""
+    undisturbed = run_scenario(load_scenario(BANK))
+    dropped = drop_first(monkeypatch, NotarizationRequest)
+    result = run_scenario(load_scenario(BANK))
+    transcript = result.network.transcript
+    (lost,) = [e for e in transcript if e.delivery_tick is None]
+    sent = [(e.send_tick, e.sender, e.endpoint) for e in transcript if e.message == lost.message]
+    resent = (lost.send_tick + actors.RETRY_INTERVAL, lost.sender, lost.endpoint)
+    assert dropped == [lost.message] and sent == [sent[0], resent]
+    assert result.report.ok and result.report.rows == undisturbed.report.rows
+
+
 def test_lossless_ladder_encrypts_once_per_delivery_and_request(monkeypatch):
     """100 settlements: 100 deliveries, each sealed once under the one
     `Sealer` of its (seller, buyer) pair, and 100 notarization requests,
@@ -1012,7 +1027,7 @@ def settled_rows(result):
     "market", ["ladder-10x10 drop 0.0", "ladder-10x10 drop 0.05", "random 0..99"]
 )
 def test_a_change_that_only_moves_timing_moves_no_verdict(monkeypatch, market):
-    """Sellers that re-send every 4 ticks instead of 3 change when messages
+    """Actors that re-send every 4 ticks instead of 3 change when messages
     arrive: each row that both runs settle keeps its verdict and its
     response digest."""
     if market.startswith("ladder"):
@@ -1020,7 +1035,7 @@ def test_a_change_that_only_moves_timing_moves_no_verdict(monkeypatch, market):
     else:
         scenarios = [random_scenario(seed) for seed in range(100)]
     before = [settled_rows(run_scenario(s)) for s in scenarios]
-    monkeypatch.setattr(actors, "SELLER_RETRY_INTERVAL", 4)
+    monkeypatch.setattr(actors, "RETRY_INTERVAL", 4)
     after = [settled_rows(run_scenario(s)) for s in scenarios]
     both = {
         (i, key): (b[key], a[key])

@@ -32,7 +32,7 @@ GOLDEN = {
         "ac56df82e2d1ea09890ef4638cd854898f2173f3707e6cbfd0f4c396005ccaff",
     ),
 }
-RANDOM_COMBINED = "0cdc94ccdc9c88924718f1edf4eaa52f7edbd7e7241d00242a5feb69e9dc43cb"
+RANDOM_COMBINED = "de70560fe641f35ecbdf9600733505e0babbf9ab817613297bd150523d061f7a"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
@@ -43,8 +43,8 @@ LADDER = {
         134,
     ),
     0.05: (
-        "6bb41bb57a6834218a3afdc8a84f33b157d0f4fcee7d8d0fb8fc541a94ae42eb",
-        "9a0b5899413fa8b6f0299a315483c01ec46196565b2f4ca238555a718459bd5f",
+        "20e1f36a97bb2415bffd4113870818b597f388833efe0b87fafc468ae3662ff7",
+        "e82ee7ec8aad3694a102912db46a2ff688f159197839e4885b93f9e274dcbef2",
         100,
         134,
     ),
