@@ -354,11 +354,10 @@ class Buyer:
         # Order digest -> the buyer's progress on it, until the order closes or aborts.
         self._pending: Dict[bytes, _PendingOrder] = {}
         # Upload intake: offers by digest and by `order_ref` in arrival order,
-        # the bytes of every accepted upload, and the deliveries not yet handled.
+        # and the bytes of every accepted upload.
         self._offers: Dict[bytes, DataResponse] = {}
         self._offers_by_order: Dict[bytes, List[DataResponse]] = {}
         self._accepted_uploads: set = set()
-        self._deliveries: List[PayloadDelivery] = []
         self._openers: Dict[bytes, crypto.Opener] = {}  # by the sender's key
         self._sealers: Dict[bytes, crypto.Sealer] = {}  # by notary key, for all orders' audits
 
@@ -389,10 +388,10 @@ class Buyer:
 
     def _upload(self, sender: Address, data: bytes) -> None:
         """Keep terms from a notary the pending order lists, keep a new
-        offer, and queue a delivery from an offer's seller for `step`. A
-        byte-identical repeat of an accepted upload is skipped undecoded; any
-        other refused upload is recorded, and judged again each time it
-        comes. Terms are never recorded as refused."""
+        offer, and answer a delivery from a selected offer's seller with a
+        notarization request. A byte-identical repeat of an accepted upload
+        is skipped undecoded; any other refused upload is recorded, and
+        judged again each time it comes. Terms are never recorded as refused."""
         if data in self._accepted_uploads:
             return
         try:
@@ -419,8 +418,9 @@ class Buyer:
         elif sender != self._offers[msg.response_digest].payment_address:
             self.rejected_submissions.append("upload: not-from-seller")
             return
-        else:
-            self._deliveries.append(msg)
+        elif not self._request_notarization(msg):
+            self.rejected_submissions.append("upload: unselected-response")
+            return
         self._accepted_uploads.add(data)
 
     def step(self, tick: int) -> None:
@@ -440,9 +440,6 @@ class Buyer:
                     self._retry_audit_requests(contract, pending, tick)
             if contract.status is Status.CLOSED:
                 del self._pending[digest]
-        for delivery in self._deliveries:
-            self._request_notarization(delivery)
-        self._deliveries.clear()
 
     def _retry_audit_requests(
         self, contract: OrderContract, pending: _PendingOrder, tick: int
@@ -500,19 +497,18 @@ class Buyer:
         else:
             self.ledger.close_order(contract.order_digest)
 
-    def _request_notarization(self, delivery: PayloadDelivery) -> None:
+    def _request_notarization(self, delivery: PayloadDelivery) -> bool:
+        """Ask the chosen notary once to settle a delivery's response; False
+        if that response is not selected."""
         digest = delivery.response_digest
-        # A delivery is queued only for an offer the buyer holds.
         order_digest = self._offers[digest].order_ref
         pending = self._pending.get(order_digest)
         contract = self.ledger.contracts.get(order_digest)
         state = contract and contract.responses.get(digest)
         if pending is None or digest in pending.audit_requests:
-            return
-        if state is None:  # not selected yet: judged again when it comes again
-            self._accepted_uploads.discard(delivery.encode())
-            self.rejected_submissions.append("upload: unselected-response")
-            return
+            return True
+        if state is None:
+            return False
         response = state.response
         notary_terms = contract.notary_terms[response.chosen_notary]
         forced = self.spec.force_audit
@@ -548,6 +544,7 @@ class Buyer:
                 self.ledger.close_response(forged)
             except InvalidSignature as exc:
                 self.rejected_submissions.append(f"forged-certificate: {exc}")
+        return True
 
     def _close(self, contract: OrderContract) -> None:
         """Close an order whose selected responses are all settled."""

@@ -155,8 +155,11 @@ def sweep_line(seed, result) -> str:
         r.response_digest: [r.verdict, r.outcome, r.seller_amount, r.buyer_refund, r.notary_fee]
         for r in result.report.rows
     }
-    digests = [hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16] for d in (rows, others)]
-    return " ".join([str(seed), *digests])
+
+    def digest(decisions):
+        return hashlib.sha256(json.dumps(decisions, sort_keys=True).encode()).hexdigest()[:16]
+
+    return " ".join([str(seed), digest(rows), digest(others)])
 
 
 def random_sweep():

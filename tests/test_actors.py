@@ -739,12 +739,10 @@ def test_buyer_drops_a_certificate_and_a_delivery_for_an_order_with_no_contract(
             ]
         ]
     )
-    assert buyer._deliveries == [delivery]  # accepted: the buyer holds its offer
     buyer.step(1)
-    assert buyer._deliveries == []
     assert buyer.rejected_submissions == [
-        "upload: unsupported message type NotaryCertificate",
         "upload: unselected-response",
+        "upload: unsupported message type NotaryCertificate",
     ]
     assert not ledger.contracts and not network.transcript
     assert not buyer.done

@@ -32,7 +32,7 @@ GOLDEN = {
         "ac56df82e2d1ea09890ef4638cd854898f2173f3707e6cbfd0f4c396005ccaff",
     ),
 }
-RANDOM_COMBINED = "de70560fe641f35ecbdf9600733505e0babbf9ab817613297bd150523d061f7a"
+RANDOM_COMBINED = "7eb042e0935c4794ccc1c3fc3be802f2b792d54a22d77f131c6c9cf3089499df"
 # ladder-10x10 seed 0 by drop rate: (journal sha256, report sha256,
 # settlements, journal events).
 LADDER = {
@@ -43,7 +43,7 @@ LADDER = {
         134,
     ),
     0.05: (
-        "20e1f36a97bb2415bffd4113870818b597f388833efe0b87fafc468ae3662ff7",
+        "288f5eff19ffb4b438357dcd14ca9aac4708a1a32bf3ee85f76ea76fbf46eaa8",
         "e82ee7ec8aad3694a102912db46a2ff688f159197839e4885b93f9e274dcbef2",
         100,
         134,

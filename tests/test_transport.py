@@ -12,10 +12,10 @@ from datamarket.errors import TransportError
 from datamarket.ledger import Ledger
 from datamarket.messages import NotarizationRequest, PayloadDelivery, Verdict
 from datamarket.runner import run_scenario
-from datamarket.scenario import BuyerSpec, load_scenario
+from datamarket.scenario import BuyerSpec, OrderSpec, load_scenario
 from datamarket.transport import Envelope, Network, NetworkConfig
 
-from market_helpers import BANK, ladder_10x10, make_market, make_response
+from market_helpers import BANK, TERMS, ladder_10x10, make_market, make_response
 
 A = b"\x01" * 20  # an address
 B = b"\x02" * 20
@@ -117,7 +117,9 @@ def test_a_higher_drop_rate_only_removes_envelopes(rates, latency_min, spread, s
     schedule=SCHEDULES,
 )
 @settings(max_examples=200, deadline=None)
-def test_each_fate_is_the_fate_of_the_envelope_sent_alone(rate, latency_min, spread, seed, schedule):
+def test_each_fate_is_the_fate_of_the_envelope_sent_alone(
+    rate, latency_min, spread, seed, schedule
+):
     """Every envelope of a schedule is dropped, or delivered at a tick,
     exactly as it is when sent alone at the same tick on a fresh network:
     its fate depends on no other send."""
@@ -224,19 +226,43 @@ def test_endpoint_rejects_payload_for_unknown_response():
     buyer = make_buyer()
     delivery = PayloadDelivery(b"\x00" * 32, b"\x01" * 50)
     assert upload(buyer, delivery.encode()) == ["upload: unknown-response"]
-    assert buyer._deliveries == []
+    assert buyer.network.transcript == []
+
+
+def open_order():
+    """A buyer whose order, listing notary "n", is registered and takes
+    offers until tick 10, and an offer for it from seller seed 10."""
+    market = make_market()  # only for the notary's keys and address
+    ledger, network = Ledger(), Network(NetworkConfig())
+    spec = BuyerSpec(name="b", seed=1)
+    buyer = Buyer(spec, keys_from_seed(spec.seed), ledger, network, {market.notary: "n"})
+    for endpoint in (buyer.upload_url, "notary:n"):
+        network.register(endpoint)
+    ledger.mint(buyer.address, 100)
+    wanted = OrderSpec(buyer="b", schema_id="records", price=5, notaries=("n",))
+    order = buyer.start_order(wanted, 0)
+    terms = messages.countersign_order(market.notary_keys, order, 2, TERMS)
+    upload(buyer, terms.encode(), market.notary)
+    buyer.step(4)  # the countersign window closes: the order is registered
+    seller = keys_from_seed(10)
+    return buyer, messages.build_data_response(seller, order, 5, b"data", market.notary, b"s" * 32)
+
+
+def requested(buyer):
+    """The response digest of each notarization request the buyer sent."""
+    sent = [messages.decode(e.message) for e in buyer.network.transcript]
+    return [m.response_digest for m in sent if isinstance(m, NotarizationRequest)]
 
 
 def test_endpoint_accepts_payload_after_response():
-    market = make_market()
-    response, _, _ = make_response(market)
-    buyer = make_buyer()
+    buyer, response = open_order()
     seller = response.payment_address
     upload(buyer, response.encode(), seller)
+    buyer.step(10)  # the response window closes: the response is selected
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
     assert upload(buyer, delivery.encode(), seller) == []
     assert upload(buyer, delivery.encode(), seller) == []  # idempotent
-    assert buyer._deliveries == [delivery]
+    assert requested(buyer) == [response.digest()]
 
 
 def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
@@ -249,15 +275,17 @@ def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
     assert decoded == []
 
 
-def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives():
-    response, _, _ = make_response(make_market())
-    buyer = make_buyer()
+def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives_and_is_selected():
+    buyer, response = open_order()
     seller = response.payment_address
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
     assert upload(buyer, delivery.encode(), seller) == ["upload: unknown-response"]
     assert upload(buyer, response.encode(), seller) == []
+    assert upload(buyer, delivery.encode(), seller) == ["upload: unselected-response"]
+    buyer.step(10)  # the response window closes: the response is selected
+    assert requested(buyer) == []
     assert upload(buyer, delivery.encode(), seller) == []
-    assert buyer._deliveries == [delivery]
+    assert requested(buyer) == [response.digest()]
 
 
 def test_endpoint_refuses_a_garbled_message_every_time():
@@ -281,7 +309,7 @@ def test_endpoint_rejects_unsupported_type(kind):
     }[kind]
     buyer = make_buyer()
     assert upload(buyer, message.encode()) == [f"upload: unsupported message type {kind}"]
-    assert buyer._offers == {} and buyer._deliveries == []
+    assert buyer._offers == {} and buyer.network.transcript == []
 
 
 # -- layering ----------------------------------------------------------------
