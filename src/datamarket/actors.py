@@ -1,13 +1,16 @@
 """Buyer, seller, and notary agents.
 
-Each actor is a sequential process: the runner hands it the envelopes
-delivered this tick in one `handle` call and then calls `step`. Actors
-share no mutable state; they interact only through the network and the
-ledger. A notary settles each response it certifies on the ledger itself,
-and the buyer closes an order once its contract shows every selected
-response settled. Endpoint naming convention: a buyer has one endpoint,
-``ub:<name>``, the upload URL its orders carry, where notaries send terms and
-sellers upload; a notary listens on ``notary:<name>``.
+Each actor is a sequential process. Each tick the runner hands a notary or
+a buyer the envelopes delivered to its endpoint in one `handle` call, and
+then calls each buyer's and each seller's `step`: a seller has no endpoint
+and only steps, and a notary only handles. Both answer a message in the
+tick it arrives: a notary a notarization request, a buyer a delivery.
+Actors share no mutable state; they interact only through the network and
+the ledger. A notary settles each response it certifies on the ledger
+itself, and the buyer closes an order once its contract shows every
+selected response settled. Endpoint naming convention: a buyer has one
+endpoint, ``ub:<name>``, the upload URL its orders carry, where notaries
+send terms and sellers upload; a notary listens on ``notary:<name>``.
 """
 
 from __future__ import annotations

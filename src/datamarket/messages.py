@@ -77,7 +77,9 @@ TAG_PAYLOAD_DELIVERY = 7
 TAG_NOTARIZATION_REQUEST = 8
 TAG_CERTIFICATE_ROOT = 9  # what a certificate's signature covers; no message has this tag
 CERTIFICATE_BATCH = 16  # certificates per signed root, so an audit path holds at most 4 hashes
-VERIFY_MEMO = 256  # signature checks remembered: more than a ladder tick has in flight
+# Signature checks remembered. Too few to catch every repeat: ladder-160x40
+# checks 33 orders again in `Ledger.register_order` after the memo dropped them.
+VERIFY_MEMO = 256
 
 PredicateValue = Union[int, str, frozenset]
 PublicKey = Annotated[bytes, PUBLIC_KEY]
