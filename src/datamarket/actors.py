@@ -1,16 +1,15 @@
 """Buyer, seller, and notary agents.
 
 Each actor is a sequential process. Each tick the runner hands a notary or
-a buyer the envelopes delivered to its endpoint in one `handle` call, and
-then calls each buyer's and each seller's `step`: a seller has no endpoint
-and only steps, and a notary only handles. Both answer a message in the
-tick it arrives: a notary a notarization request, a buyer a delivery.
-Actors share no mutable state; they interact only through the network and
-the ledger. A notary settles each response it certifies on the ledger
-itself, and the buyer closes an order once its contract shows every
-selected response settled. Endpoint naming convention: a buyer has one
-endpoint, ``ub:<name>``, the upload URL its orders carry, where notaries
-send terms and sellers upload; a notary listens on ``notary:<name>``.
+a buyer the envelopes at its endpoint in one `handle` call, which answers
+each request or delivery at once, and then calls `step` on each buyer and
+seller: a seller has no endpoint, and a notary no `step`. Actors share no
+mutable state; they interact only through the network and the ledger. A
+notary settles each response it certifies on the ledger itself, and the
+buyer closes an order once its contract shows every selected response
+settled. Endpoint naming convention: a buyer has one endpoint,
+``ub:<name>``, the upload URL its orders carry, where notaries send terms and
+sellers upload; a notary listens on ``notary:<name>``.
 """
 
 from __future__ import annotations
@@ -501,8 +500,8 @@ class Buyer:
             self.ledger.close_order(contract.order_digest)
 
     def _request_notarization(self, delivery: PayloadDelivery) -> bool:
-        """Ask the chosen notary once to settle a delivery's response; False
-        if that response is not selected."""
+        """Ask the chosen notary, once, to settle the response of a delivery
+        whose offer the buyer holds; False if that response is not selected."""
         digest = delivery.response_digest
         order_digest = self._offers[digest].order_ref
         pending = self._pending.get(order_digest)

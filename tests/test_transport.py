@@ -275,7 +275,10 @@ def test_endpoint_accepts_a_byte_identical_repeat_without_decoding(monkeypatch):
     assert decoded == []
 
 
-def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives_and_is_selected():
+def test_endpoint_accepts_a_refused_delivery_once_its_offer_arrives():
+    """A delivery before its offer is refused as unknown, and one before its
+    offer is selected as unselected; neither is kept, so it is accepted and
+    answered once it comes after the selection."""
     buyer, response = open_order()
     seller = response.payment_address
     delivery = PayloadDelivery(response.digest(), b"\x01" * 50)
